@@ -136,6 +136,10 @@ impl MotionEst {
         block.read_bytes_at(0, &mut blk);
         let mut best = (u32::MAX, Vec2::default());
         let mut wrow = vec![0u8; we as usize];
+        // Per-dx SAD sums of the current dy. A local, not a thread-local:
+        // `ctx.compute` below can yield to another tile's search on the
+        // same OS thread.
+        let mut acc = vec![0u32; (2 * p.range + 1) as usize];
         for dy in 0..=2 * p.range {
             for row in 0..p.block {
                 // One window row serves all dx candidates of this (dy, row).
@@ -148,10 +152,10 @@ impl MotionEst {
                         sad += a.abs_diff(b);
                     }
                     // Unrolled SAD: ~1 instr/pixel. Per-(dx) sums
-                    // accumulate across rows via host scratch and fold
-                    // into `best` after the last row.
+                    // accumulate across rows in `acc` and fold into
+                    // `best` after the last row.
                     ctx.compute(p.block as u64);
-                    self.fold(&mut best, row, dx, dy, sad, p);
+                    self.fold(&mut acc, &mut best, row, dx, dy, sad);
                 }
             }
         }
@@ -176,40 +180,21 @@ impl MotionEst {
         (task % bpe * self.params.block, task / bpe * self.params.block)
     }
 
-    /// Per-candidate accumulation: kept in a host-side table indexed by
+    /// Per-candidate accumulation: `acc` is the caller's table indexed by
     /// dx (reset at row 0, folded into `best` at the last row).
-    fn fold(
-        &self,
-        best: &mut (u32, Vec2),
-        row: u32,
-        dx: u32,
-        dy: u32,
-        sad: u32,
-        p: MotionEstParams,
-    ) {
-        // A tiny trick to keep the accumulation simple and allocation-free
-        // per call: thread-local scratch.
-        thread_local! {
-            static ACC: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+    fn fold(&self, acc: &mut [u32], best: &mut (u32, Vec2), row: u32, dx: u32, dy: u32, sad: u32) {
+        let p = self.params;
+        if row == 0 {
+            acc[dx as usize] = 0;
         }
-        ACC.with(|acc| {
-            let mut acc = acc.borrow_mut();
-            let n = (2 * p.range + 1) as usize;
-            if acc.len() != n {
-                acc.resize(n, 0);
+        acc[dx as usize] += sad;
+        if row == p.block - 1 {
+            let total = acc[dx as usize];
+            let v = Vec2 { x: dx as i32 - p.range as i32, y: dy as i32 - p.range as i32 };
+            if total < best.0 {
+                *best = (total, v);
             }
-            if row == 0 {
-                acc[dx as usize] = 0;
-            }
-            acc[dx as usize] += sad;
-            if row == p.block - 1 {
-                let total = acc[dx as usize];
-                let v = Vec2 { x: dx as i32 - p.range as i32, y: dy as i32 - p.range as i32 };
-                if total < best.0 {
-                    *best = (total, v);
-                }
-            }
-        });
+        }
     }
 
     pub fn worker(&self, ctx: &mut PmcCtx<'_, '_>) {

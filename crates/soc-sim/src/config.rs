@@ -270,9 +270,9 @@ pub enum EngineKind {
     Threaded,
     /// Single-threaded discrete-event engine: a min-heap of timestamped
     /// component events drives global time; core programs run as
-    /// suspended coroutine tasks resumed one at a time
-    /// ([`crate::engine`]). Scales to hundreds of tiles (parked tasks
-    /// cost nothing; scheduling is O(log n)).
+    /// stackful coroutines resumed one at a time on the caller's thread
+    /// ([`crate::engine`]). Scales to thousands of tiles (a parked task
+    /// is a stack, not a thread; scheduling is O(log n)).
     #[default]
     DiscreteEvent,
 }

@@ -15,12 +15,15 @@
 //! The components of the simulated SoC map onto the trait as follows:
 //!
 //! * **Cores** are the active components: each tile program runs as a
-//!   *suspended coroutine task* (`CoreTask`) — a parked OS thread
-//!   resumed by rendezvous handoff, so the blocking `Cpu` API (and the
-//!   whole annotation runtime above it) runs unchanged. At any moment
-//!   at most one task is runnable; the engine thread and the running
-//!   task alternate, so the run is logically single-threaded and
-//!   deterministic by construction.
+//!   *stackful coroutine* (`CoreTask`, over the private `coro` module)
+//!   with a stack of its own, so the blocking `Cpu` API (and the whole
+//!   annotation runtime above it) runs unchanged. A handoff is a
+//!   user-space stack switch: the scheduler loop and every tile program
+//!   run on the thread that called `Soc::run`, one at a time, so the
+//!   run is single-threaded and deterministic by construction. (Where
+//!   `coro` has no stack switch for the target, a task is a parked OS
+//!   thread resumed by rendezvous instead; exactly one of them is
+//!   runnable at any moment, so nothing else changes.)
 //! * **NoC links, per-tile DMA engines and the SDRAM controller** are
 //!   *passive* busy-until resources: their schedules are computed at
 //!   issue time (`Noc::reserve_path`, `DmaEngine::issue`,
@@ -52,7 +55,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+
+use crate::coro::{Suspender, Task};
 
 /// A `(virtual_time, component_id)` scheduling bound: a task may commit
 /// actions while its own `(clock, tile)` is strictly below the horizon.
@@ -80,24 +84,27 @@ pub(crate) enum TaskYield {
     Panicked,
 }
 
-/// The task-side half of the engine⇄task rendezvous, owned by the
-/// tile's `Cpu`. `ensure_turn` is the coroutine yield point: it blocks
-/// the task thread until the engine schedules this tile.
-pub(crate) struct TaskPort {
-    go_rx: Receiver<Go>,
-    yield_tx: SyncSender<TaskYield>,
+/// The task-side half of the engine⇄task handoff, owned by the tile's
+/// `Cpu`. `ensure_turn` is the coroutine yield point: it suspends the
+/// task until the engine schedules this tile. Borrowing the task's
+/// [`Suspender`] makes it (hence `Cpu`) `!Send`: a tile program stays on
+/// the stack it was started on.
+pub(crate) struct TaskPort<'t> {
+    suspender: &'t Suspender<Go, TaskYield>,
     horizon: Horizon,
 }
 
-impl TaskPort {
-    pub(crate) fn new(go_rx: Receiver<Go>, yield_tx: SyncSender<TaskYield>) -> Self {
-        // The initial horizon forces the first action to yield: every
-        // task announces its first event before the loop starts.
-        TaskPort { go_rx, yield_tx, horizon: (0, 0) }
+impl<'t> TaskPort<'t> {
+    /// `first` is the message the task was started with
+    /// ([`CoreTask::collect_first`]).
+    pub(crate) fn new(suspender: &'t Suspender<Go, TaskYield>, first: Go, tile: usize) -> Self {
+        let mut port = TaskPort { suspender, horizon: (0, 0) };
+        port.accept(first, tile);
+        port
     }
 
-    /// Block until the engine hands this tile the turn for an action at
-    /// `(clock, tile)` — or return immediately if the task is still
+    /// Suspend until the engine hands this tile the turn for an action
+    /// at `(clock, tile)` — or return immediately if the task is still
     /// strictly below its horizon (no other component acts earlier).
     ///
     /// Panics with the abort message when the engine resumes the task
@@ -106,10 +113,12 @@ impl TaskPort {
         if (clock, tile) < self.horizon {
             return;
         }
-        self.yield_tx
-            .send(TaskYield::Ready { at: clock })
-            .expect("discrete-event engine hung up mid-run");
-        match self.go_rx.recv().expect("discrete-event engine hung up mid-run") {
+        let go = self.suspender.suspend(TaskYield::Ready { at: clock });
+        self.accept(go, tile);
+    }
+
+    fn accept(&mut self, go: Go, tile: usize) {
+        match go {
             Go::Run { horizon } => self.horizon = horizon,
             Go::Abort => {
                 panic!("tile {tile}: simulation aborted by a panic on another tile")
@@ -124,7 +133,7 @@ impl TaskPort {
 pub struct EngineStats {
     /// Heap events processed (scheduler loop iterations).
     pub events: u64,
-    /// Engine⇄task rendezvous handoffs (resume + yield pairs). Always
+    /// Engine⇄task handoffs (resume + yield pairs). Always
     /// ≤ `events`; the gap is horizon-elided handoffs plus abort/done
     /// bookkeeping.
     pub handoffs: u64,
@@ -233,12 +242,11 @@ enum TaskState {
     Done,
 }
 
-/// The engine-side handle of one tile's coroutine task: a parked OS
-/// thread running the tile program against the blocking `Cpu` API,
-/// resumed by rendezvous handoff at each scheduled event.
+/// The engine-side handle of one tile's coroutine task: the tile program
+/// running against the blocking `Cpu` API, resumed at each scheduled
+/// event.
 pub(crate) struct CoreTask<'a> {
-    go_tx: SyncSender<Go>,
-    yield_rx: Receiver<TaskYield>,
+    task: Task<'a, Go, TaskYield>,
     /// Set by any panicking task (via `Soc::abort`); ticking a parked
     /// task under an abort unwinds it instead of running it.
     aborted: &'a AtomicBool,
@@ -246,20 +254,22 @@ pub(crate) struct CoreTask<'a> {
 }
 
 impl<'a> CoreTask<'a> {
-    pub(crate) fn new(
-        go_tx: SyncSender<Go>,
-        yield_rx: Receiver<TaskYield>,
-        aborted: &'a AtomicBool,
-    ) -> Self {
-        CoreTask { go_tx, yield_rx, aborted, state: TaskState::Pending }
+    pub(crate) fn new(task: Task<'a, Go, TaskYield>, aborted: &'a AtomicBool) -> Self {
+        CoreTask { task, aborted, state: TaskState::Pending }
     }
 
-    /// Block for the task's first yield — its first action time, or an
-    /// immediate completion. Called once per task before the event loop
-    /// starts, in tile order.
+    /// Start the task and run it to its first yield — its first action
+    /// time, or an immediate completion. The `(0, 0)` horizon is below
+    /// every `(clock, tile)`, so the first action always yields: every
+    /// task announces its first event before the loop starts. Called
+    /// once per task, in tile order.
     pub(crate) fn collect_first(&mut self) {
         debug_assert!(matches!(self.state, TaskState::Pending));
-        self.state = match self.yield_rx.recv().expect("core task hung up before first yield") {
+        self.resume(Go::Run { horizon: (0, 0) });
+    }
+
+    fn resume(&mut self, go: Go) {
+        self.state = match self.task.resume(go) {
             TaskYield::Ready { at } => TaskState::Ready(at),
             TaskYield::Done | TaskYield::Panicked => TaskState::Done,
         };
@@ -278,19 +288,12 @@ impl Component for CoreTask<'_> {
         if self.aborted.load(Ordering::SeqCst) {
             // Unwind the parked task (it panics out of its yield point,
             // mirroring the threaded abort) and drain its final report.
-            let _ = self.go_tx.send(Go::Abort);
-            let _ = self.yield_rx.recv();
+            let _ = self.task.resume(Go::Abort);
             self.state = TaskState::Done;
             return;
         }
         ctx.stats.handoffs += 1;
-        self.go_tx
-            .send(Go::Run { horizon: ctx.horizon() })
-            .expect("core task hung up while parked");
-        self.state = match self.yield_rx.recv().expect("core task hung up mid-action") {
-            TaskYield::Ready { at } => TaskState::Ready(at),
-            TaskYield::Done | TaskYield::Panicked => TaskState::Done,
-        };
+        self.resume(Go::Run { horizon: ctx.horizon() });
     }
 }
 

@@ -37,6 +37,7 @@
 pub mod addr;
 pub mod cache;
 pub mod config;
+mod coro;
 pub mod counters;
 pub mod dma;
 pub mod engine;

@@ -13,8 +13,9 @@
 //!
 //! * **DiscreteEvent** (default): a single-threaded min-heap event loop
 //!   ([`crate::engine`]) resumes suspended core tasks one at a time at
-//!   exactly their next action times — O(log n) scheduling, parked
-//!   tasks cost nothing, hundreds of tiles are practical.
+//!   exactly their next action times — O(log n) scheduling, a handoff
+//!   is a user-space stack switch on the caller's thread, thousands of
+//!   tiles are practical.
 //! * **Threaded**: one OS thread per simulated core serialised by a
 //!   scheduler lock and per-tile condvars — the original PDES
 //!   "turnstile", kept as a differential cross-check.
@@ -51,6 +52,7 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 use crate::addr::{self, Addr, Region};
 use crate::cache::Cache;
 use crate::config::{EngineKind, SocConfig};
+use crate::coro;
 use crate::counters::{Counters, LinkReport, MemTag, PortReport, RunReport};
 use crate::dma::{DmaDescriptor, DmaDir, DmaEngine, DmaKind, DmaStats};
 use crate::engine::{CoreTask, Engine, EngineStats, TaskPort, TaskYield};
@@ -203,9 +205,10 @@ pub struct Soc {
     makespan: AtomicU64,
     /// Set when a tile panicked: every parked tile wakes and aborts.
     aborted: std::sync::atomic::AtomicBool,
-    /// The first panic payload (re-raised after all tiles unwound, so the
-    /// caller sees the original message rather than a secondary abort).
-    panic_payload: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
+    /// The first panic payload and the tile it came from (re-raised
+    /// after all tiles unwound, so the caller sees the original message
+    /// rather than a secondary abort).
+    panic_payload: Mutex<Option<(usize, Box<dyn std::any::Any + Send + 'static>)>>,
     /// Scheduler statistics of the last run (`None` until a
     /// discrete-event run completes; the threaded engine has no heap).
     engine_stats: Mutex<Option<EngineStats>>,
@@ -258,9 +261,12 @@ impl Soc {
         }
     }
 
-    /// Mark the run aborted (a tile panicked): retire the tile's clock
-    /// and wake every parked tile so the panic can propagate.
-    fn abort(&self, tile: usize) {
+    /// A tile program panicked: keep the first (original) payload —
+    /// secondary abort panics are noise — then mark the run aborted,
+    /// retire the tile's clock and wake every parked tile so the panic
+    /// can propagate.
+    fn abort(&self, tile: usize, payload: Box<dyn std::any::Any + Send + 'static>) {
+        lock_ignore_poison(&self.panic_payload).get_or_insert((tile, payload));
         self.aborted.store(true, AtomicOrdering::SeqCst);
         let mut g = lock_ignore_poison(&self.global);
         g.clocks[tile] = u64::MAX;
@@ -387,8 +393,17 @@ impl Soc {
             EngineKind::Threaded => self.run_threaded(programs),
             EngineKind::DiscreteEvent => self.run_event(programs),
         }
-        if let Some(payload) = lock_ignore_poison(&self.panic_payload).take() {
-            std::panic::resume_unwind(payload);
+        if let Some((tile, payload)) = lock_ignore_poison(&self.panic_payload).take() {
+            // Tile programs share the caller's thread, so the panic hook
+            // could not say which tile died: name it here.
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            match msg {
+                Some(msg) => panic!("tile {tile} panicked: {msg}"),
+                None => std::panic::resume_unwind(payload),
+            }
         }
         let mut g = lock_ignore_poison(&self.global);
         // Deliver posted writes still in flight when the last program
@@ -429,17 +444,7 @@ impl Soc {
                         }));
                         match result {
                             Ok(()) => cpu.finish(),
-                            Err(payload) => {
-                                // Record the first (original) payload;
-                                // secondary abort panics are noise.
-                                let mut slot = lock_ignore_poison(&soc.panic_payload);
-                                let primary = slot.is_none();
-                                if primary {
-                                    *slot = Some(payload);
-                                }
-                                drop(slot);
-                                soc.abort(tile);
-                            }
+                            Err(payload) => soc.abort(tile, payload),
                         }
                     })
                     .expect("spawn tile thread");
@@ -448,51 +453,39 @@ impl Soc {
     }
 
     /// The discrete-event driver ([`crate::engine`]): programs run as
-    /// suspended coroutine tasks on small parked threads; a
-    /// single-threaded min-heap loop resumes exactly one at a time in
-    /// `(virtual_time, tile)` order. Scheduling is O(log n) per action
-    /// (vs. the turnstile's O(n) published-clock scan under a contended
-    /// lock), so 256+-tile configurations are practical.
+    /// stackful coroutines ([`crate::coro`]); a single-threaded min-heap
+    /// loop resumes exactly one at a time in `(virtual_time, tile)`
+    /// order, on the calling thread — a handoff is a user-space stack
+    /// switch and no OS thread is spawned. Scheduling is O(log n) per
+    /// action (vs. the turnstile's O(n) published-clock scan under a
+    /// contended lock), so 1000+-tile configurations are practical.
     fn run_event<'env>(&'env self, programs: Vec<CoreProgram<'env>>) {
-        // Task stacks are small: tile programs are shallow closures over
-        // heap-allocated state, and hundreds of tiles must coexist.
-        const TASK_STACK: usize = 1 << 20;
+        // The scope is for targets where `coro` backs a task with a
+        // thread; with stack switching nothing is ever spawned in it.
         std::thread::scope(|scope| {
             let mut tasks: Vec<CoreTask<'_>> = Vec::new();
             for (tile, program) in programs.into_iter().enumerate() {
-                let (go_tx, go_rx) = std::sync::mpsc::sync_channel(1);
-                let (yield_tx, yield_rx) = std::sync::mpsc::sync_channel(1);
                 let soc = &*self;
-                std::thread::Builder::new()
-                    .name(format!("tile{tile}"))
-                    .stack_size(TASK_STACK)
-                    .spawn_scoped(scope, move || {
-                        let mut cpu =
-                            Cpu::new_event(soc, tile, TaskPort::new(go_rx, yield_tx.clone()));
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            program(&mut cpu)
-                        }));
-                        match result {
-                            Ok(()) => {
-                                cpu.finish();
-                                let _ = yield_tx.send(TaskYield::Done);
-                            }
-                            Err(payload) => {
-                                let mut slot = lock_ignore_poison(&soc.panic_payload);
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                drop(slot);
-                                // `abort` marks the run and retires the
-                                // tile; the engine unwinds parked peers
-                                // at their next scheduled event.
-                                soc.abort(tile);
-                                let _ = yield_tx.send(TaskYield::Panicked);
-                            }
+                let task = coro::spawn(scope, tile, move |suspender, first| {
+                    let mut cpu = Cpu::new_event(soc, tile, TaskPort::new(suspender, first, tile));
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        program(&mut cpu)
+                    }));
+                    match result {
+                        Ok(()) => {
+                            cpu.finish();
+                            TaskYield::Done
                         }
-                    })
-                    .expect("spawn core task");
-                tasks.push(CoreTask::new(go_tx, yield_rx, &self.aborted));
+                        Err(payload) => {
+                            // `abort` marks the run and retires the tile;
+                            // the engine unwinds parked peers at their
+                            // next scheduled event.
+                            soc.abort(tile, payload);
+                            TaskYield::Panicked
+                        }
+                    }
+                });
+                tasks.push(CoreTask::new(task, &self.aborted));
             }
             // Every task announces its first action (or completes)
             // before the event loop starts; tile order fixes ids.
@@ -510,6 +503,14 @@ impl Soc {
 }
 
 /// A per-tile program: receives the tile's CPU handle.
+///
+/// On the discrete-event engine every tile program of a run executes on
+/// the thread that called [`Soc::run`], interleaved at its yield points
+/// (on targets with stack switching — see [`crate::engine`]): state a
+/// program keeps in a `thread_local!` or derives from
+/// `std::thread::current()` is shared by all tiles, not private to one.
+/// The `Send` bound is for the threaded engine, which does give each
+/// program a thread.
 pub type CoreProgram<'env> = Box<dyn FnOnce(&mut Cpu<'_>) + Send + 'env>;
 
 /// Stall category used by the memory paths.
@@ -527,25 +528,33 @@ enum StallCat {
 
 /// How this core waits for (and hands over) its turn at the global
 /// commit point: the only place the two execution engines differ.
-enum Sched {
+enum Sched<'a> {
     /// Condvar turnstile: publish the clock, wait until it is the
     /// minimum, notify the next minimum afterwards.
     Threaded,
     /// Discrete-event coroutine: yield to the event loop until this
     /// tile's `(clock, tile)` is scheduled (see
     /// [`crate::engine::TaskPort`]).
-    Event(TaskPort),
+    Event(TaskPort<'a>),
 }
 
 /// The per-core execution context handed to tile programs: the only way
 /// application / runtime code touches the simulated machine.
+///
+/// A `Cpu` is `!Send` on every target: a tile program cannot hand it to
+/// another thread, where its yield point would switch the wrong stack.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<pmc_soc_sim::Cpu<'static>>();
+/// ```
 pub struct Cpu<'a> {
     soc: &'a Soc,
     tile: usize,
     /// Local clock (may run ahead of the published clock).
     clock: u64,
     published: u64,
-    sched: Sched,
+    sched: Sched<'a>,
     dcache: Cache,
     icache: ICache,
     ctr: Counters,
@@ -569,7 +578,7 @@ impl<'a> Cpu<'a> {
         }
     }
 
-    fn new_event(soc: &'a Soc, tile: usize, port: TaskPort) -> Self {
+    fn new_event(soc: &'a Soc, tile: usize, port: TaskPort<'a>) -> Self {
         Cpu { sched: Sched::Event(port), ..Cpu::new(soc, tile) }
     }
 
@@ -2091,5 +2100,34 @@ mod tests {
         s.run(vec![Box::new(|cpu: &mut Cpu| loop {
             cpu.compute(1000);
         })]);
+    }
+
+    /// All tiles may share one thread, so `Soc::run` itself names the
+    /// tile whose panic it re-raises — the first one, not a peer's
+    /// secondary abort — on both engines.
+    #[test]
+    fn a_tile_panic_is_reraised_with_its_tile_id() {
+        for engine in [EngineKind::DiscreteEvent, EngineKind::Threaded] {
+            let mut cfg = SocConfig::small(3);
+            cfg.engine = engine;
+            let s = Soc::new(cfg);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.run(vec![
+                    Box::new(|cpu: &mut Cpu| loop {
+                        cpu.write_u32(addr::SDRAM_UNCACHED_BASE, 1);
+                    }),
+                    Box::new(|cpu: &mut Cpu| loop {
+                        cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 4, 1);
+                    }),
+                    Box::new(|cpu: &mut Cpu| {
+                        cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 8, 1);
+                        panic!("boom at {}", cpu.tile());
+                    }),
+                ])
+            }));
+            let payload = run.expect_err("the tile's panic propagates");
+            let msg = payload.downcast_ref::<String>().expect("a string payload");
+            assert_eq!(msg, "tile 2 panicked: boom at 2", "{engine:?}");
+        }
     }
 }
