@@ -1,6 +1,6 @@
 //! Common workload driver: build → run → checksum → report, for any
 //! (workload, back-end) pair. This is the engine behind the Fig. 8
-//! harness, the portability tests and the Criterion benches.
+//! harness, the portability tests and the `pmcbench` workloads.
 
 use pmc_runtime::{BackendKind, Program, RunConfig, Session, System};
 use pmc_soc_sim::{EngineStats, LinkReport, RunReport, SocConfig, TelemetryReport, TraceRecord};
@@ -48,7 +48,7 @@ impl Workload {
 /// Size scaling for the workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadParams {
-    /// Tiny inputs for unit tests and Criterion.
+    /// Tiny inputs for unit tests and smoke runs.
     Tiny,
     /// Default inputs for the figure harnesses.
     Full,

@@ -11,8 +11,7 @@
 //! Usage: `fig8 [--tiles N] [--topology ring|mesh|torus]
 //! [--engine threaded|des] [--tiny] [--smoke] [--json]`
 //! (`--smoke` = tiny workloads on 8 tiles: the CI figure-pipeline check;
-//! `--json` = machine-readable output on stdout instead of the tables —
-//! the source of the committed `BENCH_figs.json` snapshot.)
+//! `--json` = machine-readable output on stdout instead of the tables.)
 //!
 //! `--topology` selects the interconnect every run routes over (posted
 //! writes and write-backs to the memory controller cross its links); a
@@ -23,9 +22,10 @@
 use pmc_apps::workload::{SessionWorkload, Workload, WorkloadParams};
 use pmc_bench::{
     arg_engine, arg_flag, arg_topology, arg_u32, breakdown_header, breakdown_json, breakdown_row,
-    json, mesh_dims, top_links, top_links_json,
+    mesh_dims, top_links, top_links_json,
 };
 use pmc_runtime::{BackendKind, RunConfig};
+use pmc_soc_sim::telemetry::json;
 use pmc_soc_sim::Topology;
 
 fn main() {

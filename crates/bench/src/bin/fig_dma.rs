@@ -34,15 +34,16 @@
 //! `--topology` selects the interconnect for every experiment
 //! (mesh/torus = most nearly square factorisation of the tile count);
 //! the topology table always runs all three. `--json` swaps the tables
-//! on stdout for one machine-readable document (the source of the
-//! committed `BENCH_figs.json` snapshot); every assertion still runs.
+//! on stdout for one machine-readable document; every assertion still
+//! runs.
 
 use pmc_apps::motion_est::{MotionEst, MotionEstParams};
 use pmc_apps::stream::{StreamCopy, StreamCopyParams, StreamMode};
 use pmc_bench::{
-    arg_flag, arg_topology, arg_u32, json, mesh_dims, spread_controllers, top_links, top_links_json,
+    arg_flag, arg_topology, arg_u32, mesh_dims, spread_controllers, top_links, top_links_json,
 };
 use pmc_runtime::{BackendKind, LockKind, System};
+use pmc_soc_sim::telemetry::json;
 use pmc_soc_sim::{
     addr, CoreProgram, Cpu, DmaDescriptor, DmaDir, DmaKind, LinkReport, PortReport, Soc, SocConfig,
     Topology,
@@ -87,10 +88,10 @@ fn run_stream(
     let topology = topo_for(topology, n_tiles);
     let mut cfg = SocConfig { n_tiles, topology, ..SocConfig::default() };
     cfg.icache_mpki = 1;
+    cfg.dma_channels = channels;
     cfg.mem_controllers = mem_controllers.to_vec();
     let mut sys = System::new(cfg, BackendKind::Spm, LockKind::Sdram);
     sys.set_dma_burst(burst);
-    sys.set_dma_channels(channels);
     let app = StreamCopy::build(&mut sys, params);
     let app_ref = &app;
     let report = sys.run(
@@ -423,7 +424,7 @@ fn main() {
             ("port_busy", json::arr(&served.iter().map(|b| b.to_string()).collect::<Vec<_>>())),
         ]));
     }
-    say!("  (gains grow with the streaming tile count; bench_sweep scales this to 256 tiles)");
+    say!("  (gains grow with the streaming tile count; pmcbench's stream_dma_256t runs 256 tiles)");
 
     say!("\nFig. 10 revisited — motion estimation staging strategies (SPM):");
     let me_params = if smoke {

@@ -28,9 +28,9 @@
 
 use pmc_apps::kvserve::{run_serve_session, KvServe, KvServeParams, ServeReport};
 use pmc_apps::loadgen::LoadGenParams;
-use pmc_bench::{arg_engine, arg_flag, arg_str, arg_u32, json, mesh_dims, spread_controllers};
+use pmc_bench::{arg_engine, arg_flag, arg_str, arg_u32, mesh_dims, spread_controllers};
 use pmc_runtime::{monitor, BackendKind, RunConfig};
-use pmc_soc_sim::telemetry::perfetto_json;
+use pmc_soc_sim::telemetry::{json, perfetto_json};
 use pmc_soc_sim::{EngineKind, Topology};
 
 fn topo(name: &str, n_tiles: usize) -> Topology {

@@ -15,6 +15,7 @@
 //! | `ablation_locks` | extension: SDRAM lock vs asymmetric distributed lock |
 
 use pmc_apps::workload::Breakdown;
+use pmc_soc_sim::telemetry::json;
 
 /// Render a Fig. 8-style percentage bar row (the stall columns sum to
 /// 100%: `dma-wait` is the time cores sleep in event-based DMA
@@ -129,48 +130,6 @@ pub fn top_links(links: &[pmc_soc_sim::LinkReport], n: usize) -> Vec<&pmc_soc_si
     busiest.sort_by_key(|l| std::cmp::Reverse(l.busy));
     busiest.truncate(n);
     busiest
-}
-
-/// Minimal JSON emission for the figure binaries' `--json` mode (the
-/// workspace carries no serde; the documents are assembled by hand and
-/// checked against [`pmc_soc_sim::telemetry::validate_json`] in tests).
-pub mod json {
-    /// A JSON string literal, quoted and escaped.
-    pub fn str(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// A JSON number. JSON has no NaN/Infinity; those become `null`.
-    pub fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".into()
-        }
-    }
-
-    /// A JSON object from rendered `(key, value)` pairs.
-    pub fn obj(pairs: &[(&str, String)]) -> String {
-        let body: Vec<String> = pairs.iter().map(|(k, v)| format!("{}:{v}", str(k))).collect();
-        format!("{{{}}}", body.join(","))
-    }
-
-    /// A JSON array from rendered values.
-    pub fn arr(items: &[String]) -> String {
-        format!("[{}]", items.join(","))
-    }
 }
 
 /// A [`Breakdown`] as a JSON object. Stall categories are fractions of

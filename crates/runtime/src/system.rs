@@ -263,20 +263,6 @@ impl System {
         self.shared.dma_burst = bytes;
     }
 
-    /// Set the per-tile DMA channel count (default from the
-    /// [`SocConfig`]; must precede the first run). Contexts rotate
-    /// transfers round-robin over the channels, so double-buffered
-    /// kernels overlap consecutive transfers engine-side.
-    pub fn set_dma_channels(&mut self, n: usize) {
-        assert!(!self.finalized, "channel count must be set before the first run");
-        assert!(
-            n <= crate::ctx::MAX_DMA_CHANNELS,
-            "the runtime protocol supports at most {} DMA channels",
-            crate::ctx::MAX_DMA_CHANNELS
-        );
-        self.soc.set_dma_channels(n);
-    }
-
     fn align_up(v: u32, a: u32) -> u32 {
         v.div_ceil(a) * a
     }

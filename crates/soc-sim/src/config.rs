@@ -395,18 +395,15 @@ pub struct SocConfig {
     /// Disabled by default and strictly observational: toggling it
     /// changes no counter, checksum, or trace outcome.
     pub telemetry: TelemetryConfig,
-    /// The tile the SDRAM controller is attached to: DMA bursts and
+    /// The tiles the SDRAM controllers are attached to: DMA bursts and
     /// posted writes traverse the links between the issuing tile and
-    /// this tile, so distance (and shared links) shape bulk-transfer
-    /// bandwidth. When [`SocConfig::mem_controllers`] is non-empty it
-    /// takes precedence and this field is ignored.
-    pub mem_tile: usize,
-    /// The tiles the SDRAM controllers are attached to. Empty (the
-    /// default) means the single controller at [`SocConfig::mem_tile`];
-    /// with N > 1 entries the SDRAM address space is striped across the
-    /// controllers ([`crate::addr::controller_for`]) and each controller
-    /// serialises its own port, so aggregate SDRAM bandwidth scales with
-    /// the controller count. Entries must be distinct in-range tiles
+    /// the controller's tile, so distance (and shared links) shape
+    /// bulk-transfer bandwidth. Empty (the default) means the single
+    /// controller at tile 0; with N > 1 entries the SDRAM address space
+    /// is striped across the controllers
+    /// ([`crate::addr::controller_for`]) and each controller serialises
+    /// its own port, so aggregate SDRAM bandwidth scales with the
+    /// controller count. Entries must be distinct in-range tiles
     /// ([`SocConfig::validate`]).
     pub mem_controllers: Vec<usize>,
     /// Interconnect topology ([`Topology::Ring`] by default). Everything
@@ -438,7 +435,6 @@ impl Default for SocConfig {
             time_limit: 2_000_000_000,
             trace: false,
             telemetry: TelemetryConfig::default(),
-            mem_tile: 0,
             mem_controllers: Vec::new(),
             topology: Topology::Ring,
             dma_channels: 1,
@@ -470,12 +466,12 @@ impl SocConfig {
     }
 
     /// The resolved SDRAM controller placement: `mem_controllers` when
-    /// non-empty, else the single controller at `mem_tile`. Index `i` of
+    /// non-empty, else the single controller at tile 0. Index `i` of
     /// the returned list is controller id `i` in the interleaving map
     /// ([`crate::addr::controller_for`]).
     pub fn controllers(&self) -> Vec<usize> {
         if self.mem_controllers.is_empty() {
-            vec![self.mem_tile]
+            vec![0]
         } else {
             self.mem_controllers.clone()
         }
@@ -490,12 +486,6 @@ impl SocConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.n_tiles == 0 {
             return Err("n_tiles must be at least 1".to_string());
-        }
-        if self.mem_tile >= self.n_tiles {
-            return Err(format!(
-                "mem_tile {} out of range: the platform has {} tiles",
-                self.mem_tile, self.n_tiles
-            ));
         }
         if let Topology::Mesh { cols, rows } | Topology::Torus { cols, rows } = self.topology {
             let name = self.topology.name();
@@ -725,16 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_mem_tile_out_of_range() {
-        let mut cfg = SocConfig::small(4);
-        cfg.mem_tile = 4;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("mem_tile 4"), "{err}");
-        cfg.mem_tile = 3;
-        assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
     fn validate_rejects_zero_dim_shapes() {
         // A zero dimension is its own clear error, not an area mismatch
         // (a 0x0 shape would otherwise only be caught by the area check,
@@ -769,10 +749,10 @@ mod tests {
         assert!(err.contains("lists tile 1 twice"), "{err}");
         cfg.mem_controllers = vec![1, 3];
         assert!(cfg.validate().is_ok());
-        // Empty means the single mem_tile controller.
+        // Empty means the single controller at tile 0.
         cfg.mem_controllers = Vec::new();
         assert!(cfg.validate().is_ok());
-        assert_eq!(cfg.controllers(), vec![cfg.mem_tile]);
+        assert_eq!(cfg.controllers(), vec![0]);
     }
 
     #[test]

@@ -442,7 +442,7 @@ mod tests {
         let mut ports = SdramPorts::new(cfg.controllers());
         // Tile 10 gets 256 B in 64 B bursts: 4 bursts over route 0 → 10.
         e.issue(&cfg, &mut noc, &mut ports, 0, 10, 0, &get_desc(256, 64));
-        let route = cfg.topology.route(cfg.n_tiles, cfg.mem_tile, 10);
+        let route = cfg.topology.route(cfg.n_tiles, cfg.controllers()[0], 10);
         assert_eq!(route, vec![0, 1, 34, 38]);
         for (i, s) in noc.link_stats().iter().enumerate() {
             if route.contains(&i) {
@@ -456,7 +456,7 @@ mod tests {
     }
 
     /// With two interleaved controllers, a burst routes to and occupies
-    /// the controller owning its 4 KiB stripe — not `mem_tile`.
+    /// the controller owning its 4 KiB stripe — not controller 0.
     #[test]
     fn interleaved_get_routes_to_the_owning_controller() {
         let mut cfg = SocConfig::small_mesh(4, 4);
@@ -477,7 +477,7 @@ mod tests {
         }
         for l in cfg.topology.route(cfg.n_tiles, 0, 10) {
             if !route.contains(&l) {
-                assert_eq!(stats[l].bursts, 0, "mem_tile's route link {l} must stay idle");
+                assert_eq!(stats[l].bursts, 0, "controller 0's route link {l} must stay idle");
             }
         }
     }

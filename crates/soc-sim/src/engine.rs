@@ -128,7 +128,7 @@ impl<'t> TaskPort<'t> {
 }
 
 /// Aggregate statistics of one discrete-event run — the "state counts"
-/// pinned by the scale benchmark (`bench_sweep`'s `scale` section).
+/// `pmcbench` reports as `soc-sim.engine.*` (workload `scale_1024t`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Heap events processed (scheduler loop iterations).

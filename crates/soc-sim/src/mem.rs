@@ -82,7 +82,7 @@ impl ByteMem {
 /// bandwidth scale with the controller count.
 ///
 /// Built once by `Soc::new` from `SocConfig::controllers()`; the
-/// single-controller default (`[mem_tile]`) behaves exactly like the
+/// single-controller default (`[0]`) behaves exactly like the
 /// old scalar `sdram_free` busy-until word.
 #[derive(Debug, Clone)]
 pub struct SdramPorts {

@@ -335,11 +335,12 @@ mod tests {
     #[test]
     fn reserve_path_charges_each_link_exactly_once_from_mem_tile() {
         let cfg = crate::config::SocConfig::small(8);
-        assert_eq!(cfg.mem_tile, 0);
+        let mem_tile = cfg.controllers()[0];
+        assert_eq!(mem_tile, 0);
         let mut noc = Noc::with_ring(8);
         let serialise = cfg.lat.noc_per_word * 16;
         // mem_tile (0) → 2: clockwise links 0 and 1, once each.
-        noc.reserve_path(&cfg, 0, cfg.mem_tile, 2, 64);
+        noc.reserve_path(&cfg, 0, mem_tile, 2, 64);
         for link in [0usize, 1] {
             assert_eq!(noc.link_stats()[link].bursts, 1, "link {link}");
             assert_eq!(noc.link_stats()[link].busy, serialise, "link {link}");
@@ -350,7 +351,7 @@ mod tests {
             }
         }
         // mem_tile → mem_tile reserves nothing (serialisation only).
-        let t = noc.reserve_path(&cfg, 100, cfg.mem_tile, cfg.mem_tile, 64);
+        let t = noc.reserve_path(&cfg, 100, mem_tile, mem_tile, 64);
         assert_eq!(t, 100 + serialise);
         assert_eq!(noc.link_stats()[0].bursts, 1, "self-route charges no link");
     }
@@ -362,12 +363,13 @@ mod tests {
     #[test]
     fn reserve_path_charges_exactly_the_xy_route_on_a_mesh() {
         let cfg = crate::config::SocConfig::small_mesh(4, 4);
-        assert_eq!(cfg.mem_tile, 0);
+        let mem_tile = cfg.controllers()[0];
+        assert_eq!(mem_tile, 0);
         let mut noc = Noc::with_topology(cfg.topology, cfg.n_tiles);
         let serialise = cfg.lat.noc_per_word * 16;
         // mem_tile (0,0) → tile 10 (2,2): east links of tiles 0 and 1,
         // then south links of tiles 2 and 6 (ids 2n+2, 2n+6 with n=16).
-        noc.reserve_path(&cfg, 0, cfg.mem_tile, 10, 64);
+        noc.reserve_path(&cfg, 0, mem_tile, 10, 64);
         let expected = [0usize, 1, 34, 38];
         assert_eq!(cfg.topology.route(16, 0, 10), expected.to_vec());
         for link in expected {

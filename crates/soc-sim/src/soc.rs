@@ -250,17 +250,6 @@ impl Soc {
         &self.cfg
     }
 
-    /// Reconfigure the per-tile DMA channel count (call before running;
-    /// resets every engine's channels and sequence numbers).
-    pub fn set_dma_channels(&mut self, n: usize) {
-        assert!(n >= 1, "at least one DMA channel");
-        self.cfg.dma_channels = n;
-        let mut g = lock_ignore_poison(&self.global);
-        for e in g.dma.iter_mut() {
-            *e = DmaEngine::new(n);
-        }
-    }
-
     /// A tile program panicked: keep the first (original) payload —
     /// secondary abort panics are noise — then mark the run aborted,
     /// retire the tile's clock and wake every parked tile so the panic
@@ -1974,14 +1963,6 @@ mod tests {
     fn soc_new_rejects_mesh_shape_mismatch() {
         let mut cfg = SocConfig::small(6);
         cfg.topology = crate::config::Topology::Mesh { cols: 2, rows: 2 };
-        Soc::new(cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SocConfig: mem_tile")]
-    fn soc_new_rejects_mem_tile_out_of_range() {
-        let mut cfg = SocConfig::small(4);
-        cfg.mem_tile = 9;
         Soc::new(cfg);
     }
 

@@ -439,7 +439,8 @@ impl MetricsRegistry {
         let mut parts = Vec::new();
         for (name, h) in self.rows() {
             parts.push(format!(
-                "\"{name}\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
+                "{}:{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
+                json::str(name),
                 h.count(),
                 h.mean(),
                 h.p50(),
@@ -455,20 +456,6 @@ impl MetricsRegistry {
 // ---------------------------------------------------------------------
 // Chrome-trace-event (Perfetto) export.
 // ---------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Thread-track ids inside each tile's Perfetto "process".
 const TID_CORE: usize = 0;
@@ -504,8 +491,8 @@ pub fn perfetto_json(cfg: &SocConfig, report: &TelemetryReport, records: &[Trace
         if named_threads.insert((pid, tid)) {
             meta.push(format!(
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(name)
+                 \"args\":{{\"name\":{}}}}}",
+                json::str(name)
             ));
         }
     };
@@ -608,8 +595,52 @@ pub fn perfetto_json(cfg: &SocConfig, report: &TelemetryReport, records: &[Trace
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON syntax validation (no external parser dependency).
+// Minimal JSON emission and syntax validation (no serde, no external
+// parser dependency).
 // ---------------------------------------------------------------------
+
+/// Minimal JSON emission: the one emitter behind the exporters here and
+/// the figure binaries' `--json` mode (the workspace carries no serde;
+/// the documents are assembled by hand and checked against
+/// [`validate_json`] in tests).
+pub mod json {
+    /// A JSON string literal, quoted and escaped.
+    pub fn str(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A JSON number. JSON has no NaN/Infinity; those become `null`.
+    pub fn num(v: f64) -> String {
+        if v.is_finite() {
+            format!("{v}")
+        } else {
+            "null".into()
+        }
+    }
+
+    /// A JSON object from rendered `(key, value)` pairs.
+    pub fn obj(pairs: &[(&str, String)]) -> String {
+        let body: Vec<String> = pairs.iter().map(|(k, v)| format!("{}:{v}", str(k))).collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    /// A JSON array from rendered values.
+    pub fn arr(items: &[String]) -> String {
+        format!("[{}]", items.join(","))
+    }
+}
 
 /// Check that `s` is one syntactically well-formed JSON value. Used by
 /// `pmc-trace --smoke` and the golden trace test to validate exporter
@@ -996,6 +1027,28 @@ mod tests {
         assert!(validate_json("[1 2]").is_err());
         assert!(validate_json("\"unterminated").is_err());
         assert!(validate_json("{}extra").is_err());
+    }
+
+    #[test]
+    fn json_emitter_escapes_and_validates() {
+        assert_eq!(json::str("plain"), "\"plain\"");
+        assert_eq!(json::str("a\"b"), r#""a\"b""#);
+        assert_eq!(json::str("a\\b"), r#""a\\b""#);
+        assert_eq!(json::str("a\nb"), r#""a\nb""#);
+        assert_eq!(json::str("\t\u{1}\u{1f}"), r#""\u0009\u0001\u001f""#);
+        assert_eq!(json::num(1.5), "1.5");
+        assert_eq!(json::num(f64::NAN), "null");
+        assert_eq!(json::num(f64::INFINITY), "null");
+
+        let nasty = "q\"b\\n\nc\u{7}";
+        let doc = json::obj(&[
+            (nasty, json::str(nasty)),
+            ("nums", json::arr(&[json::num(-3.25), json::num(f64::NAN), 7.to_string()])),
+            ("empty", json::arr(&[])),
+            ("nested", json::obj(&[])),
+        ]);
+        validate_json(&doc).unwrap();
+        assert!(doc.starts_with(r#"{"q\"b\\n\nc\u0007":"q\"b\\n\nc\u0007","nums":[-3.25,null,7]"#));
     }
 
     #[test]

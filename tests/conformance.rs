@@ -31,70 +31,27 @@
 //! `PMC_ENGINE=threaded` or `PMC_ENGINE=des` to restrict the sweep (the
 //! CI matrix does); by default both are swept.
 //!
+//! All three variables are parsed in `tests/common/mod.rs`; a set but
+//! unrecognised value panics instead of sweeping the default.
+//!
 //! Golden snapshots of the model-level outcome sets (the paper's
 //! Figs. 1–6 ground truth) are pinned in [`conformance::cases`] and
 //! re-verified here, so any model drift fails the same suite that checks
 //! the back-ends.
 
+mod common;
+
 use std::collections::BTreeSet;
 
+use common::{controllers_for, engines, topologies_for};
 use pmc::model::conformance::{self, render_outcomes, sweep_limits, verify_golden};
 use pmc::model::interleave::{outcomes_with, Outcome};
 use pmc::runtime::monitor::validate;
 use pmc::runtime::{BackendKind, LockKind, RunConfig, System};
 use pmc::sim::telemetry::perfetto_json;
-use pmc::sim::{EngineKind, SocConfig, Topology};
+use pmc::sim::SocConfig;
 
 const LOCK_KINDS: [LockKind; 2] = [LockKind::Sdram, LockKind::Distributed];
-
-/// Mesh shape for a litmus run: two columns, at least two rows, so every
-/// XY route can exercise both dimensions and surplus tiles idle.
-fn mesh_for(threads: usize) -> Topology {
-    Topology::Mesh { cols: 2, rows: threads.div_ceil(2).max(2) }
-}
-
-/// Torus shape for a litmus run: same grid as [`mesh_for`], with the
-/// wraparound links live.
-fn torus_for(threads: usize) -> Topology {
-    Topology::Torus { cols: 2, rows: threads.div_ceil(2).max(2) }
-}
-
-/// The topologies to sweep, honouring the `PMC_TOPOLOGY` filter
-/// (`ring` / `mesh` / `torus`; unset or anything else sweeps all three).
-fn topologies_for(threads: usize) -> Vec<(&'static str, Topology)> {
-    let filter = std::env::var("PMC_TOPOLOGY").unwrap_or_default();
-    [("ring", Topology::Ring), ("mesh", mesh_for(threads)), ("torus", torus_for(threads))]
-        .into_iter()
-        .filter(|(name, _)| {
-            !matches!(filter.as_str(), "ring" | "mesh" | "torus") || filter == *name
-        })
-        .collect()
-}
-
-/// The memory-controller list to sweep with, honouring
-/// `PMC_MEM_CONTROLLERS=<k>`: tiles `0..k` (clamped to the smallest
-/// machine the case can run on, so they are in range on every topology)
-/// with the SDRAM offset space interleaved across them. Unset, anything
-/// unparsable, or `k < 2` keeps the single-controller default.
-fn controllers_for(threads: usize) -> (String, Vec<usize>) {
-    match std::env::var("PMC_MEM_CONTROLLERS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(k) if k >= 2 => {
-            let k = k.min(threads.max(1));
-            (format!("{k}ctrl"), (0..k).collect())
-        }
-        _ => ("1ctrl".to_string(), Vec::new()),
-    }
-}
-
-/// The engines to sweep, honouring the `PMC_ENGINE` filter
-/// (`threaded` / `des`; unset or anything else sweeps both).
-fn engines() -> Vec<(&'static str, EngineKind)> {
-    let filter = std::env::var("PMC_ENGINE").unwrap_or_default();
-    [("threaded", EngineKind::Threaded), ("des", EngineKind::DiscreteEvent)]
-        .into_iter()
-        .filter(|(name, _)| !matches!(filter.as_str(), "threaded" | "des") || filter == *name)
-        .collect()
-}
 
 /// Sweep one case over 4 back-ends × 2 lock kinds × the topology axis ×
 /// the engine axis, returning every divergence as a message instead of
@@ -113,7 +70,8 @@ fn sweep_case(case: &conformance::Case) -> Vec<String> {
     let threads = case.program.threads.len().max(1);
     let topologies = topologies_for(threads);
     let engines = engines();
-    let (ctrl_name, ctrls) = controllers_for(threads);
+    let ctrls = controllers_for(threads);
+    let ctrl_name = format!("{}ctrl", ctrls.len().max(1));
     for backend in BackendKind::ALL {
         for lock in LOCK_KINDS {
             for &(topo_name, topo) in &topologies {
@@ -230,7 +188,7 @@ fn unfenced_mp_never_escapes_model_set() {
     let case = conformance::cases().into_iter().find(|c| c.name == "mp_unfenced").unwrap();
     let allowed = outcomes_with(&conformance::lower(&case.program), sweep_limits()).unwrap();
     let threads = case.program.threads.len().max(1);
-    let (_, ctrls) = controllers_for(threads);
+    let ctrls = controllers_for(threads);
     let mut observed: BTreeSet<Outcome> = BTreeSet::new();
     for backend in BackendKind::ALL {
         for lock in LOCK_KINDS {

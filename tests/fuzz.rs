@@ -21,6 +21,9 @@
 //!   SDRAM offset space interleaved over k controllers, exactly as in
 //!   `tests/conformance.rs`; unset fuzzes the single-controller default.
 //!
+//! The three axis variables are parsed in `tests/common/mod.rs`; a set
+//! but unrecognised value panics instead of sweeping the default.
+//!
 //! Each program is enumerated twice — memoized and POR+memoized — and
 //! the two outcome sets are asserted equal, so partial-order reduction
 //! is re-verified on every random program the fuzzer ever feeds through,
@@ -37,10 +40,13 @@
 //! as artifacts; the panic message carries the seed and the shrunk
 //! program.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use common::{controllers_for, engines, topologies_for};
 use pmc::model::conformance::{self, render_outcomes};
 use pmc::model::fuzz::{self, GenConfig};
 use pmc::model::interleave::{outcomes_with, Limits, Outcome};
@@ -73,47 +79,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
         }
         Err(_) => default,
     }
-}
-
-/// Mesh shape for a litmus run (same policy as `tests/conformance.rs`).
-fn mesh_for(threads: usize) -> Topology {
-    Topology::Mesh { cols: 2, rows: threads.div_ceil(2).max(2) }
-}
-
-/// Torus shape: the mesh grid with wraparound links live.
-fn torus_for(threads: usize) -> Topology {
-    Topology::Torus { cols: 2, rows: threads.div_ceil(2).max(2) }
-}
-
-fn topologies_for(threads: usize) -> Vec<(&'static str, Topology)> {
-    let filter = std::env::var("PMC_TOPOLOGY").unwrap_or_default();
-    [("ring", Topology::Ring), ("mesh", mesh_for(threads)), ("torus", torus_for(threads))]
-        .into_iter()
-        .filter(|(name, _)| {
-            !matches!(filter.as_str(), "ring" | "mesh" | "torus") || filter == *name
-        })
-        .collect()
-}
-
-/// The memory-controller list for the sweep (`PMC_MEM_CONTROLLERS=<k>`,
-/// same policy as `tests/conformance.rs`): tiles `0..k` clamped to the
-/// smallest machine the case runs on; unset or `k < 2` keeps the
-/// single-controller default.
-fn controllers_for(threads: usize) -> Vec<usize> {
-    match std::env::var("PMC_MEM_CONTROLLERS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(k) if k >= 2 => (0..k.min(threads.max(1))).collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// The engines to sweep (`PMC_ENGINE` filter, same policy as
-/// `tests/conformance.rs`).
-fn engines() -> Vec<(&'static str, EngineKind)> {
-    let filter = std::env::var("PMC_ENGINE").unwrap_or_default();
-    [("threaded", EngineKind::Threaded), ("des", EngineKind::DiscreteEvent)]
-        .into_iter()
-        .filter(|(name, _)| !matches!(filter.as_str(), "threaded" | "des") || filter == *name)
-        .collect()
 }
 
 /// One simulator run of a fuzz program on an explicit axis tuple.
