@@ -13,8 +13,27 @@
 //! spellings: a typo in a CI matrix cell must not run the default sweep
 //! green. Each parser takes the variable's value as an argument so the
 //! rejection is testable without touching the process environment.
+//!
+//! Also home to [`digest`], the pinned-reference hash of
+//! `tests/engine.rs` and `tests/serve.rs`.
+
+// Every test binary includes this module and uses a subset of it.
+#![allow(dead_code)]
 
 use pmc::sim::{EngineKind, Topology};
+
+/// 64-bit FNV-1a over the `Debug` rendering of `fields`, in order: one
+/// number standing for exactly the fields a differential test used to
+/// compare with `assert_eq!`.
+pub fn digest(fields: &[&dyn std::fmt::Debug]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for field in fields {
+        for byte in format!("{field:?};").bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
 
 /// The entries of `all` that `var`'s `value` selects: every entry when
 /// unset, the one it names when set.

@@ -9,6 +9,9 @@
 //! (the conformance sweep's gate) but bit-identical traces, counters
 //! and makespans per configuration.
 
+mod common;
+
+use common::digest;
 use pmc::apps::workload::{SessionWorkload, Workload, WorkloadParams};
 use pmc::model::conformance;
 use pmc::runtime::litmus_exec::LitmusRun;
@@ -56,6 +59,38 @@ fn des_runs_are_byte_identical() {
     }
 }
 
+/// The thread-per-tile turnstile's answers over the litmus catalogue:
+/// per case, the [`digest`] of (outcome, trace, `Debug` of the report)
+/// on SWCC/Sdram and on DSM/Distributed. Captured while the turnstile
+/// still ran and was asserted equal to the event heap field by field.
+/// A change that moves the timing model on purpose re-pins these (the
+/// failing assertion prints the new rows) and says so in CHANGES.md.
+const CATALOGUE_REFERENCE: &[(&str, [u64; 2])] = &[
+    ("mp_unfenced", [0x055cd5fc89906701, 0xa012bdb05c0d33ca]),
+    ("mp_annotated", [0x6a45fb898de94023, 0xc00a693b40b4de06]),
+    ("store_buffering", [0x6ce690fb75c4ff87, 0xe81b6524dec99a76]),
+    ("corr", [0x3054d2d493a8aa11, 0x07e011475da8bb20]),
+    ("iriw", [0x4f225916949c739d, 0x5e799c252c3297ed]),
+    ("wrc", [0x64e45cfb585bc41e, 0xf3b3740306ee247c]),
+    ("wrc_annotated", [0xa9c400bee9d687ab, 0xf2fbbe96f7763041]),
+    ("dma_mp_put", [0x8006a90c750523e7, 0x0915ad17059753d9]),
+    ("dma_put_after_write", [0xe11d190cb478f98f, 0x7ae891db17e0500e]),
+    ("dma_get_fresh", [0xde76cbb305f3737e, 0xf0e29bf1a5eda8da]),
+    ("dma_t2t_mp", [0x25dd8434e154fc4a, 0x6c6b81aacbad10e6]),
+    ("dma_sg_gather", [0xeb4c7cd67c25b051, 0x4831b1b82fd2a16a]),
+    ("dma_chan_overlap", [0x26a2d8e8851fdb07, 0x9a741d5118f9faee]),
+    ("drf_no_fence_cross_locks", [0xc05cb12666f4fb93, 0x4e8ddc3c7b6e3f28]),
+    ("drf_fenced_cross_locks", [0x32e66f2356dc9db5, 0x2d1601a29bd5733d]),
+    ("mailbox_request_reply", [0x2ce4195f21d98a2b, 0x3f199557f49f3f61]),
+    ("fuzz_get_sees_own_write", [0x10b6b710cceaac93, 0xffaf5a1e7af5d438]),
+    ("fuzz_write_after_get_orders", [0x3d6de7c29298b7fc, 0xd46bea7cd86d3279]),
+];
+
+/// The turnstile's answers for [`workloads_are_engine_independent`]:
+/// [`digest`] of (checksum bits, makespan, per-core counters).
+const WORKLOAD_REFERENCE: [(Workload, u64); 2] =
+    [(Workload::Raytrace, 0xdb3b632978de1a3d), (Workload::MotionEst, 0x6a97afad56e7727c)];
+
 /// The differential cross-check over the whole litmus catalogue: the
 /// turnstile and the event heap produce the *same* outcome, trace,
 /// counters and makespan on every case, for representative
@@ -65,8 +100,9 @@ fn des_runs_are_byte_identical() {
 #[test]
 fn threaded_and_des_are_bit_identical_over_the_catalogue() {
     let configs = [(BackendKind::Swcc, LockKind::Sdram), (BackendKind::Dsm, LockKind::Distributed)];
+    let mut rows = Vec::new();
     for case in conformance::cases() {
-        for (backend, lock) in configs {
+        let cell = configs.map(|(backend, lock)| {
             let t = litmus(&case.program, backend, lock, EngineKind::Threaded, false);
             let d = litmus(&case.program, backend, lock, EngineKind::DiscreteEvent, false);
             let label = format!("{}/{}/{lock:?}", case.name, backend.name());
@@ -78,8 +114,20 @@ fn threaded_and_des_are_bit_identical_over_the_catalogue() {
                 "{label}: counters differ"
             );
             assert!(validate(&d.trace).is_empty(), "{label}");
-        }
+            digest(&[&d.outcome, &d.trace, &d.report])
+        });
+        rows.push((case.name, cell));
     }
+    let render = |rows: &[(&str, [u64; 2])]| -> String {
+        rows.iter()
+            .map(|(name, [a, b])| format!("    ({name:?}, [{a:#018x}, {b:#018x}]),\n"))
+            .collect()
+    };
+    assert!(
+        rows.as_slice() == CATALOGUE_REFERENCE,
+        "the catalogue no longer matches the pinned reference; it now digests to\n{}",
+        render(&rows)
+    );
 }
 
 /// The same equivalence at application scale: a full workload produces
@@ -90,7 +138,7 @@ fn threaded_and_des_are_bit_identical_over_the_catalogue() {
 /// state that is not the tile's own would mix between searches.
 #[test]
 fn workloads_are_engine_independent() {
-    for workload in [Workload::Raytrace, Workload::MotionEst] {
+    for (workload, pinned) in WORKLOAD_REFERENCE {
         let run = |engine| {
             RunConfig::new(BackendKind::Swcc)
                 .n_tiles(4)
@@ -115,6 +163,8 @@ fn workloads_are_engine_independent() {
             stats.handoffs <= stats.events,
             "a handoff only happens when the heap schedules a task: {stats:?}"
         );
+        let now = digest(&[&d.checksum.to_bits(), &d.report.makespan, &d.report.per_core]);
+        assert!(now == pinned, "{name} no longer matches the pinned reference: now {now:#018x}");
     }
 }
 
