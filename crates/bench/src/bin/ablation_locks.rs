@@ -7,7 +7,7 @@
 //!
 //! Usage: `ablation_locks [--tiles N] [--iters I]`
 
-use pmc_bench::arg_u32;
+use pmc_bench::{Args, Takes};
 use pmc_runtime::lock::{DistLock, Lock, SdramLock};
 use pmc_soc_sim::{addr, CoreProgram, Cpu, Soc, SocConfig};
 
@@ -36,8 +36,9 @@ fn contended(lock_for: impl Fn(usize) -> Lock, n_tiles: usize, iters: u32) -> (u
 }
 
 fn main() {
-    let tiles = arg_u32("--tiles", 8) as usize;
-    let iters = arg_u32("--iters", 60);
+    let args = Args::from_env(&[("--tiles", Takes::U32), ("--iters", Takes::U32)]);
+    let tiles = args.u32("--tiles", 8) as usize;
+    let iters = args.u32("--iters", 60);
     println!("Lock ablation — {tiles} tiles x {iters} lock/unlock+CS each\n");
     println!("{:<28} {:>12} {:>20}", "lock", "makespan", "SDRAM-read stalls");
     let (m, s) =

@@ -9,7 +9,7 @@
 //! (`--smoke` = 32x32 frame, ±4, 4 tiles: the CI figure-pipeline check.)
 
 use pmc_apps::motion_est::{MotionEst, MotionEstParams};
-use pmc_bench::{arg_flag, arg_u32};
+use pmc_bench::{Args, Takes};
 use pmc_runtime::{BackendKind, LockKind, System};
 use pmc_soc_sim::SocConfig;
 
@@ -35,10 +35,16 @@ fn run(
 }
 
 fn main() {
-    let smoke = arg_flag("--smoke");
-    let tiles = arg_u32("--tiles", if smoke { 4 } else { 8 }) as usize;
-    let frame = arg_u32("--frame", if smoke { 32 } else { 96 });
-    let range = arg_u32("--range", if smoke { 4 } else { 8 });
+    let args = Args::from_env(&[
+        ("--tiles", Takes::U32),
+        ("--frame", Takes::U32),
+        ("--range", Takes::U32),
+        ("--smoke", Takes::Switch),
+    ]);
+    let smoke = args.flag("--smoke");
+    let tiles = args.u32("--tiles", if smoke { 4 } else { 8 }) as usize;
+    let frame = args.u32("--frame", if smoke { 32 } else { 96 });
+    let range = args.u32("--range", if smoke { 4 } else { 8 });
     let params = MotionEstParams { frame, block: 16, range, seed: 0x5EED_0004 };
     println!(
         "Fig. 10 — motion estimation ({frame}x{frame}, 16x16 blocks, ±{range}), {tiles} cores\n"

@@ -13,15 +13,21 @@
 //! Usage: `fig9_fifo [--items N] [--depth D] [--readers R] [--smoke]`
 //! (`--smoke` = 40 items: the CI figure-pipeline check.)
 
-use pmc_bench::{arg_flag, arg_u32};
+use pmc_bench::{Args, Takes};
 use pmc_runtime::{BackendKind, LockKind, System};
 use pmc_soc_sim::SocConfig;
 
 fn main() {
-    let smoke = arg_flag("--smoke");
-    let items = arg_u32("--items", if smoke { 40 } else { 200 });
-    let depth = arg_u32("--depth", 8);
-    let readers = arg_u32("--readers", 2);
+    let args = Args::from_env(&[
+        ("--items", Takes::U32),
+        ("--depth", Takes::U32),
+        ("--readers", Takes::U32),
+        ("--smoke", Takes::Switch),
+    ]);
+    let smoke = args.flag("--smoke");
+    let items = args.u32("--items", if smoke { 40 } else { 200 });
+    let depth = args.u32("--depth", 8);
+    let readers = args.u32("--readers", 2);
     println!("Fig. 9 — MFifo: {items} items, depth {depth}, 1 writer, {readers} readers\n");
     println!(
         "{:<10} {:>12} {:>16} {:>14} {:>12}",

@@ -39,9 +39,7 @@
 
 use pmc_apps::motion_est::{MotionEst, MotionEstParams};
 use pmc_apps::stream::{StreamCopy, StreamCopyParams, StreamMode};
-use pmc_bench::{
-    arg_flag, arg_topology, arg_u32, mesh_dims, spread_controllers, top_links, top_links_json,
-};
+use pmc_bench::{mesh_dims, spread_controllers, top_links, top_links_json, Args, Takes};
 use pmc_runtime::{BackendKind, LockKind, System};
 use pmc_soc_sim::telemetry::json;
 use pmc_soc_sim::{
@@ -181,12 +179,20 @@ fn print_top_links(links: &[LinkReport], n: usize) {
 }
 
 fn main() {
-    let smoke = arg_flag("--smoke");
-    let emit_json = arg_flag("--json");
-    let tiles = (arg_u32("--tiles", if smoke { 4 } else { 8 }) as usize).max(2);
-    let topology = arg_topology(tiles);
-    let tasks = arg_u32("--tasks", if smoke { 8 } else { 64 });
-    let kbytes = arg_u32("--kbytes", if smoke { 1 } else { 4 });
+    let args = Args::from_env(&[
+        ("--tiles", Takes::U32),
+        ("--tasks", Takes::U32),
+        ("--kbytes", Takes::U32),
+        ("--topology", Takes::Str),
+        ("--smoke", Takes::Switch),
+        ("--json", Takes::Switch),
+    ]);
+    let smoke = args.flag("--smoke");
+    let emit_json = args.flag("--json");
+    let tiles = (args.u32("--tiles", if smoke { 4 } else { 8 }) as usize).max(2);
+    let topology = args.topology(tiles);
+    let tasks = args.u32("--tasks", if smoke { 8 } else { 64 });
+    let kbytes = args.u32("--kbytes", if smoke { 1 } else { 4 });
     let params =
         StreamCopyParams { n_tasks: tasks, task_bytes: kbytes * 1024, compute_per_word: 2 };
     // All assertions run in both modes; `--json` only swaps the tables

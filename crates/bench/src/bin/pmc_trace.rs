@@ -7,11 +7,10 @@
 //!
 //! ```text
 //! pmc-trace --litmus NAME [--backend uncached|swcc|dsm|spm]
-//!           [--lock sdram|dist] [--topology ring|mesh]
-//!           [--engine threaded|des] [--out PATH]
+//!           [--lock sdram|dist] [--topology ring|mesh] [--out PATH]
 //! pmc-trace --app radiosity|raytrace|volrend|motion-est
-//!           [--backend ...] [--tiles N] [--full] [--topology ring|mesh]
-//!           [--engine threaded|des] [--out PATH]
+//!           [--backend ...] [--tiles N] [--full]
+//!           [--topology ring|mesh|torus] [--out PATH]
 //! pmc-trace --list    # print the litmus catalogue names
 //! pmc-trace --smoke   # CI check: export two fixed traces, validate them
 //! ```
@@ -23,35 +22,48 @@
 //! artifact Perfetto rejects.
 
 use pmc_apps::workload::{SessionWorkload, Workload, WorkloadParams};
-use pmc_bench::{arg_engine, arg_flag, arg_str, arg_topology, arg_u32};
+use pmc_bench::{Args, Takes};
 use pmc_core::conformance;
 use pmc_runtime::{BackendKind, LockKind, RunConfig};
 use pmc_soc_sim::telemetry::{pair_spans, perfetto_json, validate_json, MetricsRegistry};
 use pmc_soc_sim::{SocConfig, TelemetryReport, Topology, TraceRecord};
 
-fn backend_arg() -> BackendKind {
-    let name = arg_str("--backend", "spm");
-    BackendKind::ALL
-        .into_iter()
-        .find(|b| b.name() == name)
-        .unwrap_or_else(|| panic!("--backend must be uncached|swcc|dsm|spm, got `{name}`"))
+const FLAGS: &[(&str, Takes)] = &[
+    ("--litmus", Takes::Str),
+    ("--app", Takes::Str),
+    ("--backend", Takes::Str),
+    ("--lock", Takes::Str),
+    ("--topology", Takes::Str),
+    ("--tiles", Takes::U32),
+    ("--full", Takes::Switch),
+    ("--out", Takes::Str),
+    ("--list", Takes::Switch),
+    ("--smoke", Takes::Switch),
+];
+
+fn backend_arg(args: &Args) -> BackendKind {
+    let name = args.str("--backend", "spm");
+    BackendKind::ALL.into_iter().find(|b| b.name() == name).unwrap_or_else(|| {
+        args.fail(&format!("--backend must be uncached|swcc|dsm|spm, got `{name}`"))
+    })
 }
 
-fn lock_arg() -> LockKind {
-    match arg_str("--lock", "sdram").as_str() {
+fn lock_arg(args: &Args) -> LockKind {
+    match args.str("--lock", "sdram").as_str() {
         "sdram" => LockKind::Sdram,
         "dist" | "distributed" => LockKind::Distributed,
-        other => panic!("--lock must be `sdram` or `dist`, got `{other}`"),
+        other => args.fail(&format!("--lock must be `sdram` or `dist`, got `{other}`")),
     }
 }
 
 /// Mesh shape for a litmus run (same policy as `tests/conformance.rs`):
 /// two columns, at least two rows, surplus tiles idle.
-fn litmus_topology(threads: usize) -> Topology {
-    match arg_str("--topology", "ring").as_str() {
+fn litmus_topology(args: &Args, threads: usize) -> Topology {
+    match args.str("--topology", "ring").as_str() {
         "ring" => Topology::Ring,
         "mesh" => Topology::Mesh { cols: 2, rows: threads.div_ceil(2).max(2) },
-        other => panic!("--topology must be `ring` or `mesh`, got `{other}`"),
+        other => args
+            .fail(&format!("--topology must be `ring` or `mesh` for a litmus run, got `{other}`")),
     }
 }
 
@@ -84,16 +96,15 @@ fn export(
     line
 }
 
-fn run_litmus_export(name: &str, backend: BackendKind, lock: LockKind, out: &str) {
+fn run_litmus_export(args: &Args, name: &str, backend: BackendKind, lock: LockKind, out: &str) {
     let case = conformance::cases()
         .into_iter()
         .find(|c| c.name == name)
         .unwrap_or_else(|| panic!("unknown litmus case `{name}` (try --list)"));
-    let topo = litmus_topology(case.program.threads.len().max(1));
+    let topo = litmus_topology(args, case.program.threads.len().max(1));
     let run = RunConfig::new(backend)
         .lock(lock)
         .topology(topo)
-        .engine(arg_engine())
         .telemetry(true)
         .session()
         .litmus(&case.program);
@@ -106,7 +117,7 @@ fn run_litmus_export(name: &str, backend: BackendKind, lock: LockKind, out: &str
     );
 }
 
-fn run_app_export(name: &str, backend: BackendKind, out: &str) {
+fn run_app_export(args: &Args, name: &str, backend: BackendKind, out: &str) {
     let workload = match name {
         "radiosity" => Workload::Radiosity,
         "raytrace" => Workload::Raytrace,
@@ -114,12 +125,11 @@ fn run_app_export(name: &str, backend: BackendKind, out: &str) {
         "motion-est" => Workload::MotionEst,
         other => panic!("--app must be radiosity|raytrace|volrend|motion-est, got `{other}`"),
     };
-    let tiles = arg_u32("--tiles", 8) as usize;
-    let params = if arg_flag("--full") { WorkloadParams::Full } else { WorkloadParams::Tiny };
+    let tiles = args.u32("--tiles", 8) as usize;
+    let params = if args.flag("--full") { WorkloadParams::Full } else { WorkloadParams::Tiny };
     let r = RunConfig::new(backend)
         .n_tiles(tiles)
-        .topology(arg_topology(tiles))
-        .engine(arg_engine())
+        .topology(args.topology(tiles))
         .telemetry(true)
         .session()
         .workload(workload, params);
@@ -129,43 +139,46 @@ fn run_app_export(name: &str, backend: BackendKind, out: &str) {
 /// The CI smoke tier: one annotated litmus (scope/lock spans), one DMA
 /// litmus (descriptor lifetimes + dma-wait spans) and one tiny app run
 /// (barrier/FIFO traffic), each exported into `target/` and validated.
-fn smoke() {
+fn smoke(args: &Args) {
     std::fs::create_dir_all("target").expect("create target/");
     run_litmus_export(
+        args,
         "mp_annotated",
         BackendKind::Spm,
         LockKind::Sdram,
         "target/mp_annotated.trace.json",
     );
     run_litmus_export(
+        args,
         "dma_mp_put",
         BackendKind::Spm,
         LockKind::Sdram,
         "target/dma_mp_put.trace.json",
     );
-    run_app_export("motion-est", BackendKind::Spm, "target/motion_est.trace.json");
+    run_app_export(args, "motion-est", BackendKind::Spm, "target/motion_est.trace.json");
     println!("pmc-trace smoke OK");
 }
 
 fn main() {
-    if arg_flag("--list") {
+    let args = Args::from_env(FLAGS);
+    if args.flag("--list") {
         for case in conformance::cases() {
             println!("{}", case.name);
         }
         return;
     }
-    if arg_flag("--smoke") {
-        smoke();
+    if args.flag("--smoke") {
+        smoke(&args);
         return;
     }
-    let backend = backend_arg();
-    let app = arg_str("--app", "");
+    let backend = backend_arg(&args);
+    let app = args.str("--app", "");
     if !app.is_empty() {
-        let out = arg_str("--out", &format!("{app}.trace.json"));
-        run_app_export(&app, backend, &out);
+        let out = args.str("--out", &format!("{app}.trace.json"));
+        run_app_export(&args, &app, backend, &out);
         return;
     }
-    let name = arg_str("--litmus", "mp_annotated");
-    let out = arg_str("--out", &format!("{name}.trace.json"));
-    run_litmus_export(&name, backend, lock_arg(), &out);
+    let name = args.str("--litmus", "mp_annotated");
+    let out = args.str("--out", &format!("{name}.trace.json"));
+    run_litmus_export(&args, &name, backend, lock_arg(&args), &out);
 }

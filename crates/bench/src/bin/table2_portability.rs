@@ -7,11 +7,11 @@
 //! Usage: `table2_portability [--tiles N]`
 
 use pmc_apps::workload::{run_workload, Workload, WorkloadParams};
-use pmc_bench::arg_u32;
+use pmc_bench::{Args, Takes};
 use pmc_runtime::BackendKind;
 
 fn main() {
-    let tiles = arg_u32("--tiles", 8) as usize;
+    let tiles = Args::from_env(&[("--tiles", Takes::U32)]).u32("--tiles", 8) as usize;
     println!("Table II — one annotated program, four memory architectures ({tiles} cores)\n");
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12}   output",

@@ -52,47 +52,114 @@ pub fn breakdown_header() -> String {
     )
 }
 
-/// Simple `--flag value` argument scraping for the harness binaries.
-pub fn arg_u32(name: &str, default: u32) -> u32 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// What a flag of a harness binary takes on the command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Takes {
+    /// Nothing: present or absent (`--smoke`).
+    Switch,
+    /// One unsigned decimal integer (`--tiles 8`).
+    U32,
+    /// One string (`--topology mesh`).
+    Str,
 }
 
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+/// The checked command line of a harness binary: every argument is a
+/// flag the binary declared, with the value it takes. An unknown flag,
+/// a flag missing its value and an unparsable value are usage errors,
+/// never silent defaults.
+#[derive(Debug)]
+pub struct Args {
+    accepted: &'static [(&'static str, Takes)],
+    given: Vec<(&'static str, String)>,
 }
 
-/// String-valued `--flag value` argument (e.g. `--topology mesh`).
-pub fn arg_str(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
-
-/// Parse a `--topology` argument (`ring` | `mesh` | `torus`) into a
-/// topology for `n_tiles` tiles. Meshes and tori use the most nearly
-/// square factorisation of the tile count (8 → 2×4, 16 → 4×4; primes
-/// degenerate to a 1×n line).
-pub fn arg_topology(n_tiles: usize) -> pmc_soc_sim::Topology {
-    match arg_str("--topology", "ring").as_str() {
-        "ring" => pmc_soc_sim::Topology::Ring,
-        "mesh" => {
-            let (cols, rows) = mesh_dims(n_tiles);
-            pmc_soc_sim::Topology::Mesh { cols, rows }
+impl Args {
+    /// Check `argv` (without the program name) against `accepted`.
+    pub fn parse(
+        argv: &[String],
+        accepted: &'static [(&'static str, Takes)],
+    ) -> Result<Args, String> {
+        let mut given = Vec::new();
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            let Some(&(name, takes)) = accepted.iter().find(|(name, _)| name == arg) else {
+                return Err(format!("unknown argument `{arg}`"));
+            };
+            let value = match takes {
+                Takes::Switch => String::new(),
+                Takes::U32 | Takes::Str => match rest.next() {
+                    Some(v) if !v.starts_with("--") => v.clone(),
+                    _ => return Err(format!("{name} needs a value")),
+                },
+            };
+            if takes == Takes::U32 && value.parse::<u32>().is_err() {
+                return Err(format!("{name} {value}: not an unsigned 32-bit integer"));
+            }
+            given.push((name, value));
         }
-        "torus" => {
-            let (cols, rows) = mesh_dims(n_tiles);
-            pmc_soc_sim::Topology::Torus { cols, rows }
-        }
-        other => panic!("--topology must be `ring`, `mesh` or `torus`, got `{other}`"),
+        Ok(Args { accepted, given })
     }
+
+    /// [`Args::parse`] of the process's own command line; a usage error
+    /// goes to stderr with the accepted flags and exits with status 2.
+    pub fn from_env(accepted: &'static [(&'static str, Takes)]) -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse(&argv, accepted).unwrap_or_else(|e| usage_error(&e, accepted))
+    }
+
+    /// Reject a value only the binary can judge (an unknown back-end
+    /// name, say) the way [`Args::from_env`] rejects a bad flag.
+    pub fn fail(&self, error: &str) -> ! {
+        usage_error(error, self.accepted)
+    }
+
+    fn get(&self, name: &str, takes: Takes) -> Option<&str> {
+        assert!(self.accepted.contains(&(name, takes)), "{name} is not declared as {takes:?}");
+        self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+    }
+
+    pub fn flag(&self, name: &str) -> bool {
+        self.get(name, Takes::Switch).is_some()
+    }
+
+    pub fn u32(&self, name: &str, default: u32) -> u32 {
+        self.get(name, Takes::U32).map_or(default, |v| v.parse().expect("checked by Args::parse"))
+    }
+
+    pub fn str(&self, name: &str, default: &str) -> String {
+        self.get(name, Takes::Str).unwrap_or(default).to_string()
+    }
+
+    /// The `--topology` flag (`ring` | `mesh` | `torus`) as a topology
+    /// for `n_tiles` tiles. Meshes and tori use the most nearly square
+    /// factorisation of the tile count (8 → 2×4, 16 → 4×4; primes
+    /// degenerate to a 1×n line).
+    pub fn topology(&self, n_tiles: usize) -> pmc_soc_sim::Topology {
+        let (cols, rows) = mesh_dims(n_tiles);
+        match self.str("--topology", "ring").as_str() {
+            "ring" => pmc_soc_sim::Topology::Ring,
+            "mesh" => pmc_soc_sim::Topology::Mesh { cols, rows },
+            "torus" => pmc_soc_sim::Topology::Torus { cols, rows },
+            other => {
+                self.fail(&format!("--topology must be `ring`, `mesh` or `torus`, got `{other}`"))
+            }
+        }
+    }
+}
+
+/// Report a bad command line — the error, then the accepted flags — on
+/// stderr and exit with status 2.
+fn usage_error(error: &str, accepted: &[(&str, Takes)]) -> ! {
+    let flags: Vec<String> = accepted
+        .iter()
+        .map(|&(name, takes)| match takes {
+            Takes::Switch => format!("[{name}]"),
+            Takes::U32 => format!("[{name} N]"),
+            Takes::Str => format!("[{name} STR]"),
+        })
+        .collect();
+    eprintln!("error: {error}\naccepted flags: {}", flags.join(" "));
+    std::process::exit(2)
 }
 
 /// `k` memory-controller tiles spread evenly over `n_tiles` (`k = 1` →
@@ -101,16 +168,6 @@ pub fn arg_topology(n_tiles: usize) -> pmc_soc_sim::Topology {
 /// controller-scaling tables measure port parallelism, not placement.
 pub fn spread_controllers(n_tiles: usize, k: usize) -> Vec<usize> {
     (0..k.max(1)).map(|i| i * n_tiles / k.max(1)).collect()
-}
-
-/// Parse an `--engine` argument (`threaded` | `des`) into an
-/// [`pmc_soc_sim::EngineKind`]. Defaults to the simulator default
-/// engine, so the harness binaries follow the library unless told
-/// otherwise.
-pub fn arg_engine() -> pmc_soc_sim::EngineKind {
-    let name = arg_str("--engine", pmc_soc_sim::EngineKind::default().name());
-    pmc_soc_sim::EngineKind::parse(&name)
-        .unwrap_or_else(|| panic!("--engine must be `threaded` or `des`, got `{name}`"))
 }
 
 /// The most nearly square `cols × rows` factorisation of `n`.
@@ -166,4 +223,44 @@ pub fn top_links_json(links: &[pmc_soc_sim::LinkReport], n: usize) -> String {
         })
         .collect();
     json::arr(&items)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const FLAGS: &[(&str, Takes)] =
+        &[("--tiles", Takes::U32), ("--topology", Takes::Str), ("--smoke", Takes::Switch)];
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::parse(&argv, FLAGS)
+    }
+
+    #[test]
+    fn a_valid_line_parses_and_absent_flags_take_their_defaults() {
+        let args = parse("--smoke --tiles 16 --topology mesh").unwrap();
+        assert!(args.flag("--smoke"));
+        assert_eq!(args.u32("--tiles", 8), 16);
+        assert_eq!(args.topology(16), pmc_soc_sim::Topology::Mesh { cols: 4, rows: 4 });
+        let none = parse("").unwrap();
+        assert!(!none.flag("--smoke"));
+        assert_eq!(none.u32("--tiles", 8), 8);
+        assert_eq!(none.str("--topology", "ring"), "ring");
+    }
+
+    #[test]
+    fn bad_lines_are_usage_errors() {
+        assert_eq!(parse("--engine threaded").unwrap_err(), "unknown argument `--engine`");
+        assert_eq!(parse("--tiles x").unwrap_err(), "--tiles x: not an unsigned 32-bit integer");
+        assert_eq!(parse("--smoke --tiles").unwrap_err(), "--tiles needs a value");
+        assert_eq!(parse("--tiles --smoke").unwrap_err(), "--tiles needs a value");
+        assert_eq!(parse("8").unwrap_err(), "unknown argument `8`");
+    }
+
+    #[test]
+    #[should_panic(expected = "--tiles is not declared as Switch")]
+    fn asking_for_an_undeclared_flag_is_a_bug() {
+        parse("").unwrap().flag("--tiles");
+    }
 }

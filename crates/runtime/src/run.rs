@@ -2,8 +2,8 @@
 //! [`Session`].
 //!
 //! Every axis of the reproduction — back-end (Table II column), lock
-//! implementation, interconnect topology, tile count, telemetry,
-//! execution engine — used to pick a different `run_*` free function
+//! implementation, interconnect topology, tile count, telemetry —
+//! used to pick a different `run_*` free function
 //! (`run_litmus` / `run_litmus_on` / `run_litmus_telemetry`, and the
 //! same sprawl again for workloads). A [`RunConfig`] names each axis
 //! once, and the [`Session`] it freezes into is the single surface the
@@ -14,25 +14,21 @@
 //! ```
 //! use pmc_core::litmus::catalogue;
 //! use pmc_runtime::{BackendKind, LockKind, RunConfig};
-//! use pmc_soc_sim::EngineKind;
 //!
 //! let session = RunConfig::new(BackendKind::Swcc)
 //!     .lock(LockKind::Sdram)
-//!     .engine(EngineKind::DiscreteEvent)
 //!     .session();
 //! let run = session.litmus(&catalogue::mp_annotated());
 //! assert_eq!(run.outcome, vec![vec![], vec![42]]);
 //! ```
 //!
-//! The engine axis selects how the simulator advances virtual time:
-//! [`EngineKind::DiscreteEvent`] (the default) drives every tile from a
-//! single-threaded event heap; [`EngineKind::Threaded`] keeps one OS
-//! thread per tile behind the turnstile as a differential cross-check.
-//! Both commit actions in the same `(virtual time, tile)` order, so
-//! reports, traces and telemetry are bit-identical between them.
+//! How the simulator advances virtual time is not an axis: one
+//! discrete-event engine drives every tile from a single-threaded event
+//! heap and commits globally visible actions in `(virtual time, tile)`
+//! order, a contract `pmc_soc_sim` asserts on every action.
 
 use pmc_core::litmus::Program as LitmusProgram;
-use pmc_soc_sim::{EngineKind, SocConfig, TelemetryConfig, Topology};
+use pmc_soc_sim::{SocConfig, TelemetryConfig, Topology};
 
 use crate::litmus_exec::LitmusRun;
 use crate::system::{BackendKind, LockKind};
@@ -40,8 +36,8 @@ use crate::system::{BackendKind, LockKind};
 /// Builder over every run axis. Construct with [`RunConfig::new`], chain
 /// the axes that differ from the defaults, then [`RunConfig::session`]
 /// to freeze. Defaults: SDRAM lock, ring topology, tile count derived
-/// from the work, telemetry off, tracing follows telemetry, the default
-/// [`EngineKind`], simulator-default DMA channel count.
+/// from the work, telemetry off, tracing follows telemetry,
+/// simulator-default DMA channel count.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     backend: BackendKind,
@@ -50,7 +46,6 @@ pub struct RunConfig {
     n_tiles: Option<usize>,
     telemetry: bool,
     trace: Option<bool>,
-    engine: EngineKind,
     dma_channels: Option<usize>,
     mem_controllers: Option<Vec<usize>>,
 }
@@ -64,7 +59,6 @@ impl RunConfig {
             n_tiles: None,
             telemetry: false,
             trace: None,
-            engine: EngineKind::default(),
             dma_channels: None,
             mem_controllers: None,
         }
@@ -104,13 +98,6 @@ impl RunConfig {
     /// trace — so a `trace(false)` there is ignored.
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = Some(on);
-        self
-    }
-
-    /// Execution engine: single-threaded discrete-event (default) or the
-    /// thread-per-tile turnstile.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -168,9 +155,6 @@ impl Session {
     pub fn topology(&self) -> Topology {
         self.cfg.topology
     }
-    pub fn engine(&self) -> EngineKind {
-        self.cfg.engine
-    }
     pub fn telemetry(&self) -> bool {
         self.cfg.telemetry
     }
@@ -201,7 +185,6 @@ impl Session {
     /// Apply the session's axes to a base simulator configuration.
     fn apply(&self, mut cfg: SocConfig) -> SocConfig {
         cfg.topology = self.cfg.topology;
-        cfg.engine = self.cfg.engine;
         cfg.telemetry =
             if self.cfg.telemetry { TelemetryConfig::on() } else { TelemetryConfig::default() };
         cfg.trace = self.cfg.trace.unwrap_or(self.cfg.telemetry);
@@ -250,7 +233,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmc_core::litmus::catalogue;
 
     /// Axis defaults and overrides land in the resolved `SocConfig`.
     #[test]
@@ -259,13 +241,11 @@ mod tests {
             .lock(LockKind::Distributed)
             .topology(Topology::Mesh { cols: 2, rows: 2 })
             .telemetry(true)
-            .engine(EngineKind::Threaded)
             .dma_channels(3)
             .session();
         assert_eq!(s.n_tiles(), Some(4), "mesh area fixes the tile count");
         let cfg = s.soc_config(4);
         assert_eq!(cfg.topology, Topology::Mesh { cols: 2, rows: 2 });
-        assert_eq!(cfg.engine, EngineKind::Threaded);
         assert!(cfg.telemetry.enabled);
         assert!(cfg.trace, "tracing follows telemetry unless overridden");
         assert_eq!(cfg.dma_channels, 3);
@@ -297,20 +277,6 @@ mod tests {
             .session();
     }
 
-    /// The same session drives both engines to the same litmus outcome —
-    /// the differential invariant in miniature.
-    #[test]
-    fn both_engines_agree_through_the_session() {
-        let outcome = |engine| {
-            RunConfig::new(BackendKind::Swcc)
-                .engine(engine)
-                .session()
-                .litmus(&catalogue::mp_annotated())
-                .outcome
-        };
-        assert_eq!(outcome(EngineKind::DiscreteEvent), outcome(EngineKind::Threaded));
-    }
-
     /// The scale-out axes reach the resolved `SocConfig`: a torus fixes
     /// the tile count like a mesh, and the controller list lands intact.
     #[test]
@@ -333,22 +299,5 @@ mod tests {
             .topology(Topology::Torus { cols: 2, rows: 2 })
             .n_tiles(5)
             .session();
-    }
-
-    /// Both engines agree on the scale-out configuration too: a torus
-    /// with two interleaved controllers runs the litmus to the same
-    /// outcome under both execution engines.
-    #[test]
-    fn engines_agree_on_torus_with_two_controllers() {
-        let outcome = |engine| {
-            RunConfig::new(BackendKind::Swcc)
-                .engine(engine)
-                .topology(Topology::Torus { cols: 2, rows: 2 })
-                .mem_controllers(vec![0, 3])
-                .session()
-                .litmus(&catalogue::mp_annotated())
-                .outcome
-        };
-        assert_eq!(outcome(EngineKind::DiscreteEvent), outcome(EngineKind::Threaded));
     }
 }

@@ -320,8 +320,9 @@ macro_rules! scope_common {
                     return;
                 }
                 // During a panic unwind the simulator is already
-                // aborting; performing the exit (which may block on the
-                // turnstile or outstanding transfers) could double-panic.
+                // aborting; performing the exit (which may yield to the
+                // scheduler or wait on outstanding transfers) could
+                // double-panic.
                 // The abort protocol tears the run down regardless.
                 if std::thread::panicking() {
                     return;

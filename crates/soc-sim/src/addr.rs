@@ -11,6 +11,11 @@
 //! 0x4000_0000                        SDRAM, cached window
 //! 0x8000_0000                        SDRAM, uncached alias (same bytes)
 //! ```
+//!
+//! The local windows end where the cached SDRAM window begins, so the
+//! map addresses [`MAX_LOCAL_TILES`] local memories; [`local_base`]
+//! refuses a tile beyond them instead of handing out an address that
+//! decodes as SDRAM.
 
 /// Simulated physical/virtual address (32-bit SoC).
 pub type Addr = u32;
@@ -20,6 +25,8 @@ pub const LOCAL_BASE: Addr = 0x1000_0000;
 pub const LOCAL_STRIDE: Addr = 0x0010_0000;
 pub const SDRAM_CACHED_BASE: Addr = 0x4000_0000;
 pub const SDRAM_UNCACHED_BASE: Addr = 0x8000_0000;
+/// Local-memory windows that fit below [`SDRAM_CACHED_BASE`]: 768.
+pub const MAX_LOCAL_TILES: usize = ((SDRAM_CACHED_BASE - LOCAL_BASE) / LOCAL_STRIDE) as usize;
 
 /// Decoded address region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +54,15 @@ pub fn decode(addr: Addr) -> Region {
     }
 }
 
-/// The local-memory base address of a tile.
+/// The local-memory base address of a tile. Panics for a tile the
+/// address map has no local window for.
 pub fn local_base(tile: usize) -> Addr {
+    assert!(
+        tile < MAX_LOCAL_TILES,
+        "tile {tile} has no local-memory window: the address map holds {MAX_LOCAL_TILES} \
+         (tiles 0..={}) below the cached SDRAM window at {SDRAM_CACHED_BASE:#010x}",
+        MAX_LOCAL_TILES - 1
+    );
     LOCAL_BASE + tile as Addr * LOCAL_STRIDE
 }
 
@@ -100,6 +114,16 @@ mod tests {
         assert_eq!(decode(local_base(5) + 12), Region::Local { tile: 5, offset: 12 });
         assert_eq!(decode(SDRAM_CACHED_BASE + 100), Region::SdramCached { offset: 100 });
         assert_eq!(decode(SDRAM_UNCACHED_BASE + 4), Region::SdramUncached { offset: 4 });
+    }
+
+    /// The last window decodes as local memory; one past it would alias
+    /// the cached SDRAM window, so it is refused.
+    #[test]
+    #[should_panic(expected = "tile 768 has no local-memory window: the address map holds 768")]
+    fn local_windows_end_at_the_cached_sdram_window() {
+        assert_eq!(decode(local_base(767)), Region::Local { tile: 767, offset: 0 });
+        assert_eq!(local_base(767) + LOCAL_STRIDE, SDRAM_CACHED_BASE);
+        local_base(768);
     }
 
     #[test]

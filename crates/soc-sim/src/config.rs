@@ -253,49 +253,6 @@ impl Topology {
     }
 }
 
-/// Execution engine driving the simulated tiles.
-///
-/// Both engines commit globally visible actions in identical
-/// `(virtual_time, tile)` order, so counters, traces, telemetry and
-/// outcomes are bit-identical between them — the threaded engine stays
-/// alive as a differential cross-check (`tests/engine.rs`, and the
-/// `PMC_ENGINE` axis of the conformance sweep).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// One OS thread per simulated core, serialised by a scheduler
-    /// mutex + per-tile condvars (the original PDES "turnstile").
-    /// Every action pays an O(n_tiles) published-clock scan and a
-    /// condvar round trip, which caps realistic configs at a few dozen
-    /// tiles.
-    Threaded,
-    /// Single-threaded discrete-event engine: a min-heap of timestamped
-    /// component events drives global time; core programs run as
-    /// stackful coroutines resumed one at a time on the caller's thread
-    /// ([`crate::engine`]). Scales to thousands of tiles (a parked task
-    /// is a stack, not a thread; scheduling is O(log n)).
-    #[default]
-    DiscreteEvent,
-}
-
-impl EngineKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Threaded => "threaded",
-            EngineKind::DiscreteEvent => "des",
-        }
-    }
-
-    /// Parse a CLI/env spelling (`threaded` / `des`; also accepts
-    /// `discrete-event` and `event`).
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "threaded" => Some(EngineKind::Threaded),
-            "des" | "discrete-event" | "event" => Some(EngineKind::DiscreteEvent),
-            _ => None,
-        }
-    }
-}
-
 /// Data-cache geometry (per core).
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
@@ -417,9 +374,6 @@ pub struct SocConfig {
     /// and contend only for the shared SDRAM port and NoC links.
     /// Completion words and sequence numbers are per-channel.
     pub dma_channels: usize,
-    /// Execution engine ([`EngineKind::DiscreteEvent`] by default; both
-    /// engines are bit-identical, see [`EngineKind`]).
-    pub engine: EngineKind,
 }
 
 impl Default for SocConfig {
@@ -438,7 +392,6 @@ impl Default for SocConfig {
             mem_controllers: Vec::new(),
             topology: Topology::Ring,
             dma_channels: 1,
-            engine: EngineKind::default(),
         }
     }
 }
@@ -482,7 +435,7 @@ impl SocConfig {
     /// mesh or torus whose shape has a zero dimension or does not cover
     /// `n_tiles`, a memory controller placed on a tile that does not
     /// exist (or listed twice), a DMA subsystem with no channels, or
-    /// scheduler/telemetry parameters the engines cannot honour.
+    /// scheduler/telemetry parameters the engine cannot honour.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_tiles == 0 {
             return Err("n_tiles must be at least 1".to_string());
@@ -800,16 +753,6 @@ mod tests {
         cfg.telemetry.ring_capacity = usize::MAX / 2;
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("overflows the total ring budget"), "{err}");
-    }
-
-    #[test]
-    fn engine_kind_parses_cli_spellings() {
-        assert_eq!(EngineKind::parse("threaded"), Some(EngineKind::Threaded));
-        assert_eq!(EngineKind::parse("des"), Some(EngineKind::DiscreteEvent));
-        assert_eq!(EngineKind::parse("discrete-event"), Some(EngineKind::DiscreteEvent));
-        assert_eq!(EngineKind::parse("turbo"), None);
-        assert_eq!(EngineKind::Threaded.name(), "threaded");
-        assert_eq!(EngineKind::DiscreteEvent.name(), "des");
     }
 
     #[test]

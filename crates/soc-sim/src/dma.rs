@@ -15,7 +15,7 @@
 //! 2. for SDRAM transfers, the SDRAM port of the controller owning the
 //!    burst's stripe ([`crate::mem::SdramPorts`] — the same queues CPU
 //!    misses use) — concurrent channels' bursts are granted a port in
-//!    issue order, which under the turnstile's global time order acts as
+//!    issue order, which under the engine's global commit order acts as
 //!    the round-robin arbitration of a real multi-channel engine;
 //! 3. every directed NoC link on the transfer's route
 //!    ([`crate::noc::Noc::reserve_path`]; the route follows the
@@ -37,7 +37,7 @@
 //! channel*, so `done >= seq` on the channel's word is the completion
 //! test (transfers on different channels complete independently).
 //!
-//! Everything is computed under the scheduler turnstile from
+//! Everything is computed at the issuing core's commit point from
 //! deterministic state: runs remain bit-identical.
 
 use crate::config::SocConfig;

@@ -1,4 +1,4 @@
-//! The discrete-event execution engine (`EngineKind::DiscreteEvent`).
+//! The discrete-event execution engine — the only one.
 //!
 //! ## Architecture
 //!
@@ -46,11 +46,15 @@
 //! preserved exactly. Consecutive actions by the same tile — the common
 //! case — cost zero handoffs.
 //!
-//! Both engines commit globally visible actions in identical
-//! `(virtual_time, tile)` order and drain NoC packets at the same
-//! commit points, so counters, traces, telemetry streams and memory
-//! contents are **bit-identical** to the threaded turnstile
-//! (`tests/engine.rs` pins this differentially).
+//! ## The contract
+//!
+//! The engine owes the simulator one property: globally visible actions
+//! commit in non-decreasing `(virtual_time, tile)` order. `Cpu::turn`
+//! asserts it on every action of every run (see the *Scheduling model*
+//! section of [`crate::soc`]). The thread-per-tile turnstile this
+//! engine replaced survives as numbers only: `tests/engine.rs` and
+//! `tests/serve.rs` pin digests of its outcomes, traces, counters and
+//! latencies, captured while it still ran and was asserted equal.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -108,7 +112,7 @@ impl<'t> TaskPort<'t> {
     /// strictly below its horizon (no other component acts earlier).
     ///
     /// Panics with the abort message when the engine resumes the task
-    /// only to unwind it (mirroring the threaded engine's abort path).
+    /// only to unwind it.
     pub(crate) fn ensure_turn(&mut self, clock: u64, tile: usize) {
         if (clock, tile) < self.horizon {
             return;
@@ -179,8 +183,7 @@ impl EngineCtx {
 ///
 /// Component ids are assigned densely in [`Engine::add`] order; ties at
 /// equal times resolve to the lowest id, so registering core tasks in
-/// tile order reproduces the threaded turnstile's `(clock, tile)`
-/// tie-break exactly.
+/// tile order makes the tie-break the contract's `(clock, tile)`.
 pub struct Engine<'c> {
     ctx: EngineCtx,
     components: Vec<Box<dyn Component + 'c>>,
@@ -204,8 +207,7 @@ impl<'c> Engine<'c> {
     ///
     /// In-flight packets (posted writes racing a finished program) may
     /// still be queued when the loop ends; `Soc::run` drains them after
-    /// either engine returns, so both engines expose the same post-run
-    /// memory image to host-side readback.
+    /// the loop returns, so host-side readback sees the completed run.
     pub fn run(mut self) -> EngineStats {
         for (i, c) in self.components.iter().enumerate() {
             if let Some(t) = c.next_tick() {
@@ -286,8 +288,8 @@ impl Component for CoreTask<'_> {
 
     fn tick(&mut self, ctx: &mut EngineCtx) {
         if self.aborted.load(Ordering::SeqCst) {
-            // Unwind the parked task (it panics out of its yield point,
-            // mirroring the threaded abort) and drain its final report.
+            // Unwind the parked task (it panics out of its yield point)
+            // and drain its final report.
             let _ = self.task.resume(Go::Abort);
             self.state = TaskState::Done;
             return;

@@ -11,8 +11,9 @@
 //!   the asymmetric distributed lock \[15\]);
 //! * per-core cycle accounting in the stall categories of the paper's
 //!   Fig. 8, and a deterministic synthetic I-cache;
-//! * a PDES "turnstile" scheduler: bit-identical runs for identical
-//!   configurations, regardless of host thread scheduling.
+//! * a single-threaded discrete-event scheduler that commits globally
+//!   visible actions in `(virtual_time, tile)` order: bit-identical
+//!   runs for identical configurations.
 //!
 //! Application code runs as one Rust closure per tile against [`soc::Cpu`]
 //! — the only interface to the simulated machine.
@@ -49,7 +50,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use addr::Addr;
-pub use config::{CacheConfig, EngineKind, Latencies, SocConfig, Topology};
+pub use config::{CacheConfig, Latencies, SocConfig, Topology};
 pub use counters::{Counters, LinkReport, MemTag, PortReport, RunReport};
 pub use dma::{DmaDescriptor, DmaDir, DmaKind, DmaSeg, DmaStats};
 pub use engine::{Component, Engine, EngineStats};

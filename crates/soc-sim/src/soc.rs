@@ -8,22 +8,26 @@
 //! time, in strict `(virtual_time, tile_id)` order. Core-private actions
 //! (data-cache hits, compute, clean invalidations) run on a lock-free
 //! fast path and only defer the publication of the core's clock; they
-//! are invisible to other tiles, so commit order is unaffected. Two
-//! engines realise that order ([`crate::config::EngineKind`]):
+//! are invisible to other tiles, so commit order is unaffected.
 //!
-//! * **DiscreteEvent** (default): a single-threaded min-heap event loop
-//!   ([`crate::engine`]) resumes suspended core tasks one at a time at
-//!   exactly their next action times — O(log n) scheduling, a handoff
-//!   is a user-space stack switch on the caller's thread, thousands of
-//!   tiles are practical.
-//! * **Threaded**: one OS thread per simulated core serialised by a
-//!   scheduler lock and per-tile condvars — the original PDES
-//!   "turnstile", kept as a differential cross-check.
+//! One engine realises that order: a single-threaded min-heap event loop
+//! ([`crate::engine`]) resumes suspended core tasks one at a time at
+//! exactly their next action times — O(log n) scheduling, a handoff is
+//! a user-space stack switch on the caller's thread, thousands of tiles
+//! are practical.
+//!
+//! **The commit-order contract** is the whole interface between the
+//! engine and everything above it, and it is checked where it is
+//! relied on: every globally visible action passes through
+//! `Cpu::turn`, which asserts — in debug and release builds alike —
+//! that its `(clock, tile)` is not below the previous commit's
+//! (`Global::note_commit`). A scheduler bug therefore stops the run at
+//! the first out-of-order action instead of producing a plausible
+//! wrong trace.
 //!
 //! A forced synchronisation every `max_local_run` cycles bounds how
 //! stale a core's published clock can get. Same configuration + same
-//! programs ⇒ bit-identical runs, counters included — on either engine,
-//! and identically *between* the engines.
+//! programs ⇒ bit-identical runs, counters included.
 //!
 //! ## Memory system semantics
 //!
@@ -38,8 +42,8 @@
 //!   `issue + route_latency`; in-order per (src, dst) pair, unordered
 //!   across destinations (the paper's Fig. 1 failure mode).
 
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::{Mutex, MutexGuard};
 
 /// Lock ignoring poisoning: a panicking tile is already handled by the
 /// abort protocol, and the scheduler state stays consistent (every mutation
@@ -51,7 +55,7 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 use crate::addr::{self, Addr, Region};
 use crate::cache::Cache;
-use crate::config::{EngineKind, SocConfig};
+use crate::config::SocConfig;
 use crate::coro;
 use crate::counters::{Counters, LinkReport, MemTag, PortReport, RunReport};
 use crate::dma::{DmaDescriptor, DmaDir, DmaEngine, DmaKind, DmaStats};
@@ -69,10 +73,9 @@ struct Global {
     noc: Noc,
     /// One DMA engine per tile.
     dma: Vec<DmaEngine>,
-    /// Published clock per tile (`u64::MAX` once done).
-    clocks: Vec<u64>,
-    /// Whether the tile is parked waiting for its turn.
-    waiting: Vec<bool>,
+    /// `(clock, tile)` of the latest globally visible action: the
+    /// commit-order contract's witness (see [`Global::note_commit`]).
+    last_commit: (u64, usize),
     /// Per-controller SDRAM ports (queueing model), with the physical
     /// offset space striped across them.
     ports: SdramPorts,
@@ -180,18 +183,19 @@ impl Global {
         }
     }
 
-    /// The live tile with the smallest `(clock, id)`.
-    fn min_tile(&self) -> Option<usize> {
-        self.clocks
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != u64::MAX)
-            .min_by_key(|&(i, &c)| (c, i))
-            .map(|(i, _)| i)
-    }
-
-    fn is_turn(&self, tile: usize) -> bool {
-        self.min_tile() == Some(tile)
+    /// The commit-order contract, checked on every globally visible
+    /// action of every run: actions commit in non-decreasing
+    /// `(virtual_time, tile)` order. Equal keys are one tile acting
+    /// again at an unchanged clock.
+    fn note_commit(&mut self, clock: u64, tile: usize) {
+        assert!(
+            self.last_commit <= (clock, tile),
+            "commit order violated: tile {tile} acts at cycle {clock} after tile {} \
+             committed at cycle {}",
+            self.last_commit.1,
+            self.last_commit.0
+        );
+        self.last_commit = (clock, tile);
     }
 }
 
@@ -200,17 +204,13 @@ impl Global {
 pub struct Soc {
     cfg: SocConfig,
     global: Mutex<Global>,
-    cvs: Vec<Condvar>,
-    /// Running counter for makespan and post-run queries.
-    makespan: AtomicU64,
-    /// Set when a tile panicked: every parked tile wakes and aborts.
+    /// Set when a tile panicked: the engine unwinds every parked tile.
     aborted: std::sync::atomic::AtomicBool,
     /// The first panic payload and the tile it came from (re-raised
     /// after all tiles unwound, so the caller sees the original message
     /// rather than a secondary abort).
     panic_payload: Mutex<Option<(usize, Box<dyn std::any::Any + Send + 'static>)>>,
-    /// Scheduler statistics of the last run (`None` until a
-    /// discrete-event run completes; the threaded engine has no heap).
+    /// Scheduler statistics of the last run (`None` until one completes).
     engine_stats: Mutex<Option<EngineStats>>,
 }
 
@@ -226,20 +226,16 @@ impl Soc {
             locals: (0..cfg.n_tiles).map(|_| ByteMem::new(cfg.local_mem_size)).collect(),
             noc,
             dma: vec![DmaEngine::new(cfg.dma_channels); cfg.n_tiles],
-            clocks: vec![0; cfg.n_tiles],
-            waiting: vec![false; cfg.n_tiles],
+            last_commit: (0, 0),
             ports: SdramPorts::new(cfg.controllers()),
             tags: Vec::new(),
             trace: Vec::new(),
             finished: vec![None; cfg.n_tiles],
             telem_tiles: vec![(Vec::new(), 0); cfg.n_tiles],
         };
-        let cvs = (0..cfg.n_tiles).map(|_| Condvar::new()).collect();
         Soc {
             cfg,
             global: Mutex::new(global),
-            cvs,
-            makespan: AtomicU64::new(0),
             aborted: std::sync::atomic::AtomicBool::new(false),
             panic_payload: Mutex::new(None),
             engine_stats: Mutex::new(None),
@@ -251,18 +247,11 @@ impl Soc {
     }
 
     /// A tile program panicked: keep the first (original) payload —
-    /// secondary abort panics are noise — then mark the run aborted,
-    /// retire the tile's clock and wake every parked tile so the panic
-    /// can propagate.
+    /// secondary abort panics are noise — then mark the run aborted;
+    /// the engine unwinds parked peers at their next scheduled event.
     fn abort(&self, tile: usize, payload: Box<dyn std::any::Any + Send + 'static>) {
         lock_ignore_poison(&self.panic_payload).get_or_insert((tile, payload));
         self.aborted.store(true, AtomicOrdering::SeqCst);
-        let mut g = lock_ignore_poison(&self.global);
-        g.clocks[tile] = u64::MAX;
-        for cv in &self.cvs {
-            cv.notify_one();
-        }
-        drop(g);
     }
 
     /// Tag an SDRAM offset range for stall attribution (shared vs.
@@ -359,29 +348,21 @@ impl Soc {
     /// Run one program per tile (programs beyond `n_tiles` are an error;
     /// tiles without a program idle at `done`). Returns per-core counters
     /// and the makespan. Panics propagate from core closures.
-    ///
-    /// The execution engine is selected by `cfg.engine`
-    /// ([`EngineKind`]); both engines produce bit-identical reports.
     pub fn run<'env>(&'env self, programs: Vec<CoreProgram<'env>>) -> RunReport {
         assert!(programs.len() <= self.cfg.n_tiles, "more programs than tiles");
         {
             // Reset scheduling state (memories persist across runs so
             // callers can pre-initialise and post-inspect).
             let mut g = lock_ignore_poison(&self.global);
-            let n_programs = programs.len();
+            g.last_commit = (0, 0);
             for t in 0..self.cfg.n_tiles {
-                g.clocks[t] = if t < n_programs { 0 } else { u64::MAX };
-                g.waiting[t] = false;
                 g.finished[t] = None;
                 g.telem_tiles[t] = (Vec::new(), 0);
             }
         }
         self.aborted.store(false, AtomicOrdering::SeqCst);
         *lock_ignore_poison(&self.engine_stats) = None;
-        match self.cfg.engine {
-            EngineKind::Threaded => self.run_threaded(programs),
-            EngineKind::DiscreteEvent => self.run_event(programs),
-        }
+        self.run_event(programs);
         if let Some((tile, payload)) = lock_ignore_poison(&self.panic_payload).take() {
             // Tile programs share the caller's thread, so the panic hook
             // could not say which tile died: name it here.
@@ -398,47 +379,18 @@ impl Soc {
         // Deliver posted writes still in flight when the last program
         // retired (e.g. a final `dsm_commit` broadcast racing program
         // exit), so host-side `read_back` observes the completed run.
-        // Both engines share this path, keeping their post-run memory
-        // images bit-identical.
         g.drain_packets(u64::MAX, &self.cfg);
         let g = g;
         let per_core: Vec<Counters> =
             g.finished.iter().map(|f| f.map(|(c, _)| c).unwrap_or_default()).collect();
         let makespan = g.finished.iter().flatten().map(|&(_, clock)| clock).max().unwrap_or(0);
-        self.makespan.store(makespan, AtomicOrdering::Relaxed);
         RunReport { per_core, makespan }
     }
 
-    /// Scheduler statistics of the last [`Soc::run`] on the
-    /// discrete-event engine (`None` for threaded runs).
+    /// Scheduler statistics of the last [`Soc::run`] (`None` before the
+    /// first run completes).
     pub fn engine_stats(&self) -> Option<EngineStats> {
         *lock_ignore_poison(&self.engine_stats)
-    }
-
-    /// The turnstile driver: one OS thread per program, serialised by
-    /// the scheduler lock + condvars.
-    fn run_threaded<'env>(&'env self, programs: Vec<CoreProgram<'env>>) {
-        std::thread::scope(|scope| {
-            for (tile, program) in programs.into_iter().enumerate() {
-                let soc = &*self;
-                std::thread::Builder::new()
-                    .name(format!("tile{tile}"))
-                    .spawn_scoped(scope, move || {
-                        let mut cpu = Cpu::new(soc, tile);
-                        // A panicking tile must not leave the others
-                        // waiting on its clock forever: mark the run
-                        // aborted, wake everyone, then propagate.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            program(&mut cpu)
-                        }));
-                        match result {
-                            Ok(()) => cpu.finish(),
-                            Err(payload) => soc.abort(tile, payload),
-                        }
-                    })
-                    .expect("spawn tile thread");
-            }
-        });
     }
 
     /// The discrete-event driver ([`crate::engine`]): programs run as
@@ -446,8 +398,7 @@ impl Soc {
     /// loop resumes exactly one at a time in `(virtual_time, tile)`
     /// order, on the calling thread — a handoff is a user-space stack
     /// switch and no OS thread is spawned. Scheduling is O(log n) per
-    /// action (vs. the turnstile's O(n) published-clock scan under a
-    /// contended lock), so 1000+-tile configurations are practical.
+    /// action, so 1000+-tile configurations are practical.
     fn run_event<'env>(&'env self, programs: Vec<CoreProgram<'env>>) {
         // The scope is for targets where `coro` backs a task with a
         // thread; with stack switching nothing is ever spawned in it.
@@ -456,7 +407,7 @@ impl Soc {
             for (tile, program) in programs.into_iter().enumerate() {
                 let soc = &*self;
                 let task = coro::spawn(scope, tile, move |suspender, first| {
-                    let mut cpu = Cpu::new_event(soc, tile, TaskPort::new(suspender, first, tile));
+                    let mut cpu = Cpu::new(soc, tile, TaskPort::new(suspender, first, tile));
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         program(&mut cpu)
                     }));
@@ -466,9 +417,6 @@ impl Soc {
                             TaskYield::Done
                         }
                         Err(payload) => {
-                            // `abort` marks the run and retires the tile;
-                            // the engine unwinds parked peers at their
-                            // next scheduled event.
                             soc.abort(tile, payload);
                             TaskYield::Panicked
                         }
@@ -493,13 +441,13 @@ impl Soc {
 
 /// A per-tile program: receives the tile's CPU handle.
 ///
-/// On the discrete-event engine every tile program of a run executes on
-/// the thread that called [`Soc::run`], interleaved at its yield points
-/// (on targets with stack switching — see [`crate::engine`]): state a
-/// program keeps in a `thread_local!` or derives from
-/// `std::thread::current()` is shared by all tiles, not private to one.
-/// The `Send` bound is for the threaded engine, which does give each
-/// program a thread.
+/// Every tile program of a run executes on the thread that called
+/// [`Soc::run`], interleaved at its yield points (on targets with stack
+/// switching — see [`crate::engine`]): state a program keeps in a
+/// `thread_local!` or derives from `std::thread::current()` is shared
+/// by all tiles, not private to one. The `Send` bound is for the
+/// targets without stack switching, where `crate::coro` falls back to
+/// running each program on a parked thread of its own.
 pub type CoreProgram<'env> = Box<dyn FnOnce(&mut Cpu<'_>) + Send + 'env>;
 
 /// Stall category used by the memory paths.
@@ -513,18 +461,6 @@ enum StallCat {
     Flush,
     /// Blocked in an event-based DMA completion wait.
     DmaWait,
-}
-
-/// How this core waits for (and hands over) its turn at the global
-/// commit point: the only place the two execution engines differ.
-enum Sched<'a> {
-    /// Condvar turnstile: publish the clock, wait until it is the
-    /// minimum, notify the next minimum afterwards.
-    Threaded,
-    /// Discrete-event coroutine: yield to the event loop until this
-    /// tile's `(clock, tile)` is scheduled (see
-    /// [`crate::engine::TaskPort`]).
-    Event(TaskPort<'a>),
 }
 
 /// The per-core execution context handed to tile programs: the only way
@@ -543,7 +479,8 @@ pub struct Cpu<'a> {
     /// Local clock (may run ahead of the published clock).
     clock: u64,
     published: u64,
-    sched: Sched<'a>,
+    /// The yield point to the event loop ([`crate::engine::TaskPort`]).
+    port: TaskPort<'a>,
     dcache: Cache,
     icache: ICache,
     ctr: Counters,
@@ -553,22 +490,18 @@ pub struct Cpu<'a> {
 }
 
 impl<'a> Cpu<'a> {
-    fn new(soc: &'a Soc, tile: usize) -> Self {
+    fn new(soc: &'a Soc, tile: usize, port: TaskPort<'a>) -> Self {
         Cpu {
             soc,
             tile,
             clock: 0,
             published: 0,
-            sched: Sched::Threaded,
+            port,
             dcache: Cache::new(soc.cfg.dcache),
             icache: ICache::new(soc.cfg.icache_mpki),
             ctr: Counters::default(),
             telem: Recorder::new(&soc.cfg.telemetry),
         }
-    }
-
-    fn new_event(soc: &'a Soc, tile: usize, port: TaskPort<'a>) -> Self {
-        Cpu { sched: Sched::Event(port), ..Cpu::new(soc, tile) }
     }
 
     pub fn tile(&self) -> usize {
@@ -653,75 +586,30 @@ impl<'a> Cpu<'a> {
         self.check_time_limit();
     }
 
-    /// Wait (engine-specific) until this tile holds the global commit
-    /// turn for an action at `self.clock`, then return the scheduler
-    /// lock with arrived packets drained. Pair with
-    /// [`Cpu::release_turn`].
-    fn acquire_turn(&mut self) -> MutexGuard<'a, Global> {
+    /// Suspend until this tile holds the global commit turn for an
+    /// action at `self.clock` (or keep running below the horizon), then
+    /// return the scheduler lock — uncontended: at most one task is
+    /// runnable at a time — with the commit order checked and arrived
+    /// packets drained. For [`Cpu::turn`]; only an action that must
+    /// also borrow `self` holds the guard directly.
+    fn commit_point(&mut self) -> MutexGuard<'a, Global> {
         let soc = self.soc;
-        let mut g = match &mut self.sched {
-            Sched::Threaded => {
-                let mut g = lock_ignore_poison(&soc.global);
-                g.clocks[self.tile] = self.clock;
-                // Wait for our turn in (clock, tile) order.
-                while !g.is_turn(self.tile) {
-                    if soc.aborted.load(AtomicOrdering::SeqCst) {
-                        drop(g);
-                        panic!("tile {}: simulation aborted by a panic on another tile", self.tile);
-                    }
-                    // Someone else is min; if they are parked, wake them.
-                    if let Some(m) = g.min_tile() {
-                        if g.waiting[m] {
-                            soc.cvs[m].notify_one();
-                        }
-                    }
-                    g.waiting[self.tile] = true;
-                    g = soc.cvs[self.tile]
-                        .wait(g)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    g.waiting[self.tile] = false;
-                }
-                g
-            }
-            Sched::Event(port) => {
-                // Yield to the event loop (or keep running below the
-                // horizon); the lock is uncontended — at most one task
-                // is runnable at a time.
-                port.ensure_turn(self.clock, self.tile);
-                let mut g = lock_ignore_poison(&soc.global);
-                g.clocks[self.tile] = self.clock;
-                g
-            }
-        };
+        self.port.ensure_turn(self.clock, self.tile);
+        let mut g = lock_ignore_poison(&soc.global);
+        g.note_commit(self.clock, self.tile);
         self.published = self.clock;
         g.drain_packets(self.clock, &soc.cfg);
         g
     }
 
-    /// Commit the action and hand the turn over (threaded: wake the next
-    /// minimum tile; event: nothing — the engine schedules by heap).
-    fn release_turn(&mut self, g: MutexGuard<'a, Global>) {
-        if let Sched::Threaded = self.sched {
-            if let Some(m) = g.min_tile() {
-                if m != self.tile && g.waiting[m] {
-                    self.soc.cvs[m].notify_one();
-                }
-            }
-        }
-        drop(g);
-    }
-
     /// Run a globally visible action at the right point in virtual time.
     /// `f` sees the global state at `self.clock` (packets drained) and
-    /// returns its result; any latency must be charged by the caller
-    /// afterwards via `charge_stall`.
+    /// returns its result. The action itself does not advance the clock:
+    /// any latency must be charged by the caller afterwards via
+    /// `charge_stall`.
     fn turn<R>(&mut self, f: impl FnOnce(&mut Global, &SocConfig, u64, usize) -> R) -> R {
-        let mut g = self.acquire_turn();
-        let r = f(&mut g, &self.soc.cfg, self.clock, self.tile);
-        // The action itself does not advance the clock (the caller
-        // charges latency).
-        self.release_turn(g);
-        r
+        let mut g = self.commit_point();
+        f(&mut g, &self.soc.cfg, self.clock, self.tile)
     }
 
     /// Publish the clock and hand over the turn (forced sync point).
@@ -738,16 +626,9 @@ impl<'a> Cpu<'a> {
     }
 
     fn finish(&mut self) {
-        let soc = self.soc;
-        let mut g = lock_ignore_poison(&soc.global);
+        let mut g = lock_ignore_poison(&self.soc.global);
         g.finished[self.tile] = Some((self.ctr, self.clock));
         g.telem_tiles[self.tile] = self.telem.drain();
-        g.clocks[self.tile] = u64::MAX;
-        if let Some(m) = g.min_tile() {
-            if g.waiting[m] {
-                soc.cvs[m].notify_one();
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -863,15 +744,15 @@ impl<'a> Cpu<'a> {
     }
 
     /// Handle a cached-SDRAM miss: fetch the line (plus victim
-    /// write-back) under the turnstile. Returns the region tag and the
-    /// stall cycles.
+    /// write-back) in one commit. Returns the region tag and the stall
+    /// cycles.
     fn miss_fill(&mut self, offset: u32) -> (MemTag, u64) {
         self.ctr.dcache_misses += 1;
         let line = self.dcache.line_of(offset);
         let line_size = self.soc.cfg.dcache.line_size;
         let tile = self.tile;
         let clock = self.clock;
-        let mut g = self.acquire_turn();
+        let mut g = self.commit_point();
         // Line fetch, then victim write-back occupying the SDRAM port.
         let gm = &mut *g;
         let mut done =
@@ -894,9 +775,7 @@ impl<'a> Cpu<'a> {
                 line_size,
             );
         }
-        let tag = g.tag_of(offset);
-        self.release_turn(g);
-        (tag, done - clock)
+        (g.tag_of(offset), done - clock)
     }
 
     // Convenience width accessors -------------------------------------
@@ -2085,30 +1964,37 @@ mod tests {
 
     /// All tiles may share one thread, so `Soc::run` itself names the
     /// tile whose panic it re-raises — the first one, not a peer's
-    /// secondary abort — on both engines.
+    /// secondary abort.
     #[test]
     fn a_tile_panic_is_reraised_with_its_tile_id() {
-        for engine in [EngineKind::DiscreteEvent, EngineKind::Threaded] {
-            let mut cfg = SocConfig::small(3);
-            cfg.engine = engine;
-            let s = Soc::new(cfg);
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                s.run(vec![
-                    Box::new(|cpu: &mut Cpu| loop {
-                        cpu.write_u32(addr::SDRAM_UNCACHED_BASE, 1);
-                    }),
-                    Box::new(|cpu: &mut Cpu| loop {
-                        cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 4, 1);
-                    }),
-                    Box::new(|cpu: &mut Cpu| {
-                        cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 8, 1);
-                        panic!("boom at {}", cpu.tile());
-                    }),
-                ])
-            }));
-            let payload = run.expect_err("the tile's panic propagates");
-            let msg = payload.downcast_ref::<String>().expect("a string payload");
-            assert_eq!(msg, "tile 2 panicked: boom at 2", "{engine:?}");
-        }
+        let s = soc(3);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.run(vec![
+                Box::new(|cpu: &mut Cpu| loop {
+                    cpu.write_u32(addr::SDRAM_UNCACHED_BASE, 1);
+                }),
+                Box::new(|cpu: &mut Cpu| loop {
+                    cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 4, 1);
+                }),
+                Box::new(|cpu: &mut Cpu| {
+                    cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 8, 1);
+                    panic!("boom at {}", cpu.tile());
+                }),
+            ])
+        }));
+        let payload = run.expect_err("the tile's panic propagates");
+        let msg = payload.downcast_ref::<String>().expect("a string payload");
+        assert_eq!(msg, "tile 2 panicked: boom at 2");
+    }
+
+    /// The commit-order check fires: after tile 1 committed at cycle 10,
+    /// tile 0 committing at cycle 10 is out of `(time, tile)` order.
+    #[test]
+    #[should_panic(expected = "commit order violated: tile 0 acts at cycle 10 after tile 1")]
+    fn out_of_order_commits_are_rejected() {
+        let s = soc(2);
+        let mut g = lock_ignore_poison(&s.global);
+        g.note_commit(10, 1);
+        g.note_commit(10, 0);
     }
 }

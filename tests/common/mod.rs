@@ -3,8 +3,6 @@
 //!
 //! * `PMC_TOPOLOGY` — `ring` / `mesh` / `torus` restricts the topology
 //!   axis; unset sweeps all three.
-//! * `PMC_ENGINE` — `threaded` / `des` restricts the engine axis; unset
-//!   sweeps both.
 //! * `PMC_MEM_CONTROLLERS` — `<k>` interleaves the SDRAM offset space
 //!   over k controllers; unset (or `1`) keeps the single-controller
 //!   default.
@@ -15,12 +13,14 @@
 //! rejection is testable without touching the process environment.
 //!
 //! Also home to [`digest`], the pinned-reference hash of
-//! `tests/engine.rs` and `tests/serve.rs`.
+//! `tests/engine.rs` and `tests/serve.rs`, and to
+//! [`commit_order_violation`], the observable side of the simulator's
+//! commit-order contract, which every harness checks per run.
 
 // Every test binary includes this module and uses a subset of it.
 #![allow(dead_code)]
 
-use pmc::sim::{EngineKind, Topology};
+use pmc::sim::{Topology, TraceRecord};
 
 /// 64-bit FNV-1a over the `Debug` rendering of `fields`, in order: one
 /// number standing for exactly the fields a differential test used to
@@ -33,6 +33,15 @@ pub fn digest(fields: &[&dyn std::fmt::Debug]) -> u64 {
         }
     }
     h
+}
+
+/// The global trace is the commit log of the run's `trace_event`
+/// actions, so the simulator's commit-order contract shows in it:
+/// records (span records included) are sorted by `(time, tile)`.
+/// Returns the first adjacent pair that is not, rendered.
+pub fn commit_order_violation(trace: &[TraceRecord]) -> Option<String> {
+    let w = trace.windows(2).find(|w| (w[0].time, w[0].tile) > (w[1].time, w[1].tile))?;
+    Some(format!("trace out of (time, tile) order: {:?} precedes {:?}", w[0], w[1]))
 }
 
 /// The entries of `all` that `var`'s `value` selects: every entry when
@@ -65,11 +74,6 @@ fn parse_topologies(value: Option<&str>, threads: usize) -> Vec<(&'static str, T
     select("PMC_TOPOLOGY", value, all)
 }
 
-fn parse_engines(value: Option<&str>) -> Vec<(&'static str, EngineKind)> {
-    let all = vec![("threaded", EngineKind::Threaded), ("des", EngineKind::DiscreteEvent)];
-    select("PMC_ENGINE", value, all)
-}
-
 fn parse_controllers(value: Option<&str>, threads: usize) -> Vec<usize> {
     let Some(value) = value else { return Vec::new() };
     match value.parse::<usize>() {
@@ -88,11 +92,6 @@ pub fn topologies_for(threads: usize) -> Vec<(&'static str, Topology)> {
     parse_topologies(std::env::var("PMC_TOPOLOGY").ok().as_deref(), threads)
 }
 
-/// The engines to sweep, honouring `PMC_ENGINE`.
-pub fn engines() -> Vec<(&'static str, EngineKind)> {
-    parse_engines(std::env::var("PMC_ENGINE").ok().as_deref())
-}
-
 /// The memory-controller list to sweep with, honouring
 /// `PMC_MEM_CONTROLLERS=<k>`: tiles `0..k` (clamped to the smallest
 /// machine the case can run on, so they are in range on every topology)
@@ -109,8 +108,6 @@ fn axis_values_select_their_cells() {
         parse_topologies(Some("torus"), 3),
         vec![("torus", Topology::Torus { cols: 2, rows: 2 })]
     );
-    assert_eq!(parse_engines(None).len(), 2);
-    assert_eq!(parse_engines(Some("des")), vec![("des", EngineKind::DiscreteEvent)]);
     assert_eq!(parse_controllers(None, 4), Vec::<usize>::new());
     assert_eq!(parse_controllers(Some("1"), 4), Vec::<usize>::new());
     assert_eq!(parse_controllers(Some("2"), 4), vec![0, 1]);
@@ -121,12 +118,6 @@ fn axis_values_select_their_cells() {
 #[should_panic(expected = "PMC_TOPOLOGY=\"meshh\" is not recognised")]
 fn bad_topology_value_panics() {
     parse_topologies(Some("meshh"), 2);
-}
-
-#[test]
-#[should_panic(expected = "PMC_ENGINE=\"\" is not recognised")]
-fn bad_engine_value_panics() {
-    parse_engines(Some(""));
 }
 
 #[test]

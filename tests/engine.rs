@@ -1,52 +1,47 @@
-//! The engine axis, verified end to end: the single-threaded
-//! discrete-event core must be (a) deterministic down to the byte and
+//! The execution engine, verified end to end: the single-threaded
+//! discrete-event core must be (a) deterministic down to the byte,
 //! (b) indistinguishable from the thread-per-tile turnstile it
-//! replaced.
+//! replaced, and (c) true to its contract — globally visible actions
+//! commit in `(virtual time, tile)` order.
 //!
-//! Both engines commit actions in the same `(virtual time, tile)` order
-//! and drain in-flight NoC packets at the same commit points, so the
-//! equivalence gate here is strict: not just outcome-set membership
-//! (the conformance sweep's gate) but bit-identical traces, counters
-//! and makespans per configuration.
+//! The turnstile is gone; its answers are not. (b) is a strict gate:
+//! not just outcome-set membership (the conformance sweep's gate) but
+//! digests of the outcomes, traces, counters and makespans the
+//! turnstile produced, pinned while it still ran and was asserted
+//! equal to this engine field by field. (c) is asserted inside the
+//! simulator on every action; here its observable side is checked on
+//! the global trace.
 
 mod common;
 
-use common::digest;
+use common::{commit_order_violation, digest};
+use pmc::apps::kvserve::{run_serve_session, KvServe, KvServeParams};
+use pmc::apps::loadgen::LoadGenParams;
 use pmc::apps::workload::{SessionWorkload, Workload, WorkloadParams};
 use pmc::model::conformance;
 use pmc::runtime::litmus_exec::LitmusRun;
 use pmc::runtime::monitor::validate;
 use pmc::runtime::{BackendKind, LockKind, RunConfig};
 use pmc::sim::telemetry::perfetto_json;
-use pmc::sim::{EngineKind, Topology};
+use pmc::sim::Topology;
 
 fn litmus(
     program: &pmc::model::litmus::Program,
     backend: BackendKind,
     lock: LockKind,
-    engine: EngineKind,
     telemetry: bool,
 ) -> LitmusRun {
-    RunConfig::new(backend).lock(lock).engine(engine).telemetry(telemetry).session().litmus(program)
+    RunConfig::new(backend).lock(lock).telemetry(telemetry).session().litmus(program)
 }
 
 /// Same seed (there is only one: the config), same session ⇒
-/// byte-identical telemetry export and trace across two discrete-event
-/// runs — the determinism half of the tentpole's acceptance.
+/// byte-identical telemetry export and trace across two runs.
 #[test]
 fn des_runs_are_byte_identical() {
     let cases = ["mp_annotated", "dma_mp_put"];
     for name in cases {
         let case = conformance::cases().into_iter().find(|c| c.name == name).unwrap();
-        let run = |_: usize| {
-            litmus(
-                &case.program,
-                BackendKind::Spm,
-                LockKind::Sdram,
-                EngineKind::DiscreteEvent,
-                true,
-            )
-        };
+        let run = |_: usize| litmus(&case.program, BackendKind::Spm, LockKind::Sdram, true);
         let (a, b) = (run(0), run(1));
         assert_eq!(a.outcome, b.outcome, "{name}");
         assert_eq!(a.trace, b.trace, "{name}: traces must be byte-identical");
@@ -62,9 +57,10 @@ fn des_runs_are_byte_identical() {
 /// The thread-per-tile turnstile's answers over the litmus catalogue:
 /// per case, the [`digest`] of (outcome, trace, `Debug` of the report)
 /// on SWCC/Sdram and on DSM/Distributed. Captured while the turnstile
-/// still ran and was asserted equal to the event heap field by field.
-/// A change that moves the timing model on purpose re-pins these (the
-/// failing assertion prints the new rows) and says so in CHANGES.md.
+/// still ran and was asserted equal to the event heap field by field
+/// (the commit before its deletion). A change that moves the timing
+/// model on purpose re-pins these (the failing assertion prints the new
+/// rows) and says so in CHANGES.md.
 const CATALOGUE_REFERENCE: &[(&str, [u64; 2])] = &[
     ("mp_unfenced", [0x055cd5fc89906701, 0xa012bdb05c0d33ca]),
     ("mp_annotated", [0x6a45fb898de94023, 0xc00a693b40b4de06]),
@@ -91,29 +87,20 @@ const CATALOGUE_REFERENCE: &[(&str, [u64; 2])] = &[
 const WORKLOAD_REFERENCE: [(Workload, u64); 2] =
     [(Workload::Raytrace, 0xdb3b632978de1a3d), (Workload::MotionEst, 0x6a97afad56e7727c)];
 
-/// The differential cross-check over the whole litmus catalogue: the
-/// turnstile and the event heap produce the *same* outcome, trace,
-/// counters and makespan on every case, for representative
-/// back-end/lock pairs. A mismatch anywhere means one engine commits
-/// actions in a different order than the other — exactly the bug class
-/// the threaded engine is kept alive to catch.
+/// The differential cross-check over the whole litmus catalogue,
+/// against the frozen reference: the event heap produces the *same*
+/// outcome, trace, counters and makespan as the turnstile did on every
+/// case, for representative back-end/lock pairs. A mismatch means the
+/// engine now commits actions in a different order (or the timing model
+/// moved).
 #[test]
-fn threaded_and_des_are_bit_identical_over_the_catalogue() {
+fn des_matches_the_pinned_reference() {
     let configs = [(BackendKind::Swcc, LockKind::Sdram), (BackendKind::Dsm, LockKind::Distributed)];
     let mut rows = Vec::new();
     for case in conformance::cases() {
         let cell = configs.map(|(backend, lock)| {
-            let t = litmus(&case.program, backend, lock, EngineKind::Threaded, false);
-            let d = litmus(&case.program, backend, lock, EngineKind::DiscreteEvent, false);
-            let label = format!("{}/{}/{lock:?}", case.name, backend.name());
-            assert_eq!(t.outcome, d.outcome, "{label}: outcomes differ");
-            assert_eq!(t.trace, d.trace, "{label}: traces differ");
-            assert_eq!(
-                format!("{:?}", t.report),
-                format!("{:?}", d.report),
-                "{label}: counters differ"
-            );
-            assert!(validate(&d.trace).is_empty(), "{label}");
+            let d = litmus(&case.program, backend, lock, false);
+            assert!(validate(&d.trace).is_empty(), "{}/{}/{lock:?}", case.name, backend.name());
             digest(&[&d.outcome, &d.trace, &d.report])
         });
         rows.push((case.name, cell));
@@ -131,33 +118,20 @@ fn threaded_and_des_are_bit_identical_over_the_catalogue() {
 }
 
 /// The same equivalence at application scale: a full workload produces
-/// the same checksum, makespan and per-core counters on both engines,
-/// and only the discrete-event run reports scheduler statistics.
-/// MOTION-EST is the case with host-side scratch state per search: on
-/// the discrete-event engine all tiles interleave on one thread, so
-/// state that is not the tile's own would mix between searches.
+/// the checksum, makespan and per-core counters it produced on the
+/// turnstile, and reports scheduler statistics. MOTION-EST is the case
+/// with host-side scratch state per search: all tiles interleave on one
+/// thread, so state that is not the tile's own would mix between
+/// searches — and miss the value pinned from one thread per tile.
 #[test]
 fn workloads_are_engine_independent() {
     for (workload, pinned) in WORKLOAD_REFERENCE {
-        let run = |engine| {
-            RunConfig::new(BackendKind::Swcc)
-                .n_tiles(4)
-                .engine(engine)
-                .session()
-                .workload(workload, WorkloadParams::Tiny)
-        };
-        let t = run(EngineKind::Threaded);
-        let d = run(EngineKind::DiscreteEvent);
+        let d = RunConfig::new(BackendKind::Swcc)
+            .n_tiles(4)
+            .session()
+            .workload(workload, WorkloadParams::Tiny);
         let name = workload.name();
-        assert_eq!(t.checksum, d.checksum, "{name}");
-        assert_eq!(t.report.makespan, d.report.makespan, "{name}");
-        assert_eq!(
-            format!("{:?}", t.report.per_core),
-            format!("{:?}", d.report.per_core),
-            "{name}"
-        );
-        assert!(t.engine_stats.is_none(), "turnstile runs carry no event-heap stats");
-        let stats = d.engine_stats.expect("discrete-event runs report scheduler stats");
+        let stats = d.engine_stats.expect("runs report scheduler stats");
         assert!(stats.events > 0 && stats.handoffs > 0 && stats.peak_queue >= 1, "{stats:?}");
         assert!(
             stats.handoffs <= stats.events,
@@ -168,7 +142,35 @@ fn workloads_are_engine_independent() {
     }
 }
 
-/// With stack switching a discrete-event run spawns no OS thread: every
+/// The observable side of the commit-order contract, over everything
+/// that writes the global trace: the catalogue on every back-end and
+/// both locks with telemetry on (so runtime span records are in it),
+/// plus one serving run per back-end.
+#[test]
+fn global_trace_is_sorted_by_time_then_tile() {
+    for case in conformance::cases() {
+        for backend in BackendKind::ALL {
+            for lock in [LockKind::Sdram, LockKind::Distributed] {
+                let run = litmus(&case.program, backend, lock, true);
+                let order = commit_order_violation(&run.trace);
+                assert_eq!(order, None, "{}/{}/{lock:?}", case.name, backend.name());
+            }
+        }
+    }
+    let load = LoadGenParams { n_requests: 32, n_shards: 4, ..Default::default() };
+    let params = KvServeParams { load, mailbox_depth: 8, migrate_at: None };
+    for backend in BackendKind::ALL {
+        let session = RunConfig::new(backend)
+            .n_tiles(KvServe::tiles_needed(&params))
+            .telemetry(true)
+            .session();
+        let run = run_serve_session(&session, &params);
+        assert!(!run.trace.is_empty());
+        assert_eq!(commit_order_violation(&run.trace), None, "kvserve/{}", backend.name());
+    }
+}
+
+/// With stack switching a run spawns no OS thread: every
 /// tile program, before and after yielding to its peers, is on the
 /// thread that called `Soc::run`.
 #[cfg(all(target_arch = "x86_64", unix))]
@@ -179,7 +181,6 @@ fn des_tile_programs_run_on_the_callers_thread() {
 
     let n = 8;
     let soc = Soc::new(SocConfig::small(n));
-    assert_eq!(soc.config().engine, EngineKind::DiscreteEvent);
     let seen = Mutex::new(Vec::new());
     let programs: Vec<CoreProgram<'_>> = (0..n)
         .map(|tile| {
@@ -197,7 +198,7 @@ fn des_tile_programs_run_on_the_callers_thread() {
         .collect();
     let report = soc.run(programs);
     assert!(report.makespan > 0);
-    assert!(soc.engine_stats().expect("discrete-event run").handoffs >= n as u64);
+    assert!(soc.engine_stats().expect("a completed run").handoffs >= n as u64);
     let seen = seen.into_inner().unwrap();
     assert_eq!(seen.len(), 2 * n);
     let me = std::thread::current().id();

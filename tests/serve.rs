@@ -1,7 +1,7 @@
 //! End-to-end gates for the serving subsystem: seeded determinism,
-//! engine equivalence, skew behaviour, and monitor-cleanliness across
-//! the arrival distributions — the serving half of the acceptance
-//! criteria, at test scale.
+//! equivalence with the pinned turnstile reference, skew behaviour, and
+//! monitor-cleanliness across the arrival distributions — the serving
+//! half of the acceptance criteria, at test scale.
 
 mod common;
 
@@ -9,7 +9,6 @@ use common::digest;
 use pmc::apps::kvserve::{run_serve, run_serve_session, KvServe, KvServeParams};
 use pmc::apps::loadgen::{self, ArrivalDist, LoadGenParams};
 use pmc::runtime::{monitor, BackendKind, RunConfig};
-use pmc::sim::EngineKind;
 
 fn small_load() -> LoadGenParams {
     LoadGenParams {
@@ -47,32 +46,23 @@ fn serving_runs_are_deterministic_in_the_seed() {
 /// [`engines_agree_on_every_backend`], in `BackendKind::ALL` order:
 /// [`digest`] of (latencies, served, trace, checksum), captured while
 /// the turnstile still ran and was asserted equal to the event heap
-/// field by field. Re-pin (the failing assertion prints the new value)
-/// only for a deliberate timing-model change, and say so in CHANGES.md.
+/// field by field (the commit before its deletion). Re-pin (the failing
+/// assertion prints the new values) only for a deliberate timing-model
+/// change, and say so in CHANGES.md.
 const SERVE_REFERENCE: [u64; 4] =
     [0xfdad6dd7f0429e90, 0x606eb4c3b5c69e80, 0xb39d4bba2893eea5, 0x06163c21fda58c47];
 
-/// The threaded turnstile and the discrete-event engine serve the same
-/// schedule identically: per-request latencies, served counts, traces
-/// and checksums all match, on every back-end.
+/// The discrete-event engine serves the schedule exactly as the
+/// thread-per-tile turnstile did: per-request latencies, served counts,
+/// traces and checksums all digest to the pinned reference, on every
+/// back-end.
 #[test]
 fn engines_agree_on_every_backend() {
     let params = KvServeParams { load: small_load(), mailbox_depth: 8, migrate_at: None };
     let now = BackendKind::ALL.map(|backend| {
-        let run = |engine| {
-            let session = RunConfig::new(backend)
-                .n_tiles(KvServe::tiles_needed(&params))
-                .trace(true)
-                .engine(engine)
-                .session();
-            run_serve_session(&session, &params)
-        };
-        let t = run(EngineKind::Threaded);
-        let d = run(EngineKind::DiscreteEvent);
-        assert_eq!(t.latencies, d.latencies, "{backend:?}: latencies differ across engines");
-        assert_eq!(t.served, d.served, "{backend:?}");
-        assert_eq!(t.trace, d.trace, "{backend:?}: traces differ across engines");
-        assert_eq!(t.checksum, d.checksum, "{backend:?}");
+        let session =
+            RunConfig::new(backend).n_tiles(KvServe::tiles_needed(&params)).trace(true).session();
+        let d = run_serve_session(&session, &params);
         digest(&[&d.latencies, &d.served, &d.trace, &d.checksum])
     });
     assert!(now == SERVE_REFERENCE, "no longer the pinned reference: now {now:#018x?}");
