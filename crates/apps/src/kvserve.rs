@@ -32,8 +32,8 @@
 //!
 //! A COPY that sources a migrated shard reads that shard's
 //! pre-migration home — the synthetic workload tolerates the stale
-//! read; what matters here is that every back-end and engine computes
-//! the *same* deterministic outcome.
+//! read; what matters here is that every back-end computes the *same*
+//! deterministic outcome.
 
 use pmc_runtime::{MFifo, Obj, ObjVec, PmcCtx, Pod, Program, RunConfig, Session, Slab, System};
 use pmc_soc_sim::telemetry::{MetricsRegistry, TelemetryReport};
@@ -411,7 +411,7 @@ impl ServeReport {
 }
 
 /// Run the serving workload on a [`Session`]'s axes (backend, lock,
-/// topology, engine, telemetry, controllers). Deterministic: the same
+/// topology, telemetry, controllers). Deterministic: the same
 /// session axes and parameters give a bit-identical [`ServeReport`].
 pub fn run_serve_session(session: &Session, params: &KvServeParams) -> ServeReport {
     let need = KvServe::tiles_needed(params);
@@ -430,8 +430,7 @@ pub fn run_serve_session(session: &Session, params: &KvServeParams) -> ServeRepo
     let served = app.served_counts(&sys);
     let checksum = app.checksum(&sys);
     let links = sys.soc().link_report();
-    let trace =
-        if cfg.trace || cfg.telemetry.enabled { sys.soc().take_trace() } else { Vec::new() };
+    let trace = sys.soc().take_trace();
     let telemetry = sys.soc().take_telemetry();
     let engine_stats = sys.soc().engine_stats();
     let metrics = MetricsRegistry::from_trace(&trace);

@@ -70,16 +70,16 @@ pub struct AppReport {
     /// Cycle-level telemetry streams (empty unless the session enabled
     /// telemetry: `RunConfig::telemetry(true)`).
     pub telemetry: TelemetryReport,
-    /// Annotation trace with runtime span records (empty unless the
-    /// session enabled telemetry or tracing).
+    /// Annotation trace: protocol records when the session traces, runtime
+    /// span records when it enables telemetry — each family follows its
+    /// own switch (empty when both are off).
     pub trace: Vec<TraceRecord>,
     /// The exact simulator configuration the run used — what
     /// [`pmc_soc_sim::telemetry::perfetto_json`] needs to lay out the
     /// exported timeline.
     pub cfg: SocConfig,
-    /// Discrete-event scheduler counters (`None` under the threaded
-    /// engine): heap events, task handoffs, peak queue depth — the state
-    /// counts the scale benchmark pins.
+    /// Discrete-event scheduler counters: heap events, task handoffs,
+    /// peak queue depth — the state counts the scale benchmark pins.
     pub engine_stats: Option<EngineStats>,
 }
 
@@ -88,7 +88,7 @@ pub struct AppReport {
 /// cannot know about the applications built on top of it.
 pub trait SessionWorkload {
     /// Run `workload` on this session's axes — back-end, lock, topology,
-    /// telemetry, engine — and return the checksummed [`AppReport`].
+    /// telemetry — and return the checksummed [`AppReport`].
     /// Workload runs need a tile count: either `RunConfig::n_tiles(..)`
     /// or a mesh topology (whose area is the count). Deterministic: the
     /// same session axes and arguments ⇒ a bit-identical report.
@@ -103,7 +103,7 @@ impl SessionWorkload for Session {
 
 /// Run `workload` on `backend` with `n_tiles` cores over the ring — the
 /// common case of the unified surface, kept as a convenience wrapper.
-/// For the other axes (topology, telemetry, engine) build the
+/// For the other axes (topology, telemetry) build the
 /// [`RunConfig`] yourself and use [`SessionWorkload::workload`].
 ///
 /// ```
@@ -205,7 +205,7 @@ fn run_workload_session(
         }
     };
     let links = sys.soc().link_report();
-    let trace = if cfg.trace { sys.soc().take_trace() } else { Vec::new() };
+    let trace = sys.soc().take_trace();
     let telemetry = sys.soc().take_telemetry();
     let engine_stats = sys.soc().engine_stats();
     AppReport { workload, backend, report, checksum, links, telemetry, trace, cfg, engine_stats }
@@ -300,5 +300,25 @@ mod tests {
         assert_eq!(a.checksum, b.checksum);
         assert_eq!(a.report.makespan, b.report.makespan);
         assert_eq!(format!("{:?}", a.report.per_core), format!("{:?}", b.report.per_core));
+    }
+
+    /// Telemetry without tracing still reports its span records (they
+    /// used to be dropped with the protocol trace), and only those; with
+    /// both switches off the trace is empty.
+    #[test]
+    fn span_records_follow_telemetry_not_trace() {
+        let run = |telemetry| {
+            RunConfig::new(BackendKind::Swcc)
+                .n_tiles(2)
+                .telemetry(telemetry)
+                .trace(false)
+                .session()
+                .workload(Workload::MotionEst, WorkloadParams::Tiny)
+        };
+        let r = run(true);
+        let (spans, _open) = pmc_soc_sim::telemetry::pair_spans(&r.trace).expect("spans nest");
+        assert!(!spans.is_empty(), "span records lost");
+        assert!(r.trace.iter().all(|rec| rec.is_span()), "protocol records without tracing");
+        assert!(run(false).trace.is_empty());
     }
 }

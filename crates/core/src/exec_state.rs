@@ -83,10 +83,6 @@ impl ModelState {
         self.exec.ensure_init(v, value)
     }
 
-    pub fn lock_holder(&self, v: LocId) -> Option<ProcId> {
-        self.locks.get(&v).copied()
-    }
-
     pub fn can_acquire(&self, v: LocId) -> bool {
         !self.locks.contains_key(&v)
     }

@@ -14,21 +14,18 @@ use crate::op::{LocId, Op, OpId, OpKind, ProcId};
 use crate::order::{OrderKind, View};
 use crate::table1::{rules_for_existing, Rule, RuleScope};
 
-/// How exhaustively Table I is applied on each append.
+/// How Table I is applied on each append. There is one way — `Full`:
+/// edges are added from **every** matching existing operation, exactly
+/// as Definition 4 states (quadratic; executions are litmus-sized).
 ///
-/// * `Full` — edges are added from **every** matching existing operation,
-///   exactly as Definition 4 states. Quadratic; use for litmus-sized
-///   executions and for conformance tests.
-/// * `Reduced` — edges are added only from the *latest* matching operation
-///   of each row. All elided edges are transitively implied (matching
-///   operations of each row form chains under `≺`), except for
-///   fence→fence-adjacent corner cases that carry no observable semantics
-///   (fences have no values); see the `reduced_equals_full_closure`
-///   property test.
+/// The enum, and the parameter of [`Execution::new`] and
+/// `ModelState::new`, survive the `Reduced` (latest-match-only) mode
+/// they once selected only because the frozen benchmark
+/// (`pmcbench/src/probes.rs`) and `table1` spell
+/// `Execution::new(EdgeMode::Full)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeMode {
     Full,
-    Reduced,
 }
 
 /// An ordering edge `from ≺ to` with its kind. `from` always precedes `to`
@@ -38,26 +35,6 @@ pub struct Edge {
     pub from: OpId,
     pub to: OpId,
     pub kind: OrderKind,
-}
-
-/// Per-(process, location) bookkeeping for `Reduced` mode.
-#[derive(Debug, Default, Clone)]
-struct Frontier {
-    last_read: Option<OpId>,
-    last_write: Option<OpId>,
-    last_acquire: Option<OpId>,
-    last_release: Option<OpId>,
-    /// Latest DMA marker (issue or complete) — the markers chain, so one
-    /// slot covers both kinds.
-    last_dma: Option<OpId>,
-}
-
-impl Frontier {
-    fn candidates(&self) -> impl Iterator<Item = OpId> {
-        [self.last_read, self.last_write, self.last_acquire, self.last_release, self.last_dma]
-            .into_iter()
-            .flatten()
-    }
 }
 
 /// An execution `E = (P, V, O, ≺)` under construction (paper
@@ -71,20 +48,13 @@ pub struct Execution {
     preds: Vec<Vec<(OpId, OrderKind)>>,
     /// Outgoing edges per op (to newer ops only).
     succs: Vec<Vec<(OpId, OrderKind)>>,
-    mode: EdgeMode,
     /// Initial op per location (created lazily).
     init: HashMap<LocId, OpId>,
-    /// All ops per location (for `Full` mode matching); fences are not
-    /// included here.
+    /// All ops per location (rule matching); fences are not included
+    /// here.
     by_loc: HashMap<LocId, Vec<OpId>>,
-    /// All fences per process (for `Full` mode matching).
+    /// All fences per process (rule matching).
     fences_by_proc: HashMap<ProcId, Vec<OpId>>,
-    /// Latest matching ops for `Reduced` mode.
-    frontier: HashMap<(ProcId, LocId), Frontier>,
-    /// Latest release per location by any process (for `≺S`).
-    last_release_any: HashMap<LocId, OpId>,
-    /// Latest fence per process.
-    last_fence: HashMap<ProcId, OpId>,
 }
 
 impl Default for Execution {
@@ -94,23 +64,15 @@ impl Default for Execution {
 }
 
 impl Execution {
-    pub fn new(mode: EdgeMode) -> Self {
+    pub fn new(_mode: EdgeMode) -> Self {
         Execution {
             ops: Vec::new(),
             preds: Vec::new(),
             succs: Vec::new(),
-            mode,
             init: HashMap::new(),
             by_loc: HashMap::new(),
             fences_by_proc: HashMap::new(),
-            frontier: HashMap::new(),
-            last_release_any: HashMap::new(),
-            last_fence: HashMap::new(),
         }
-    }
-
-    pub fn mode(&self) -> EdgeMode {
-        self.mode
     }
 
     pub fn len(&self) -> usize {
@@ -192,11 +154,7 @@ impl Execution {
             self.ensure_init(op.loc, 0);
         }
         let id = self.push_raw(op);
-        match self.mode {
-            EdgeMode::Full => self.apply_rules_full(id),
-            EdgeMode::Reduced => self.apply_rules_reduced(id),
-        }
-        self.update_frontier(id);
+        self.apply_rules_full(id);
         id
     }
 
@@ -274,83 +232,6 @@ impl Execution {
         candidates.dedup();
         for existing in candidates {
             self.apply_rule_if_matching(existing, new);
-        }
-    }
-
-    fn apply_rules_reduced(&mut self, new: OpId) {
-        let n = self.ops[new.index()];
-        let mut candidates: Vec<OpId> = Vec::new();
-        if n.kind == OpKind::Fence {
-            // Rows read/write/acquire/release of the same process on every
-            // location it touched.
-            let keys: Vec<(ProcId, LocId)> = self
-                .frontier
-                .keys()
-                .copied()
-                .filter(|(p, _)| *p == n.proc || *p == crate::op::PROC_ALL)
-                .collect();
-            for key in keys {
-                candidates.extend(self.frontier[&key].candidates());
-            }
-            // Init ops count as writes/releases by every process.
-            for (&_v, &init) in &self.init {
-                candidates.push(init);
-            }
-        } else {
-            if let Some(f) = self.frontier.get(&(n.proc, n.loc)) {
-                candidates.extend(f.candidates());
-            }
-            // Init op of this location (write+release by all processes).
-            if let Some(&init) = self.init.get(&n.loc) {
-                candidates.push(init);
-            }
-            // ≺S: latest release on the location by any process.
-            if n.kind == OpKind::Acquire {
-                if let Some(&rel) = self.last_release_any.get(&n.loc) {
-                    candidates.push(rel);
-                }
-            }
-        }
-        // Fence row: latest fence of the process.
-        if let Some(&f) = self.last_fence.get(&n.proc) {
-            candidates.push(f);
-        }
-        candidates.sort_unstable_by_key(|id| id.0);
-        candidates.dedup();
-        candidates.retain(|id| *id != new);
-        for existing in candidates {
-            self.apply_rule_if_matching(existing, new);
-        }
-    }
-
-    fn update_frontier(&mut self, id: OpId) {
-        let op = self.ops[id.index()];
-        match op.kind {
-            OpKind::Fence => {
-                self.last_fence.insert(op.proc, id);
-            }
-            OpKind::Init => {
-                // Counts as latest write and release on the location until
-                // real ones arrive; recorded under the pseudo-process key.
-                let f = self.frontier.entry((op.proc, op.loc)).or_default();
-                f.last_write = Some(id);
-                f.last_release = Some(id);
-                self.last_release_any.entry(op.loc).or_insert(id);
-            }
-            kind => {
-                let f = self.frontier.entry((op.proc, op.loc)).or_default();
-                match kind {
-                    OpKind::Read => f.last_read = Some(id),
-                    OpKind::Write => f.last_write = Some(id),
-                    OpKind::Acquire => f.last_acquire = Some(id),
-                    OpKind::Release => {
-                        f.last_release = Some(id);
-                        self.last_release_any.insert(op.loc, id);
-                    }
-                    OpKind::DmaIssue | OpKind::DmaComplete => f.last_dma = Some(id),
-                    _ => unreachable!(),
-                }
-            }
         }
     }
 
@@ -491,12 +372,6 @@ impl Execution {
             }
         }
         races
-    }
-
-    /// Sanity: the graph must be acyclic (guaranteed by construction since
-    /// edges point from older to newer ops). Returns the number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.preds.iter().map(|p| p.len()).sum()
     }
 }
 
@@ -716,57 +591,5 @@ mod tests {
         // write (they are ordered after the initial write).
         let readable = e.readable_writes(r);
         assert!(readable.contains(&w0) && readable.contains(&w1));
-    }
-
-    /// Reduced mode produces the same reachability relation as Full mode
-    /// on the paper's message-passing example.
-    #[test]
-    fn reduced_matches_full_on_fig5() {
-        let build = |mode| {
-            let mut e = Execution::new(mode);
-            e.ensure_init(X, 0);
-            let f = L(1);
-            e.ensure_init(f, 0);
-            e.acquire(P0, X);
-            e.write(P0, X, 42);
-            e.fence(P0);
-            e.release(P0, X);
-            e.acquire(P0, f);
-            e.write(P0, f, 1);
-            e.release(P0, f);
-            e.read(P1, f, 1);
-            e.fence(P1);
-            e.acquire(P1, X);
-            e.read(P1, X, 42);
-            e.release(P1, X);
-            e
-        };
-        let full = build(EdgeMode::Full);
-        let red = build(EdgeMode::Reduced);
-        assert_eq!(full.len(), red.len());
-        assert!(red.edge_count() <= full.edge_count());
-        for a in 0..full.len() as u32 {
-            for b in 0..full.len() as u32 {
-                for view in [View::Global, View::Proc(P0), View::Proc(P1)] {
-                    assert_eq!(
-                        full.reaches(OpId(a), OpId(b), view),
-                        red.reaches(OpId(a), OpId(b), view),
-                        "reachability mismatch {a}->{b} in {view:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Graph growth: executing n ops in reduced mode adds O(n) edges,
-    /// not O(n^2) (the polling-loop case that motivates reduced mode).
-    #[test]
-    fn reduced_mode_is_linear_for_polling() {
-        let mut e = Execution::new(EdgeMode::Reduced);
-        for _ in 0..1000 {
-            e.read(P0, X, 0);
-        }
-        // Each read links to the previous read (and the first to init).
-        assert!(e.edge_count() <= 2 * e.len());
     }
 }

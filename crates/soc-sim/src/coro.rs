@@ -570,15 +570,13 @@ mod tests {
                                     Go::Abort => panic!("aborted"),
                                 }
                             }));
-                            match caught {
-                                Ok(()) => TaskYield::Done,
-                                Err(_) => TaskYield::Panicked,
-                            }
+                            TaskYield::Finished(Box::new(caught.map(|()| Default::default())))
                         });
                         let first = task.resume(Go::Run { horizon: (0, 0) });
                         assert!(matches!(first, TaskYield::Ready { at: 5 }));
                         assert!(!unwound.load(Ordering::SeqCst));
-                        assert!(matches!(task.resume(Go::Abort), TaskYield::Panicked));
+                        let last = task.resume(Go::Abort);
+                        assert!(matches!(last, TaskYield::Finished(result) if result.is_err()));
                     });
                     assert!(unwound.load(Ordering::SeqCst));
                 }

@@ -1,50 +1,53 @@
-//! The discrete-event execution engine — the only one.
+//! The discrete-event execution engine — one loop, `engine::run`.
 //!
 //! ## Architecture
 //!
-//! A single scheduler loop owns a min-heap of timestamped component
+//! A single scheduler loop owns a min-heap of `(virtual_time, tile)`
 //! events and drives global virtual time deterministically: pop the
-//! earliest `(time, component)` entry, tick that component, reinsert it
-//! at its next event time. Components implement [`Component`] —
-//! `next_tick()` announces when the component next needs to act,
-//! `tick()` performs the action. This is the scheduler/driver split of
-//! classic discrete-event simulation (and of the related repos' sched
-//! cores): *what* happens lives in the component, *when* lives in the
-//! engine.
+//! earliest entry, resume that tile, push the time it announces for its
+//! next action. *What* happens lives in the tile program, *when* lives
+//! in the loop; heap membership is the whole scheduling state of a tile
+//! (in it: parked, its next action announced; else running or finished).
 //!
-//! The components of the simulated SoC map onto the trait as follows:
-//!
-//! * **Cores** are the active components: each tile program runs as a
-//!   *stackful coroutine* (`CoreTask`, over the private `coro` module)
-//!   with a stack of its own, so the blocking `Cpu` API (and the whole
-//!   annotation runtime above it) runs unchanged. A handoff is a
-//!   user-space stack switch: the scheduler loop and every tile program
-//!   run on the thread that called `Soc::run`, one at a time, so the
-//!   run is single-threaded and deterministic by construction. (Where
-//!   `coro` has no stack switch for the target, a task is a parked OS
-//!   thread resumed by rendezvous instead; exactly one of them is
-//!   runnable at any moment, so nothing else changes.)
+//! * **Tiles are the only active parts.** Each tile program runs as a
+//!   *stackful coroutine* (a `coro` task) with a stack of its own, so
+//!   the blocking `Cpu` API (and the whole annotation runtime above it)
+//!   runs unchanged. A handoff is a user-space stack switch: the loop
+//!   and every tile program run on the thread that called `Soc::run`,
+//!   one at a time, so the run is single-threaded and deterministic by
+//!   construction. (Where `coro` has no stack switch for the target, a
+//!   task is a parked OS thread resumed by rendezvous instead; exactly
+//!   one of them is runnable at any moment, so nothing else changes.)
 //! * **NoC links, per-tile DMA engines and the SDRAM controller** are
 //!   *passive* busy-until resources: their schedules are computed at
 //!   issue time (`Noc::reserve_path`, `DmaEngine::issue`,
 //!   `reserve_sdram`) and their in-flight effects are timestamped
 //!   packets applied in arrival order at commit points. They need no
 //!   heap entries of their own — every instant at which they could
-//!   change observable state is already a core commit point — but any
-//!   future *active* component (an open-loop load generator, a
-//!   preemption injector) plugs into the same [`Component`] trait.
+//!   change observable state is already a tile's commit point.
+//! * **Results travel with the handoff.** A task's last yield carries
+//!   what its tile produced — counters, final clock and telemetry, or
+//!   the panic payload — and the loop returns them all: nothing about a
+//!   run is left in a side slot for the caller to collect.
 //!
 //! ## The horizon optimisation
 //!
-//! A resumed task does not yield back after a single action: the engine
-//! hands it the current *horizon* — the earliest `(time, id)` event of
-//! any other component — and the task keeps committing actions while
-//! its own `(clock, tile)` stays strictly below that horizon. Other
-//! components cannot change their announced times while the task runs
-//! (only a ticking component moves its own clock), so the horizon is
-//! stable and the global `(virtual_time, tile)` commit order is
-//! preserved exactly. Consecutive actions by the same tile — the common
-//! case — cost zero handoffs.
+//! A resumed task does not yield back after a single action: the loop
+//! hands it the current *horizon* — the earliest `(time, tile)` event of
+//! any other tile — and the task keeps committing actions while its own
+//! `(clock, tile)` stays strictly below that horizon. Parked tiles
+//! cannot change their announced times while the task runs, so the
+//! horizon is stable and the global `(virtual_time, tile)` commit order
+//! is preserved exactly. Consecutive actions by the same tile — the
+//! common case — cost zero handoffs.
+//!
+//! ## Abort
+//!
+//! A tile program that panics finishes its task with the payload. The
+//! loop keeps the *first* it sees — in `(virtual_time, tile)` order, not
+//! the lowest tile — and from then on answers every event with an abort:
+//! the parked task panics out of its yield point, its destructors run,
+//! and its own (secondary) payload is dropped.
 //!
 //! ## The contract
 //!
@@ -56,17 +59,19 @@
 //! `tests/serve.rs` pin digests of its outcomes, traces, counters and
 //! latencies, captured while it still ran and was asserted equal.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::coro::{Suspender, Task};
+use crate::counters::Counters;
+use crate::telemetry::TelemetryEvent;
 
-/// A `(virtual_time, component_id)` scheduling bound: a task may commit
-/// actions while its own `(clock, tile)` is strictly below the horizon.
+/// A `(virtual_time, tile)` scheduling bound: a task may commit actions
+/// while its own `(clock, tile)` is strictly below the horizon.
 pub type Horizon = (u64, usize);
 
-/// The horizon when no other component has a pending event: run to
+/// The horizon when no other tile has a pending event: run to
 /// completion without yielding.
 pub const HORIZON_NONE: Horizon = (u64::MAX, usize::MAX);
 
@@ -78,15 +83,29 @@ pub(crate) enum Go {
     Abort,
 }
 
+/// What a tile program that returned leaves behind (`Cpu::finish`).
+#[derive(Default)]
+pub(crate) struct TileResult {
+    pub(crate) counters: Counters,
+    /// The tile's final local clock.
+    pub(crate) clock: u64,
+    /// The core-side telemetry stream and its ring-drop count.
+    pub(crate) telemetry: (Vec<TelemetryEvent>, u64),
+}
+
 /// Task → engine yield message.
 pub(crate) enum TaskYield {
     /// The task's next globally visible action is at virtual time `at`.
     Ready { at: u64 },
-    /// The tile program returned; its counters are recorded.
-    Done,
-    /// The tile program panicked; the payload is in the `Soc` slot.
-    Panicked,
+    /// The task's last yield: what the tile program produced, or the
+    /// payload it panicked with.
+    Finished(Box<std::thread::Result<TileResult>>),
 }
+
+// `TaskYield` crosses the task boundary on every handoff: carrying the
+// ~200-byte `TileResult` inline measurably slowed whole runs, so the
+// once-per-task result stays behind a pointer.
+const _: () = assert!(std::mem::size_of::<TaskYield>() <= 16);
 
 /// The task-side half of the engine⇄task handoff, owned by the tile's
 /// `Cpu`. `ensure_turn` is the coroutine yield point: it suspends the
@@ -99,8 +118,8 @@ pub(crate) struct TaskPort<'t> {
 }
 
 impl<'t> TaskPort<'t> {
-    /// `first` is the message the task was started with
-    /// ([`CoreTask::collect_first`]).
+    /// `first` is the message the task was started with (the start-up
+    /// round of [`run`]).
     pub(crate) fn new(suspender: &'t Suspender<Go, TaskYield>, first: Go, tile: usize) -> Self {
         let mut port = TaskPort { suspender, horizon: (0, 0) };
         port.accept(first, tile);
@@ -138,226 +157,141 @@ pub struct EngineStats {
     /// Heap events processed (scheduler loop iterations).
     pub events: u64,
     /// Engine⇄task handoffs (resume + yield pairs). Always
-    /// ≤ `events`; the gap is horizon-elided handoffs plus abort/done
-    /// bookkeeping.
+    /// ≤ `events`; the gap is the events answered with an abort.
     pub handoffs: u64,
-    /// Peak event-heap depth (bounded by the number of live components).
+    /// Peak event-heap depth (bounded by the number of tiles).
     pub peak_queue: usize,
 }
 
-/// A schedulable simulation component.
+/// Everything one [`run`] produced.
+pub(crate) struct RunOutcome {
+    pub(crate) stats: EngineStats,
+    /// Per task, in task order: `Some` iff its program returned.
+    pub(crate) results: Vec<Option<TileResult>>,
+    /// The first panic in `(virtual_time, tile)` order, with its tile.
+    pub(crate) panic: Option<(usize, Box<dyn Any + Send>)>,
+}
+
+impl RunOutcome {
+    /// A task's yield either re-enters the heap or closes its tile.
+    fn settle(&mut self, heap: &mut BinaryHeap<Reverse<Horizon>>, tile: usize, y: TaskYield) {
+        match y {
+            TaskYield::Ready { at } => heap.push(Reverse((at, tile))),
+            TaskYield::Finished(result) => match *result {
+                Ok(result) => self.results[tile] = Some(result),
+                Err(payload) => {
+                    // Keep the original panic; a peer's abort unwind is noise.
+                    self.panic.get_or_insert((tile, payload));
+                }
+            },
+        }
+        self.stats.peak_queue = self.stats.peak_queue.max(heap.len());
+    }
+}
+
+/// Drive `tasks` — task `i` is tile `i`, which makes the heap's
+/// tie-break the contract's `(clock, tile)` — until all have finished.
 ///
-/// The contract: `next_tick()` returns the virtual time of the
-/// component's next event (`None` once it is finished and should leave
-/// the schedule); `tick()` performs everything the component does at
-/// that time and updates its own `next_tick()`. A component must never
-/// move backwards — `next_tick()` after a tick at time `t` must be
-/// `≥ t` (debug-asserted by the engine).
-pub trait Component {
-    /// Virtual time of the next event, or `None` when retired.
-    fn next_tick(&self) -> Option<u64>;
-    /// Act at the current event time. `ctx` exposes the scheduling
-    /// horizon and the run statistics.
-    fn tick(&mut self, ctx: &mut EngineCtx);
-}
-
-/// The engine state a ticking component may consult: the event heap
-/// (as a horizon) and the run statistics. Kept separate from the
-/// component list so `tick(&mut self, ctx)` borrows cleanly.
-pub struct EngineCtx {
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Statistics accumulated over the run.
-    pub stats: EngineStats,
-}
-
-impl EngineCtx {
-    /// The earliest pending event of any *other* component (the ticking
-    /// component's own entry is popped before `tick` runs).
-    pub fn horizon(&self) -> Horizon {
-        self.heap.peek().map_or(HORIZON_NONE, |&Reverse(e)| e)
+/// In-flight packets (posted writes racing a finished program) may
+/// still be queued when the loop ends; `Soc::run` drains them after
+/// this returns, so host-side readback sees the completed run.
+pub(crate) fn run(tasks: &mut [Task<'_, Go, TaskYield>]) -> RunOutcome {
+    let mut out = RunOutcome {
+        stats: EngineStats::default(),
+        results: tasks.iter().map(|_| None).collect(),
+        panic: None,
+    };
+    let mut heap = BinaryHeap::with_capacity(tasks.len());
+    // The `(0, 0)` horizon is below every `(clock, tile)`, so the first
+    // action always yields: every task announces its first event (or
+    // finishes) before the loop starts.
+    for (tile, task) in tasks.iter_mut().enumerate() {
+        let first = task.resume(Go::Run { horizon: (0, 0) });
+        out.settle(&mut heap, tile, first);
     }
-}
-
-/// The discrete-event scheduler: a component list plus the min-heap of
-/// their pending events, processed in `(time, component_id)` order.
-///
-/// Component ids are assigned densely in [`Engine::add`] order; ties at
-/// equal times resolve to the lowest id, so registering core tasks in
-/// tile order makes the tie-break the contract's `(clock, tile)`.
-pub struct Engine<'c> {
-    ctx: EngineCtx,
-    components: Vec<Box<dyn Component + 'c>>,
-}
-
-impl<'c> Engine<'c> {
-    pub fn new() -> Self {
-        Engine {
-            ctx: EngineCtx { heap: BinaryHeap::new(), stats: EngineStats::default() },
-            components: Vec::new(),
-        }
-    }
-
-    /// Register a component; returns its dense id (= tie-break rank).
-    pub fn add(&mut self, c: Box<dyn Component + 'c>) -> usize {
-        self.components.push(c);
-        self.components.len() - 1
-    }
-
-    /// Drive the event loop until no component has a pending event.
-    ///
-    /// In-flight packets (posted writes racing a finished program) may
-    /// still be queued when the loop ends; `Soc::run` drains them after
-    /// the loop returns, so host-side readback sees the completed run.
-    pub fn run(mut self) -> EngineStats {
-        for (i, c) in self.components.iter().enumerate() {
-            if let Some(t) = c.next_tick() {
-                self.ctx.heap.push(Reverse((t, i)));
-            }
-        }
-        self.ctx.stats.peak_queue = self.ctx.heap.len();
-        while let Some(Reverse((t, i))) = self.ctx.heap.pop() {
-            self.ctx.stats.events += 1;
-            self.components[i].tick(&mut self.ctx);
-            if let Some(next) = self.components[i].next_tick() {
-                debug_assert!(next >= t, "component {i} scheduled backwards: {next} < {t}");
-                self.ctx.heap.push(Reverse((next, i)));
-                self.ctx.stats.peak_queue = self.ctx.stats.peak_queue.max(self.ctx.heap.len());
-            }
-        }
-        self.ctx.stats
-    }
-}
-
-impl Default for Engine<'_> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Scheduling state of a [`CoreTask`].
-enum TaskState {
-    /// Spawned; first yield not yet collected.
-    Pending,
-    /// Parked, next action announced at this virtual time.
-    Ready(u64),
-    /// Program returned or unwound; off the schedule.
-    Done,
-}
-
-/// The engine-side handle of one tile's coroutine task: the tile program
-/// running against the blocking `Cpu` API, resumed at each scheduled
-/// event.
-pub(crate) struct CoreTask<'a> {
-    task: Task<'a, Go, TaskYield>,
-    /// Set by any panicking task (via `Soc::abort`); ticking a parked
-    /// task under an abort unwinds it instead of running it.
-    aborted: &'a AtomicBool,
-    state: TaskState,
-}
-
-impl<'a> CoreTask<'a> {
-    pub(crate) fn new(task: Task<'a, Go, TaskYield>, aborted: &'a AtomicBool) -> Self {
-        CoreTask { task, aborted, state: TaskState::Pending }
-    }
-
-    /// Start the task and run it to its first yield — its first action
-    /// time, or an immediate completion. The `(0, 0)` horizon is below
-    /// every `(clock, tile)`, so the first action always yields: every
-    /// task announces its first event before the loop starts. Called
-    /// once per task, in tile order.
-    pub(crate) fn collect_first(&mut self) {
-        debug_assert!(matches!(self.state, TaskState::Pending));
-        self.resume(Go::Run { horizon: (0, 0) });
-    }
-
-    fn resume(&mut self, go: Go) {
-        self.state = match self.task.resume(go) {
-            TaskYield::Ready { at } => TaskState::Ready(at),
-            TaskYield::Done | TaskYield::Panicked => TaskState::Done,
+    while let Some(Reverse((at, tile))) = heap.pop() {
+        out.stats.events += 1;
+        let go = if out.panic.is_some() {
+            // The parked task panics out of its yield point.
+            Go::Abort
+        } else {
+            out.stats.handoffs += 1;
+            Go::Run { horizon: heap.peek().map_or(HORIZON_NONE, |&Reverse(e)| e) }
         };
-    }
-}
-
-impl Component for CoreTask<'_> {
-    fn next_tick(&self) -> Option<u64> {
-        match self.state {
-            TaskState::Ready(at) => Some(at),
-            TaskState::Pending | TaskState::Done => None,
+        let next = tasks[tile].resume(go);
+        if let TaskYield::Ready { at: next } = next {
+            debug_assert!(next >= at, "tile {tile} scheduled backwards: {next} < {at}");
         }
+        out.settle(&mut heap, tile, next);
     }
-
-    fn tick(&mut self, ctx: &mut EngineCtx) {
-        if self.aborted.load(Ordering::SeqCst) {
-            // Unwind the parked task (it panics out of its yield point)
-            // and drain its final report.
-            let _ = self.task.resume(Go::Abort);
-            self.state = TaskState::Done;
-            return;
-        }
-        ctx.stats.handoffs += 1;
-        self.resume(Go::Run { horizon: ctx.horizon() });
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
+    use crate::coro;
+    use std::sync::Mutex;
+    use std::thread::Scope;
 
-    /// A synthetic component ticking at a fixed period for `n` events,
-    /// appending its id to a shared log.
-    struct Metronome {
-        id: usize,
-        period: u64,
-        at: u64,
-        left: u32,
-        log: Rc<Cell<Vec<(u64, usize)>>>,
+    type Log = Mutex<Vec<(u64, usize)>>;
+
+    /// Tile `tile` acting `n` times, `period` cycles apart from `start`,
+    /// logging each action as it is granted.
+    fn metronome<'s>(
+        scope: &'s Scope<'s, '_>,
+        log: &'s Log,
+        tile: usize,
+        (start, period, n): (u64, u64, u64),
+    ) -> Task<'s, Go, TaskYield> {
+        coro::spawn(scope, tile, move |suspender, first| {
+            let mut port = TaskPort::new(suspender, first, tile);
+            for at in (0..n).map(|k| start + k * period) {
+                port.ensure_turn(at, tile);
+                log.lock().unwrap().push((at, tile));
+            }
+            TaskYield::Finished(Box::new(Ok(TileResult { clock: start, ..Default::default() })))
+        })
     }
 
-    impl Component for Metronome {
-        fn next_tick(&self) -> Option<u64> {
-            (self.left > 0).then_some(self.at)
-        }
-        fn tick(&mut self, _ctx: &mut EngineCtx) {
-            let mut log = self.log.take();
-            log.push((self.at, self.id));
-            self.log.set(log);
-            self.left -= 1;
-            self.at += self.period;
-        }
-    }
-
-    /// Events fire in global `(time, id)` order regardless of
-    /// registration interleaving, and the stats count them.
+    /// Actions are granted in global `(time, tile)` order, ties to the
+    /// lower tile, and every task hands its result back.
     #[test]
     fn heap_orders_events_by_time_then_id() {
-        let log = Rc::new(Cell::new(Vec::new()));
-        let mut eng = Engine::new();
-        for (id, (period, start)) in [(7u64, 0u64), (5, 3), (7, 0)].into_iter().enumerate() {
-            eng.add(Box::new(Metronome { id, period, at: start, left: 4, log: Rc::clone(&log) }));
-        }
-        let stats = eng.run();
-        let events = log.take();
-        assert_eq!(stats.events, 12);
-        assert_eq!(events.len(), 12);
-        let mut sorted = events.clone();
-        sorted.sort();
-        assert_eq!(events, sorted, "commit order must be (time, id)");
-        // Components 0 and 2 are identical metronomes: id breaks ties.
-        assert!(events.windows(2).all(|w| w[0] < w[1]));
-        assert!(stats.peak_queue <= 3);
+        let log = Log::default();
+        let out = std::thread::scope(|scope| {
+            let mut tasks: Vec<_> = [(0, 7, 4), (3, 5, 4), (0, 7, 4)]
+                .into_iter()
+                .enumerate()
+                .map(|(tile, beat)| metronome(scope, &log, tile, beat))
+                .collect();
+            run(&mut tasks)
+        });
+        let granted = log.into_inner().unwrap();
+        assert_eq!(granted.len(), 12);
+        // Tiles 0 and 2 are identical metronomes: the tile breaks ties,
+        // so the order is strict.
+        assert!(granted.windows(2).all(|w| w[0] < w[1]), "not in (time, tile) order: {granted:?}");
+        // A resume grants at least one action; the horizon elides the rest.
+        assert!(out.stats.events <= 12 && out.stats.handoffs == out.stats.events);
+        assert_eq!(out.stats.peak_queue, 3);
+        let clocks: Vec<u64> = out.results.iter().map(|r| r.as_ref().unwrap().clock).collect();
+        assert_eq!(clocks, [0, 3, 0]);
+        assert!(out.panic.is_none());
     }
 
-    /// A retired component (`next_tick` = None) leaves the schedule.
+    /// A task with nothing to do finishes in the start-up round: it
+    /// never enters the heap, and the other runs under no horizon.
     #[test]
     fn retired_components_leave_the_schedule() {
-        let log = Rc::new(Cell::new(Vec::new()));
-        let mut eng = Engine::new();
-        eng.add(Box::new(Metronome { id: 0, period: 1, at: 0, left: 2, log: Rc::clone(&log) }));
-        eng.add(Box::new(Metronome { id: 1, period: 1, at: 10, left: 0, log: Rc::clone(&log) }));
-        let stats = eng.run();
-        assert_eq!(stats.events, 2);
-        assert_eq!(log.take(), vec![(0, 0), (1, 0)]);
+        let log = Log::default();
+        let out = std::thread::scope(|scope| {
+            let mut tasks =
+                vec![metronome(scope, &log, 0, (0, 1, 2)), metronome(scope, &log, 1, (10, 1, 0))];
+            run(&mut tasks)
+        });
+        assert_eq!(log.into_inner().unwrap(), [(0, 0), (1, 0)]);
+        assert_eq!(out.stats, EngineStats { events: 1, handoffs: 1, peak_queue: 1 });
+        assert!(out.results.iter().all(Option::is_some));
     }
 }

@@ -7,8 +7,8 @@
 //! * SDRAM exposed through a cached window and an uncached alias;
 //! * per-tile local memories, readable locally, **write-only** remotely
 //!   via a posted-write NoC (paper Fig. 7);
-//! * remote test-and-set / fetch-and-add NoC atomics (the substrate of
-//!   the asymmetric distributed lock \[15\]);
+//! * a remote test-and-set NoC atomic (the substrate of the asymmetric
+//!   distributed lock \[15\]);
 //! * per-core cycle accounting in the stall categories of the paper's
 //!   Fig. 8, and a deterministic synthetic I-cache;
 //! * a single-threaded discrete-event scheduler that commits globally
@@ -53,7 +53,7 @@ pub use addr::Addr;
 pub use config::{CacheConfig, Latencies, SocConfig, Topology};
 pub use counters::{Counters, LinkReport, MemTag, PortReport, RunReport};
 pub use dma::{DmaDescriptor, DmaDir, DmaKind, DmaSeg, DmaStats};
-pub use engine::{Component, Engine, EngineStats};
+pub use engine::EngineStats;
 pub use mem::SdramPorts;
 pub use noc::LinkStat;
 pub use soc::{CoreProgram, Cpu, Soc};

@@ -117,11 +117,6 @@ impl SdramPorts {
         addr::controller_for(offset, self.tiles.len())
     }
 
-    /// The tile a controller's port is attached to.
-    pub fn tile_of(&self, ctrl: usize) -> usize {
-        self.tiles[ctrl]
-    }
-
     /// The tile whose controller owns a physical SDRAM offset — the NoC
     /// endpoint a transfer touching `offset` must route to or from.
     pub fn tile_for(&self, offset: u32) -> usize {

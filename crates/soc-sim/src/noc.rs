@@ -48,9 +48,6 @@ pub enum PacketKind {
     /// the old value is posted back into `reply_tile`'s local memory at
     /// `reply_offset` (the requester's mailbox).
     TestAndSet { offset: u32, reply_tile: usize, reply_offset: u32 },
-    /// Atomic fetch-and-add on a 32-bit word in the destination's local
-    /// memory; the old value is posted back like `TestAndSet`.
-    FetchAdd { offset: u32, delta: u32, reply_tile: usize, reply_offset: u32 },
     /// One burst of an asynchronous DMA transfer. The packet's
     /// destination is always the *issuing* tile; the far side is SDRAM
     /// ([`crate::dma::DmaKind::Sdram`]) or another tile's local memory
@@ -237,19 +234,13 @@ impl Noc {
         self.heap.peek().map(|p| p.arrive)
     }
 
-    /// Earliest in-flight completion-word write for `dst`'s completion
-    /// word at local-memory offset `done_offset` — the event a blocked
-    /// [`crate::soc::Cpu::dma_event_wait`] sleeps on. `None` when no
-    /// such write is in flight (every programmed transfer on the word's
-    /// channel has already landed).
-    pub fn next_completion_arrival(&self, dst: usize, done_offset: u32) -> Option<u64> {
-        self.next_completion_arrival_any(dst, &[done_offset])
-    }
-
-    /// [`Noc::next_completion_arrival`] across several completion words
-    /// in one heap pass — what a multi-watch event wait sleeps on
-    /// ([`crate::soc::Cpu::dma_event_wait_any`]); scanning once keeps
-    /// the cost independent of the watch count on busy interconnects.
+    /// Earliest in-flight completion-word write for any of `dst`'s
+    /// completion words at local-memory offsets `done_offsets` — the
+    /// event a blocked [`crate::soc::Cpu::dma_event_wait_any`] sleeps
+    /// on. `None` when no such write is in flight (every programmed
+    /// transfer on those words' channels has already landed). One heap
+    /// pass whatever the watch count, which keeps the cost independent
+    /// of it on busy interconnects.
     pub fn next_completion_arrival_any(&self, dst: usize, done_offsets: &[u32]) -> Option<u64> {
         self.heap
             .iter()

@@ -10,11 +10,15 @@
 //! fast path and only defer the publication of the core's clock; they
 //! are invisible to other tiles, so commit order is unaffected.
 //!
-//! One engine realises that order: a single-threaded min-heap event loop
-//! ([`crate::engine`]) resumes suspended core tasks one at a time at
-//! exactly their next action times — O(log n) scheduling, a handoff is
-//! a user-space stack switch on the caller's thread, thousands of tiles
-//! are practical.
+//! One loop realises that order ([`crate::engine`]): a single-threaded
+//! min-heap of `(virtual_time, tile)` events resumes suspended tile
+//! programs one at a time at exactly their next action times — O(log n)
+//! scheduling, a handoff is a user-space stack switch on the caller's
+//! thread, thousands of tiles are practical. The loop owns the run:
+//! each tile's counters, clock and telemetry (or its panic) come back
+//! with its last handoff and [`Soc::run`] gets them all as the loop's
+//! return value, so a [`Soc`] is its configuration plus one block of
+//! simulated state.
 //!
 //! **The commit-order contract** is the whole interface between the
 //! engine and everything above it, and it is checked where it is
@@ -59,7 +63,7 @@ use crate::config::SocConfig;
 use crate::coro;
 use crate::counters::{Counters, LinkReport, MemTag, PortReport, RunReport};
 use crate::dma::{DmaDescriptor, DmaDir, DmaEngine, DmaKind, DmaStats};
-use crate::engine::{CoreTask, Engine, EngineStats, TaskPort, TaskYield};
+use crate::engine::{self, EngineStats, TaskPort, TaskYield, TileResult};
 use crate::icache::ICache;
 use crate::mem::{ByteMem, SdramPorts};
 use crate::noc::{LinkStat, Noc, Packet, PacketKind};
@@ -83,11 +87,11 @@ struct Global {
     /// `(sdram_start, sdram_end, tag)`.
     tags: Vec<(u32, u32, MemTag)>,
     trace: Vec<TraceRecord>,
-    /// Final counters, collected as tiles finish.
-    finished: Vec<Option<(Counters, u64)>>,
-    /// Per-tile telemetry streams (events + drop count), collected as
-    /// tiles finish; interconnect-side events live in `noc.telem`.
+    /// Per-tile telemetry streams (events + drop count) of the last
+    /// run; interconnect-side events live in `noc.telem`.
     telem_tiles: Vec<(Vec<TelemetryEvent>, u64)>,
+    /// Scheduler statistics of the last run (`None` until one completes).
+    engine_stats: Option<EngineStats>,
 }
 
 impl Global {
@@ -166,20 +170,6 @@ impl Global {
                     self.noc.telem.instant(p.dst, p.arrive, EventKind::DmaCompletion { seq });
                 }
             }
-            PacketKind::FetchAdd { offset, delta, reply_tile, reply_offset } => {
-                let old = self.locals[p.dst].read_u32(offset);
-                self.locals[p.dst].write_u32(offset, old.wrapping_add(delta));
-                let arrive = self.noc.reserve_path(cfg, p.arrive, p.dst, reply_tile, 8);
-                let mut payload = Vec::with_capacity(8);
-                payload.extend_from_slice(&old.to_le_bytes());
-                payload.extend_from_slice(&1u32.to_le_bytes()); // reply-valid flag
-                self.noc.send(
-                    arrive,
-                    p.dst,
-                    reply_tile,
-                    PacketKind::Write { offset: reply_offset, data: payload },
-                );
-            }
         }
     }
 
@@ -203,15 +193,11 @@ impl Global {
 /// memories and region tags, then [`Soc::run`] one closure per tile.
 pub struct Soc {
     cfg: SocConfig,
+    /// Everything that changes, behind the one lock of the simulator.
+    /// It is never contended — a run is one logical thread — and exists
+    /// only because `coro`'s parked-thread fallback (targets without a
+    /// stack switch) runs tile programs on other OS threads.
     global: Mutex<Global>,
-    /// Set when a tile panicked: the engine unwinds every parked tile.
-    aborted: std::sync::atomic::AtomicBool,
-    /// The first panic payload and the tile it came from (re-raised
-    /// after all tiles unwound, so the caller sees the original message
-    /// rather than a secondary abort).
-    panic_payload: Mutex<Option<(usize, Box<dyn std::any::Any + Send + 'static>)>>,
-    /// Scheduler statistics of the last run (`None` until one completes).
-    engine_stats: Mutex<Option<EngineStats>>,
 }
 
 impl Soc {
@@ -230,28 +216,14 @@ impl Soc {
             ports: SdramPorts::new(cfg.controllers()),
             tags: Vec::new(),
             trace: Vec::new(),
-            finished: vec![None; cfg.n_tiles],
             telem_tiles: vec![(Vec::new(), 0); cfg.n_tiles],
+            engine_stats: None,
         };
-        Soc {
-            cfg,
-            global: Mutex::new(global),
-            aborted: std::sync::atomic::AtomicBool::new(false),
-            panic_payload: Mutex::new(None),
-            engine_stats: Mutex::new(None),
-        }
+        Soc { cfg, global: Mutex::new(global) }
     }
 
     pub fn config(&self) -> &SocConfig {
         &self.cfg
-    }
-
-    /// A tile program panicked: keep the first (original) payload —
-    /// secondary abort panics are noise — then mark the run aborted;
-    /// the engine unwinds parked peers at their next scheduled event.
-    fn abort(&self, tile: usize, payload: Box<dyn std::any::Any + Send + 'static>) {
-        lock_ignore_poison(&self.panic_payload).get_or_insert((tile, payload));
-        self.aborted.store(true, AtomicOrdering::SeqCst);
     }
 
     /// Tag an SDRAM offset range for stall attribution (shared vs.
@@ -348,22 +320,47 @@ impl Soc {
     /// Run one program per tile (programs beyond `n_tiles` are an error;
     /// tiles without a program idle at `done`). Returns per-core counters
     /// and the makespan. Panics propagate from core closures.
+    ///
+    /// Programs run as stackful coroutines under the one event loop
+    /// ([`crate::engine`]) on the calling thread — no OS thread is
+    /// spawned.
     pub fn run<'env>(&'env self, programs: Vec<CoreProgram<'env>>) -> RunReport {
         assert!(programs.len() <= self.cfg.n_tiles, "more programs than tiles");
+        // Memories persist across runs so callers can pre-initialise and
+        // post-inspect; the commit order starts over.
+        lock_ignore_poison(&self.global).last_commit = (0, 0);
+        // The scope is for targets where `coro` backs a task with a
+        // thread; with stack switching nothing is ever spawned in it.
+        let outcome = std::thread::scope(|scope| {
+            let spawn = |(tile, program): (usize, CoreProgram<'env>)| {
+                coro::spawn(scope, tile, move |suspender, first| {
+                    let mut cpu = Cpu::new(self, tile, TaskPort::new(suspender, first, tile));
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        program(&mut cpu)
+                    }));
+                    TaskYield::Finished(Box::new(result.map(|()| cpu.finish())))
+                })
+            };
+            let mut tasks: Vec<_> = programs.into_iter().enumerate().map(spawn).collect();
+            engine::run(&mut tasks)
+        });
+        // Tiles without a program, or whose program unwound, report zeros.
+        let mut results: Vec<TileResult> =
+            outcome.results.into_iter().map(Option::unwrap_or_default).collect();
+        results.resize_with(self.cfg.n_tiles, TileResult::default);
         {
-            // Reset scheduling state (memories persist across runs so
-            // callers can pre-initialise and post-inspect).
             let mut g = lock_ignore_poison(&self.global);
-            g.last_commit = (0, 0);
-            for t in 0..self.cfg.n_tiles {
-                g.finished[t] = None;
-                g.telem_tiles[t] = (Vec::new(), 0);
+            g.engine_stats = Some(outcome.stats);
+            g.telem_tiles = results.iter_mut().map(|r| std::mem::take(&mut r.telemetry)).collect();
+            if outcome.panic.is_none() {
+                // Deliver posted writes still in flight when the last
+                // program retired (e.g. a final `dsm_commit` broadcast
+                // racing program exit), so host-side `read_back` observes
+                // the completed run.
+                g.drain_packets(u64::MAX, &self.cfg);
             }
         }
-        self.aborted.store(false, AtomicOrdering::SeqCst);
-        *lock_ignore_poison(&self.engine_stats) = None;
-        self.run_event(programs);
-        if let Some((tile, payload)) = lock_ignore_poison(&self.panic_payload).take() {
+        if let Some((tile, payload)) = outcome.panic {
             // Tile programs share the caller's thread, so the panic hook
             // could not say which tile died: name it here.
             let msg = payload
@@ -375,67 +372,16 @@ impl Soc {
                 None => std::panic::resume_unwind(payload),
             }
         }
-        let mut g = lock_ignore_poison(&self.global);
-        // Deliver posted writes still in flight when the last program
-        // retired (e.g. a final `dsm_commit` broadcast racing program
-        // exit), so host-side `read_back` observes the completed run.
-        g.drain_packets(u64::MAX, &self.cfg);
-        let g = g;
-        let per_core: Vec<Counters> =
-            g.finished.iter().map(|f| f.map(|(c, _)| c).unwrap_or_default()).collect();
-        let makespan = g.finished.iter().flatten().map(|&(_, clock)| clock).max().unwrap_or(0);
-        RunReport { per_core, makespan }
+        RunReport {
+            per_core: results.iter().map(|r| r.counters).collect(),
+            makespan: results.iter().map(|r| r.clock).max().unwrap_or(0),
+        }
     }
 
     /// Scheduler statistics of the last [`Soc::run`] (`None` before the
     /// first run completes).
     pub fn engine_stats(&self) -> Option<EngineStats> {
-        *lock_ignore_poison(&self.engine_stats)
-    }
-
-    /// The discrete-event driver ([`crate::engine`]): programs run as
-    /// stackful coroutines ([`crate::coro`]); a single-threaded min-heap
-    /// loop resumes exactly one at a time in `(virtual_time, tile)`
-    /// order, on the calling thread — a handoff is a user-space stack
-    /// switch and no OS thread is spawned. Scheduling is O(log n) per
-    /// action, so 1000+-tile configurations are practical.
-    fn run_event<'env>(&'env self, programs: Vec<CoreProgram<'env>>) {
-        // The scope is for targets where `coro` backs a task with a
-        // thread; with stack switching nothing is ever spawned in it.
-        std::thread::scope(|scope| {
-            let mut tasks: Vec<CoreTask<'_>> = Vec::new();
-            for (tile, program) in programs.into_iter().enumerate() {
-                let soc = &*self;
-                let task = coro::spawn(scope, tile, move |suspender, first| {
-                    let mut cpu = Cpu::new(soc, tile, TaskPort::new(suspender, first, tile));
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        program(&mut cpu)
-                    }));
-                    match result {
-                        Ok(()) => {
-                            cpu.finish();
-                            TaskYield::Done
-                        }
-                        Err(payload) => {
-                            soc.abort(tile, payload);
-                            TaskYield::Panicked
-                        }
-                    }
-                });
-                tasks.push(CoreTask::new(task, &self.aborted));
-            }
-            // Every task announces its first action (or completes)
-            // before the event loop starts; tile order fixes ids.
-            for task in &mut tasks {
-                task.collect_first();
-            }
-            let mut engine = Engine::new();
-            for task in tasks {
-                engine.add(Box::new(task));
-            }
-            let stats = engine.run();
-            *lock_ignore_poison(&self.engine_stats) = Some(stats);
-        });
+        lock_ignore_poison(&self.global).engine_stats
     }
 }
 
@@ -625,10 +571,9 @@ impl<'a> Cpu<'a> {
         }
     }
 
-    fn finish(&mut self) {
-        let mut g = lock_ignore_poison(&self.soc.global);
-        g.finished[self.tile] = Some((self.ctr, self.clock));
-        g.telem_tiles[self.tile] = self.telem.drain();
+    /// What the tile hands back through its task's last yield.
+    fn finish(mut self) -> TileResult {
+        TileResult { counters: self.ctr, clock: self.clock, telemetry: self.telem.drain() }
     }
 
     // ------------------------------------------------------------------
@@ -1002,30 +947,6 @@ impl<'a> Cpu<'a> {
         self.charge_stall(StallCat::Noc, stall);
     }
 
-    /// Remote fetch-and-add on a u32 of `dst`'s local memory; reply is
-    /// written to the 8-byte mailbox at `mailbox_offset` (old value, then
-    /// a non-zero flag word).
-    pub fn noc_fetch_add(&mut self, dst: usize, offset: u32, delta: u32, mailbox_offset: u32) {
-        assert_ne!(dst, self.tile, "use local_fetch_add for the own tile");
-        self.charge_instr(1);
-        self.turn(move |g, cfg, now, me| {
-            let arrive = g.noc.reserve_path(cfg, now, me, dst, 4);
-            g.noc.send(
-                arrive,
-                me,
-                dst,
-                PacketKind::FetchAdd {
-                    offset,
-                    delta,
-                    reply_tile: me,
-                    reply_offset: mailbox_offset,
-                },
-            );
-        });
-        let stall = self.soc.cfg.lat.posted_write;
-        self.charge_stall(StallCat::Noc, stall);
-    }
-
     /// Program an asynchronous bulk transfer on channel `chan` of this
     /// tile's DMA engine and return its per-channel sequence number. The
     /// transfer proceeds in the background (channel, SDRAM port and NoC
@@ -1118,19 +1039,6 @@ impl<'a> Cpu<'a> {
         let old = self.turn(|g, _, _, me| {
             let old = g.locals[me].read_u8(offset);
             g.locals[me].write_u8(offset, 1);
-            old
-        });
-        let lat = self.soc.cfg.lat.local_mem.saturating_sub(1);
-        self.charge_stall(StallCat::Noc, lat);
-        old
-    }
-
-    /// Atomic fetch-and-add on the own local memory.
-    pub fn local_fetch_add(&mut self, offset: u32, delta: u32) -> u32 {
-        self.charge_instr(1);
-        let old = self.turn(|g, _, _, me| {
-            let old = g.locals[me].read_u32(offset);
-            g.locals[me].write_u32(offset, old.wrapping_add(delta));
             old
         });
         let lat = self.soc.cfg.lat.local_mem.saturating_sub(1);

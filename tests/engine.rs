@@ -1,8 +1,9 @@
 //! The execution engine, verified end to end: the single-threaded
 //! discrete-event core must be (a) deterministic down to the byte,
 //! (b) indistinguishable from the thread-per-tile turnstile it
-//! replaced, and (c) true to its contract — globally visible actions
-//! commit in `(virtual time, tile)` order.
+//! replaced, (c) true to its contract — globally visible actions
+//! commit in `(virtual time, tile)` order — and (d) as orderly when a
+//! tile program panics (`mod abort`).
 //!
 //! The turnstile is gone; its answers are not. (b) is a strict gate:
 //! not just outcome-set membership (the conformance sweep's gate) but
@@ -222,4 +223,122 @@ fn motion_est_scales_to_4096_tiles() {
     assert_eq!(large.report.per_core.len(), 4096);
     assert!(large.report.makespan > 0);
     assert_eq!(small.checksum, large.checksum);
+}
+
+/// (d) The abort protocol of the run loop, through the public API:
+/// which panic `Soc::run` re-raises, what happens to the parked peers
+/// and what a reused `Soc` reports afterwards — plus the idle-tile and
+/// too-many-programs edges of `Soc::run`.
+mod abort {
+    use pmc::sim::{addr, CoreProgram, Cpu, EngineStats, Soc, SocConfig};
+
+    fn soc(n: usize) -> Soc {
+        Soc::new(SocConfig::small(n))
+    }
+
+    /// Run `programs`, which must panic, and hand back the payload.
+    fn run_panics(s: &Soc, programs: Vec<CoreProgram<'_>>) -> Box<dyn std::any::Any + Send> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.run(programs)))
+            .expect_err("the tile's panic propagates")
+    }
+
+    /// A tile that stores after `at` cycles of compute, then panics.
+    fn store_then_panic<'a>(at: u64, msg: &'static str) -> CoreProgram<'a> {
+        Box::new(move |cpu: &mut Cpu| {
+            cpu.compute(at);
+            cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 4 * cpu.tile() as u32, 1);
+            panic!("{msg}");
+        })
+    }
+
+    /// Virtual time, not the tile id, picks the panic that is re-raised:
+    /// tile 1 is still parked before its own when tile 3's fires.
+    #[test]
+    fn the_earliest_panic_in_virtual_time_is_reraised() {
+        let s = soc(4);
+        let idle = || -> CoreProgram<'_> { Box::new(|_: &mut Cpu| ()) };
+        let programs =
+            vec![idle(), store_then_panic(50, "late"), idle(), store_then_panic(10, "early")];
+        let payload = run_panics(&s, programs);
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "tile 3 panicked: early");
+    }
+
+    /// A payload that is not a message is resumed as it is.
+    #[test]
+    fn a_non_string_panic_payload_is_resumed_unchanged() {
+        let s = soc(1);
+        let payload = run_panics(&s, vec![Box::new(|_: &mut Cpu| std::panic::panic_any(7u32))]);
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&7));
+    }
+
+    /// The abort unwinds a parked peer: what its frames own is dropped.
+    #[test]
+    fn an_abort_runs_the_destructors_of_parked_peers() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct Guard<'a>(&'a AtomicBool);
+        impl Drop for Guard<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let dropped = AtomicBool::new(false);
+        let s = soc(2);
+        run_panics(
+            &s,
+            vec![
+                Box::new(|cpu: &mut Cpu| {
+                    let _held = Guard(&dropped);
+                    loop {
+                        cpu.write_u32(addr::SDRAM_UNCACHED_BASE, 1);
+                    }
+                }),
+                store_then_panic(100, "boom"),
+            ],
+        );
+        assert!(dropped.load(Ordering::SeqCst));
+    }
+
+    /// Tiles without a program report zeros and an empty telemetry
+    /// stream, and never enter the event heap.
+    #[test]
+    fn tiles_without_a_program_idle() {
+        let mut cfg = SocConfig::small(4);
+        cfg.telemetry.enabled = true;
+        let s = Soc::new(cfg);
+        let store = || -> CoreProgram<'_> {
+            Box::new(|cpu: &mut Cpu| {
+                for _ in 0..8 {
+                    cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 4 * cpu.tile() as u32, 1);
+                }
+            })
+        };
+        let report = s.run(vec![store(), store()]);
+        assert_eq!(report.per_core.len(), 4);
+        assert!(report.per_core[..2].iter().all(|c| c.total() > 0));
+        assert!(report.per_core[2..].iter().all(|c| c.total() == 0));
+        let telemetry = s.take_telemetry();
+        assert_eq!(telemetry.per_tile.len(), 4);
+        assert!(telemetry.per_tile[..2].iter().all(|t| !t.is_empty()));
+        assert!(telemetry.per_tile[2..].iter().all(Vec::is_empty));
+        assert_eq!(s.engine_stats().unwrap().peak_queue, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "more programs than tiles")]
+    fn more_programs_than_tiles_is_an_error() {
+        soc(1).run(vec![Box::new(|_: &mut Cpu| ()), Box::new(|_: &mut Cpu| ())]);
+    }
+
+    /// The scheduler statistics are those of the last run, whether it
+    /// panicked or not.
+    #[test]
+    fn engine_stats_survive_a_panic_and_are_replaced_by_the_next_run() {
+        let s = soc(2);
+        assert_eq!(s.engine_stats(), None);
+        run_panics(&s, vec![store_then_panic(10, "boom"), store_then_panic(20, "boom")]);
+        // Tile 0's store, then tile 1's answered with the abort.
+        assert_eq!(s.engine_stats(), Some(EngineStats { events: 2, handoffs: 1, peak_queue: 2 }));
+        s.run(vec![Box::new(|cpu: &mut Cpu| cpu.write_u32(addr::SDRAM_UNCACHED_BASE, 1))]);
+        assert_eq!(s.engine_stats(), Some(EngineStats { events: 1, handoffs: 1, peak_queue: 1 }));
+    }
 }
