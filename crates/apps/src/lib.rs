@@ -20,6 +20,8 @@
 //!   in-scratchpad key-value service fed by an open-loop, seeded load
 //!   generator, measured in per-request latency percentiles.
 
+#![forbid(unsafe_code)]
+
 pub mod kvserve;
 pub mod loadgen;
 pub mod motion_est;

@@ -112,7 +112,12 @@ fn t2t_vs_sdram(bytes: u32, topology: Topology) -> (u64, u64) {
     const BUF: u32 = 4096;
     let (src, dst) = (2usize, 5usize);
     let topology = topo_for(topology, 8);
-    let cfg = move || SocConfig { topology, ..SocConfig::small(8) };
+    let cfg = move || {
+        let small = SocConfig::small(8);
+        // The payload sits at `BUF`: the largest cell needs more local
+        // memory than `small` has.
+        SocConfig { topology, local_mem_size: small.local_mem_size.max(BUF + bytes), ..small }
+    };
     let idle = |n: usize| -> Vec<CoreProgram<'_>> {
         (0..n).map(|_| -> CoreProgram<'_> { Box::new(|_c: &mut Cpu| {}) }).collect()
     };

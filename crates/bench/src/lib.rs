@@ -14,6 +14,8 @@
 //! | `fig_dma` | extension: DMA bursts vs word-copy, per-link NoC contention |
 //! | `ablation_locks` | extension: SDRAM lock vs asymmetric distributed lock |
 
+#![forbid(unsafe_code)]
+
 use pmc_apps::workload::Breakdown;
 use pmc_soc_sim::telemetry::json;
 

@@ -53,6 +53,8 @@
 //! assert!(e.precedes(w1, w2, View::Global));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod conformance;
 pub mod dot;
 pub mod exec_state;

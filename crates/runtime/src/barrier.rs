@@ -70,7 +70,7 @@ mod tests {
         let phases = 5u32;
         sys.run(
             (0..n)
-                .map(|t| -> Box<dyn FnOnce(&mut crate::ctx::PmcCtx<'_, '_>) + Send> {
+                .map(|t| -> crate::Program<'_> {
                     Box::new(move |ctx| {
                         for p in 0..phases {
                             {

@@ -50,6 +50,8 @@
 //! assert_eq!(sys.read_back(x), 42);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod barrier;
 pub mod ctx;
 pub mod fifo;
@@ -71,4 +73,4 @@ pub use scope::{DmaTicket, RoScope, SrcScope, XScope};
 pub use system::{BackendKind, LockKind, Obj, ObjVec, PrivSlab, Slab, System};
 
 /// The per-tile program type accepted by [`System::run`].
-pub type Program<'env> = Box<dyn FnOnce(&mut PmcCtx<'_, '_>) + Send + 'env>;
+pub type Program<'env> = Box<dyn FnOnce(&mut PmcCtx<'_, '_>) + 'env>;

@@ -762,7 +762,7 @@ mod tests {
             let objs = sys.alloc_vec::<u32>("o", 4);
             sys.run(
                 (0..n)
-                    .map(|t| -> Box<dyn FnOnce(&mut crate::ctx::PmcCtx<'_, '_>) + Send> {
+                    .map(|t| -> crate::Program<'_> {
                         Box::new(move |ctx| {
                             for i in 0..12u32 {
                                 let o = objs.at((t as u32 + i) % objs.len());

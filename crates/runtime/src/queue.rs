@@ -52,7 +52,7 @@ mod tests {
         let taken_ref = &taken;
         sys.run(
             (0..n)
-                .map(|_| -> Box<dyn FnOnce(&mut crate::ctx::PmcCtx<'_, '_>) + Send> {
+                .map(|_| -> crate::Program<'_> {
                     Box::new(move |ctx| {
                         while let Some(t) = tickets.take(ctx, 64) {
                             // Record the ticket as a bit; duplicates would

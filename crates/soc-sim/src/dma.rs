@@ -156,6 +156,36 @@ impl DmaDescriptor {
     pub fn total_bytes(&self) -> u32 {
         self.segs.iter().map(|s| s.bytes).sum()
     }
+
+    /// Panic unless every byte the descriptor names exists: the
+    /// completion word and each segment's near side in tile `tile`'s
+    /// local memory, each far side in SDRAM or the destination tile's
+    /// local memory. Checked when `tile` issues on channel `chan`, so
+    /// the message names the issuer — the packets would otherwise index
+    /// out of bounds bursts later, on whichever tile drains them.
+    pub(crate) fn check_ranges(&self, cfg: &SocConfig, tile: usize, chan: usize) {
+        let check = |local_to: Option<usize>, start: u32, bytes: u32| {
+            let limit = if local_to.is_some() { cfg.local_mem_size } else { cfg.sdram_size };
+            let end = u64::from(start) + u64::from(bytes);
+            if end > u64::from(limit) {
+                let mem =
+                    local_to.map_or("SDRAM".to_string(), |t| format!("tile {t}'s local memory"));
+                panic!(
+                    "tile {tile}: DMA descriptor on channel {chan} names bytes \
+                     {start:#x}..{end:#x} of {mem}, which has {limit:#x}"
+                );
+            }
+        };
+        let far = match self.kind {
+            DmaKind::Sdram(_) => None,
+            DmaKind::Copy { dst_tile } => Some(dst_tile),
+        };
+        check(Some(tile), self.done_offset, 4);
+        for seg in self.segs.iter().filter(|s| s.bytes > 0) {
+            check(Some(tile), seg.local_offset, seg.bytes);
+            check(far, seg.far_offset, seg.bytes);
+        }
+    }
 }
 
 /// One engine channel (lives in the simulator's global state).

@@ -15,9 +15,8 @@
 //!   runs unchanged. A handoff is a user-space stack switch: the loop
 //!   and every tile program run on the thread that called `Soc::run`,
 //!   one at a time, so the run is single-threaded and deterministic by
-//!   construction. (Where `coro` has no stack switch for the target, a
-//!   task is a parked OS thread resumed by rendezvous instead; exactly
-//!   one of them is runnable at any moment, so nothing else changes.)
+//!   construction — and the simulated state needs no lock:
+//!   [`crate::soc::Soc`] is `!Sync`, checked by the compiler.
 //! * **NoC links, per-tile DMA engines and the SDRAM controller** are
 //!   *passive* busy-until resources: their schedules are computed at
 //!   issue time (`Noc::reserve_path`, `DmaEngine::issue`,
@@ -231,24 +230,22 @@ pub(crate) fn run(tasks: &mut [Task<'_, Go, TaskYield>]) -> RunOutcome {
 mod tests {
     use super::*;
     use crate::coro;
-    use std::sync::Mutex;
-    use std::thread::Scope;
+    use std::cell::RefCell;
 
-    type Log = Mutex<Vec<(u64, usize)>>;
+    type Log = RefCell<Vec<(u64, usize)>>;
 
     /// Tile `tile` acting `n` times, `period` cycles apart from `start`,
     /// logging each action as it is granted.
-    fn metronome<'s>(
-        scope: &'s Scope<'s, '_>,
-        log: &'s Log,
+    fn metronome(
+        log: &Log,
         tile: usize,
         (start, period, n): (u64, u64, u64),
-    ) -> Task<'s, Go, TaskYield> {
-        coro::spawn(scope, tile, move |suspender, first| {
+    ) -> Task<'_, Go, TaskYield> {
+        coro::spawn(move |suspender, first| {
             let mut port = TaskPort::new(suspender, first, tile);
             for at in (0..n).map(|k| start + k * period) {
                 port.ensure_turn(at, tile);
-                log.lock().unwrap().push((at, tile));
+                log.borrow_mut().push((at, tile));
             }
             TaskYield::Finished(Box::new(Ok(TileResult { clock: start, ..Default::default() })))
         })
@@ -259,15 +256,13 @@ mod tests {
     #[test]
     fn heap_orders_events_by_time_then_id() {
         let log = Log::default();
-        let out = std::thread::scope(|scope| {
-            let mut tasks: Vec<_> = [(0, 7, 4), (3, 5, 4), (0, 7, 4)]
-                .into_iter()
-                .enumerate()
-                .map(|(tile, beat)| metronome(scope, &log, tile, beat))
-                .collect();
-            run(&mut tasks)
-        });
-        let granted = log.into_inner().unwrap();
+        let mut tasks: Vec<_> = [(0, 7, 4), (3, 5, 4), (0, 7, 4)]
+            .into_iter()
+            .enumerate()
+            .map(|(tile, beat)| metronome(&log, tile, beat))
+            .collect();
+        let out = run(&mut tasks);
+        let granted = log.take();
         assert_eq!(granted.len(), 12);
         // Tiles 0 and 2 are identical metronomes: the tile breaks ties,
         // so the order is strict.
@@ -285,12 +280,9 @@ mod tests {
     #[test]
     fn retired_components_leave_the_schedule() {
         let log = Log::default();
-        let out = std::thread::scope(|scope| {
-            let mut tasks =
-                vec![metronome(scope, &log, 0, (0, 1, 2)), metronome(scope, &log, 1, (10, 1, 0))];
-            run(&mut tasks)
-        });
-        assert_eq!(log.into_inner().unwrap(), [(0, 0), (1, 0)]);
+        let mut tasks = vec![metronome(&log, 0, (0, 1, 2)), metronome(&log, 1, (10, 1, 0))];
+        let out = run(&mut tasks);
+        assert_eq!(log.take(), [(0, 0), (1, 0)]);
         assert_eq!(out.stats, EngineStats { events: 1, handoffs: 1, peak_queue: 1 });
         assert!(out.results.iter().all(Option::is_some));
     }

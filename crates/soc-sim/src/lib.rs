@@ -35,9 +35,12 @@
 //! assert!(report.makespan > 0);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod addr;
 pub mod cache;
 pub mod config;
+#[allow(unsafe_code)] // the context switch: the only `unsafe` of the library crates
 mod coro;
 pub mod counters;
 pub mod dma;

@@ -6,7 +6,7 @@
 //! *Globally visible* actions (SDRAM traffic, local-memory accesses, NoC
 //! packets, cache-line writebacks, trace records) are committed one at a
 //! time, in strict `(virtual_time, tile_id)` order. Core-private actions
-//! (data-cache hits, compute, clean invalidations) run on a lock-free
+//! (data-cache hits, compute, clean invalidations) run on a core-local
 //! fast path and only defer the publication of the core's clock; they
 //! are invisible to other tiles, so commit order is unaffected.
 //!
@@ -46,16 +46,8 @@
 //!   `issue + route_latency`; in-order per (src, dst) pair, unordered
 //!   across destinations (the paper's Fig. 1 failure mode).
 
+use std::cell::{RefCell, RefMut};
 use std::sync::atomic::Ordering as AtomicOrdering;
-use std::sync::{Mutex, MutexGuard};
-
-/// Lock ignoring poisoning: a panicking tile is already handled by the
-/// abort protocol, and the scheduler state stays consistent (every mutation
-/// completes before any panic can fire), so poisoned guards are safe to
-/// reuse while the run unwinds.
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 use crate::addr::{self, Addr, Region};
 use crate::cache::Cache;
@@ -70,7 +62,7 @@ use crate::noc::{LinkStat, Noc, Packet, PacketKind};
 use crate::telemetry::{EventKind, Recorder, StallClass, TelemetryEvent, TelemetryReport};
 use crate::trace::{self, TraceRecord};
 
-/// State shared by all tiles, guarded by the scheduler lock.
+/// State shared by all tiles: everything of a [`Soc`] that changes.
 struct Global {
     sdram: ByteMem,
     locals: Vec<ByteMem>,
@@ -191,13 +183,26 @@ impl Global {
 
 /// The simulated system-on-chip. Construct, optionally initialise
 /// memories and region tags, then [`Soc::run`] one closure per tile.
+///
+/// One thread at a time owns a `Soc`: it may be moved to another thread
+/// between runs, never shared with one.
+///
+/// ```
+/// fn assert_send<T: Send>() {}
+/// assert_send::<pmc_soc_sim::Soc>();
+/// ```
+///
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<pmc_soc_sim::Soc>();
+/// ```
 pub struct Soc {
     cfg: SocConfig,
-    /// Everything that changes, behind the one lock of the simulator.
-    /// It is never contended — a run is one logical thread — and exists
-    /// only because `coro`'s parked-thread fallback (targets without a
-    /// stack switch) runs tile programs on other OS threads.
-    global: Mutex<Global>,
+    /// Everything that changes. A run is one thread — the event loop
+    /// and every tile program, one at a time — so this is a `RefCell`:
+    /// the compiler rejects sharing a `Soc` across threads, and a borrow
+    /// held across a handoff panics at the next tile's commit point.
+    global: RefCell<Global>,
 }
 
 impl Soc {
@@ -219,7 +224,7 @@ impl Soc {
             telem_tiles: vec![(Vec::new(), 0); cfg.n_tiles],
             engine_stats: None,
         };
-        Soc { cfg, global: Mutex::new(global) }
+        Soc { cfg, global: RefCell::new(global) }
     }
 
     pub fn config(&self) -> &SocConfig {
@@ -229,7 +234,7 @@ impl Soc {
     /// Tag an SDRAM offset range for stall attribution (shared vs.
     /// private data, paper Fig. 8). Ranges must not overlap.
     pub fn tag_region(&self, sdram_start: u32, sdram_end: u32, tag: MemTag) {
-        let mut g = lock_ignore_poison(&self.global);
+        let mut g = self.global.borrow_mut();
         g.tags.push((sdram_start, sdram_end, tag));
         g.tags.sort_unstable_by_key(|&(s, _, _)| s);
         for w in g.tags.windows(2) {
@@ -239,36 +244,36 @@ impl Soc {
 
     /// Pre-run (or post-run) direct SDRAM access, bypassing timing.
     pub fn write_sdram(&self, offset: u32, data: &[u8]) {
-        lock_ignore_poison(&self.global).sdram.write(offset, data);
+        self.global.borrow_mut().sdram.write(offset, data);
     }
 
     pub fn read_sdram(&self, offset: u32, out: &mut [u8]) {
-        lock_ignore_poison(&self.global).sdram.read(offset, out);
+        self.global.borrow().sdram.read(offset, out);
     }
 
     pub fn read_sdram_u32(&self, offset: u32) -> u32 {
-        lock_ignore_poison(&self.global).sdram.read_u32(offset)
+        self.global.borrow().sdram.read_u32(offset)
     }
 
     /// Pre-run direct local-memory access, bypassing timing.
     pub fn write_local(&self, tile: usize, offset: u32, data: &[u8]) {
-        lock_ignore_poison(&self.global).locals[tile].write(offset, data);
+        self.global.borrow_mut().locals[tile].write(offset, data);
     }
 
     pub fn read_local(&self, tile: usize, offset: u32, out: &mut [u8]) {
-        lock_ignore_poison(&self.global).locals[tile].read(offset, out);
+        self.global.borrow().locals[tile].read(offset, out);
     }
 
     /// The recorded trace (empty unless `cfg.trace`).
     pub fn take_trace(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut lock_ignore_poison(&self.global).trace)
+        std::mem::take(&mut self.global.borrow_mut().trace)
     }
 
     /// The recorded telemetry of the last run (empty unless
     /// `cfg.telemetry.enabled`): per-tile core-side streams plus the
     /// interconnect-side stream, with the total ring-drop count.
     pub fn take_telemetry(&self) -> TelemetryReport {
-        let mut g = lock_ignore_poison(&self.global);
+        let mut g = self.global.borrow_mut();
         let (system, mut dropped) = g.noc.telem.drain();
         let mut per_tile = Vec::with_capacity(self.cfg.n_tiles);
         for slot in g.telem_tiles.iter_mut() {
@@ -283,7 +288,7 @@ impl Soc {
     /// [`crate::config::Topology`] for the numbering; mesh boundary
     /// slots stay zero).
     pub fn link_stats(&self) -> Vec<LinkStat> {
-        lock_ignore_poison(&self.global).noc.link_stats().to_vec()
+        self.global.borrow().noc.link_stats().to_vec()
     }
 
     /// Per-link occupancy resolved against the topology: one
@@ -309,12 +314,12 @@ impl Soc {
     /// multi-controller configurations the spread across entries shows
     /// how well the 4 KiB stripes balanced the load.
     pub fn port_report(&self) -> Vec<PortReport> {
-        lock_ignore_poison(&self.global).ports.report()
+        self.global.borrow().ports.report()
     }
 
     /// Per-tile DMA-engine totals.
     pub fn dma_stats(&self) -> Vec<DmaStats> {
-        lock_ignore_poison(&self.global).dma.iter().map(|e| e.stats()).collect()
+        self.global.borrow().dma.iter().map(|e| e.stats()).collect()
     }
 
     /// Run one program per tile (programs beyond `n_tiles` are an error;
@@ -328,28 +333,23 @@ impl Soc {
         assert!(programs.len() <= self.cfg.n_tiles, "more programs than tiles");
         // Memories persist across runs so callers can pre-initialise and
         // post-inspect; the commit order starts over.
-        lock_ignore_poison(&self.global).last_commit = (0, 0);
-        // The scope is for targets where `coro` backs a task with a
-        // thread; with stack switching nothing is ever spawned in it.
-        let outcome = std::thread::scope(|scope| {
-            let spawn = |(tile, program): (usize, CoreProgram<'env>)| {
-                coro::spawn(scope, tile, move |suspender, first| {
-                    let mut cpu = Cpu::new(self, tile, TaskPort::new(suspender, first, tile));
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        program(&mut cpu)
-                    }));
-                    TaskYield::Finished(Box::new(result.map(|()| cpu.finish())))
-                })
-            };
-            let mut tasks: Vec<_> = programs.into_iter().enumerate().map(spawn).collect();
-            engine::run(&mut tasks)
-        });
+        self.global.borrow_mut().last_commit = (0, 0);
+        let spawn = |(tile, program): (usize, CoreProgram<'env>)| {
+            coro::spawn(move |suspender, first| {
+                let mut cpu = Cpu::new(self, tile, TaskPort::new(suspender, first, tile));
+                let result =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| program(&mut cpu)));
+                TaskYield::Finished(Box::new(result.map(|()| cpu.finish())))
+            })
+        };
+        let mut tasks: Vec<_> = programs.into_iter().enumerate().map(spawn).collect();
+        let outcome = engine::run(&mut tasks);
         // Tiles without a program, or whose program unwound, report zeros.
         let mut results: Vec<TileResult> =
             outcome.results.into_iter().map(Option::unwrap_or_default).collect();
         results.resize_with(self.cfg.n_tiles, TileResult::default);
         {
-            let mut g = lock_ignore_poison(&self.global);
+            let mut g = self.global.borrow_mut();
             g.engine_stats = Some(outcome.stats);
             g.telem_tiles = results.iter_mut().map(|r| std::mem::take(&mut r.telemetry)).collect();
             if outcome.panic.is_none() {
@@ -381,20 +381,18 @@ impl Soc {
     /// Scheduler statistics of the last [`Soc::run`] (`None` before the
     /// first run completes).
     pub fn engine_stats(&self) -> Option<EngineStats> {
-        lock_ignore_poison(&self.global).engine_stats
+        self.global.borrow().engine_stats
     }
 }
 
 /// A per-tile program: receives the tile's CPU handle.
 ///
 /// Every tile program of a run executes on the thread that called
-/// [`Soc::run`], interleaved at its yield points (on targets with stack
-/// switching — see [`crate::engine`]): state a program keeps in a
-/// `thread_local!` or derives from `std::thread::current()` is shared
-/// by all tiles, not private to one. The `Send` bound is for the
-/// targets without stack switching, where `crate::coro` falls back to
-/// running each program on a parked thread of its own.
-pub type CoreProgram<'env> = Box<dyn FnOnce(&mut Cpu<'_>) + Send + 'env>;
+/// [`Soc::run`], interleaved at its yield points (see
+/// [`crate::engine`]): state a program keeps in a `thread_local!` or
+/// derives from `std::thread::current()` is shared by all tiles, not
+/// private to one. For the same reason a program need not be `Send`.
+pub type CoreProgram<'env> = Box<dyn FnOnce(&mut Cpu<'_>) + 'env>;
 
 /// Stall category used by the memory paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -412,8 +410,8 @@ enum StallCat {
 /// The per-core execution context handed to tile programs: the only way
 /// application / runtime code touches the simulated machine.
 ///
-/// A `Cpu` is `!Send` on every target: a tile program cannot hand it to
-/// another thread, where its yield point would switch the wrong stack.
+/// A `Cpu` is `!Send`: a tile program cannot hand it to another thread,
+/// where its yield point would switch the wrong stack.
 ///
 /// ```compile_fail
 /// fn assert_send<T: Send>() {}
@@ -430,8 +428,8 @@ pub struct Cpu<'a> {
     dcache: Cache,
     icache: ICache,
     ctr: Counters,
-    /// Core-side telemetry ring (stall spans); lock-free — drained into
-    /// the global report at [`Cpu::finish`].
+    /// Core-side telemetry ring (stall spans), private to the tile —
+    /// handed back by [`Cpu::finish`].
     telem: Recorder,
 }
 
@@ -534,14 +532,14 @@ impl<'a> Cpu<'a> {
 
     /// Suspend until this tile holds the global commit turn for an
     /// action at `self.clock` (or keep running below the horizon), then
-    /// return the scheduler lock — uncontended: at most one task is
-    /// runnable at a time — with the commit order checked and arrived
-    /// packets drained. For [`Cpu::turn`]; only an action that must
-    /// also borrow `self` holds the guard directly.
-    fn commit_point(&mut self) -> MutexGuard<'a, Global> {
+    /// return the global state — borrowed only between yield points, so
+    /// never twice — with the commit order checked and arrived packets
+    /// drained. For [`Cpu::turn`]; only an action that must also borrow
+    /// `self` holds the guard directly.
+    fn commit_point(&mut self) -> RefMut<'a, Global> {
         let soc = self.soc;
         self.port.ensure_turn(self.clock, self.tile);
-        let mut g = lock_ignore_poison(&soc.global);
+        let mut g = soc.global.borrow_mut();
         g.note_commit(self.clock, self.tile);
         self.published = self.clock;
         g.drain_packets(self.clock, &soc.cfg);
@@ -750,9 +748,7 @@ impl<'a> Cpu<'a> {
     /// different machines.
     pub fn peek_sdram_u32(&self, addr: Addr) -> u32 {
         match addr::decode(addr) {
-            Region::SdramUncached { offset } => {
-                lock_ignore_poison(&self.soc.global).sdram.read_u32(offset)
-            }
+            Region::SdramUncached { offset } => self.soc.global.borrow().sdram.read_u32(offset),
             _ => panic!("peek_sdram_u32 on non-uncached address {addr:#x}"),
         }
     }
@@ -960,6 +956,7 @@ impl<'a> Cpu<'a> {
         // Descriptor writes plus the doorbell on the real engine: two
         // words per scatter/gather element, four for the header.
         self.charge_instr(4 + 2 * desc.segs.len().max(1) as u64);
+        desc.check_ranges(&self.soc.cfg, self.tile, chan);
         let bytes = desc.total_bytes();
         let seq = self.turn(move |g, cfg, now, me| {
             let Global { dma, noc, ports, .. } = g;
@@ -1007,7 +1004,7 @@ impl<'a> Cpu<'a> {
                 let hit = watches.iter().position(|&(off, seq)| g.locals[me].read_u32(off) >= seq);
                 // One heap pass across every watched word: the in-flight
                 // queue can be large (every posted write and queued
-                // burst), and this runs under the scheduler lock.
+                // burst).
                 let next = g.noc.next_completion_arrival_any(me, &offsets);
                 (hit, next)
             });
@@ -1673,6 +1670,49 @@ mod tests {
         })]);
     }
 
+    /// Tile 1 of a 4-tile `small` SoC (64 KiB local memories, 1 MiB
+    /// SDRAM) issues `desc` on channel 2.
+    fn tile_1_issues(desc: DmaDescriptor) {
+        let s = soc(4);
+        s.run(vec![
+            Box::new(|_c: &mut Cpu| {}),
+            Box::new(move |cpu: &mut Cpu| {
+                cpu.dma_issue(2, desc);
+            }),
+        ]);
+    }
+
+    /// A descriptor is checked against the memories it names when it is
+    /// issued, and the panic names the issuer: here the near side runs
+    /// off the end of the issuing tile's local memory …
+    #[test]
+    #[should_panic(expected = "tile 1: DMA descriptor on channel 2 names bytes \
+                               0x1000..0x11000 of tile 1's local memory, which has 0x10000")]
+    fn dma_issue_rejects_a_local_overrun() {
+        let kind = DmaKind::Sdram(DmaDir::Get);
+        tile_1_issues(DmaDescriptor::contiguous(kind, 0, 4096, 65536, 64, 0));
+    }
+
+    /// … here the far side of a tile-to-tile copy runs off the end of
+    /// the destination tile's …
+    #[test]
+    #[should_panic(expected = "tile 1: DMA descriptor on channel 2 names bytes \
+                               0xff00..0x10100 of tile 3's local memory, which has 0x10000")]
+    fn dma_issue_rejects_a_remote_tile_overrun() {
+        let kind = DmaKind::Copy { dst_tile: 3 };
+        tile_1_issues(DmaDescriptor::contiguous(kind, 0xff00, 256, 512, 64, 0));
+    }
+
+    /// … and here the second row of a strided put lies past the end of
+    /// SDRAM.
+    #[test]
+    #[should_panic(expected = "tile 1: DMA descriptor on channel 2 names bytes \
+                               0x100000..0x100040 of SDRAM, which has 0x100000")]
+    fn dma_issue_rejects_an_sdram_overrun() {
+        let kind = DmaKind::Sdram(DmaDir::Put);
+        tile_1_issues(DmaDescriptor::strided_2d(kind, 0xff000, 256, 64, 2, 4096, 64, 64, 0));
+    }
+
     /// Multi-channel: the per-channel completion words are independent —
     /// a transfer on channel 1 can complete while channel 0's is still in
     /// flight, and each channel's sequence numbering starts at 1.
@@ -1901,7 +1941,7 @@ mod tests {
     #[should_panic(expected = "commit order violated: tile 0 acts at cycle 10 after tile 1")]
     fn out_of_order_commits_are_rejected() {
         let s = soc(2);
-        let mut g = lock_ignore_poison(&s.global);
+        let mut g = s.global.borrow_mut();
         g.note_commit(10, 1);
         g.note_commit(10, 0);
     }

@@ -58,6 +58,8 @@
 //! assert_eq!(sys.read_back(x), 7);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pmc_apps as apps;
 pub use pmc_core as model;
 pub use pmc_runtime as runtime;

@@ -171,10 +171,8 @@ fn global_trace_is_sorted_by_time_then_tile() {
     }
 }
 
-/// With stack switching a run spawns no OS thread: every
-/// tile program, before and after yielding to its peers, is on the
-/// thread that called `Soc::run`.
-#[cfg(all(target_arch = "x86_64", unix))]
+/// A run spawns no OS thread: every tile program, before and after
+/// yielding to its peers, is on the thread that called `Soc::run`.
 #[test]
 fn des_tile_programs_run_on_the_callers_thread() {
     use pmc::sim::{addr, CoreProgram, Soc, SocConfig};
