@@ -10,16 +10,16 @@
 //!
 //! * **GET** — lookup under an [`pmc_runtime::RoScope`] on the shard
 //!   slab;
-//! * **PUT** — update under an [`pmc_runtime::XScope`];
+//! * **PUT** — update under an [`pmc_runtime::scope::XScope`];
 //! * **COPY** — cross-shard op: pull one element from another shard's
 //!   slab with a local-to-local DMA copy
-//!   ([`pmc_runtime::XScope::dma_copy_from`]), skipping the SDRAM round
-//!   trip;
+//!   ([`pmc_runtime::scope::XScope::dma_copy_from`]), skipping the SDRAM
+//!   round trip;
 //! * **rebalance** — mid-run, the hot shard is migrated to a spare tile:
 //!   the frontend drains the old owner (mailbox-ordered `DRAIN` marker →
 //!   flag handshake), the spare pulls the whole slab with
-//!   [`pmc_runtime::XScope::copy_obj_from`], and subsequent hot-shard traffic is
-//!   rerouted to the spare's mailbox.
+//!   [`pmc_runtime::scope::XScope::copy_obj_from`], and subsequent
+//!   hot-shard traffic is rerouted to the spare's mailbox.
 //!
 //! Per-request latency is measured *open-loop*: from the request's
 //! intended injection time (which rides in the trace record's value
@@ -44,7 +44,7 @@ use crate::loadgen::{self, Job, LoadGenParams, ReqOp};
 
 /// The hot shard (Zipf rank 0) — the one the rebalancing scenario
 /// migrates.
-pub const HOT_SHARD: u32 = 0;
+pub(crate) const HOT_SHARD: u32 = 0;
 
 /// Request opcodes as they travel through the mailbox.
 const OP_GET: u32 = 0;
@@ -56,7 +56,7 @@ const OP_STOP: u32 = 5;
 
 /// The wire format of one mailbox request (32 bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Req {
+pub(crate) struct Req {
     pub id: u32,
     pub op: u32,
     pub key: u32,

@@ -21,6 +21,7 @@
 //!   generator, measured in per-request latency percentiles.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod kvserve;
 pub mod loadgen;
@@ -30,7 +31,3 @@ pub mod raytrace;
 pub mod stream;
 pub mod volrend;
 pub mod workload;
-
-pub use kvserve::{run_serve, run_serve_session, KvServe, KvServeParams, ServeReport};
-pub use loadgen::{ArrivalDist, Job, LoadGenParams};
-pub use workload::{run_workload, AppReport, SessionWorkload, Workload, WorkloadParams};

@@ -35,14 +35,6 @@ pub enum ArrivalDist {
 impl ArrivalDist {
     pub const ALL: [ArrivalDist; 3] =
         [ArrivalDist::Uniform, ArrivalDist::Exponential, ArrivalDist::Bursty];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            ArrivalDist::Uniform => "uniform",
-            ArrivalDist::Exponential => "exponential",
-            ArrivalDist::Bursty => "bursty",
-        }
-    }
 }
 
 /// What a request asks its shard to do.
@@ -120,7 +112,7 @@ impl Default for LoadGenParams {
 /// Normalised Zipf weights over `n` ranks: `w[i] ∝ 1/(i+1)^s`. Rank 0
 /// is the hot shard. Exposed so tests can compute the expected hot
 /// fraction for a given skew.
-pub fn zipf_weights(n: u32, s: f32) -> Vec<f32> {
+pub(crate) fn zipf_weights(n: u32, s: f32) -> Vec<f32> {
     let raw: Vec<f32> = (0..n).map(|i| 1.0f32 / ((i + 1) as f32).powf(s)).collect();
     let total: f32 = raw.iter().sum();
     raw.into_iter().map(|w| w / total).collect()

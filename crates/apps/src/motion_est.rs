@@ -53,7 +53,7 @@ pub struct MotionEst {
 }
 
 impl MotionEst {
-    pub fn window_edge(p: &MotionEstParams) -> u32 {
+    pub(crate) fn window_edge(p: &MotionEstParams) -> u32 {
         p.block + 2 * p.range
     }
 
@@ -331,10 +331,6 @@ impl MotionEst {
             x: (task as i32 * 5 % (2 * p.range as i32 + 1)) - p.range as i32,
             y: (task as i32 * 3 % (2 * p.range as i32 + 1)) - p.range as i32,
         }
-    }
-
-    pub fn n_tasks(&self) -> u32 {
-        self.n_tasks
     }
 
     /// Fraction of exactly recovered vectors plus a checksum.

@@ -139,7 +139,8 @@ impl Radiosity {
     }
 
     /// The initial total energy (for conservation assertions).
-    pub fn initial_energy(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn initial_energy(&self) -> f64 {
         (0..self.params.n_patches).filter(|i| i % 7 == 0).count() as f64 * 100.0
     }
 }

@@ -80,12 +80,8 @@ impl StreamCopy {
         StreamCopy { params: p, inputs, results, tickets }
     }
 
-    pub fn n_tasks(&self) -> u32 {
-        self.params.n_tasks
-    }
-
     /// Host-side ground truth for one task's reduction.
-    pub fn expected(&self, task: u32) -> u32 {
+    pub(crate) fn expected(&self, task: u32) -> u32 {
         let words = self.params.task_bytes / 4;
         (0..words).fold(0u32, |acc, i| {
             acc.wrapping_add(task.wrapping_mul(2654435761).wrapping_add(i * 97))

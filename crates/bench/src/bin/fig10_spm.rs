@@ -5,8 +5,7 @@
 //! cache coherency setup", noting it "depends on many architectural
 //! parameters". A cache-size sweep exposes that dependence.
 //!
-//! Usage: `fig10_spm [--tiles N] [--frame F] [--range R] [--smoke]`
-//! (`--smoke` = 32x32 frame, ±4, 4 tiles: the CI figure-pipeline check.)
+//! Usage: `fig10_spm [--tiles N] [--frame F] [--range R]`
 
 use pmc_apps::motion_est::{MotionEst, MotionEstParams};
 use pmc_bench::{Args, Takes};
@@ -39,12 +38,10 @@ fn main() {
         ("--tiles", Takes::U32),
         ("--frame", Takes::U32),
         ("--range", Takes::U32),
-        ("--smoke", Takes::Switch),
     ]);
-    let smoke = args.flag("--smoke");
-    let tiles = args.u32("--tiles", if smoke { 4 } else { 8 }) as usize;
-    let frame = args.u32("--frame", if smoke { 32 } else { 96 });
-    let range = args.u32("--range", if smoke { 4 } else { 8 });
+    let tiles = args.u32("--tiles", 8) as usize;
+    let frame = args.u32("--frame", 96);
+    let range = args.u32("--range", 8);
     let params = MotionEstParams { frame, block: 16, range, seed: 0x5EED_0004 };
     println!(
         "Fig. 10 — motion estimation ({frame}x{frame}, 16x16 blocks, ±{range}), {tiles} cores\n"

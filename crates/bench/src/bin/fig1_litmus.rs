@@ -9,10 +9,9 @@
 //!    in Fig. 1 — then run the annotated program on every back-end and
 //!    observe only 42.
 //!
-//! Usage: `fig1_litmus [--smoke]` (`--smoke` is accepted for the CI
-//! figure-pipeline check; the full run already takes only seconds, so it
-//! changes nothing).
+//! Usage: `fig1_litmus` (it takes no flags).
 
+use pmc_bench::Args;
 use pmc_core::interleave::outcomes;
 use pmc_core::litmus::catalogue;
 use pmc_runtime::{BackendKind, LockKind, System};
@@ -20,6 +19,7 @@ use pmc_soc_sim::{addr, Cpu, Soc, SocConfig};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 fn main() {
+    Args::from_env(&[]);
     println!("== Fig. 1 — model level ==");
     let outs = outcomes(&catalogue::mp_unfenced()).expect("enumeration");
     let stale = outs.iter().any(|o| o[1][0] == 0);

@@ -9,9 +9,8 @@
 //! spent in flush instructions is 0.66 % / 0.00 % / 0.01 %.
 //!
 //! Usage: `fig8 [--tiles N] [--topology ring|mesh|torus] [--tiny]
-//! [--smoke] [--json]`
-//! (`--smoke` = tiny workloads on 8 tiles: the CI figure-pipeline check;
-//! `--json` = machine-readable output on stdout instead of the tables.)
+//! [--json]`
+//! (`--json` = machine-readable output on stdout instead of the tables.)
 //!
 //! `--topology` selects the interconnect every run routes over (posted
 //! writes and write-backs to the memory controller cross its links); a
@@ -33,18 +32,15 @@ fn main() {
         ("--tiles", Takes::U32),
         ("--topology", Takes::Str),
         ("--tiny", Takes::Switch),
-        ("--smoke", Takes::Switch),
         ("--json", Takes::Switch),
     ]);
-    let smoke = args.flag("--smoke");
     let emit_json = args.flag("--json");
-    let tiles = args.u32("--tiles", if smoke { 8 } else { 32 }) as usize;
+    let tiles = args.u32("--tiles", 32) as usize;
     let topology = args.topology(tiles);
     let run = |w: Workload, backend: BackendKind, topo: Topology, params: WorkloadParams| {
         RunConfig::new(backend).n_tiles(tiles).topology(topo).session().workload(w, params)
     };
-    let params =
-        if args.flag("--tiny") || smoke { WorkloadParams::Tiny } else { WorkloadParams::Full };
+    let params = if args.flag("--tiny") { WorkloadParams::Tiny } else { WorkloadParams::Full };
     // All assertions run in both modes; `--json` only swaps the tables
     // on stdout for one JSON document.
     macro_rules! say { ($($t:tt)*) => { if !emit_json { println!($($t)*); } } }

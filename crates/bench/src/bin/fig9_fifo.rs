@@ -10,8 +10,7 @@
 //! which is fast and does not influence the execution of other
 //! processors".
 //!
-//! Usage: `fig9_fifo [--items N] [--depth D] [--readers R] [--smoke]`
-//! (`--smoke` = 40 items: the CI figure-pipeline check.)
+//! Usage: `fig9_fifo [--items N] [--depth D] [--readers R]`
 
 use pmc_bench::{Args, Takes};
 use pmc_runtime::{BackendKind, LockKind, System};
@@ -22,10 +21,8 @@ fn main() {
         ("--items", Takes::U32),
         ("--depth", Takes::U32),
         ("--readers", Takes::U32),
-        ("--smoke", Takes::Switch),
     ]);
-    let smoke = args.flag("--smoke");
-    let items = args.u32("--items", if smoke { 40 } else { 200 });
+    let items = args.u32("--items", 200);
     let depth = args.u32("--depth", 8);
     let readers = args.u32("--readers", 2);
     println!("Fig. 9 — MFifo: {items} items, depth {depth}, 1 writer, {readers} readers\n");

@@ -29,7 +29,7 @@
 //!    double-buffered DMA worker vs the strided 2-D gather worker.
 //!
 //! Usage: `fig_dma [--tiles N] [--tasks K] [--kbytes S]
-//! [--topology ring|mesh|torus] [--smoke] [--json]`
+//! [--topology ring|mesh|torus] [--json]`
 //!
 //! `--topology` selects the interconnect for every experiment
 //! (mesh/torus = most nearly square factorisation of the tile count);
@@ -189,15 +189,13 @@ fn main() {
         ("--tasks", Takes::U32),
         ("--kbytes", Takes::U32),
         ("--topology", Takes::Str),
-        ("--smoke", Takes::Switch),
         ("--json", Takes::Switch),
     ]);
-    let smoke = args.flag("--smoke");
     let emit_json = args.flag("--json");
-    let tiles = (args.u32("--tiles", if smoke { 4 } else { 8 }) as usize).max(2);
+    let tiles = (args.u32("--tiles", 8) as usize).max(2);
     let topology = args.topology(tiles);
-    let tasks = args.u32("--tasks", if smoke { 8 } else { 64 });
-    let kbytes = args.u32("--kbytes", if smoke { 1 } else { 4 });
+    let tasks = args.u32("--tasks", 64);
+    let kbytes = args.u32("--kbytes", 4);
     let params =
         StreamCopyParams { n_tasks: tasks, task_bytes: kbytes * 1024, compute_per_word: 2 };
     // All assertions run in both modes; `--json` only swaps the tables
@@ -226,7 +224,7 @@ fn main() {
         ("speedup", json::num(1.0)),
         ("dma_bytes", word.dma_bytes.to_string()),
     ])];
-    let bursts: &[u32] = if smoke { &[64, 1024] } else { &[16, 64, 256, 1024, 4096] };
+    let bursts: &[u32] = &[16, 64, 256, 1024, 4096];
     let mut best: Option<Run> = None;
     let mut best_mode = StreamMode::Dma;
     for &burst in bursts {
@@ -263,12 +261,8 @@ fn main() {
          no extra compute (transfer-bound):"
     );
     say!("{:<8} {:>12} {:>12} {:>12} {:>10}", "tiles", "1 chan", "2 chan", "4 chan", "2ch gain");
-    let chan_params = StreamCopyParams {
-        n_tasks: if smoke { 8 } else { 16 },
-        task_bytes: 4096,
-        compute_per_word: 0,
-    };
-    let chan_tiles: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
+    let chan_params = StreamCopyParams { n_tasks: 16, task_bytes: 4096, compute_per_word: 0 };
+    let chan_tiles: &[usize] = &[1, 2, 4];
     let mut chan_rows = Vec::new();
     for &t in chan_tiles {
         let c1 = run_stream(t, chan_params, StreamMode::DmaDouble, 4096, 1, topology, &[]).makespan;
@@ -297,7 +291,7 @@ fn main() {
         "bytes/kcycle",
         "gain"
     );
-    let payloads: &[u32] = if smoke { &[4 << 10] } else { &[4 << 10, 16 << 10, 64 << 10] };
+    let payloads: &[u32] = &[4 << 10, 16 << 10, 64 << 10];
     let mut t2t_rows = Vec::new();
     for &bytes in payloads {
         let (t2t, sdram) = t2t_vs_sdram(bytes, topology);
@@ -438,11 +432,7 @@ fn main() {
     say!("  (gains grow with the streaming tile count; pmcbench's stream_dma_256t runs 256 tiles)");
 
     say!("\nFig. 10 revisited — motion estimation staging strategies (SPM):");
-    let me_params = if smoke {
-        MotionEstParams { frame: 32, block: 16, range: 4, seed: 0x5EED_0004 }
-    } else {
-        MotionEstParams { frame: 96, block: 16, range: 8, seed: 0x5EED_0004 }
-    };
+    let me_params = MotionEstParams { frame: 96, block: 16, range: 8, seed: 0x5EED_0004 };
     let mut makespans = Vec::new();
     let mut me_rows = Vec::new();
     for variant in 0..3usize {

@@ -16,8 +16,8 @@
 //! pinned seed, so `--json` output is byte-identical across repeated
 //! runs (wall-clock times are deliberately kept out of the JSON).
 //!
-//! Usage: `fig_serve [--requests N] [--shards S] [--seed X] [--smoke]
-//! [--json] [--trace FILE]`
+//! Usage: `fig_serve [--requests N] [--shards S] [--seed X] [--json]
+//! [--trace FILE]`
 //!
 //! `--trace FILE` additionally exports one representative run (SWCC,
 //! mesh, 2 controllers) as Perfetto JSON.
@@ -103,14 +103,12 @@ fn main() {
         ("--requests", Takes::U32),
         ("--shards", Takes::U32),
         ("--seed", Takes::U32),
-        ("--smoke", Takes::Switch),
         ("--json", Takes::Switch),
         ("--trace", Takes::Str),
     ]);
-    let smoke = args.flag("--smoke");
     let as_json = args.flag("--json");
     let seed = args.u32("--seed", 0xC0FFEE) as u64;
-    let n_requests = args.u32("--requests", if smoke { 32 } else { 96 });
+    let n_requests = args.u32("--requests", 96);
     let n_shards = args.u32("--shards", 4);
     let trace_out = args.str("--trace", "");
 
@@ -123,18 +121,13 @@ fn main() {
         ..Default::default()
     };
 
-    let backends: &[BackendKind] = if smoke {
-        &[BackendKind::Swcc, BackendKind::Spm]
-    } else {
-        &[BackendKind::Uncached, BackendKind::Swcc, BackendKind::Dsm, BackendKind::Spm]
-    };
-    let loads: &[u64] = if smoke { &[600] } else { &[1200, 600, 300] };
+    let loads: &[u64] = &[1200, 600, 300];
     let topologies = ["ring", "mesh", "torus"];
     let controller_counts = [1usize, 2];
 
     // 1. The serving table.
     let mut cells = Vec::new();
-    for &backend in backends {
+    for backend in BackendKind::ALL {
         for topology in topologies {
             for controllers in controller_counts {
                 for &ia in loads {

@@ -15,6 +15,7 @@
 //! | `ablation_locks` | extension: SDRAM lock vs asymmetric distributed lock |
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use pmc_apps::workload::Breakdown;
 use pmc_soc_sim::telemetry::json;
@@ -57,7 +58,7 @@ pub fn breakdown_header() -> String {
 /// What a flag of a harness binary takes on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Takes {
-    /// Nothing: present or absent (`--smoke`).
+    /// Nothing: present or absent (`--json`).
     Switch,
     /// One unsigned decimal integer (`--tiles 8`).
     U32,
@@ -77,7 +78,7 @@ pub struct Args {
 
 impl Args {
     /// Check `argv` (without the program name) against `accepted`.
-    pub fn parse(
+    pub(crate) fn parse(
         argv: &[String],
         accepted: &'static [(&'static str, Takes)],
     ) -> Result<Args, String> {
@@ -102,8 +103,9 @@ impl Args {
         Ok(Args { accepted, given })
     }
 
-    /// [`Args::parse`] of the process's own command line; a usage error
-    /// goes to stderr with the accepted flags and exits with status 2.
+    /// Check the process's own command line against `accepted`; a usage
+    /// error goes to stderr with the accepted flags and exits with
+    /// status 2.
     pub fn from_env(accepted: &'static [(&'static str, Takes)]) -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         Args::parse(&argv, accepted).unwrap_or_else(|e| usage_error(&e, accepted))
@@ -232,7 +234,7 @@ mod tests {
     use super::*;
 
     const FLAGS: &[(&str, Takes)] =
-        &[("--tiles", Takes::U32), ("--topology", Takes::Str), ("--smoke", Takes::Switch)];
+        &[("--tiles", Takes::U32), ("--topology", Takes::Str), ("--json", Takes::Switch)];
 
     fn parse(line: &str) -> Result<Args, String> {
         let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -241,12 +243,12 @@ mod tests {
 
     #[test]
     fn a_valid_line_parses_and_absent_flags_take_their_defaults() {
-        let args = parse("--smoke --tiles 16 --topology mesh").unwrap();
-        assert!(args.flag("--smoke"));
+        let args = parse("--json --tiles 16 --topology mesh").unwrap();
+        assert!(args.flag("--json"));
         assert_eq!(args.u32("--tiles", 8), 16);
         assert_eq!(args.topology(16), pmc_soc_sim::Topology::Mesh { cols: 4, rows: 4 });
         let none = parse("").unwrap();
-        assert!(!none.flag("--smoke"));
+        assert!(!none.flag("--json"));
         assert_eq!(none.u32("--tiles", 8), 8);
         assert_eq!(none.str("--topology", "ring"), "ring");
     }
@@ -255,8 +257,8 @@ mod tests {
     fn bad_lines_are_usage_errors() {
         assert_eq!(parse("--engine threaded").unwrap_err(), "unknown argument `--engine`");
         assert_eq!(parse("--tiles x").unwrap_err(), "--tiles x: not an unsigned 32-bit integer");
-        assert_eq!(parse("--smoke --tiles").unwrap_err(), "--tiles needs a value");
-        assert_eq!(parse("--tiles --smoke").unwrap_err(), "--tiles needs a value");
+        assert_eq!(parse("--json --tiles").unwrap_err(), "--tiles needs a value");
+        assert_eq!(parse("--tiles --json").unwrap_err(), "--tiles needs a value");
         assert_eq!(parse("8").unwrap_err(), "unknown argument `8`");
     }
 

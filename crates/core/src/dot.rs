@@ -9,12 +9,6 @@ use crate::execution::Execution;
 use crate::op::OpKind;
 use crate::order::OrderKind;
 
-/// Render the execution as a DOT digraph. Transitively redundant edges
-/// are *not* removed (use [`to_dot_reduced`] for figures).
-pub fn to_dot(e: &Execution) -> String {
-    render(e, false)
-}
-
 /// Render the execution as a DOT digraph with transitive reduction, like
 /// the paper's figures ("the figures are transitively reduced; all
 /// redundant orderings are left out").
@@ -100,7 +94,7 @@ mod tests {
         let mut e = Execution::new(EdgeMode::Full);
         e.write(ProcId(0), LocId(0), 1);
         e.write(ProcId(0), LocId(0), 2);
-        let dot = to_dot(&e);
+        let dot = render(&e, false);
         assert!(dot.contains("digraph"));
         assert!(dot.contains("v0=1"));
         assert!(dot.contains("v0=2"));
@@ -113,7 +107,7 @@ mod tests {
         let mut e = Execution::new(EdgeMode::Full);
         e.write(ProcId(0), LocId(0), 1);
         e.write(ProcId(0), LocId(0), 2);
-        let full = to_dot(&e);
+        let full = render(&e, false);
         let reduced = to_dot_reduced(&e);
         assert!(full.matches("->").count() > reduced.matches("->").count());
         // n0 = init, n2 = second write: direct edge gone after reduction.

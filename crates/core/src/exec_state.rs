@@ -22,7 +22,7 @@ use crate::order::OrderKind;
 
 /// Errors for operations the platform would never let happen.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ModelError {
+pub(crate) enum ModelError {
     /// Acquire on a location whose lock is currently held.
     AlreadyLocked { loc: LocId, holder: ProcId },
     /// Release by a process that does not hold the lock.
@@ -52,7 +52,7 @@ impl std::error::Error for ModelError {}
 /// Executor state: an execution under construction plus lock table and
 /// per-(process, location) read floors.
 #[derive(Debug, Clone)]
-pub struct ModelState {
+pub(crate) struct ModelState {
     exec: Execution,
     locks: HashMap<LocId, ProcId>,
     /// Monotonicity floor: the write each (process, location) pair last
@@ -68,26 +68,22 @@ impl Default for ModelState {
 }
 
 impl ModelState {
-    pub fn new(mode: EdgeMode) -> Self {
+    pub(crate) fn new(mode: EdgeMode) -> Self {
         ModelState { exec: Execution::new(mode), locks: HashMap::new(), floor: HashMap::new() }
-    }
-
-    pub fn execution(&self) -> &Execution {
-        &self.exec
     }
 
     /// Set the initial value of a location (Definition 3's initial
     /// write-and-release). Must be called before the location is used to
     /// take effect; later calls are ignored.
-    pub fn init(&mut self, v: LocId, value: Value) -> OpId {
+    pub(crate) fn init(&mut self, v: LocId, value: Value) -> OpId {
         self.exec.ensure_init(v, value)
     }
 
-    pub fn can_acquire(&self, v: LocId) -> bool {
+    pub(crate) fn can_acquire(&self, v: LocId) -> bool {
         !self.locks.contains_key(&v)
     }
 
-    pub fn acquire(&mut self, p: ProcId, v: LocId) -> Result<OpId, ModelError> {
+    pub(crate) fn acquire(&mut self, p: ProcId, v: LocId) -> Result<OpId, ModelError> {
         if let Some(&holder) = self.locks.get(&v) {
             return Err(ModelError::AlreadyLocked { loc: v, holder });
         }
@@ -95,7 +91,7 @@ impl ModelState {
         Ok(self.exec.acquire(p, v))
     }
 
-    pub fn release(&mut self, p: ProcId, v: LocId) -> Result<OpId, ModelError> {
+    pub(crate) fn release(&mut self, p: ProcId, v: LocId) -> Result<OpId, ModelError> {
         match self.locks.get(&v) {
             Some(&holder) if holder == p => {
                 self.locks.remove(&v);
@@ -105,27 +101,27 @@ impl ModelState {
         }
     }
 
-    pub fn write(&mut self, p: ProcId, v: LocId, value: Value) -> OpId {
+    pub(crate) fn write(&mut self, p: ProcId, v: LocId, value: Value) -> OpId {
         let id = self.exec.write(p, v, value);
         // A process reads its own writes: they become the new floor.
         self.floor.insert((p, v), id);
         id
     }
 
-    pub fn fence(&mut self, p: ProcId) -> OpId {
+    pub(crate) fn fence(&mut self, p: ProcId) -> OpId {
         self.exec.fence(p)
     }
 
     /// Mark the hand-off of an asynchronous bulk transfer on `v` (the DMA
     /// extension; the data movement itself is modelled by plain
     /// reads/writes floating between issue and complete).
-    pub fn dma_issue(&mut self, p: ProcId, v: LocId) -> OpId {
+    pub(crate) fn dma_issue(&mut self, p: ProcId, v: LocId) -> OpId {
         self.exec.ensure_init(v, 0);
         self.exec.dma_issue(p, v)
     }
 
     /// Mark the observed completion of outstanding transfers on `v`.
-    pub fn dma_complete(&mut self, p: ProcId, v: LocId) -> OpId {
+    pub(crate) fn dma_complete(&mut self, p: ProcId, v: LocId) -> OpId {
         self.exec.ensure_init(v, 0);
         self.exec.dma_complete(p, v)
     }
@@ -140,7 +136,7 @@ impl ModelState {
     /// equal keys ⇒ isomorphic executions (respecting per-process order)
     /// with equal lock tables and read floors ⇒ identical future
     /// behaviour.
-    pub fn canonical_key(&self) -> Vec<u64> {
+    pub(crate) fn canonical_key(&self) -> Vec<u64> {
         let kind_code = |k: OpKind| -> u64 {
             match k {
                 OpKind::Read => 0,
@@ -224,7 +220,7 @@ impl ModelState {
     /// The writes a read by `p` of `v` may legally return *now*:
     /// Definition 12 (last write or anything `⪯p`-after it) filtered by
     /// the monotonicity floor.
-    pub fn read_candidates(&mut self, p: ProcId, v: LocId) -> Vec<(OpId, Value)> {
+    pub(crate) fn read_candidates(&mut self, p: ProcId, v: LocId) -> Vec<(OpId, Value)> {
         self.exec.ensure_init(v, 0);
         // Stage the read to let `Execution` compute its past cone, then
         // discard the staged state by working on a clone. Executions are
@@ -241,7 +237,12 @@ impl ModelState {
 
     /// Commit a read by `p` of `v` returning the value of write `from`.
     /// `from` must be one of [`Self::read_candidates`].
-    pub fn read_from(&mut self, p: ProcId, v: LocId, from: OpId) -> Result<OpId, ModelError> {
+    pub(crate) fn read_from(
+        &mut self,
+        p: ProcId,
+        v: LocId,
+        from: OpId,
+    ) -> Result<OpId, ModelError> {
         let legal = self.read_candidates(p, v).iter().any(|&(w, _)| w == from);
         if !legal {
             return Err(ModelError::IllegalRead { loc: v, from });
@@ -254,7 +255,12 @@ impl ModelState {
 
     /// Convenience: commit a read returning any candidate with the given
     /// value (used by tests and the `WaitEq` litmus instruction).
-    pub fn read_value(&mut self, p: ProcId, v: LocId, value: Value) -> Result<OpId, ModelError> {
+    pub(crate) fn read_value(
+        &mut self,
+        p: ProcId,
+        v: LocId,
+        value: Value,
+    ) -> Result<OpId, ModelError> {
         let cand = self.read_candidates(p, v).into_iter().find(|&(_, val)| val == value);
         match cand {
             Some((w, _)) => self.read_from(p, v, w),

@@ -31,7 +31,7 @@ pub enum EdgeMode {
 /// An ordering edge `from ≺ to` with its kind. `from` always precedes `to`
 /// in append order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Edge {
+pub(crate) struct Edge {
     pub from: OpId,
     pub to: OpId,
     pub kind: OrderKind,
@@ -75,40 +75,38 @@ impl Execution {
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     pub fn op(&self, id: OpId) -> &Op {
         &self.ops[id.index()]
     }
 
-    pub fn ops(&self) -> impl Iterator<Item = (OpId, &Op)> {
+    pub(crate) fn ops(&self) -> impl Iterator<Item = (OpId, &Op)> {
         self.ops.iter().enumerate().map(|(i, o)| (OpId(i as u32), o))
     }
 
     /// Incoming edges of `id` (sources are strictly older operations).
-    pub fn preds(&self, id: OpId) -> &[(OpId, OrderKind)] {
+    #[cfg(test)]
+    pub(crate) fn preds(&self, id: OpId) -> &[(OpId, OrderKind)] {
         &self.preds[id.index()]
     }
 
     /// Outgoing edges of `id` (targets are strictly newer operations).
-    pub fn succs(&self, id: OpId) -> &[(OpId, OrderKind)] {
+    pub(crate) fn succs(&self, id: OpId) -> &[(OpId, OrderKind)] {
         &self.succs[id.index()]
     }
 
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.preds.iter().enumerate().flat_map(|(to, preds)| {
             preds.iter().map(move |&(from, kind)| Edge { from, to: OpId(to as u32), kind })
         })
     }
 
     /// The initial operation of a location, if the location has been used.
-    pub fn init_op(&self, v: LocId) -> Option<OpId> {
+    #[cfg(test)]
+    pub(crate) fn init_op(&self, v: LocId) -> Option<OpId> {
         self.init.get(&v).copied()
     }
 
@@ -149,7 +147,7 @@ impl Execution {
     /// Table I against all matching existing operations (Definition 4).
     /// Locations touched for the first time get their initial operation
     /// first (with initial value 0).
-    pub fn execute(&mut self, op: Op) -> OpId {
+    pub(crate) fn execute(&mut self, op: Op) -> OpId {
         if op.kind != OpKind::Fence {
             self.ensure_init(op.loc, 0);
         }
@@ -175,10 +173,10 @@ impl Execution {
         self.execute(Op::fence(p))
     }
     /// DMA-window markers (extension; see [`crate::table1::dma_rule`]).
-    pub fn dma_issue(&mut self, p: ProcId, v: LocId) -> OpId {
+    pub(crate) fn dma_issue(&mut self, p: ProcId, v: LocId) -> OpId {
         self.execute(Op::dma_issue(p, v))
     }
-    pub fn dma_complete(&mut self, p: ProcId, v: LocId) -> OpId {
+    pub(crate) fn dma_complete(&mut self, p: ProcId, v: LocId) -> OpId {
         self.execute(Op::dma_complete(p, v))
     }
 
@@ -238,7 +236,7 @@ impl Execution {
     /// Does `a ⪯ b` hold in the given view? (Reflexive; `a ≺ b` for
     /// strict precedence with `a != b`.) Implemented as a backward BFS
     /// from `b` over edges visible in `view`.
-    pub fn reaches(&self, a: OpId, b: OpId, view: View) -> bool {
+    pub(crate) fn reaches(&self, a: OpId, b: OpId, view: View) -> bool {
         if a == b {
             return true;
         }
@@ -277,7 +275,7 @@ impl Execution {
 
     /// All operations `x` with `x ⪯ b` in `view` (the past cone of `b`),
     /// including `b` itself.
-    pub fn past_cone(&self, b: OpId, view: View) -> Vec<OpId> {
+    pub(crate) fn past_cone(&self, b: OpId, view: View) -> Vec<OpId> {
         let mut seen = vec![false; b.index() + 1];
         let mut stack = vec![b];
         let mut out = vec![b];
@@ -328,7 +326,7 @@ impl Execution {
     /// The set of writes whose value operation `o` may return (paper
     /// Definition 12), ignoring the cross-read monotonicity constraint
     /// (which depends on the reader's history and is enforced by
-    /// [`crate::exec_state::ModelState`]): the last write(s), or any write
+    /// `crate::exec_state::ModelState`): the last write(s), or any write
     /// to the same location ordered after a last write in the view of
     /// `o`'s process.
     pub fn readable_writes(&self, o: OpId) -> Vec<OpId> {

@@ -55,13 +55,13 @@ impl SplitMix64 {
     }
 
     /// Uniform draw from `0..n` (`n > 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         self.next_u64() % n
     }
 
     /// True with probability `percent`/100.
-    pub fn chance(&mut self, percent: u64) -> bool {
+    pub(crate) fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
     }
 }

@@ -35,7 +35,7 @@ pub struct Limits {
     /// soundness harness.
     pub max_states: usize,
     /// Opt-in visited-state memoization: prune DFS nodes whose canonical
-    /// state ([`crate::exec_state::ModelState::canonical_key`] plus
+    /// state (`crate::exec_state::ModelState::canonical_key` plus
     /// program position and registers) has already been explored. Two
     /// interleavings of independent steps converge on one canonical
     /// state, so the pruned subtree's outcomes are exactly the ones the
@@ -82,11 +82,6 @@ impl Limits {
     /// Default limits with memoization enabled.
     pub fn memoized() -> Self {
         Limits { memoize: true, ..Limits::default() }
-    }
-
-    /// Default limits with partial-order reduction enabled.
-    pub fn reduced() -> Self {
-        Limits { por: true, ..Limits::default() }
     }
 
     /// Default limits with both partial-order reduction and memoization —
@@ -142,7 +137,7 @@ fn instr_sigs(i: &Instr) -> Sigs {
 /// depend on it — where "on it" means on its *perform* step, which floats
 /// until the thread's next [`Instr::DmaWait`]; the wait itself depends on
 /// every outstanding transfer (and chains with fences and other waits).
-pub fn intra_thread_dep(a: &Instr, b: &Instr) -> bool {
+pub(crate) fn intra_thread_dep(a: &Instr, b: &Instr) -> bool {
     // DmaWait rows/columns: the wait orders after every earlier DMA
     // transfer of the thread (any location), chains with earlier waits,
     // and fences order both ways. Later transfers start after the wait
@@ -971,7 +966,8 @@ mod tests {
         for case in crate::conformance::cases() {
             let p = crate::conformance::lower(&case.program);
             let (plain, plain_states) = outcomes_counted(&p, Limits::default()).unwrap();
-            let (por, por_states) = outcomes_counted(&p, Limits::reduced()).unwrap();
+            let (por, por_states) =
+                outcomes_counted(&p, Limits { por: true, ..Limits::default() }).unwrap();
             let (memo, memo_states) = outcomes_counted(&p, Limits::memoized()).unwrap();
             let (both, both_states) = outcomes_counted(&p, Limits::reduced_memoized()).unwrap();
             assert_eq!(plain, por, "{}: POR changed the outcome set", case.name);
@@ -1006,7 +1002,7 @@ mod tests {
             init: vec![],
         };
         let plain = outcomes(&p).unwrap();
-        let por = outcomes_with(&p, Limits::reduced()).unwrap();
+        let por = outcomes_with(&p, Limits { por: true, ..Limits::default() }).unwrap();
         assert_eq!(plain, por);
         assert!(!plain.is_empty(), "the non-deadlocking interleavings complete");
     }

@@ -54,6 +54,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod conformance;
 pub mod dot;
@@ -66,7 +67,3 @@ pub mod models;
 pub mod op;
 pub mod order;
 pub mod table1;
-
-pub use execution::{EdgeMode, Execution};
-pub use op::{LocId, Op, OpId, OpKind, ProcId, Value};
-pub use order::{OrderKind, View};

@@ -60,7 +60,7 @@ pub enum Instr {
 impl Instr {
     /// Whether this instruction issues an asynchronous (two-phase)
     /// transfer.
-    pub fn is_dma_transfer(&self) -> bool {
+    pub(crate) fn is_dma_transfer(&self) -> bool {
         matches!(self, Instr::DmaPut(..) | Instr::DmaGet(..) | Instr::DmaCopy(..))
     }
 }
@@ -106,10 +106,10 @@ pub mod catalogue {
     use super::*;
     use crate::op::LocId as L;
 
-    pub const X: L = L(0);
-    pub const Y: L = L(1);
-    pub const FLAG: L = L(2);
-    pub const ACK: L = L(3);
+    pub(crate) const X: L = L(0);
+    pub(crate) const Y: L = L(1);
+    pub(crate) const FLAG: L = L(2);
+    pub(crate) const ACK: L = L(3);
 
     /// Paper Fig. 1 / Fig. 5 message passing *without* synchronisation:
     /// P0: X=42; flag=1.  P1: wait flag==1; read X.
@@ -149,7 +149,7 @@ pub mod catalogue {
     /// Store buffering (SB): P0: X=1; read Y. P1: Y=1; read X.
     /// PMC (like any model without cross-location ordering) allows
     /// r0 = r1 = 0.
-    pub fn store_buffering() -> Program {
+    pub(crate) fn store_buffering() -> Program {
         Program::new()
             .with_init(X, 0)
             .with_init(Y, 0)
@@ -160,7 +160,7 @@ pub mod catalogue {
     /// Coherence (CoRR): one writer, one reader reading the same location
     /// twice. Reading (new, old) must be impossible — Definition 12's
     /// monotonicity.
-    pub fn corr() -> Program {
+    pub(crate) fn corr() -> Program {
         Program::new()
             .with_init(X, 0)
             .thread(vec![Instr::Acquire(X), Instr::Write(X, 1), Instr::Release(X)])
@@ -213,7 +213,7 @@ pub mod catalogue {
     /// carry no global ordering (reads order only locally, `≺ℓ`), so the
     /// causal chain does not transfer: P2 may observe Y = 1 yet still
     /// read the stale X = 0.
-    pub fn wrc() -> Program {
+    pub(crate) fn wrc() -> Program {
         Program::new()
             .with_init(X, 0)
             .with_init(Y, 0)
@@ -226,7 +226,7 @@ pub mod catalogue {
     /// critical sections: the acquire chain transfers causality, so
     /// observing Y = 1 after X = 1 was forwarded forbids the stale read
     /// (no outcome with r0 = 1 on both forwarding reads and r1 = 0).
-    pub fn wrc_annotated() -> Program {
+    pub(crate) fn wrc_annotated() -> Program {
         Program::new()
             .with_init(X, 0)
             .with_init(Y, 0)
@@ -282,7 +282,7 @@ pub mod catalogue {
     /// is followed by a DMA put of the same location. The put's bulk
     /// write performs at some point before the wait; an unsynchronised
     /// slow reader may observe 0, 1 or 2, but never backwards.
-    pub fn dma_put_after_write() -> Program {
+    pub(crate) fn dma_put_after_write() -> Program {
         Program::new()
             .with_init(X, 0)
             .thread(vec![
@@ -298,7 +298,7 @@ pub mod catalogue {
     /// Wait-before-read: a DMA get under the location's lock, waited
     /// before use, returns the committed value — whichever side won the
     /// lock race (0 or 7), never a torn or stale intermediate.
-    pub fn dma_get_fresh() -> Program {
+    pub(crate) fn dma_get_fresh() -> Program {
         Program::new()
             .with_init(X, 0)
             .thread(vec![Instr::Acquire(X), Instr::Write(X, 7), Instr::Release(X)])
@@ -316,7 +316,7 @@ pub mod catalogue {
     /// releases and raises the flag. The synchronised reader must
     /// observe the copied 42 — the copy-completes-before-release
     /// guarantee of the tile-to-tile extension.
-    pub fn dma_t2t_mp() -> Program {
+    pub(crate) fn dma_t2t_mp() -> Program {
         Program::new()
             .with_init(X, 0)
             .with_init(Y, 0)
@@ -348,7 +348,7 @@ pub mod catalogue {
     /// get samples its location under the gathering thread's locks, so
     /// only committed values are observable — but the two samples are
     /// independent of the writer's two separately locked stores.
-    pub fn dma_sg_gather() -> Program {
+    pub(crate) fn dma_sg_gather() -> Program {
         Program::new()
             .with_init(X, 0)
             .with_init(Y, 0)
@@ -376,7 +376,7 @@ pub mod catalogue {
     /// on different channels and may perform in either order, so an
     /// unsynchronised observer may see them in any combination (but the
     /// issuing thread's wait still completes both before the release).
-    pub fn dma_chan_overlap() -> Program {
+    pub(crate) fn dma_chan_overlap() -> Program {
         Program::new()
             .with_init(X, 0)
             .with_init(Y, 0)
@@ -428,7 +428,7 @@ pub mod catalogue {
     /// the ack. Both directions follow the Fig. 6 idiom, so PMC pins the
     /// round trip completely: the server must read the request value and
     /// the client must read the reply value — a single outcome.
-    pub fn mailbox_request_reply() -> Program {
+    pub(crate) fn mailbox_request_reply() -> Program {
         Program::new()
             .with_init(X, 0)
             .with_init(Y, 0)
@@ -473,7 +473,7 @@ pub mod catalogue {
     /// location the *same scope* already wrote must observe the staged
     /// write, not re-fetch the stale home copy over it. The model pins
     /// `r0 = 1`; the racing bare reader may see 0 or 1.
-    pub fn fuzz_get_sees_own_write() -> Program {
+    pub(crate) fn fuzz_get_sees_own_write() -> Program {
         Program::new()
             .with_init(X, 0)
             .thread(vec![
@@ -491,7 +491,7 @@ pub mod catalogue {
     /// scoped DMA get of the same location waits for the get's floating
     /// perform, so the get samples the *pre-write* value — 0, or the
     /// competing bare put's 2, but never this thread's own later 2.
-    pub fn fuzz_write_after_get_orders() -> Program {
+    pub(crate) fn fuzz_write_after_get_orders() -> Program {
         Program::new()
             .with_init(X, 0)
             .thread(vec![

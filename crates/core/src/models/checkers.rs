@@ -1,7 +1,7 @@
 //! The model checkers themselves: SC, PC, PRAM, CC, Slow.
 //!
 //! All take value traces (unique write values per location; see
-//! [`super::trace::validate`]) and answer whether the observed behaviour
+//! `super::trace::validate`) and answer whether the observed behaviour
 //! is explainable under the model.
 
 use std::collections::HashMap;

@@ -23,14 +23,14 @@ use super::trace::{MemEvent, ThreadTrace, INIT_VALUE};
 /// A fixed per-location total order of write values that a serialisation
 /// must respect (used by the PC checker's GDO requirement).
 #[derive(Debug, Clone, Default)]
-pub struct CoherenceOrder {
+pub(crate) struct CoherenceOrder {
     /// For each location: position of each written value in the agreed
     /// order.
     pos: HashMap<(LocId, Value), usize>,
 }
 
 impl CoherenceOrder {
-    pub fn new(orders: &HashMap<LocId, Vec<Value>>) -> Self {
+    pub(crate) fn new(orders: &HashMap<LocId, Vec<Value>>) -> Self {
         let mut pos = HashMap::new();
         for (&loc, values) in orders {
             for (i, &v) in values.iter().enumerate() {
@@ -54,7 +54,7 @@ impl CoherenceOrder {
 ///   [`INIT_VALUE`]);
 /// * with `coherence`, writes to a location must be scheduled in the
 ///   agreed order.
-pub fn serializable(streams: &[ThreadTrace], coherence: Option<&CoherenceOrder>) -> bool {
+pub(crate) fn serializable(streams: &[ThreadTrace], coherence: Option<&CoherenceOrder>) -> bool {
     let mut memo: SerialMemo = HashSet::new();
     let mut mem: HashMap<LocId, Value> = HashMap::new();
     // Progress of the coherence order per location (next write position
@@ -139,7 +139,7 @@ fn dfs(
 /// respect each thread's program order of writes to that location,
 /// calling `f` for each complete assignment. Returns `true` as soon as
 /// `f` does.
-pub fn for_each_coherence_order(
+pub(crate) fn for_each_coherence_order(
     writes_per_loc: &HashMap<LocId, Vec<Vec<Value>>>,
     f: &mut dyn FnMut(&CoherenceOrder) -> bool,
 ) -> bool {

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use crate::op::{LocId, Value};
 
 /// The initial value every location holds before any write.
-pub const INIT_VALUE: Value = 0;
+pub(crate) const INIT_VALUE: Value = 0;
 
 /// One memory event of a thread, in program order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,18 +27,14 @@ impl MemEvent {
 /// A thread's memory events in program order.
 pub type ThreadTrace = Vec<MemEvent>;
 
-/// Identity of a write: `(writer_thread, index_of_write_in_its_thread)`;
-/// `None` denotes the initial value.
-pub type WriteRef = Option<(usize, usize)>;
-
 /// Map from `(loc, value)` to the identity of the write that produced
 /// the value.
-pub type WriteMap = HashMap<(LocId, Value), (usize, usize)>;
+pub(crate) type WriteMap = HashMap<(LocId, Value), (usize, usize)>;
 
 /// Checks the unique-write-value convention and that every read returns
 /// either the initial value or some written value. Returns a map from
 /// `(loc, value)` to the write's identity.
-pub fn validate(traces: &[ThreadTrace]) -> Result<WriteMap, String> {
+pub(crate) fn validate(traces: &[ThreadTrace]) -> Result<WriteMap, String> {
     let mut writes: WriteMap = HashMap::new();
     for (t, trace) in traces.iter().enumerate() {
         let mut w_idx = 0;
@@ -72,12 +68,12 @@ pub fn validate(traces: &[ThreadTrace]) -> Result<WriteMap, String> {
 
 /// Project a set of traces onto a single location (used by the Cache
 /// Consistency checker: CC = SC per location).
-pub fn project_loc(traces: &[ThreadTrace], loc: LocId) -> Vec<ThreadTrace> {
+pub(crate) fn project_loc(traces: &[ThreadTrace], loc: LocId) -> Vec<ThreadTrace> {
     traces.iter().map(|t| t.iter().copied().filter(|e| e.loc == loc).collect()).collect()
 }
 
 /// All locations mentioned anywhere in the traces.
-pub fn locations(traces: &[ThreadTrace]) -> Vec<LocId> {
+pub(crate) fn locations(traces: &[ThreadTrace]) -> Vec<LocId> {
     let mut locs: Vec<LocId> = traces.iter().flat_map(|t| t.iter().map(|e| e.loc)).collect();
     locs.sort_unstable();
     locs.dedup();

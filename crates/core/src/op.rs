@@ -28,7 +28,7 @@ pub struct OpId(pub u32);
 
 impl OpId {
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -81,15 +81,8 @@ impl OpKind {
         matches!(self, OpKind::Write | OpKind::Init)
     }
 
-    /// Whether this kind matches the release pattern `(R, ·, ·, ·)`.
-    /// `Init` behaves like a release (Definition 3).
-    #[inline]
-    pub fn is_release_like(self) -> bool {
-        matches!(self, OpKind::Release | OpKind::Init)
-    }
-
     /// Short symbol used in the paper's Table I.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             OpKind::Read => "r",
             OpKind::Write => "w",
@@ -114,7 +107,7 @@ impl fmt::Display for OpKind {
 pub struct Op {
     pub kind: OpKind,
     /// Issuing process. For `Init` this is a pseudo-process equivalent to
-    /// all processes; see [`Op::issued_by`].
+    /// all processes; see `Op::issued_by`.
     pub proc: ProcId,
     /// Location operated on. `Fence` operations apply to all locations of
     /// the process; by convention their `loc` is `LocId(u32::MAX)` and must
@@ -127,48 +120,48 @@ pub struct Op {
 
 /// Pseudo process-id for the initial operations: behaves as if issued by
 /// every process at once (paper's ♦ in Definition 3).
-pub const PROC_ALL: ProcId = ProcId(u16::MAX);
+pub(crate) const PROC_ALL: ProcId = ProcId(u16::MAX);
 
 /// Pseudo location-id for fences, which span all locations of a process.
-pub const LOC_ALL: LocId = LocId(u32::MAX);
+pub(crate) const LOC_ALL: LocId = LocId(u32::MAX);
 
 impl Op {
-    pub fn read(p: ProcId, v: LocId) -> Self {
+    pub(crate) fn read(p: ProcId, v: LocId) -> Self {
         Op { kind: OpKind::Read, proc: p, loc: v, value: 0 }
     }
-    pub fn write(p: ProcId, v: LocId, value: Value) -> Self {
+    pub(crate) fn write(p: ProcId, v: LocId, value: Value) -> Self {
         Op { kind: OpKind::Write, proc: p, loc: v, value }
     }
-    pub fn acquire(p: ProcId, v: LocId) -> Self {
+    pub(crate) fn acquire(p: ProcId, v: LocId) -> Self {
         Op { kind: OpKind::Acquire, proc: p, loc: v, value: 0 }
     }
-    pub fn release(p: ProcId, v: LocId) -> Self {
+    pub(crate) fn release(p: ProcId, v: LocId) -> Self {
         Op { kind: OpKind::Release, proc: p, loc: v, value: 0 }
     }
-    pub fn fence(p: ProcId) -> Self {
+    pub(crate) fn fence(p: ProcId) -> Self {
         Op { kind: OpKind::Fence, proc: p, loc: LOC_ALL, value: 0 }
     }
-    pub fn init(v: LocId, value: Value) -> Self {
+    pub(crate) fn init(v: LocId, value: Value) -> Self {
         Op { kind: OpKind::Init, proc: PROC_ALL, loc: v, value }
     }
-    pub fn dma_issue(p: ProcId, v: LocId) -> Self {
+    pub(crate) fn dma_issue(p: ProcId, v: LocId) -> Self {
         Op { kind: OpKind::DmaIssue, proc: p, loc: v, value: 0 }
     }
-    pub fn dma_complete(p: ProcId, v: LocId) -> Self {
+    pub(crate) fn dma_complete(p: ProcId, v: LocId) -> Self {
         Op { kind: OpKind::DmaComplete, proc: p, loc: v, value: 0 }
     }
 
     /// Whether this operation counts as issued by process `p`.
     /// Initial operations are issued by every process (Definition 3).
     #[inline]
-    pub fn issued_by(&self, p: ProcId) -> bool {
+    pub(crate) fn issued_by(&self, p: ProcId) -> bool {
         self.proc == p || self.proc == PROC_ALL
     }
 
     /// Whether this operation targets location `v`. Fences span all
     /// locations of their process.
     #[inline]
-    pub fn on_loc(&self, v: LocId) -> bool {
+    pub(crate) fn on_loc(&self, v: LocId) -> bool {
         self.loc == v
     }
 }
@@ -188,120 +181,15 @@ impl fmt::Display for Op {
     }
 }
 
-/// A pattern `(operation, p, v, value)` as in paper Definition 2: matches
-/// any operation with the same properties, where `None` plays the role of
-/// the paper's `*` wildcard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pattern {
-    pub kind: Option<OpKind>,
-    pub proc: Option<ProcId>,
-    pub loc: Option<LocId>,
-    pub value: Option<Value>,
-}
-
-impl Pattern {
-    pub const ANY: Pattern = Pattern { kind: None, proc: None, loc: None, value: None };
-
-    pub fn of_kind(kind: OpKind) -> Self {
-        Pattern { kind: Some(kind), ..Pattern::ANY }
-    }
-
-    pub fn with_proc(mut self, p: ProcId) -> Self {
-        self.proc = Some(p);
-        self
-    }
-
-    pub fn with_loc(mut self, v: LocId) -> Self {
-        self.loc = Some(v);
-        self
-    }
-
-    pub fn with_value(mut self, value: Value) -> Self {
-        self.value = Some(value);
-        self
-    }
-
-    /// Pattern matching per Definition 2. Kind matching honours the
-    /// write-like / release-like duality of `Init` operations; process
-    /// matching honours that `Init` is issued by every process.
-    pub fn matches(&self, op: &Op) -> bool {
-        if let Some(k) = self.kind {
-            let kind_ok = match k {
-                OpKind::Write => op.kind.is_write_like(),
-                OpKind::Release => op.kind.is_release_like(),
-                other => op.kind == other,
-            };
-            if !kind_ok {
-                return false;
-            }
-        }
-        if let Some(p) = self.proc {
-            if !op.issued_by(p) {
-                return false;
-            }
-        }
-        if let Some(v) = self.loc {
-            if !op.on_loc(v) {
-                return false;
-            }
-        }
-        if let Some(val) = self.value {
-            if op.value != val {
-                return false;
-            }
-        }
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn init_matches_write_and_release_patterns() {
-        let init = Op::init(LocId(3), 0);
-        assert!(Pattern::of_kind(OpKind::Write).matches(&init));
-        assert!(Pattern::of_kind(OpKind::Release).matches(&init));
-        assert!(!Pattern::of_kind(OpKind::Read).matches(&init));
-        assert!(!Pattern::of_kind(OpKind::Acquire).matches(&init));
-        assert!(!Pattern::of_kind(OpKind::Fence).matches(&init));
-    }
 
     #[test]
     fn init_issued_by_every_process() {
         let init = Op::init(LocId(0), 7);
         assert!(init.issued_by(ProcId(0)));
         assert!(init.issued_by(ProcId(31)));
-        // And matches patterns with any concrete process.
-        assert!(Pattern::of_kind(OpKind::Write).with_proc(ProcId(5)).matches(&init));
-    }
-
-    #[test]
-    fn wildcard_pattern_matches_everything() {
-        for op in [
-            Op::read(ProcId(0), LocId(1)),
-            Op::write(ProcId(1), LocId(2), 9),
-            Op::acquire(ProcId(2), LocId(3)),
-            Op::release(ProcId(3), LocId(4)),
-            Op::fence(ProcId(4)),
-            Op::init(LocId(5), 0),
-        ] {
-            assert!(Pattern::ANY.matches(&op), "ANY must match {op}");
-        }
-    }
-
-    #[test]
-    fn pattern_filters_by_proc_loc_value() {
-        let w = Op::write(ProcId(1), LocId(2), 42);
-        assert!(Pattern::of_kind(OpKind::Write)
-            .with_proc(ProcId(1))
-            .with_loc(LocId(2))
-            .with_value(42)
-            .matches(&w));
-        assert!(!Pattern::ANY.with_proc(ProcId(2)).matches(&w));
-        assert!(!Pattern::ANY.with_loc(LocId(3)).matches(&w));
-        assert!(!Pattern::ANY.with_value(41).matches(&w));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::op::ProcId;
 /// * `Fence` — paper Definition 8 (`≺F`): globally visible, per-process
 ///   orderings that can span multiple locations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OrderKind {
+pub(crate) enum OrderKind {
     Local,
     Program,
     Sync,
@@ -31,12 +31,12 @@ impl OrderKind {
     /// agree on global orderings; local orderings are only visible to the
     /// executing process.
     #[inline]
-    pub fn is_global(self) -> bool {
+    pub(crate) fn is_global(self) -> bool {
         !matches!(self, OrderKind::Local)
     }
 
     /// Symbol as used in the paper's figures and Table I.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             OrderKind::Local => "≺ℓ",
             OrderKind::Program => "≺P",
@@ -46,7 +46,7 @@ impl OrderKind {
     }
 
     /// ASCII-safe symbol (for DOT output and plain-text tables).
-    pub fn ascii(self) -> &'static str {
+    pub(crate) fn ascii(self) -> &'static str {
         match self {
             OrderKind::Local => "<l",
             OrderKind::Program => "<P",
@@ -85,7 +85,7 @@ impl View {
     /// connect two operations of the same process, which is the edge's
     /// owner.
     #[inline]
-    pub fn sees(self, kind: OrderKind, owner: ProcId) -> bool {
+    pub(crate) fn sees(self, kind: OrderKind, owner: ProcId) -> bool {
         if kind.is_global() {
             return true;
         }

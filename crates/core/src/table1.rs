@@ -32,7 +32,8 @@ use crate::order::OrderKind;
 /// Scope of a Table I row: which existing operations the row pattern
 /// matches, relative to the new operation `(kind, p, v)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleScope {
+#[allow(clippy::enum_variant_names)] // each name is a (process, location) pair
+pub(crate) enum RuleScope {
     /// Existing ops with the same process *and* the same location
     /// (patterns `(x, p, v, *)` for `x ∈ {r, w, A}` and `(R, p, v, *)`).
     SameProcSameLoc,
@@ -46,18 +47,18 @@ pub enum RuleScope {
 
 /// One cell of Table I: an ordering kind plus the row's matching scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rule {
+pub(crate) struct Rule {
     pub kind: OrderKind,
     pub scope: RuleScope,
 }
 
 /// Row order of the table (kind of the *existing* operation).
-pub const ROWS: [OpKind; 5] =
+pub(crate) const ROWS: [OpKind; 5] =
     [OpKind::Read, OpKind::Write, OpKind::Acquire, OpKind::Release, OpKind::Fence];
 
 /// Column order of the table (kind of the *new* operation), as printed in
 /// the paper: `r w R A F`.
-pub const COLS: [OpKind; 5] =
+pub(crate) const COLS: [OpKind; 5] =
     [OpKind::Read, OpKind::Write, OpKind::Release, OpKind::Acquire, OpKind::Fence];
 
 /// Look up the ordering introduced from an existing operation of kind
@@ -69,7 +70,7 @@ pub const COLS: [OpKind; 5] =
 /// the union of the two rows. This function takes plain kinds; callers
 /// handling `Init` should query both `Write` and `Release` rows (see
 /// [`rules_for_existing`]).
-pub fn rule(existing: OpKind, new: OpKind) -> Option<Rule> {
+pub(crate) fn rule(existing: OpKind, new: OpKind) -> Option<Rule> {
     use OpKind::{Acquire, DmaComplete, DmaIssue, Fence, Init, Read, Release, Write};
     use OrderKind::{Fence as OF, Local, Program, Sync};
     use RuleScope::*;
@@ -131,7 +132,7 @@ pub fn rule(existing: OpKind, new: OpKind) -> Option<Rule> {
 /// movement (floating between the two markers), so the markers add no
 /// cross-process ordering and cannot shrink the outcome set another
 /// process observes.
-pub fn dma_rule(existing: OpKind, new: OpKind) -> Option<Rule> {
+pub(crate) fn dma_rule(existing: OpKind, new: OpKind) -> Option<Rule> {
     use OpKind::{Acquire, DmaComplete, DmaIssue, Fence, Read, Release, Write};
     use OrderKind::Local;
     let is_dma = |k: OpKind| matches!(k, DmaIssue | DmaComplete);
@@ -160,7 +161,7 @@ pub fn dma_rule(existing: OpKind, new: OpKind) -> Option<Rule> {
 /// All rules applying from an existing operation of kind `existing`
 /// (resolving the `Init` = write + release duality of Definition 3) to a
 /// new operation of kind `new`.
-pub fn rules_for_existing(existing: OpKind, new: OpKind) -> impl Iterator<Item = Rule> {
+pub(crate) fn rules_for_existing(existing: OpKind, new: OpKind) -> impl Iterator<Item = Rule> {
     let (a, b, d) = match existing {
         OpKind::Init => {
             (rule(OpKind::Write, new), rule(OpKind::Release, new), dma_rule(OpKind::Write, new))

@@ -29,7 +29,6 @@ use pmc_soc_sim::trace::{span_begin, span_end, span_kind};
 use pmc_soc_sim::{addr, Cpu, DmaDescriptor, DmaDir, DmaKind, DmaSeg};
 
 use crate::pod::Pod;
-use crate::scope::DmaTicket;
 use crate::spm::StagingAlloc;
 use crate::system::{BackendKind, ObjMeta, PrivSlab, Shared, DMA_DONE_OFFSET};
 
@@ -45,34 +44,34 @@ use crate::system::{BackendKind, ObjMeta, PrivSlab, Shared, DMA_DONE_OFFSET};
 /// Scatter/gather transfers emit one event per contiguous range, all
 /// carrying the same channel and sequence number.
 pub mod trace_kind {
-    pub const ENTRY_X: u16 = 1;
-    pub const EXIT_X: u16 = 2;
-    pub const ENTRY_RO: u16 = 3;
-    pub const EXIT_RO: u16 = 4;
-    pub const FLUSH: u16 = 5;
-    pub const FENCE: u16 = 6;
-    pub const READ: u16 = 7;
-    pub const WRITE: u16 = 8;
-    pub const DMA_GET: u16 = 9;
-    pub const DMA_PUT: u16 = 10;
-    pub const DMA_WAIT: u16 = 11;
+    pub(crate) const ENTRY_X: u16 = 1;
+    pub(crate) const EXIT_X: u16 = 2;
+    pub(crate) const ENTRY_RO: u16 = 3;
+    pub(crate) const EXIT_RO: u16 = 4;
+    pub(crate) const FLUSH: u16 = 5;
+    pub(crate) const FENCE: u16 = 6;
+    pub(crate) const READ: u16 = 7;
+    pub(crate) const WRITE: u16 = 8;
+    pub(crate) const DMA_GET: u16 = 9;
+    pub(crate) const DMA_PUT: u16 = 10;
+    pub(crate) const DMA_WAIT: u16 = 11;
     /// Bulk read via `read_bytes_at`: `addr` = object id, `len` = byte
     /// length, `value` = byte offset. Range-checked by the monitor (no
     /// value tracking — bulk payloads carry no per-chunk history).
-    pub const READ_BLOCK: u16 = 12;
+    pub(crate) const READ_BLOCK: u16 = 12;
     /// Synchronous word-copy fill of a streaming scope
     /// (`stage_in_words`): same operand encoding as `READ_BLOCK`;
     /// defines the range for the monitor's coverage tracking.
-    pub const STAGE_IN: u16 = 13;
+    pub(crate) const STAGE_IN: u16 = 13;
     /// Source half of a local-to-local `dma_copy` (`addr` = source
     /// object id; operands encoded like `DMA_GET`). The engine reads the
     /// range lazily, so writes to it before the wait are hazards.
-    pub const DMA_COPY_SRC: u16 = 14;
+    pub(crate) const DMA_COPY_SRC: u16 = 14;
     /// Destination half of a local-to-local `dma_copy` (`addr` =
     /// destination object id). The engine writes the range lazily, so
     /// any access before the wait is a hazard; the completed copy
     /// defines the range in a streaming destination scope.
-    pub const DMA_COPY_DST: u16 = 15;
+    pub(crate) const DMA_COPY_DST: u16 = 15;
 }
 
 /// Transfers' channel/sequence trace encoding: `chan << 28 | seq` in the
@@ -84,10 +83,11 @@ pub(crate) const TRACE_SEQ_MASK: u32 = (1 << TRACE_SEQ_BITS) - 1;
 pub(crate) const MAX_DMA_CHANNELS: usize = 16;
 
 /// The `(object, channel, sequence)` identity of one programmed
-/// transfer — the payload of a [`DmaTicket`]. Each engine *channel*
-/// completes its transfers in issue order, so waiting on a ticket also
-/// completes every earlier transfer issued by the same tile **on the
-/// same channel**; transfers on other channels stay in flight.
+/// transfer — the payload of a [`DmaTicket`](crate::scope::DmaTicket).
+/// Each engine *channel* completes its transfers in issue order, so
+/// waiting on a ticket also completes every earlier transfer issued by
+/// the same tile **on the same channel**; transfers on other channels
+/// stay in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TicketCore {
     pub(crate) obj: u32,
@@ -101,7 +101,7 @@ pub(crate) struct TicketCore {
 /// NoC packets and word accesses apply atomically — naturally aligned
 /// words are indivisible too, which is what the paper's Fig. 9 FIFO
 /// relies on when it polls its `int` pointers from local memory.
-pub const ATOMIC_ACCESS_SIZE: u32 = 4;
+pub(crate) const ATOMIC_ACCESS_SIZE: u32 = 4;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScopeKind {
@@ -148,8 +148,8 @@ pub(crate) struct CtxInner<'a, 'b> {
 /// The context itself is handed to the tile program as `&mut PmcCtx`;
 /// opening a scope ([`PmcCtx::scope_x`], [`PmcCtx::scope_ro`]) borrows
 /// it *shared*, so any number of scope guards — and the
-/// [`DmaTicket`]s they issue — can be live at once (the double-buffered
-/// prefetch pattern).
+/// [`DmaTicket`](crate::scope::DmaTicket)s they issue — can be live at
+/// once (the double-buffered prefetch pattern).
 pub struct PmcCtx<'a, 'b> {
     pub(crate) shared: &'a Shared,
     pub(crate) inner: RefCell<CtxInner<'a, 'b>>,
@@ -168,18 +168,6 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
                 next_chan: 0,
             }),
         }
-    }
-
-    pub fn tile(&self) -> usize {
-        self.inner.borrow().cpu.tile()
-    }
-
-    pub fn n_tiles(&self) -> usize {
-        self.shared.n_tiles
-    }
-
-    pub fn backend(&self) -> BackendKind {
-        self.shared.backend
     }
 
     /// Model computation: `instrs` instructions of pure work.
@@ -204,14 +192,6 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
         inner.cpu.trace_event(trace_kind::FENCE, 0, 0, 0);
     }
 
-    /// Number of independent DMA channels per tile
-    /// ([`pmc_soc_sim::SocConfig::dma_channels`]). Transfers issued by
-    /// this context rotate round-robin over the channels; channels
-    /// complete independently.
-    pub fn dma_channels(&self) -> u32 {
-        self.inner.borrow().cpu.config().dma_channels as u32
-    }
-
     pub(crate) fn assert_quiescent(&self) {
         let inner = self.inner.borrow();
         assert!(
@@ -233,41 +213,6 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
         let mut buf = vec![0u8; T::SIZE as usize];
         chunked_read(inner.cpu, self.shared.line, slab.addr + i * T::SIZE, &mut buf);
         T::from_bytes(&buf)
-    }
-
-    pub fn priv_write<T: Pod>(&self, slab: &PrivSlab<T>, i: u32, value: T) {
-        assert!(i < slab.len);
-        let inner = &mut *self.inner.borrow_mut();
-        let mut buf = vec![0u8; T::SIZE as usize];
-        value.to_bytes(&mut buf);
-        chunked_write(inner.cpu, self.shared.line, slab.addr + i * T::SIZE, &buf);
-    }
-
-    // ==================================================================
-    // Waiting on transfers (shared across the guard and wrapper APIs).
-    // ==================================================================
-
-    /// Block until every transfer up to `ticket` has completed on its
-    /// channel (channels are FIFO; other channels are unaffected).
-    /// Equivalent to [`DmaTicket::wait`].
-    pub fn dma_wait(&self, ticket: DmaTicket<'_, '_, '_>) {
-        ticket.wait();
-    }
-
-    /// Block until *any* of `tickets` has completed, by sleeping on the
-    /// watched channels' completion words (one event wait, not a poll
-    /// loop); returns the index of a completed ticket — which that call
-    /// also retires, exactly like [`DmaTicket::wait`] on it. The other
-    /// tickets stay in flight. Spurious wakeups (an earlier transfer's
-    /// completion firing the shared per-channel event) are counted in
-    /// [`pmc_soc_sim::Counters::dma_spurious_wakeups`].
-    pub fn dma_wait_any(&self, tickets: &[DmaTicket<'_, 'a, 'b>]) -> usize {
-        assert!(!tickets.is_empty(), "dma_wait_any on an empty ticket set");
-        for t in tickets {
-            assert!(std::ptr::eq(t.ctx, self), "ticket from a different context");
-        }
-        let cores: Vec<TicketCore> = tickets.iter().map(|t| t.core).collect();
-        self.inner.borrow_mut().dma_wait_any_core(&cores)
     }
 }
 
@@ -737,22 +682,6 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         self.cpu.dma_event_wait(done, ticket.seq);
         self.cpu.trace_event(span_end(span_kind::DMA_WAIT), done, 0, 0);
         self.pending_dma.retain(|(_, t)| t.chan != ticket.chan || t.seq > ticket.seq);
-    }
-
-    /// Sleep until any of `tickets` completes; retires the completed one
-    /// (trace event and all) and returns its index.
-    pub(crate) fn dma_wait_any_core(&mut self, tickets: &[TicketCore]) -> usize {
-        let watches: Vec<(u32, u32)> =
-            tickets.iter().map(|t| (DMA_DONE_OFFSET + 4 * t.chan, t.seq)).collect();
-        // One wait span regardless of how many channels are watched; the
-        // first watch's completion word identifies the interval.
-        self.cpu.trace_event(span_begin(span_kind::DMA_WAIT), watches[0].0, 0, 0);
-        let idx = self.cpu.dma_event_wait_any(&watches);
-        self.cpu.trace_event(span_end(span_kind::DMA_WAIT), watches[0].0, 0, 0);
-        let t = tickets[idx];
-        self.cpu.trace_event(trace_kind::DMA_WAIT, t.obj, 0, Self::trace_seq(t.chan, t.seq));
-        self.pending_dma.retain(|(_, p)| p.chan != t.chan || p.seq > t.seq);
-        idx
     }
 
     /// Wait every outstanding transfer touching object `id` (the

@@ -44,14 +44,6 @@ impl<T: Pod> MFifo<T> {
         }
     }
 
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
-    pub fn readers(&self) -> u32 {
-        self.read_ptr.len()
-    }
-
     /// Push an element (paper Fig. 9, `push()`), blocking until every
     /// reader has consumed the slot being overwritten.
     pub fn push(&self, ctx: &PmcCtx<'_, '_>, data: T) {
@@ -110,49 +102,6 @@ impl<T: Pod> MFifo<T> {
         rp.close();
         ctx.with_cpu(|cpu| cpu.trace_event(span_end(span_kind::FIFO_POP), fifo_id, 0, 0));
         data
-    }
-
-    /// Non-blocking variant of [`MFifo::push`] (mirroring
-    /// [`MFifo::try_pop`]): returns `false` — without writing — when some
-    /// reader has not yet consumed the slot the push would overwrite.
-    pub fn try_push(&self, ctx: &PmcCtx<'_, '_>, data: T) -> bool {
-        let wp = ctx.scope_x(self.write_ptr);
-        let wp_raw = wp.read();
-        let slot = wp_raw % self.depth;
-        for i in 0..self.read_ptr.len() {
-            let rp = ctx.scope_ro(self.read_ptr.at(i)).read();
-            // Reader i must have consumed index wp_raw - depth.
-            if (rp as i64) <= (wp_raw as i64) - (self.depth as i64) {
-                return false; // wp's drop releases the write pointer
-            }
-        }
-        ctx.fence();
-        ctx.scope_x(self.buf.at(slot)).write(data);
-        ctx.fence();
-        wp.write(wp_raw + 1);
-        wp.flush();
-        wp.close();
-        true
-    }
-
-    /// Non-blocking variant of [`MFifo::pop`]: returns `None` when no
-    /// element is available.
-    pub fn try_pop(&self, ctx: &PmcCtx<'_, '_>, reader: u32) -> Option<T> {
-        let rp_obj = self.read_ptr.at(reader);
-        let rp_raw = ctx.scope_ro(rp_obj).read();
-        let wp = ctx.scope_ro(self.write_ptr).read();
-        if wp <= rp_raw {
-            return None;
-        }
-        let slot = rp_raw % self.depth;
-        ctx.fence();
-        let data = ctx.scope_x(self.buf.at(slot)).read();
-        ctx.fence();
-        let rp = ctx.scope_x(rp_obj);
-        rp.write(rp_raw + 1);
-        rp.flush();
-        rp.close();
-        Some(data)
     }
 }
 
@@ -242,67 +191,5 @@ mod tests {
             assert!(a_seq.windows(2).all(|w| w[0] < w[1]), "{backend:?} writer A order");
             assert!(b_seq.windows(2).all(|w| w[0] < w[1]), "{backend:?} writer B order");
         }
-    }
-
-    #[test]
-    fn try_pop_returns_none_when_empty() {
-        let mut sys = System::new(SocConfig::small(2), BackendKind::Swcc, LockKind::Sdram);
-        let fifo = sys.alloc_fifo::<u32>("f", 4, 1);
-        sys.run(vec![
-            Box::new(move |ctx| {
-                assert_eq!(fifo.try_pop(ctx, 0), None);
-                fifo.push(ctx, 9);
-                assert_eq!(fifo.try_pop(ctx, 0), Some(9));
-                assert_eq!(fifo.try_pop(ctx, 0), None);
-            }),
-            Box::new(|_ctx| {}),
-        ]);
-    }
-
-    /// `try_push` full/empty edges: fails without writing when the FIFO
-    /// is full, succeeds again exactly as slots free up, and the data
-    /// stream stays intact.
-    #[test]
-    fn try_push_full_and_empty_edges() {
-        for backend in [BackendKind::Uncached, BackendKind::Spm] {
-            let mut sys = System::new(SocConfig::small(2), backend, LockKind::Sdram);
-            let fifo = sys.alloc_fifo::<u32>("f", 2, 1);
-            sys.run(vec![
-                Box::new(move |ctx| {
-                    // Fill to the brim: depth slots succeed, then full.
-                    assert!(fifo.try_push(ctx, 10));
-                    assert!(fifo.try_push(ctx, 11));
-                    assert!(!fifo.try_push(ctx, 12), "{backend:?}: push into full must fail");
-                    assert!(!fifo.try_push(ctx, 12), "{backend:?}: still full");
-                    // One pop frees exactly one slot.
-                    assert_eq!(fifo.try_pop(ctx, 0), Some(10));
-                    assert!(fifo.try_push(ctx, 12));
-                    assert!(!fifo.try_push(ctx, 13));
-                    // Drain: the rejected values never entered.
-                    assert_eq!(fifo.pop(ctx, 0), 11);
-                    assert_eq!(fifo.pop(ctx, 0), 12);
-                    assert_eq!(fifo.try_pop(ctx, 0), None, "{backend:?}: empty again");
-                    // Empty FIFO accepts a push immediately.
-                    assert!(fifo.try_push(ctx, 14));
-                    assert_eq!(fifo.try_pop(ctx, 0), Some(14));
-                }),
-                Box::new(|_ctx| {}),
-            ]);
-        }
-    }
-
-    /// A depth-1 FIFO alternates strictly: push, full, pop, empty.
-    #[test]
-    fn try_push_depth_one_alternates() {
-        let mut sys = System::new(SocConfig::small(1), BackendKind::Swcc, LockKind::Sdram);
-        let fifo = sys.alloc_fifo::<u32>("f", 1, 1);
-        sys.run(vec![Box::new(move |ctx| {
-            for round in 0..5u32 {
-                assert!(fifo.try_push(ctx, round));
-                assert!(!fifo.try_push(ctx, 99));
-                assert_eq!(fifo.try_pop(ctx, 0), Some(round));
-                assert_eq!(fifo.try_pop(ctx, 0), None);
-            }
-        })]);
     }
 }

@@ -51,6 +51,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod barrier;
 pub mod ctx;
@@ -69,7 +70,7 @@ pub use ctx::PmcCtx;
 pub use fifo::MFifo;
 pub use pod::{Pod, Vec2};
 pub use run::{RunConfig, Session};
-pub use scope::{DmaTicket, RoScope, SrcScope, XScope};
+pub use scope::{DmaTicket, RoScope};
 pub use system::{BackendKind, LockKind, Obj, ObjVec, PrivSlab, Slab, System};
 
 /// The per-tile program type accepted by [`System::run`].

@@ -65,7 +65,7 @@ impl Lock {
     /// other read-only access (Section IV-E, relaxation 1), the SDRAM
     /// lock implements this as the shared mode of a reader-writer lock.
     /// The distributed lock has no shared mode and degrades to exclusive.
-    pub fn lock_shared(&self, cpu: &mut Cpu) {
+    pub(crate) fn lock_shared(&self, cpu: &mut Cpu) {
         let id = self.trace_id();
         cpu.trace_event(span_begin(span_kind::LOCK_ACQUIRE), id, 0, 0);
         match self {
@@ -76,7 +76,7 @@ impl Lock {
         cpu.trace_event(span_begin(span_kind::LOCK_HOLD), id, 0, 0);
     }
 
-    pub fn unlock_shared(&self, cpu: &mut Cpu) {
+    pub(crate) fn unlock_shared(&self, cpu: &mut Cpu) {
         match self {
             Lock::Sdram(l) => l.unlock_shared(cpu),
             Lock::Dist(l) => l.unlock(cpu),
@@ -97,7 +97,7 @@ const WRITER: u32 = 1 << 31;
 
 impl SdramLock {
     /// Exclusive acquisition (the `entry_x` path).
-    pub fn lock(&self, cpu: &mut Cpu) {
+    pub(crate) fn lock(&self, cpu: &mut Cpu) {
         let mut backoff = BACKOFF_MIN;
         loop {
             // Test before test-and-set to avoid hammering exclusive pairs.
@@ -109,7 +109,7 @@ impl SdramLock {
         }
     }
 
-    pub fn unlock(&self, cpu: &mut Cpu) {
+    pub(crate) fn unlock(&self, cpu: &mut Cpu) {
         // Untimed host peek: a simulated `read_u32` here would advance
         // the clock in debug builds only, making debug and release
         // simulate different schedules.
@@ -119,7 +119,7 @@ impl SdramLock {
 
     /// Shared acquisition (the multi-byte `entry_ro` path): excluded by a
     /// writer, concurrent with other readers.
-    pub fn lock_shared(&self, cpu: &mut Cpu) {
+    pub(crate) fn lock_shared(&self, cpu: &mut Cpu) {
         let mut backoff = BACKOFF_MIN;
         loop {
             let v = cpu.read_u32(self.addr);
@@ -131,7 +131,7 @@ impl SdramLock {
         }
     }
 
-    pub fn unlock_shared(&self, cpu: &mut Cpu) {
+    pub(crate) fn unlock_shared(&self, cpu: &mut Cpu) {
         // Fetch-and-add of -1 on the reader count.
         let old = cpu.sdram_faa_u32(self.addr, u32::MAX);
         debug_assert!(old & !WRITER > 0, "unlock_shared without readers");

@@ -28,7 +28,7 @@
 //! order, a contract `pmc_soc_sim` asserts on every action.
 
 use pmc_core::litmus::Program as LitmusProgram;
-use pmc_soc_sim::{SocConfig, TelemetryConfig, Topology};
+use pmc_soc_sim::{SocConfig, Topology};
 
 use crate::litmus_exec::LitmusRun;
 use crate::system::{BackendKind, LockKind};
@@ -152,12 +152,6 @@ impl Session {
     pub fn lock(&self) -> LockKind {
         self.cfg.lock
     }
-    pub fn topology(&self) -> Topology {
-        self.cfg.topology
-    }
-    pub fn telemetry(&self) -> bool {
-        self.cfg.telemetry
-    }
 
     /// The explicit tile count, if the config named one; otherwise the
     /// mesh/torus area, if the topology fixes one.
@@ -185,8 +179,7 @@ impl Session {
     /// Apply the session's axes to a base simulator configuration.
     fn apply(&self, mut cfg: SocConfig) -> SocConfig {
         cfg.topology = self.cfg.topology;
-        cfg.telemetry =
-            if self.cfg.telemetry { TelemetryConfig::on() } else { TelemetryConfig::default() };
+        cfg.telemetry = self.cfg.telemetry;
         cfg.trace = self.cfg.trace.unwrap_or(self.cfg.telemetry);
         if let Some(n) = self.cfg.dma_channels {
             cfg.dma_channels = n;
@@ -246,10 +239,10 @@ mod tests {
         assert_eq!(s.n_tiles(), Some(4), "mesh area fixes the tile count");
         let cfg = s.soc_config(4);
         assert_eq!(cfg.topology, Topology::Mesh { cols: 2, rows: 2 });
-        assert!(cfg.telemetry.enabled);
+        assert!(cfg.telemetry);
         assert!(cfg.trace, "tracing follows telemetry unless overridden");
         assert_eq!(cfg.dma_channels, 3);
-        assert!(!RunConfig::new(BackendKind::Swcc).session().soc_config(2).telemetry.enabled);
+        assert!(!RunConfig::new(BackendKind::Swcc).session().soc_config(2).telemetry);
     }
 
     /// Tile resolution: explicit count wins, bare ring follows the need.

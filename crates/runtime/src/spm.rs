@@ -13,8 +13,7 @@
 /// callers pass the same raw size to [`StagingAlloc::alloc`] and
 /// [`StagingAlloc::free`].
 #[derive(Debug, Clone)]
-pub struct StagingAlloc {
-    base: u32,
+pub(crate) struct StagingAlloc {
     end: u32,
     line: u32,
     top: u32,
@@ -24,9 +23,9 @@ pub struct StagingAlloc {
 }
 
 impl StagingAlloc {
-    pub fn new(base: u32, end: u32, line: u32) -> Self {
+    pub(crate) fn new(base: u32, end: u32, line: u32) -> Self {
         assert!(line > 0 && base <= end);
-        StagingAlloc { base, end, line, top: base, dead: Vec::new() }
+        StagingAlloc { end, line, top: base, dead: Vec::new() }
     }
 
     fn padded(&self, size: u32) -> u32 {
@@ -35,7 +34,7 @@ impl StagingAlloc {
 
     /// Reserve a staging region of `size` bytes (line-padded); returns
     /// its offset. Panics when the arena is exhausted.
-    pub fn alloc(&mut self, size: u32) -> u32 {
+    pub(crate) fn alloc(&mut self, size: u32) -> u32 {
         let off = self.top;
         let padded = self.padded(size);
         assert!(off + padded <= self.end, "SPM arena exhausted");
@@ -45,7 +44,7 @@ impl StagingAlloc {
 
     /// Release the region previously returned for (`off`, `size`).
     /// Regions freed out of stack order are buried until uncovered.
-    pub fn free(&mut self, off: u32, size: u32) {
+    pub(crate) fn free(&mut self, off: u32, size: u32) {
         let padded = self.padded(size);
         if off + padded == self.top {
             self.top = off;
@@ -56,23 +55,18 @@ impl StagingAlloc {
             self.dead.push((off, padded));
         }
     }
-
-    /// Current bump pointer (arena-relative top of the live+dead stack).
-    pub fn top(&self) -> u32 {
-        self.top
-    }
-
-    /// Whether every region has been freed *and* reclaimed — the arena is
-    /// back to its pristine state.
-    pub fn fully_reclaimed(&self) -> bool {
-        self.top == self.base && self.dead.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Whether every region has been freed *and* reclaimed — the arena
+    /// is back at `base`, its pristine state.
+    fn fully_reclaimed(a: &StagingAlloc, base: u32) -> bool {
+        a.top == base && a.dead.is_empty()
+    }
 
     #[test]
     fn lifo_free_reclaims_immediately() {
@@ -83,7 +77,7 @@ mod tests {
         assert_eq!(y, 64 + 128);
         a.free(y, 10);
         a.free(x, 100);
-        assert!(a.fully_reclaimed());
+        assert!(fully_reclaimed(&a, 64));
     }
 
     #[test]
@@ -94,9 +88,9 @@ mod tests {
         let z = a.alloc(32);
         a.free(x, 32); // buried under y and z
         a.free(z, 32); // pops z, x stays buried under y
-        assert_eq!(a.top(), 64);
+        assert_eq!(a.top, 64);
         a.free(y, 32); // uncovers x: everything reclaimed
-        assert!(a.fully_reclaimed());
+        assert!(fully_reclaimed(&a, 0));
     }
 
     #[test]
@@ -131,7 +125,7 @@ mod tests {
                     // Guard on the bump pointer (live *plus* buried dead
                     // bytes) — exactly the allocator's own exhaustion
                     // condition, which is tested separately.
-                    if a.top() + padded(size) > end {
+                    if a.top + padded(size) > end {
                         continue;
                     }
                     let off = a.alloc(size);
@@ -154,8 +148,8 @@ mod tests {
                 let (off, size) = live.swap_remove((off_seed(&live)) % live.len());
                 a.free(off, size);
             }
-            prop_assert!(a.fully_reclaimed(),
-                "dead regions leaked: top {} base {base}", a.top());
+            prop_assert!(fully_reclaimed(&a, base),
+                "dead regions leaked: top {} base {base}", a.top);
         }
 
         /// The bump pointer never exceeds the sum of padded live+dead
@@ -179,8 +173,8 @@ mod tests {
             // Dead bytes below top are bounded by what was freed, which
             // is itself bounded by everything ever allocated.
             let ever: u32 = sizes.iter().map(|&s| s.div_ceil(line) * line).sum();
-            prop_assert!(a.top() >= outstanding.min(ever));
-            prop_assert!(a.top() <= ever);
+            prop_assert!(a.top >= outstanding.min(ever));
+            prop_assert!(a.top <= ever);
         }
     }
 

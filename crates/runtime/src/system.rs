@@ -84,11 +84,10 @@ impl<T> Clone for ObjVec<T> {
 impl<T> Copy for ObjVec<T> {}
 
 impl<T> ObjVec<T> {
+    /// Element count (at least 1: [`System::alloc_vec`] rejects 0).
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> u32 {
         self.len
-    }
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
     pub fn at(&self, i: u32) -> Obj<T> {
         assert!(i < self.len, "ObjVec index {i} out of range {}", self.len);
@@ -112,11 +111,10 @@ impl<T> Clone for Slab<T> {
 impl<T> Copy for Slab<T> {}
 
 impl<T> Slab<T> {
+    /// Element count (at least 1: [`System::alloc_slab`] rejects 0).
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> u32 {
         self.len
-    }
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
     /// The whole slab viewed as one object (for entry/exit annotations).
     pub fn obj(&self) -> Obj<T> {
@@ -170,7 +168,7 @@ pub(crate) const ARENA_BASE: u32 = 16 << 10;
 const _: () = assert!(DMA_DONE_OFFSET + 4 * crate::ctx::MAX_DMA_CHANNELS as u32 <= ARENA_BASE);
 
 /// Shared runtime state, immutable during a run.
-pub struct Shared {
+pub(crate) struct Shared {
     pub(crate) backend: BackendKind,
     pub(crate) objects: Vec<ObjMeta>,
     pub(crate) n_tiles: usize,
@@ -243,16 +241,8 @@ impl System {
         }
     }
 
-    pub fn backend(&self) -> BackendKind {
-        self.shared.backend
-    }
-
     pub fn soc(&self) -> &Soc {
         &self.soc
-    }
-
-    pub fn n_tiles(&self) -> usize {
-        self.shared.n_tiles
     }
 
     /// Set the DMA engines' burst size in bytes (default 256). Larger
@@ -385,7 +375,7 @@ impl System {
 
     /// Set the initial bytes of a shared object (canonical home and, for
     /// the DSM back-end, every tile's replica).
-    pub fn init_bytes(&mut self, id: u32, bytes: &[u8]) {
+    pub(crate) fn init_bytes(&mut self, id: u32, bytes: &[u8]) {
         let meta = &self.shared.objects[id as usize];
         assert!(bytes.len() as u32 <= meta.size);
         self.soc.write_sdram(meta.sdram_off, bytes);

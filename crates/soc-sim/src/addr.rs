@@ -13,24 +13,25 @@
 //! ```
 //!
 //! The local windows end where the cached SDRAM window begins, so the
-//! map addresses [`MAX_LOCAL_TILES`] local memories; [`local_base`]
+//! map addresses `MAX_LOCAL_TILES` local memories; [`local_base`]
 //! refuses a tile beyond them instead of handing out an address that
 //! decodes as SDRAM.
 
 /// Simulated physical/virtual address (32-bit SoC).
-pub type Addr = u32;
+pub(crate) type Addr = u32;
 
-pub const LOCAL_BASE: Addr = 0x1000_0000;
+pub(crate) const LOCAL_BASE: Addr = 0x1000_0000;
 /// Address stride between consecutive tiles' local memories.
-pub const LOCAL_STRIDE: Addr = 0x0010_0000;
+pub(crate) const LOCAL_STRIDE: Addr = 0x0010_0000;
 pub const SDRAM_CACHED_BASE: Addr = 0x4000_0000;
 pub const SDRAM_UNCACHED_BASE: Addr = 0x8000_0000;
 /// Local-memory windows that fit below [`SDRAM_CACHED_BASE`]: 768.
-pub const MAX_LOCAL_TILES: usize = ((SDRAM_CACHED_BASE - LOCAL_BASE) / LOCAL_STRIDE) as usize;
+pub(crate) const MAX_LOCAL_TILES: usize =
+    ((SDRAM_CACHED_BASE - LOCAL_BASE) / LOCAL_STRIDE) as usize;
 
 /// Decoded address region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Region {
+pub(crate) enum Region {
     /// Local memory of a tile.
     Local { tile: usize, offset: u32 },
     /// SDRAM through the cached window.
@@ -41,7 +42,7 @@ pub enum Region {
 
 /// Decode an address. Panics on addresses outside every window (a bus
 /// error on the real platform).
-pub fn decode(addr: Addr) -> Region {
+pub(crate) fn decode(addr: Addr) -> Region {
     if addr >= SDRAM_UNCACHED_BASE {
         Region::SdramUncached { offset: addr - SDRAM_UNCACHED_BASE }
     } else if addr >= SDRAM_CACHED_BASE {
@@ -66,20 +67,8 @@ pub fn local_base(tile: usize) -> Addr {
     LOCAL_BASE + tile as Addr * LOCAL_STRIDE
 }
 
-/// Translate a cached-window SDRAM address to its uncached alias.
-pub fn to_uncached(addr: Addr) -> Addr {
-    debug_assert!((SDRAM_CACHED_BASE..SDRAM_UNCACHED_BASE).contains(&addr));
-    addr - SDRAM_CACHED_BASE + SDRAM_UNCACHED_BASE
-}
-
-/// Translate an uncached-alias SDRAM address to its cached window.
-pub fn to_cached(addr: Addr) -> Addr {
-    debug_assert!(addr >= SDRAM_UNCACHED_BASE);
-    addr - SDRAM_UNCACHED_BASE + SDRAM_CACHED_BASE
-}
-
 /// The physical SDRAM offset behind either window.
-pub fn sdram_offset(addr: Addr) -> u32 {
+pub(crate) fn sdram_offset(addr: Addr) -> u32 {
     match decode(addr) {
         Region::SdramCached { offset } | Region::SdramUncached { offset } => offset,
         Region::Local { .. } => panic!("{addr:#010x} is not an SDRAM address"),
@@ -128,10 +117,8 @@ mod tests {
 
     #[test]
     fn aliasing_maps_to_same_offset() {
-        let cached = SDRAM_CACHED_BASE + 0x1234;
-        let uncached = to_uncached(cached);
-        assert_eq!(sdram_offset(cached), sdram_offset(uncached));
-        assert_eq!(to_cached(uncached), cached);
+        assert_eq!(sdram_offset(SDRAM_CACHED_BASE + 0x1234), 0x1234);
+        assert_eq!(sdram_offset(SDRAM_UNCACHED_BASE + 0x1234), 0x1234);
     }
 
     #[test]

@@ -32,8 +32,6 @@ pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>, // sets * ways, row-major by set
     tick: u64,
-    pub hits: u64,
-    pub misses: u64,
 }
 
 impl Cache {
@@ -46,22 +44,12 @@ impl Cache {
             stamp: 0,
             data: vec![0; cfg.line_size as usize],
         };
-        Cache {
-            cfg,
-            lines: vec![line; (cfg.sets * cfg.ways) as usize],
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
+        Cache { cfg, lines: vec![line; (cfg.sets * cfg.ways) as usize], tick: 0 }
     }
 
     /// The line-aligned base of an SDRAM offset.
     #[inline]
-    pub fn line_of(&self, offset: u32) -> u32 {
+    pub(crate) fn line_of(&self, offset: u32) -> u32 {
         offset & !(self.cfg.line_size - 1)
     }
 
@@ -83,36 +71,33 @@ impl Cache {
         self.slot(line).is_some()
     }
 
-    /// Read within a present line; counts a hit. Panics if absent.
+    /// Read within a present line. Panics if absent.
     pub fn read_hit(&mut self, offset: u32, out: &mut [u8]) {
         let line = self.line_of(offset);
         let i = self.slot(line).expect("read_hit on absent line");
         self.tick += 1;
         self.lines[i].stamp = self.tick;
-        self.hits += 1;
         let within = (offset - line) as usize;
         out.copy_from_slice(&self.lines[i].data[within..within + out.len()]);
     }
 
-    /// Write within a present line (write-back: marks dirty); counts a
-    /// hit. Panics if absent.
+    /// Write within a present line (write-back: marks dirty). Panics if
+    /// absent.
     pub fn write_hit(&mut self, offset: u32, data: &[u8]) {
         let line = self.line_of(offset);
         let i = self.slot(line).expect("write_hit on absent line");
         self.tick += 1;
         self.lines[i].stamp = self.tick;
         self.lines[i].dirty = true;
-        self.hits += 1;
         let within = (offset - line) as usize;
         self.lines[i].data[within..within + data.len()].copy_from_slice(data);
     }
 
-    /// Install a line (allocate-on-miss, both reads and writes); counts a
-    /// miss. Returns the dirty victim to write back, if any.
+    /// Install a line (allocate-on-miss, both reads and writes). Returns
+    /// the dirty victim to write back, if any.
     pub fn fill(&mut self, line: u32, data: &[u8]) -> Option<Writeback> {
         debug_assert_eq!(line, self.line_of(line));
         debug_assert_eq!(data.len(), self.cfg.line_size as usize);
-        self.misses += 1;
         let set = self.set_of(line);
         let base = (set * self.cfg.ways) as usize;
         let end = base + self.cfg.ways as usize;
@@ -169,7 +154,7 @@ impl Cache {
     }
 
     /// Iterate the line-aligned offsets covering `[offset, offset+len)`.
-    pub fn lines_covering(&self, offset: u32, len: u32) -> impl Iterator<Item = u32> {
+    pub(crate) fn lines_covering(&self, offset: u32, len: u32) -> impl Iterator<Item = u32> {
         let ls = self.cfg.line_size;
         let first = offset & !(ls - 1);
         let last = (offset + len.max(1) - 1) & !(ls - 1);
@@ -212,7 +197,6 @@ mod tests {
         let mut b = [0u8; 2];
         c.read_hit(2, &mut b);
         assert_eq!(b, [3, 4]);
-        assert_eq!((c.hits, c.misses), (1, 1));
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! not calibrated against the FPGA — the reproduction targets the *shape*
 //! of the paper's results, and every knob here is sweepable.
 
-use crate::telemetry::TelemetryConfig;
+use crate::addr;
+use crate::telemetry::RING_CAPACITY;
 
 /// Interconnect topology: how tiles are wired and how packets route.
 ///
 /// Links are *directed* and identified by a dense `usize` id so the NoC
 /// can keep busy-until / occupancy state per link
-/// ([`crate::noc::Noc::reserve_path`], [`crate::noc::Noc::link_stats`]).
+/// ([`crate::noc::Noc::reserve_path`], `crate::noc::Noc::link_stats`).
 /// The numbering is topology-specific:
 ///
 /// * **Ring** (`2 * n_tiles` ids): link `i` carries `i → (i+1) % n`
@@ -41,12 +42,12 @@ pub enum Topology {
     Ring,
     /// 2-D mesh of `cols × rows` tiles with XY (dimension-ordered)
     /// routing. `cols * rows` must equal `SocConfig::n_tiles`
-    /// ([`SocConfig::validate`]).
+    /// (`SocConfig::validate`).
     Mesh { cols: usize, rows: usize },
     /// 2-D torus of `cols × rows` tiles: the mesh with wraparound links
     /// in both dimensions and wrap-aware XY routing, halving the worst-
     /// case hop count. `cols * rows` must equal `SocConfig::n_tiles`
-    /// ([`SocConfig::validate`]).
+    /// (`SocConfig::validate`).
     Torus { cols: usize, rows: usize },
 }
 
@@ -146,7 +147,7 @@ impl Topology {
     /// wrap-aware XY path (shorter way around each dimension, east/south
     /// on ties) on the torus.
     ///
-    /// Endpoint ranges are checked by [`SocConfig::validate`] before a
+    /// Endpoint ranges are checked by `SocConfig::validate` before a
     /// run starts (every routed endpoint is a tile or a configured
     /// memory controller), so this hot path only `debug_assert!`s them.
     pub fn route(self, n_tiles: usize, from: usize, to: usize) -> Vec<usize> {
@@ -264,12 +265,6 @@ pub struct CacheConfig {
     pub ways: u32,
 }
 
-impl CacheConfig {
-    pub fn size_bytes(&self) -> u32 {
-        self.line_size * self.sets * self.ways
-    }
-}
-
 impl Default for CacheConfig {
     fn default() -> Self {
         // 8 KiB, 2-way, 32-byte lines — MicroBlaze-ish.
@@ -338,20 +333,16 @@ pub struct SocConfig {
     /// Bresenham-style accounting; see `icache` module). The paper's
     /// applications have non-trivial instruction footprints.
     pub icache_mpki: u32,
-    /// A core may run at most this many cycles on core-local state before
-    /// being forced to synchronise its published clock (bounds how far
-    /// other tiles can conservatively lag).
-    pub max_local_run: u64,
     /// Hard virtual-time limit; exceeding it aborts the simulation (a
     /// lost-flag / livelock watchdog).
     pub time_limit: u64,
     /// Record an annotation-level event trace (for model validation).
     pub trace: bool,
     /// Cycle-accurate telemetry recording (stall/DMA/link/port spans
-    /// and runtime-level span records; see [`crate::telemetry`]).
-    /// Disabled by default and strictly observational: toggling it
-    /// changes no counter, checksum, or trace outcome.
-    pub telemetry: TelemetryConfig,
+    /// and runtime-level span records into bounded per-tile rings; see
+    /// [`crate::telemetry`]). Off by default and strictly observational:
+    /// toggling it changes no counter, checksum, or trace outcome.
+    pub telemetry: bool,
     /// The tiles the SDRAM controllers are attached to: DMA bursts and
     /// posted writes traverse the links between the issuing tile and
     /// the controller's tile, so distance (and shared links) shape
@@ -361,7 +352,7 @@ pub struct SocConfig {
     /// ([`crate::addr::controller_for`]) and each controller serialises
     /// its own port, so aggregate SDRAM bandwidth scales with the
     /// controller count. Entries must be distinct in-range tiles
-    /// ([`SocConfig::validate`]).
+    /// (`SocConfig::validate`).
     pub mem_controllers: Vec<usize>,
     /// Interconnect topology ([`Topology::Ring`] by default). Everything
     /// that reserves link bandwidth routes through
@@ -385,10 +376,9 @@ impl Default for SocConfig {
             dcache: CacheConfig::default(),
             lat: Latencies::default(),
             icache_mpki: 4,
-            max_local_run: 8_192,
             time_limit: 2_000_000_000,
             trace: false,
-            telemetry: TelemetryConfig::default(),
+            telemetry: false,
             mem_controllers: Vec::new(),
             topology: Topology::Ring,
             dma_channels: 1,
@@ -413,11 +403,6 @@ impl SocConfig {
         SocConfig { topology: Topology::Mesh { cols, rows }, ..Self::small(cols * rows) }
     }
 
-    /// A small torus configuration for unit tests (`cols × rows` tiles).
-    pub fn small_torus(cols: usize, rows: usize) -> Self {
-        SocConfig { topology: Topology::Torus { cols, rows }, ..Self::small(cols * rows) }
-    }
-
     /// The resolved SDRAM controller placement: `mem_controllers` when
     /// non-empty, else the single controller at tile 0. Index `i` of
     /// the returned list is controller id `i` in the interleaving map
@@ -434,9 +419,10 @@ impl SocConfig {
     /// surface as index panics or silent deadlocks deep inside a run: a
     /// mesh or torus whose shape has a zero dimension or does not cover
     /// `n_tiles`, a memory controller placed on a tile that does not
-    /// exist (or listed twice), a DMA subsystem with no channels, or
-    /// scheduler/telemetry parameters the engine cannot honour.
-    pub fn validate(&self) -> Result<(), String> {
+    /// exist (or listed twice), a DMA subsystem with no channels, a zero
+    /// watchdog, memories larger than their address-map windows, or
+    /// telemetry rings that cannot be sized.
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.n_tiles == 0 {
             return Err("n_tiles must be at least 1".to_string());
         }
@@ -481,48 +467,39 @@ impl SocConfig {
                  discrete-event engine relies on it to bound runaway tasks"
                 .to_string());
         }
-        if self.max_local_run == 0 {
-            return Err("max_local_run must be at least 1: a zero local-run budget would force a \
-                 scheduler sync on every cycle of pure compute"
-                .to_string());
+        // Past its window, a local offset would decode as the next
+        // tile's memory and a cached SDRAM offset as the uncached alias.
+        if self.local_mem_size > addr::LOCAL_STRIDE {
+            return Err(format!(
+                "local_mem_size {:#x} exceeds the {:#x}-byte local window each tile has in \
+                 the address map",
+                self.local_mem_size,
+                addr::LOCAL_STRIDE
+            ));
         }
-        if self.telemetry.enabled && self.telemetry.ring_capacity == 0 {
-            return Err("telemetry ring_capacity must be at least 1 when telemetry is enabled \
-                 (every event would be dropped at recording time)"
-                .to_string());
+        let sdram_window = addr::SDRAM_UNCACHED_BASE - addr::SDRAM_CACHED_BASE;
+        if self.sdram_size > sdram_window {
+            return Err(format!(
+                "sdram_size {:#x} exceeds the {sdram_window:#x}-byte cached SDRAM window of \
+                 the address map",
+                self.sdram_size
+            ));
         }
-        if self.telemetry.enabled {
-            // One ring per tile plus the interconnect ring: reject
-            // configurations whose telemetry footprint cannot be
-            // allocated (a 4096-tile mesh with the default capacity is
-            // fine; usize overflow of the total is not).
-            if self.telemetry.ring_capacity.checked_mul(self.n_tiles + 1).is_none() {
-                return Err(format!(
-                    "telemetry ring_capacity {} x {} tiles overflows the total ring budget",
-                    self.telemetry.ring_capacity, self.n_tiles
-                ));
-            }
+        // One ring per tile plus the interconnect ring: reject a tile
+        // count whose telemetry footprint cannot even be sized.
+        if self.telemetry && RING_CAPACITY.checked_mul(self.n_tiles + 1).is_none() {
+            return Err(format!(
+                "telemetry rings of {RING_CAPACITY} events x {} tiles overflow the total \
+                 ring budget",
+                self.n_tiles
+            ));
         }
         Ok(())
     }
 
-    /// NoC hop count between two tiles on the configured topology
-    /// (nearby tiles are cheaper than far ones).
-    pub fn hops(&self, from: usize, to: usize) -> u64 {
-        self.topology.hops(self.n_tiles, from, to)
-    }
-
-    /// End-to-end NoC latency for a payload of `bytes` bytes.
-    pub fn noc_latency(&self, from: usize, to: usize, bytes: u32) -> u64 {
-        let words = bytes.div_ceil(4) as u64;
-        self.lat.noc_fixed
-            + self.lat.noc_per_hop * self.hops(from, to)
-            + self.lat.noc_per_word * words
-    }
-
     /// SDRAM service time for a transfer of `bytes` bytes (excluding
     /// queueing, which the scheduler adds).
-    pub fn sdram_service(&self, bytes: u32) -> u64 {
+    pub(crate) fn sdram_service(&self, bytes: u32) -> u64 {
         self.lat.sdram_fixed + self.lat.sdram_per_word * bytes.div_ceil(4) as u64
     }
 }
@@ -533,24 +510,24 @@ mod tests {
 
     #[test]
     fn cache_size() {
-        assert_eq!(CacheConfig::default().size_bytes(), 8 << 10);
+        let c = CacheConfig::default();
+        assert_eq!(c.line_size * c.sets * c.ways, 8 << 10);
     }
 
     #[test]
     fn ring_hops_are_symmetric_and_shortest() {
-        let c = SocConfig::small(8);
-        assert_eq!(c.hops(0, 0), 0);
-        assert_eq!(c.hops(0, 1), 1);
-        assert_eq!(c.hops(1, 0), 1);
-        assert_eq!(c.hops(0, 7), 1, "ring wraps");
-        assert_eq!(c.hops(0, 4), 4);
+        let t = Topology::Ring;
+        assert_eq!(t.hops(8, 0, 0), 0);
+        assert_eq!(t.hops(8, 0, 1), 1);
+        assert_eq!(t.hops(8, 1, 0), 1);
+        assert_eq!(t.hops(8, 0, 7), 1, "ring wraps");
+        assert_eq!(t.hops(8, 0, 4), 4);
     }
 
     #[test]
     fn latencies_monotone_in_distance_and_size() {
         let c = SocConfig::small(8);
-        assert!(c.noc_latency(0, 1, 4) < c.noc_latency(0, 4, 4));
-        assert!(c.noc_latency(0, 1, 4) < c.noc_latency(0, 1, 64));
+        assert!(c.topology.hops(8, 0, 1) < c.topology.hops(8, 0, 4));
         assert!(c.sdram_service(4) < c.sdram_service(32));
     }
 
@@ -727,32 +704,32 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_local_run_budget() {
-        let mut cfg = SocConfig::small(4);
-        cfg.max_local_run = 0;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("max_local_run must be at least 1"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_enabled_telemetry_with_empty_rings() {
-        let mut cfg = SocConfig::small(4);
-        cfg.telemetry.enabled = true;
-        cfg.telemetry.ring_capacity = 0;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("ring_capacity must be at least 1"), "{err}");
-        // A disabled recorder does not care about its capacity.
-        cfg.telemetry.enabled = false;
-        assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
     fn validate_rejects_overflowing_telemetry_budget() {
         let mut cfg = SocConfig::small(4);
-        cfg.telemetry.enabled = true;
-        cfg.telemetry.ring_capacity = usize::MAX / 2;
+        cfg.n_tiles = usize::MAX / 2;
+        cfg.telemetry = true;
         let err = cfg.validate().unwrap_err();
-        assert!(err.contains("overflows the total ring budget"), "{err}");
+        assert!(err.contains("overflow the total ring budget"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_local_memory_beyond_its_window() {
+        let mut cfg = SocConfig::small(4);
+        cfg.local_mem_size = addr::LOCAL_STRIDE;
+        assert!(cfg.validate().is_ok());
+        cfg.local_mem_size = addr::LOCAL_STRIDE + 4;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("exceeds the 0x100000-byte local window"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_sdram_beyond_the_cached_window() {
+        let mut cfg = SocConfig::small(4);
+        cfg.sdram_size = 0x4000_0000;
+        assert!(cfg.validate().is_ok());
+        cfg.sdram_size = 0x4000_0004;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("exceeds the 0x40000000-byte cached SDRAM window"), "{err}");
     }
 
     #[test]
@@ -763,17 +740,18 @@ mod tests {
         assert!(cfg.validate().is_ok());
         // hops follows the topology: 0 → 15 is 6 mesh hops, not 1 ring
         // wrap.
-        assert_eq!(cfg.hops(0, 15), 6);
+        assert_eq!(cfg.topology.hops(16, 0, 15), 6);
     }
 
     #[test]
     fn small_torus_builds_a_valid_config() {
-        let cfg = SocConfig::small_torus(4, 4);
+        let cfg =
+            SocConfig { topology: Topology::Torus { cols: 4, rows: 4 }, ..SocConfig::small(16) };
         assert_eq!(cfg.n_tiles, 16);
         assert_eq!(cfg.topology, Topology::Torus { cols: 4, rows: 4 });
         assert!(cfg.validate().is_ok());
         // The wraparound halves the corner-to-corner distance: 2 torus
         // hops where the mesh needs 6.
-        assert_eq!(cfg.hops(0, 15), 2);
+        assert_eq!(cfg.topology.hops(16, 0, 15), 2);
     }
 }

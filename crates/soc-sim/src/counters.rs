@@ -50,7 +50,7 @@ pub struct Counters {
     pub dma_bytes: u64,
     /// Event-based DMA completion waits entered
     /// ([`crate::soc::Cpu::dma_event_wait`] /
-    /// [`crate::soc::Cpu::dma_event_wait_any`]).
+    /// `crate::soc::Cpu::dma_event_wait_any`).
     pub dma_event_waits: u64,
     /// Wakeups whose completion check still failed — an *earlier*
     /// transfer's completion write fired the per-channel event (the
@@ -121,7 +121,7 @@ pub struct LinkReport {
 }
 
 /// One SDRAM controller port's occupancy (built by
-/// [`crate::mem::SdramPorts::report`], surfaced as
+/// `crate::mem::SdramPorts::report`, surfaced as
 /// [`crate::soc::Soc::port_report`]): how many cycles and transactions
 /// each controller served, in controller-id order. With interleaved
 /// multi-controller configurations the spread across entries shows

@@ -3,9 +3,8 @@
 //!
 //! Each tile owns one engine with `SocConfig::dma_channels` independent
 //! channels. A transfer is programmed as a [`DmaDescriptor`] — a
-//! scatter/gather list of [`DmaSeg`] segments (contiguous ranges; the
-//! [`DmaDescriptor::strided_2d`] constructor builds the row lists used
-//! for 2-D tiles and strided volume slices) — on one channel
+//! scatter/gather list of [`DmaSeg`] segments (contiguous ranges, e.g.
+//! one per row of a 2-D tile or strided volume slice) — on one channel
 //! ([`crate::soc::Cpu::dma_issue`]). Each segment is split into bursts of
 //! a programmable size and scheduled *at issue time* against busy-until
 //! resources:
@@ -22,12 +21,12 @@
 //!    configured [`crate::config::Topology`] — shortest arc on the ring,
 //!    XY on the mesh and torus). SDRAM transfers route between the tile
 //!    and the controller owning each burst's stripe
-//!    ([`crate::mem::SdramPorts::tile_for`]);
+//!    (`crate::mem::SdramPorts::tile_for`);
 //!    **tile-to-tile transfers** ([`DmaKind::Copy`]) route directly
 //!    between the two scratchpads and never touch the memory controller —
 //!    the local-to-local path that makes producer/consumer staging cheap.
 //!
-//! The memory effects travel as [`crate::noc::PacketKind::DmaBurst`]
+//! The memory effects travel as `crate::noc::PacketKind::DmaBurst`
 //! packets applied lazily at their arrival times, so data is read when a
 //! burst actually crosses the machine, not when the descriptor is
 //! written. The final burst also writes the transfer's sequence number to
@@ -119,41 +118,13 @@ impl DmaDescriptor {
         }
     }
 
-    /// A strided 2-D transfer: `rows` rows of `row_bytes` each, with the
-    /// far side advancing by `far_stride` bytes per row and the local
-    /// side by `local_stride` (both ≥ `row_bytes`; equal strides of
-    /// exactly `row_bytes` describe a contiguous block). This is the
-    /// motion-estimation window / volume-slice shape.
-    #[allow(clippy::too_many_arguments)]
-    pub fn strided_2d(
-        kind: DmaKind,
-        far_start: u32,
-        local_start: u32,
-        row_bytes: u32,
-        rows: u32,
-        far_stride: u32,
-        local_stride: u32,
-        burst: u32,
-        done_offset: u32,
-    ) -> Self {
-        assert!(far_stride >= row_bytes && local_stride >= row_bytes, "rows must not overlap");
-        let segs = (0..rows)
-            .map(|r| DmaSeg {
-                far_offset: far_start + r * far_stride,
-                local_offset: local_start + r * local_stride,
-                bytes: row_bytes,
-            })
-            .collect();
-        DmaDescriptor { kind, segs, burst, done_offset }
-    }
-
     /// A null transfer: completion word only.
     pub fn null(done_offset: u32) -> Self {
         DmaDescriptor { kind: DmaKind::Sdram(DmaDir::Get), segs: Vec::new(), burst: 4, done_offset }
     }
 
     /// Total payload bytes over all segments.
-    pub fn total_bytes(&self) -> u32 {
+    pub(crate) fn total_bytes(&self) -> u32 {
         self.segs.iter().map(|s| s.bytes).sum()
     }
 
@@ -190,7 +161,7 @@ impl DmaDescriptor {
 
 /// One engine channel (lives in the simulator's global state).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DmaChannel {
+pub(crate) struct DmaChannel {
     /// Sequence number of the most recently programmed transfer on this
     /// channel (1-based; 0 = none yet).
     pub seq: u32,
@@ -198,31 +169,15 @@ pub struct DmaChannel {
     pub free_at: u64,
 }
 
-/// Per-tile engine state: `SocConfig::dma_channels` independent channels
-/// plus whole-engine totals.
+/// Per-tile engine state: `SocConfig::dma_channels` independent channels.
 #[derive(Debug, Clone, Default)]
-pub struct DmaEngine {
+pub(crate) struct DmaEngine {
     pub channels: Vec<DmaChannel>,
-    /// Totals, for reports.
-    pub transfers: u64,
-    pub bytes: u64,
-    pub bursts: u64,
-}
-
-/// Aggregated engine statistics for one tile.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DmaStats {
-    pub transfers: u64,
-    pub bytes: u64,
-    pub bursts: u64,
 }
 
 impl DmaEngine {
-    pub fn new(n_channels: usize) -> Self {
-        DmaEngine {
-            channels: vec![DmaChannel::default(); n_channels.max(1)],
-            ..DmaEngine::default()
-        }
+    pub(crate) fn new(n_channels: usize) -> Self {
+        DmaEngine { channels: vec![DmaChannel::default(); n_channels.max(1)] }
     }
 
     /// Program a transfer at `now` on channel `chan` of tile `tile`:
@@ -230,7 +185,7 @@ impl DmaEngine {
     /// `DmaBurst` packet per burst (the last carrying the completion-word
     /// write), and return the transfer's per-channel sequence number.
     #[allow(clippy::too_many_arguments)]
-    pub fn issue(
+    pub(crate) fn issue(
         &mut self,
         cfg: &SocConfig,
         noc: &mut Noc,
@@ -251,9 +206,7 @@ impl DmaEngine {
         let ch = &mut self.channels[chan];
         ch.seq += 1;
         let seq = ch.seq;
-        self.transfers += 1;
         let total = desc.total_bytes();
-        self.bytes += u64::from(total);
         let mut cursor = now.max(ch.free_at) + cfg.lat.dma_setup;
         if total == 0 {
             // Null transfer: completion word only.
@@ -280,7 +233,6 @@ impl DmaEngine {
             let mut off = 0u32;
             while off < seg.bytes {
                 let len = burst.min(seg.bytes - off);
-                self.bursts += 1;
                 remaining -= len;
                 let burst_ready = cursor;
                 // Resource legs, ordered by data-flow direction. The
@@ -335,15 +287,12 @@ impl DmaEngine {
         noc.telem.span(tile, now, last_arrive, EventKind::DmaDescriptor { chan, seq });
         seq
     }
-
-    pub fn stats(&self) -> DmaStats {
-        DmaStats { transfers: self.transfers, bytes: self.bytes, bursts: self.bursts }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Topology;
 
     fn get_desc(bytes: u32, burst: u32) -> DmaDescriptor {
         DmaDescriptor::contiguous(DmaKind::Sdram(DmaDir::Get), 0, 0, bytes, burst, 64)
@@ -367,11 +316,10 @@ mod tests {
     #[test]
     fn sequences_are_monotone_and_bursts_split() {
         let mut e = DmaEngine::new(1);
-        let mut noc = Noc::with_ring(4);
+        let mut noc = Noc::with_topology(Topology::Ring, 4);
         let mut ports = one_port();
         assert_eq!(issue(&mut e, &mut noc, &mut ports, 256, 64), 1);
         assert_eq!(issue(&mut e, &mut noc, &mut ports, 256, 64), 2);
-        assert_eq!(e.stats(), DmaStats { transfers: 2, bytes: 512, bursts: 8 });
         // 8 data packets in flight.
         assert_eq!(noc.in_flight(), 8);
     }
@@ -380,12 +328,11 @@ mod tests {
     fn channels_number_independently() {
         let cfg = SocConfig::small(4);
         let mut e = DmaEngine::new(2);
-        let mut noc = Noc::with_ring(4);
+        let mut noc = Noc::with_topology(Topology::Ring, 4);
         let mut ports = one_port();
         assert_eq!(e.issue(&cfg, &mut noc, &mut ports, 0, 1, 0, &get_desc(64, 64)), 1);
         assert_eq!(e.issue(&cfg, &mut noc, &mut ports, 0, 1, 1, &get_desc(64, 64)), 1);
         assert_eq!(e.issue(&cfg, &mut noc, &mut ports, 0, 1, 0, &get_desc(64, 64)), 2);
-        assert_eq!(e.stats().transfers, 3);
     }
 
     /// A second transfer on another channel starts its port legs without
@@ -396,7 +343,7 @@ mod tests {
         let cfg = SocConfig::small(8);
         let finish_two = |channels: usize| {
             let mut e = DmaEngine::new(channels);
-            let mut noc = Noc::with_ring(8);
+            let mut noc = Noc::with_topology(Topology::Ring, 8);
             let mut ports = one_port();
             e.issue(&cfg, &mut noc, &mut ports, 0, 4, 0, &get_desc(1024, 256));
             let c2 = if channels > 1 { 1 } else { 0 };
@@ -418,7 +365,7 @@ mod tests {
         // bursts are large enough to amortise it.
         let finish = |burst: u32| {
             let mut e = DmaEngine::new(1);
-            let mut noc = Noc::with_ring(4);
+            let mut noc = Noc::with_topology(Topology::Ring, 4);
             let mut ports = one_port();
             issue(&mut e, &mut noc, &mut ports, 1024, burst);
             e.channels[0].free_at
@@ -432,33 +379,13 @@ mod tests {
     fn null_transfer_completes_after_setup_only() {
         let cfg = SocConfig::small(4);
         let mut e = DmaEngine::new(1);
-        let mut noc = Noc::with_ring(4);
+        let mut noc = Noc::with_topology(Topology::Ring, 4);
         let mut ports = one_port();
         let seq = e.issue(&cfg, &mut noc, &mut ports, 100, 2, 0, &DmaDescriptor::null(8));
         assert_eq!(seq, 1);
         assert_eq!(e.channels[0].free_at, 100 + cfg.lat.dma_setup);
         assert_eq!(ports.report()[0].bursts, 0, "null transfers never touch the port");
         assert_eq!(noc.in_flight(), 1, "only the completion-word packet");
-    }
-
-    /// A strided 2-D descriptor produces one segment per row and the
-    /// same byte total as the equivalent contiguous transfer.
-    #[test]
-    fn strided_2d_builds_row_segments() {
-        let d = DmaDescriptor::strided_2d(
-            DmaKind::Sdram(DmaDir::Get),
-            1000,
-            0,
-            32,  // row bytes
-            4,   // rows
-            128, // far stride
-            32,  // local stride (packed)
-            64,
-            8,
-        );
-        assert_eq!(d.segs.len(), 4);
-        assert_eq!(d.total_bytes(), 128);
-        assert_eq!(d.segs[2], DmaSeg { far_offset: 1256, local_offset: 64, bytes: 32 });
     }
 
     /// On a mesh the engine's bursts reserve exactly the XY route of the
@@ -518,7 +445,7 @@ mod tests {
     fn tile_to_tile_copy_skips_the_port() {
         let cfg = SocConfig::small(8);
         let mut e = DmaEngine::new(1);
-        let mut noc = Noc::with_ring(8);
+        let mut noc = Noc::with_topology(Topology::Ring, 8);
         let mut ports = one_port();
         let desc = DmaDescriptor::contiguous(DmaKind::Copy { dst_tile: 3 }, 0, 0, 512, 128, 64);
         e.issue(&cfg, &mut noc, &mut ports, 0, 1, 0, &desc);

@@ -68,11 +68,11 @@ use crate::telemetry::TelemetryEvent;
 
 /// A `(virtual_time, tile)` scheduling bound: a task may commit actions
 /// while its own `(clock, tile)` is strictly below the horizon.
-pub type Horizon = (u64, usize);
+pub(crate) type Horizon = (u64, usize);
 
 /// The horizon when no other tile has a pending event: run to
 /// completion without yielding.
-pub const HORIZON_NONE: Horizon = (u64::MAX, usize::MAX);
+pub(crate) const HORIZON_NONE: Horizon = (u64::MAX, usize::MAX);
 
 /// Engine → task resume message.
 pub(crate) enum Go {

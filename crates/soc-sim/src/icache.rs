@@ -11,20 +11,20 @@
 /// distributes exactly `round(total * mpki / 1000)` misses, independent of
 /// call granularity.
 #[derive(Debug, Clone, Copy)]
-pub struct ICache {
+pub(crate) struct ICache {
     mpki: u64,
     /// Accumulated "miss debt" in millis (1/1000 instruction units).
     acc: u64,
 }
 
 impl ICache {
-    pub fn new(mpki: u32) -> Self {
+    pub(crate) fn new(mpki: u32) -> Self {
         ICache { mpki: mpki as u64, acc: 0 }
     }
 
     /// Account `instrs` fetched instructions; returns how many I-cache
     /// misses they incur.
-    pub fn fetch(&mut self, instrs: u64) -> u64 {
+    pub(crate) fn fetch(&mut self, instrs: u64) -> u64 {
         self.acc += instrs * self.mpki;
         let misses = self.acc / 1000;
         self.acc %= 1000;

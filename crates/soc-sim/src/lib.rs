@@ -36,6 +36,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod addr;
 pub mod cache;
@@ -52,16 +53,11 @@ pub mod soc;
 pub mod telemetry;
 pub mod trace;
 
-pub use addr::Addr;
-pub use config::{CacheConfig, Latencies, SocConfig, Topology};
+pub use config::{CacheConfig, SocConfig, Topology};
 pub use counters::{Counters, LinkReport, MemTag, PortReport, RunReport};
-pub use dma::{DmaDescriptor, DmaDir, DmaKind, DmaSeg, DmaStats};
+pub use dma::{DmaDescriptor, DmaDir, DmaKind, DmaSeg};
 pub use engine::EngineStats;
 pub use mem::SdramPorts;
-pub use noc::LinkStat;
 pub use soc::{CoreProgram, Cpu, Soc};
-pub use telemetry::{
-    EventKind, Histogram, MetricsRegistry, StallClass, TelemetryConfig, TelemetryEvent,
-    TelemetryReport,
-};
+pub use telemetry::{EventKind, TelemetryReport};
 pub use trace::TraceRecord;

@@ -6,71 +6,47 @@ use crate::counters::PortReport;
 
 /// A byte-addressable memory with little-endian accessors.
 #[derive(Debug, Clone)]
-pub struct ByteMem {
+pub(crate) struct ByteMem {
     bytes: Vec<u8>,
 }
 
 impl ByteMem {
-    pub fn new(size: u32) -> Self {
+    pub(crate) fn new(size: u32) -> Self {
         ByteMem { bytes: vec![0; size as usize] }
     }
 
-    pub fn len(&self) -> u32 {
-        self.bytes.len() as u32
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
     #[inline]
-    pub fn read(&self, offset: u32, out: &mut [u8]) {
+    pub(crate) fn read(&self, offset: u32, out: &mut [u8]) {
         let o = offset as usize;
         out.copy_from_slice(&self.bytes[o..o + out.len()]);
     }
 
     #[inline]
-    pub fn write(&mut self, offset: u32, data: &[u8]) {
+    pub(crate) fn write(&mut self, offset: u32, data: &[u8]) {
         let o = offset as usize;
         self.bytes[o..o + data.len()].copy_from_slice(data);
     }
 
     #[inline]
-    pub fn read_u8(&self, offset: u32) -> u8 {
+    pub(crate) fn read_u8(&self, offset: u32) -> u8 {
         self.bytes[offset as usize]
     }
 
     #[inline]
-    pub fn write_u8(&mut self, offset: u32, v: u8) {
+    pub(crate) fn write_u8(&mut self, offset: u32, v: u8) {
         self.bytes[offset as usize] = v;
     }
 
     #[inline]
-    pub fn read_u32(&self, offset: u32) -> u32 {
+    pub(crate) fn read_u32(&self, offset: u32) -> u32 {
         let o = offset as usize;
         u32::from_le_bytes(self.bytes[o..o + 4].try_into().unwrap())
     }
 
     #[inline]
-    pub fn write_u32(&mut self, offset: u32, v: u32) {
+    pub(crate) fn write_u32(&mut self, offset: u32, v: u32) {
         let o = offset as usize;
         self.bytes[o..o + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn read_u64(&self, offset: u32) -> u64 {
-        let o = offset as usize;
-        u64::from_le_bytes(self.bytes[o..o + 8].try_into().unwrap())
-    }
-
-    #[inline]
-    pub fn write_u64(&mut self, offset: u32, v: u64) {
-        let o = offset as usize;
-        self.bytes[o..o + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn slice(&self, offset: u32, len: u32) -> &[u8] {
-        &self.bytes[offset as usize..(offset + len) as usize]
     }
 }
 
@@ -103,23 +79,14 @@ impl SdramPorts {
         SdramPorts { tiles, free: vec![0; n], busy: vec![0; n], bursts: vec![0; n] }
     }
 
-    /// Number of controllers.
-    pub fn len(&self) -> usize {
-        self.tiles.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false // `new` rejects an empty controller list
-    }
-
     /// The controller id owning a physical SDRAM offset.
-    pub fn owner(&self, offset: u32) -> usize {
+    pub(crate) fn owner(&self, offset: u32) -> usize {
         addr::controller_for(offset, self.tiles.len())
     }
 
     /// The tile whose controller owns a physical SDRAM offset — the NoC
     /// endpoint a transfer touching `offset` must route to or from.
-    pub fn tile_for(&self, offset: u32) -> usize {
+    pub(crate) fn tile_for(&self, offset: u32) -> usize {
         self.tiles[self.owner(offset)]
     }
 
@@ -137,7 +104,7 @@ impl SdramPorts {
     }
 
     /// Per-controller occupancy, in controller-id order.
-    pub fn report(&self) -> Vec<PortReport> {
+    pub(crate) fn report(&self) -> Vec<PortReport> {
         (0..self.tiles.len())
             .map(|c| PortReport {
                 ctrl: c,
@@ -158,8 +125,6 @@ mod tests {
         let mut m = ByteMem::new(64);
         m.write_u32(0, 0xdead_beef);
         assert_eq!(m.read_u32(0), 0xdead_beef);
-        m.write_u64(8, 0x0123_4567_89ab_cdef);
-        assert_eq!(m.read_u64(8), 0x0123_4567_89ab_cdef);
         m.write_u8(3, 0xff);
         assert_eq!(m.read_u32(0), 0xffad_beef);
         let mut buf = [0u8; 4];
@@ -170,8 +135,7 @@ mod tests {
     #[test]
     fn fresh_memory_is_zero() {
         let m = ByteMem::new(16);
-        assert_eq!(m.read_u64(0), 0);
-        assert_eq!(m.len(), 16);
+        assert!((0..16).step_by(4).all(|o| m.read_u32(o) == 0));
     }
 
     #[test]
@@ -187,7 +151,6 @@ mod tests {
     #[test]
     fn ports_serialise_per_controller() {
         let mut p = SdramPorts::new(vec![0, 2]);
-        assert_eq!(p.len(), 2);
         assert_eq!((p.tile_for(0), p.tile_for(4096)), (0, 2));
         let (s0, d0) = p.reserve(0, 10, 20); // controller 0
         let (s1, d1) = p.reserve(4096, 10, 20); // controller 1: parallel

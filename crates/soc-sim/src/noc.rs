@@ -15,7 +15,7 @@
 //! All posted traffic occupies every directed link on its route for its
 //! serialisation time: each link is a busy-until resource
 //! ([`Noc::reserve_path`]), so streams crossing a shared link contend and
-//! the per-link counters ([`Noc::link_stats`]) expose where. This covers
+//! the per-link counters (`Noc::link_stats`) expose where. This covers
 //! bulk DMA bursts *and* ordinary posted writes — remote local-memory
 //! stores, uncached SDRAM stores and cache-line write-backs en route to
 //! the memory controller — so the contention tables reflect total
@@ -34,7 +34,7 @@ use crate::telemetry::{EventKind, Recorder};
 
 /// The effect a packet applies when it arrives.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PacketKind {
+pub(crate) enum PacketKind {
     /// Write `data` into the destination tile's local memory.
     Write { offset: u32, data: Vec<u8> },
     /// Write `version` (as a u32 header) followed by `data`, but only if
@@ -69,7 +69,7 @@ pub enum PacketKind {
 
 /// An in-flight NoC packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
+pub(crate) struct Packet {
     pub arrive: u64,
     /// Global issue sequence number: ties on `arrive` resolve in issue
     /// order, keeping delivery deterministic.
@@ -115,15 +115,11 @@ pub struct Noc {
     /// Interconnect-side telemetry ring (link occupancy, SDRAM-port
     /// service, DMA descriptor lifetimes). Disabled by default — the
     /// instrumented paths then cost one branch; install an enabled
-    /// recorder with [`Noc::set_recorder`].
+    /// recorder with `Noc::set_recorder`.
     pub telem: Recorder,
 }
 
 impl Noc {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A NoC with per-link state for `topology` over `n_tiles` tiles.
     pub fn with_topology(topology: Topology, n_tiles: usize) -> Self {
         let links = topology.link_count(n_tiles);
@@ -134,19 +130,14 @@ impl Noc {
         }
     }
 
-    /// A NoC with per-link state for a ring of `n_tiles` tiles.
-    pub fn with_ring(n_tiles: usize) -> Self {
-        Self::with_topology(Topology::Ring, n_tiles)
-    }
-
     /// Per-link occupancy counters (index: link id as documented in
     /// [`Topology`]).
-    pub fn link_stats(&self) -> &[LinkStat] {
+    pub(crate) fn link_stats(&self) -> &[LinkStat] {
         &self.link_stats
     }
 
     /// Install a telemetry recorder for interconnect-side events.
-    pub fn set_recorder(&mut self, telem: Recorder) {
+    pub(crate) fn set_recorder(&mut self, telem: Recorder) {
         self.telem = telem;
     }
 
@@ -196,7 +187,7 @@ impl Noc {
     /// waiting for that port's previous transaction to drain, and the
     /// service interval lands in the telemetry ring as an
     /// [`EventKind::SdramPort`] span. Returns the completion time.
-    pub fn reserve_sdram(
+    pub(crate) fn reserve_sdram(
         &mut self,
         ports: &mut crate::mem::SdramPorts,
         cfg: &SocConfig,
@@ -210,14 +201,14 @@ impl Noc {
         done
     }
 
-    pub fn send(&mut self, arrive: u64, src: usize, dst: usize, kind: PacketKind) {
+    pub(crate) fn send(&mut self, arrive: u64, src: usize, dst: usize, kind: PacketKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Packet { arrive, seq, src, dst, kind });
     }
 
     /// Pop the next packet if it has arrived by `now`.
-    pub fn pop_arrived(&mut self, now: u64) -> Option<Packet> {
+    pub(crate) fn pop_arrived(&mut self, now: u64) -> Option<Packet> {
         if self.heap.peek().is_some_and(|p| p.arrive <= now) {
             self.heap.pop()
         } else {
@@ -225,13 +216,10 @@ impl Noc {
         }
     }
 
-    pub fn in_flight(&self) -> usize {
+    /// Packets still in flight (tests observe bursts through it).
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
         self.heap.len()
-    }
-
-    /// Earliest pending arrival, if any.
-    pub fn next_arrival(&self) -> Option<u64> {
-        self.heap.peek().map(|p| p.arrive)
     }
 
     /// Earliest in-flight completion-word write for any of `dst`'s
@@ -241,7 +229,11 @@ impl Noc {
     /// transfer on those words' channels has already landed). One heap
     /// pass whatever the watch count, which keeps the cost independent
     /// of it on busy interconnects.
-    pub fn next_completion_arrival_any(&self, dst: usize, done_offsets: &[u32]) -> Option<u64> {
+    pub(crate) fn next_completion_arrival_any(
+        &self,
+        dst: usize,
+        done_offsets: &[u32],
+    ) -> Option<u64> {
         self.heap
             .iter()
             .filter(|p| {
@@ -265,7 +257,7 @@ mod tests {
 
     #[test]
     fn arrival_order_is_by_time_then_seq() {
-        let mut noc = Noc::new();
+        let mut noc = Noc::default();
         noc.send(20, 0, 1, wpkt(0, 1));
         noc.send(10, 0, 2, wpkt(0, 2));
         noc.send(10, 1, 2, wpkt(4, 3));
@@ -281,17 +273,16 @@ mod tests {
 
     #[test]
     fn packets_wait_for_their_time() {
-        let mut noc = Noc::new();
+        let mut noc = Noc::default();
         noc.send(50, 0, 1, wpkt(0, 1));
         assert!(noc.pop_arrived(49).is_none());
-        assert_eq!(noc.next_arrival(), Some(50));
         assert!(noc.pop_arrived(50).is_some());
     }
 
     #[test]
     fn reserve_path_accounts_contention_per_link() {
         let cfg = crate::config::SocConfig::small(8);
-        let mut noc = Noc::with_ring(8);
+        let mut noc = Noc::with_topology(Topology::Ring, 8);
         // Two bursts over the same first link (0 → 1): the second waits
         // for the first's serialisation to drain.
         let a = noc.reserve_path(&cfg, 0, 0, 1, 256);
@@ -310,9 +301,9 @@ mod tests {
     #[test]
     fn reserve_path_latency_grows_with_distance() {
         let cfg = crate::config::SocConfig::small(8);
-        let mut noc = Noc::with_ring(8);
+        let mut noc = Noc::with_topology(Topology::Ring, 8);
         let near = noc.reserve_path(&cfg, 0, 0, 1, 64);
-        let mut noc = Noc::with_ring(8);
+        let mut noc = Noc::with_topology(Topology::Ring, 8);
         let far = noc.reserve_path(&cfg, 0, 0, 4, 64);
         assert!(far > near);
         assert_eq!(far - near, 3 * cfg.lat.noc_per_hop, "one extra hop latency per link");
@@ -328,7 +319,7 @@ mod tests {
         let cfg = crate::config::SocConfig::small(8);
         let mem_tile = cfg.controllers()[0];
         assert_eq!(mem_tile, 0);
-        let mut noc = Noc::with_ring(8);
+        let mut noc = Noc::with_topology(Topology::Ring, 8);
         let serialise = cfg.lat.noc_per_word * 16;
         // mem_tile (0) → 2: clockwise links 0 and 1, once each.
         noc.reserve_path(&cfg, 0, mem_tile, 2, 64);
@@ -394,7 +385,7 @@ mod tests {
 
     #[test]
     fn same_pair_delivery_is_fifo_when_latency_constant() {
-        let mut noc = Noc::new();
+        let mut noc = Noc::default();
         // Same (src,dst), same latency: arrival order == issue order.
         noc.send(30, 0, 1, wpkt(0, 1));
         noc.send(31, 0, 1, wpkt(0, 2));

@@ -7,8 +7,8 @@
 //! packets, cache-line writebacks, trace records) are committed one at a
 //! time, in strict `(virtual_time, tile_id)` order. Core-private actions
 //! (data-cache hits, compute, clean invalidations) run on a core-local
-//! fast path and only defer the publication of the core's clock; they
-//! are invisible to other tiles, so commit order is unaffected.
+//! fast path that only advances the core's clock; they are invisible to
+//! other tiles, so commit order is unaffected.
 //!
 //! One loop realises that order ([`crate::engine`]): a single-threaded
 //! min-heap of `(virtual_time, tile)` events resumes suspended tile
@@ -29,9 +29,8 @@
 //! the first out-of-order action instead of producing a plausible
 //! wrong trace.
 //!
-//! A forced synchronisation every `max_local_run` cycles bounds how
-//! stale a core's published clock can get. Same configuration + same
-//! programs ⇒ bit-identical runs, counters included.
+//! Same configuration + same programs ⇒ bit-identical runs, counters
+//! included.
 //!
 //! ## Memory system semantics
 //!
@@ -54,7 +53,7 @@ use crate::cache::Cache;
 use crate::config::SocConfig;
 use crate::coro;
 use crate::counters::{Counters, LinkReport, MemTag, PortReport, RunReport};
-use crate::dma::{DmaDescriptor, DmaDir, DmaEngine, DmaKind, DmaStats};
+use crate::dma::{DmaDescriptor, DmaDir, DmaEngine, DmaKind};
 use crate::engine::{self, EngineStats, TaskPort, TaskYield, TileResult};
 use crate::icache::ICache;
 use crate::mem::{ByteMem, SdramPorts};
@@ -211,7 +210,7 @@ impl Soc {
             panic!("invalid SocConfig: {e}");
         }
         let mut noc = Noc::with_topology(cfg.topology, cfg.n_tiles);
-        noc.set_recorder(Recorder::new(&cfg.telemetry));
+        noc.set_recorder(Recorder::new(cfg.telemetry));
         let global = Global {
             sdram: ByteMem::new(cfg.sdram_size),
             locals: (0..cfg.n_tiles).map(|_| ByteMem::new(cfg.local_mem_size)).collect(),
@@ -270,7 +269,7 @@ impl Soc {
     }
 
     /// The recorded telemetry of the last run (empty unless
-    /// `cfg.telemetry.enabled`): per-tile core-side streams plus the
+    /// `cfg.telemetry`): per-tile core-side streams plus the
     /// interconnect-side stream, with the total ring-drop count.
     pub fn take_telemetry(&self) -> TelemetryReport {
         let mut g = self.global.borrow_mut();
@@ -315,11 +314,6 @@ impl Soc {
     /// how well the 4 KiB stripes balanced the load.
     pub fn port_report(&self) -> Vec<PortReport> {
         self.global.borrow().ports.report()
-    }
-
-    /// Per-tile DMA-engine totals.
-    pub fn dma_stats(&self) -> Vec<DmaStats> {
-        self.global.borrow().dma.iter().map(|e| e.stats()).collect()
     }
 
     /// Run one program per tile (programs beyond `n_tiles` are an error;
@@ -420,9 +414,8 @@ enum StallCat {
 pub struct Cpu<'a> {
     soc: &'a Soc,
     tile: usize,
-    /// Local clock (may run ahead of the published clock).
+    /// Local virtual time.
     clock: u64,
-    published: u64,
     /// The yield point to the event loop ([`crate::engine::TaskPort`]).
     port: TaskPort<'a>,
     dcache: Cache,
@@ -439,12 +432,11 @@ impl<'a> Cpu<'a> {
             soc,
             tile,
             clock: 0,
-            published: 0,
             port,
             dcache: Cache::new(soc.cfg.dcache),
             icache: ICache::new(soc.cfg.icache_mpki),
             ctr: Counters::default(),
-            telem: Recorder::new(&soc.cfg.telemetry),
+            telem: Recorder::new(soc.cfg.telemetry),
         }
     }
 
@@ -459,10 +451,6 @@ impl<'a> Cpu<'a> {
     /// Current local virtual time.
     pub fn now(&self) -> u64 {
         self.clock
-    }
-
-    pub fn counters(&self) -> &Counters {
-        &self.ctr
     }
 
     pub fn config(&self) -> &SocConfig {
@@ -541,7 +529,6 @@ impl<'a> Cpu<'a> {
         self.port.ensure_turn(self.clock, self.tile);
         let mut g = soc.global.borrow_mut();
         g.note_commit(self.clock, self.tile);
-        self.published = self.clock;
         g.drain_packets(self.clock, &soc.cfg);
         g
     }
@@ -556,19 +543,6 @@ impl<'a> Cpu<'a> {
         f(&mut g, &self.soc.cfg, self.clock, self.tile)
     }
 
-    /// Publish the clock and hand over the turn (forced sync point).
-    fn sync(&mut self) {
-        self.turn(|_, _, _, _| ());
-    }
-
-    /// Fast-path bookkeeping: force a sync if the published clock lags
-    /// too far.
-    fn maybe_sync(&mut self) {
-        if self.clock - self.published >= self.soc.cfg.max_local_run {
-            self.sync();
-        }
-    }
-
     /// What the tile hands back through its task's last yield.
     fn finish(mut self) -> TileResult {
         TileResult { counters: self.ctr, clock: self.clock, telemetry: self.telem.drain() }
@@ -581,7 +555,6 @@ impl<'a> Cpu<'a> {
     /// Execute `instrs` instructions of pure computation.
     pub fn compute(&mut self, instrs: u64) {
         self.charge_instr(instrs);
-        self.maybe_sync();
     }
 
     // ------------------------------------------------------------------
@@ -625,12 +598,8 @@ impl<'a> Cpu<'a> {
                     if hit_lat > 0 {
                         self.charge_stall(StallCat::PrivRead, hit_lat);
                     }
-                    self.maybe_sync();
                 } else {
                     let (tag, stall) = self.miss_fill(offset);
-                    // Serve the data from the freshly filled line (the
-                    // cache's internal hit counter is not the per-core
-                    // counter, which already recorded the miss).
                     self.dcache.read_hit(offset, out);
                     let cat = match tag {
                         MemTag::Shared => StallCat::SharedRead,
@@ -675,7 +644,6 @@ impl<'a> Cpu<'a> {
                 if self.dcache.contains(offset) {
                     self.dcache.write_hit(offset, data);
                     self.ctr.dcache_hits += 1;
-                    self.maybe_sync();
                 } else {
                     // Write-allocate: fill, then write into the cache.
                     let (_tag, stall) = self.miss_fill(offset);
@@ -723,22 +691,10 @@ impl<'a> Cpu<'a> {
 
     // Convenience width accessors -------------------------------------
 
-    pub fn read_u8(&mut self, addr: Addr) -> u8 {
-        let mut b = [0u8; 1];
-        self.read(addr, &mut b);
-        b[0]
-    }
-
     pub fn read_u32(&mut self, addr: Addr) -> u32 {
         let mut b = [0u8; 4];
         self.read(addr, &mut b);
         u32::from_le_bytes(b)
-    }
-
-    pub fn read_u64(&mut self, addr: Addr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b);
-        u64::from_le_bytes(b)
     }
 
     /// Host-style peek of an uncached SDRAM word: inspects the current
@@ -758,10 +714,6 @@ impl<'a> Cpu<'a> {
     }
 
     pub fn write_u32(&mut self, addr: Addr, v: u32) {
-        self.write(addr, &v.to_le_bytes());
-    }
-
-    pub fn write_u64(&mut self, addr: Addr, v: u64) {
         self.write(addr, &v.to_le_bytes());
     }
 
@@ -863,7 +815,6 @@ impl<'a> Cpu<'a> {
                 self.charge_stall(StallCat::Flush, stall);
             }
         }
-        self.maybe_sync();
     }
 
     /// Invalidate (without write-back) every cache line covering
@@ -878,7 +829,6 @@ impl<'a> Cpu<'a> {
             self.charge_stall(StallCat::Flush, cache_op);
             self.dcache.invalidate_line(line);
         }
-        self.maybe_sync();
     }
 
     // ------------------------------------------------------------------
@@ -992,7 +942,7 @@ impl<'a> Cpu<'a> {
     /// keeping callers deterministic). Semantics per watch are those of
     /// [`Cpu::dma_event_wait`]; the core sleeps until the earliest
     /// in-flight completion write across all watched words.
-    pub fn dma_event_wait_any(&mut self, watches: &[(u32, u32)]) -> usize {
+    pub(crate) fn dma_event_wait_any(&mut self, watches: &[(u32, u32)]) -> usize {
         assert!(!watches.is_empty(), "empty DMA event-wait set");
         self.ctr.dma_event_waits += 1;
         let offsets: Vec<u32> = watches.iter().map(|&(off, _)| off).collect();
@@ -1099,16 +1049,13 @@ impl<'a> Cpu<'a> {
 
     /// Record a producer-defined trace event at the current virtual time
     /// (no cost). Protocol records (`kind` without
-    /// [`crate::trace::SPAN_FLAG`]) require `cfg.trace`; span records
-    /// require `cfg.telemetry.enabled` — the two families are gated
+    /// `crate::trace::SPAN_FLAG`) require `cfg.trace`; span records
+    /// require `cfg.telemetry` — the two families are gated
     /// independently so enabling telemetry never perturbs the monitor's
     /// protocol trace and vice versa.
     pub fn trace_event(&mut self, kind: u16, addr: u32, len: u32, value: u64) {
-        let wanted = if kind & trace::SPAN_FLAG != 0 {
-            self.soc.cfg.telemetry.enabled
-        } else {
-            self.soc.cfg.trace
-        };
+        let wanted =
+            if kind & trace::SPAN_FLAG != 0 { self.soc.cfg.telemetry } else { self.soc.cfg.trace };
         if !wanted {
             return;
         }
@@ -1124,6 +1071,7 @@ impl<'a> Cpu<'a> {
 mod tests {
     use super::*;
     use crate::addr::{local_base, SDRAM_CACHED_BASE, SDRAM_UNCACHED_BASE};
+    use crate::dma::DmaSeg;
 
     fn soc(n: usize) -> Soc {
         Soc::new(SocConfig::small(n))
@@ -1143,7 +1091,10 @@ mod tests {
         // bytes land identically (interleaving only changes the timing
         // model), and with two controllers both ports serve bursts.
         let run = |ctrls: Vec<usize>| {
-            let mut cfg = SocConfig::small_torus(2, 2);
+            let mut cfg = SocConfig {
+                topology: crate::config::Topology::Torus { cols: 2, rows: 2 },
+                ..SocConfig::small(4)
+            };
             cfg.mem_controllers = ctrls;
             let s = Soc::new(cfg);
             s.run(vec![Box::new(|cpu: &mut Cpu| {
@@ -1459,10 +1410,9 @@ mod tests {
         ]);
         assert_eq!(r.per_core[1].dma_transfers, 1);
         assert_eq!(r.per_core[1].dma_bytes, 256);
-        let stats = s.dma_stats();
-        assert_eq!(stats[1].bursts, 4);
-        // The route tile 0 (controller) → tile 1 crossed link 0.
-        assert!(s.link_stats()[0].busy > 0, "link contention counters must record bursts");
+        // The route tile 0 (controller) → tile 1 crossed link 0, once per
+        // 64-byte burst.
+        assert_eq!(s.link_stats()[0].bursts, 4, "link contention counters must record bursts");
     }
 
     #[test]
@@ -1709,8 +1659,12 @@ mod tests {
     #[should_panic(expected = "tile 1: DMA descriptor on channel 2 names bytes \
                                0x100000..0x100040 of SDRAM, which has 0x100000")]
     fn dma_issue_rejects_an_sdram_overrun() {
+        let segs = vec![
+            DmaSeg { far_offset: 0xff000, local_offset: 256, bytes: 64 },
+            DmaSeg { far_offset: 0x100000, local_offset: 320, bytes: 64 },
+        ];
         let kind = DmaKind::Sdram(DmaDir::Put);
-        tile_1_issues(DmaDescriptor::strided_2d(kind, 0xff000, 256, 64, 2, 4096, 64, 64, 0));
+        tile_1_issues(DmaDescriptor { kind, segs, burst: 64, done_offset: 0 });
     }
 
     /// Multi-channel: the per-channel completion words are independent —
@@ -1797,7 +1751,7 @@ mod tests {
     /// pins: caches, uncached traffic, DMA and cross-tile contention.
     fn telemetry_workload(telemetry_on: bool) -> (RunReport, crate::telemetry::TelemetryReport) {
         let mut cfg = SocConfig::small(4);
-        cfg.telemetry.enabled = telemetry_on;
+        cfg.telemetry = telemetry_on;
         let s = Soc::new(cfg);
         s.tag_region(0, 4096, MemTag::Shared);
         let r = s.run(
@@ -1875,14 +1829,14 @@ mod tests {
         }
     }
 
-    /// Span trace records require `telemetry.enabled`, protocol records
+    /// Span trace records require `telemetry`, protocol records
     /// require `trace` — each family is gated independently.
     #[test]
     fn trace_event_gates_span_and_protocol_records_independently() {
         let run_with = |trace_on: bool, telem_on: bool| {
             let mut cfg = SocConfig::small(1);
             cfg.trace = trace_on;
-            cfg.telemetry.enabled = telem_on;
+            cfg.telemetry = telem_on;
             let s = Soc::new(cfg);
             s.run(vec![Box::new(|cpu: &mut Cpu| {
                 cpu.trace_event(7, 0, 4, 0); // protocol (READ-style)

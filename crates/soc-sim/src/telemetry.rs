@@ -6,7 +6,7 @@
 //! intervals per [`crate::counters::Counters`] class, DMA descriptor
 //! lifetimes (issue → bursts → completion write), per-link NoC occupancy
 //! and SDRAM-port service intervals — into bounded ring buffers that are
-//! zero-cost when [`TelemetryConfig::enabled`] is off (every recording
+//! zero-cost when [`crate::config::SocConfig::telemetry`] is off (every recording
 //! site is a single branch on a `bool`). Timestamps are virtual time, so
 //! two identical runs produce byte-identical telemetry streams.
 //!
@@ -23,31 +23,10 @@ use std::collections::VecDeque;
 use crate::config::SocConfig;
 use crate::trace::{self, TraceRecord};
 
-/// Telemetry knobs, embedded as [`crate::config::SocConfig::telemetry`].
-#[derive(Debug, Clone, Copy)]
-pub struct TelemetryConfig {
-    /// Record telemetry events. Off by default: recording sites reduce
-    /// to one branch, and no counter, checksum, or trace outcome
-    /// changes either way (telemetry charges zero cycles).
-    pub enabled: bool,
-    /// Ring capacity per recorder (one per tile plus one shared
-    /// interconnect recorder). The oldest events are dropped first;
-    /// drops are counted in [`TelemetryReport::dropped`].
-    pub ring_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig { enabled: false, ring_capacity: 4096 }
-    }
-}
-
-impl TelemetryConfig {
-    /// An enabled configuration with the default ring capacity.
-    pub fn on() -> Self {
-        TelemetryConfig { enabled: true, ..Default::default() }
-    }
-}
+/// Events each recorder keeps (one recorder per tile plus one shared
+/// interconnect recorder). The oldest events are dropped first; drops
+/// are counted in [`TelemetryReport::dropped`].
+pub(crate) const RING_CAPACITY: usize = 4096;
 
 /// Stall attribution class of a core stall span — the telemetry mirror
 /// of the [`crate::counters::Counters`] stall buckets.
@@ -63,7 +42,7 @@ pub enum StallClass {
 }
 
 impl StallClass {
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             StallClass::PrivRead => "stall:priv_read",
             StallClass::SharedRead => "stall:shared_read",
@@ -110,38 +89,27 @@ pub struct TelemetryEvent {
 }
 
 /// A bounded ring-buffer recorder. `Default` is a disabled recorder:
-/// every [`Recorder::record`] is then a single branch, so instrumented
+/// every `Recorder::record` is then a single branch, so instrumented
 /// hot paths cost nothing when telemetry is off.
 #[derive(Debug, Default)]
 pub struct Recorder {
     enabled: bool,
-    capacity: usize,
     events: VecDeque<TelemetryEvent>,
     dropped: u64,
 }
 
 impl Recorder {
-    pub fn new(cfg: &TelemetryConfig) -> Self {
-        Recorder {
-            enabled: cfg.enabled,
-            capacity: cfg.ring_capacity.max(1),
-            events: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    pub(crate) fn new(enabled: bool) -> Self {
+        Recorder { enabled, events: VecDeque::new(), dropped: 0 }
     }
 
     /// Record one event; drops the oldest event once the ring is full.
     #[inline]
-    pub fn record(&mut self, ev: TelemetryEvent) {
+    pub(crate) fn record(&mut self, ev: TelemetryEvent) {
         if !self.enabled {
             return;
         }
-        if self.events.len() == self.capacity {
+        if self.events.len() == RING_CAPACITY {
             self.events.pop_front();
             self.dropped += 1;
         }
@@ -150,7 +118,7 @@ impl Recorder {
 
     /// Record a span `[start, end)` (no-op when disabled).
     #[inline]
-    pub fn span(&mut self, tile: usize, start: u64, end: u64, kind: EventKind) {
+    pub(crate) fn span(&mut self, tile: usize, start: u64, end: u64, kind: EventKind) {
         if self.enabled {
             self.record(TelemetryEvent { tile, start, end, kind });
         }
@@ -158,7 +126,7 @@ impl Recorder {
 
     /// Record an instant at `at` (no-op when disabled).
     #[inline]
-    pub fn instant(&mut self, tile: usize, at: u64, kind: EventKind) {
+    pub(crate) fn instant(&mut self, tile: usize, at: u64, kind: EventKind) {
         if self.enabled {
             self.record(TelemetryEvent { tile, start: at, end: at, kind });
         }
@@ -166,7 +134,7 @@ impl Recorder {
 
     /// Take the recorded events and the drop count, leaving the
     /// recorder empty (still enabled).
-    pub fn drain(&mut self) -> (Vec<TelemetryEvent>, u64) {
+    pub(crate) fn drain(&mut self) -> (Vec<TelemetryEvent>, u64) {
         let evs = std::mem::take(&mut self.events).into();
         (evs, std::mem::take(&mut self.dropped))
     }
@@ -184,18 +152,6 @@ pub struct TelemetryReport {
     pub system: Vec<TelemetryEvent>,
     /// Events lost to ring-buffer wraparound across all recorders.
     pub dropped: u64,
-}
-
-impl TelemetryReport {
-    /// All events of one tile (core stream plus the system events
-    /// attributed to it), useful for violation context.
-    pub fn events_of_tile(&self, tile: usize) -> Vec<TelemetryEvent> {
-        let mut out: Vec<TelemetryEvent> =
-            self.per_tile.get(tile).into_iter().flatten().copied().collect();
-        out.extend(self.system.iter().filter(|e| e.tile == tile).copied());
-        out.sort_by_key(|e| (e.start, e.end));
-        out
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -233,7 +189,7 @@ impl Histogram {
         }
     }
 
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.buckets[Self::index(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
@@ -248,7 +204,7 @@ impl Histogram {
         self.max
     }
 
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -258,7 +214,7 @@ impl Histogram {
     /// The `p`-quantile (`0.0 ..= 1.0`) as the upper bound of the
     /// bucket containing the rank-`ceil(p * count)` sample, clamped to
     /// the observed maximum. Returns 0 on an empty histogram.
-    pub fn percentile(&self, p: f64) -> u64 {
+    pub(crate) fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -280,15 +236,15 @@ impl Histogram {
         self.max
     }
 
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.percentile(0.50)
     }
 
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.percentile(0.90)
     }
 
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.percentile(0.99)
     }
 }
@@ -363,7 +319,7 @@ pub fn pair_spans(records: &[TraceRecord]) -> Result<(Vec<PairedSpan>, usize), S
 /// reported beside [`crate::counters::RunReport`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    /// `dma_wait` / `dma_wait_any` blocked time.
+    /// `DmaTicket::wait` blocked time.
     pub dma_wait: Histogram,
     /// Lock acquisition latency (request → owned).
     pub lock_acquire: Histogram,
@@ -432,24 +388,6 @@ impl MetricsRegistry {
             ));
         }
         out
-    }
-
-    /// The same table as a JSON object (one entry per metric).
-    pub fn to_json(&self) -> String {
-        let mut parts = Vec::new();
-        for (name, h) in self.rows() {
-            parts.push(format!(
-                "{}:{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                json::str(name),
-                h.count(),
-                h.mean(),
-                h.p50(),
-                h.p90(),
-                h.p99(),
-                h.max()
-            ));
-        }
-        format!("{{{}}}", parts.join(","))
     }
 }
 
@@ -817,7 +755,6 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut r = Recorder::default();
-        assert!(!r.enabled());
         r.span(0, 1, 5, EventKind::SdramPort);
         r.instant(0, 3, EventKind::DmaCompletion { seq: 1 });
         let (evs, dropped) = r.drain();
@@ -827,30 +764,14 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut r = Recorder::new(&TelemetryConfig { enabled: true, ring_capacity: 2 });
-        for t in 0..5u64 {
+        let mut r = Recorder::new(true);
+        for t in 0..RING_CAPACITY as u64 + 3 {
             r.instant(0, t, EventKind::SdramPort);
         }
         let (evs, dropped) = r.drain();
         assert_eq!(dropped, 3);
-        assert_eq!(evs.len(), 2);
-        assert_eq!((evs[0].start, evs[1].start), (3, 4));
-    }
-
-    /// A zero ring capacity is clamped to one slot: the recorder never
-    /// panics or silently disables, it keeps the latest event and
-    /// accounts every displaced one as dropped.
-    #[test]
-    fn zero_capacity_ring_keeps_the_latest_event() {
-        let mut r = Recorder::new(&TelemetryConfig { enabled: true, ring_capacity: 0 });
-        assert!(r.enabled());
-        for t in 0..4u64 {
-            r.instant(0, t, EventKind::SdramPort);
-        }
-        let (evs, dropped) = r.drain();
-        assert_eq!(dropped, 3, "all but the survivor are accounted");
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].start, 3, "the latest event survives");
+        assert_eq!(evs.len(), RING_CAPACITY);
+        assert_eq!(evs[0].start, 3);
     }
 
     /// An empty histogram answers every query with a defined zero —
@@ -964,7 +885,6 @@ mod tests {
         assert_eq!(m.barrier_wait.count(), 0);
         let s = m.summary();
         assert!(s.contains("dma_wait") && s.contains("scope_hold"), "{s}");
-        validate_json(&m.to_json()).unwrap();
     }
 
     #[test]
@@ -1049,25 +969,5 @@ mod tests {
         ]);
         validate_json(&doc).unwrap();
         assert!(doc.starts_with(r#"{"q\"b\\n\nc\u0007":"q\"b\\n\nc\u0007","nums":[-3.25,null,7]"#));
-    }
-
-    #[test]
-    fn events_of_tile_merges_core_and_system_streams() {
-        let report = TelemetryReport {
-            per_tile: vec![vec![TelemetryEvent {
-                tile: 0,
-                start: 9,
-                end: 12,
-                kind: EventKind::Stall(StallClass::Noc),
-            }]],
-            system: vec![
-                TelemetryEvent { tile: 0, start: 1, end: 4, kind: EventKind::SdramPort },
-                TelemetryEvent { tile: 1, start: 2, end: 3, kind: EventKind::SdramPort },
-            ],
-            dropped: 0,
-        };
-        let evs = report.events_of_tile(0);
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].start, 1, "sorted by start time");
     }
 }

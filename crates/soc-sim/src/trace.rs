@@ -15,7 +15,7 @@
 //! * **Span records** (`kind & SPAN_FLAG != 0`): typed begin/end markers
 //!   for runtime-level intervals — scope lifetimes, lock acquire/hold,
 //!   barrier waits, FIFO blocking, DMA waits. Recorded only with
-//!   `SocConfig::telemetry.enabled`; the monitor skips them. Pair them
+//!   `SocConfig::telemetry`; the monitor skips them. Pair them
 //!   with [`crate::telemetry::pair_spans`], summarise with
 //!   [`crate::telemetry::MetricsRegistry`], or export timelines with
 //!   [`crate::telemetry::perfetto_json`].
@@ -39,9 +39,9 @@ pub struct TraceRecord {
 
 /// Set on `kind` for span (telemetry) records; clear for protocol
 /// records.
-pub const SPAN_FLAG: u16 = 0x8000;
+pub(crate) const SPAN_FLAG: u16 = 0x8000;
 /// Set (together with [`SPAN_FLAG`]) on the end marker of a span.
-pub const SPAN_END: u16 = 0x4000;
+pub(crate) const SPAN_END: u16 = 0x4000;
 
 /// Span kinds for runtime-level intervals. The `addr` field of a span
 /// record identifies the object/resource (object id, lock address,
@@ -62,7 +62,7 @@ pub mod span_kind {
     pub const FIFO_PUSH: u16 = 6;
     /// Blocking portion of a FIFO pop; `addr` = FIFO id.
     pub const FIFO_POP: u16 = 7;
-    /// `dma_wait` / `dma_wait_any` sleep; `addr` = completion offset.
+    /// `DmaTicket::wait` sleep; `addr` = completion offset.
     pub const DMA_WAIT: u16 = 8;
     /// One serving request, intended injection → reply committed;
     /// `addr` = request id. Begin records may carry a begin time earlier

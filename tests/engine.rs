@@ -204,6 +204,35 @@ fn des_tile_programs_run_on_the_callers_thread() {
     assert!(seen.iter().all(|&id| id == me), "a tile program ran on another thread");
 }
 
+/// Pure compute is core-local: how a tile slices it into `compute`
+/// calls schedules nothing. Tile 0 computes 500 000 cycles in one call,
+/// then in 50, before one store; tile 1 stores every 1 000 cycles
+/// meanwhile. Both runs take the same events, handoffs and makespan.
+#[test]
+fn compute_chunking_adds_no_engine_events() {
+    use pmc::sim::{addr, CoreProgram, Cpu, Soc, SocConfig};
+
+    let run = |chunks: u64| {
+        let soc = Soc::new(SocConfig::small(2));
+        let report = soc.run(vec![
+            Box::new(move |cpu: &mut Cpu| {
+                for _ in 0..chunks {
+                    cpu.compute(500_000 / chunks);
+                }
+                cpu.write_u32(addr::SDRAM_UNCACHED_BASE, 1);
+            }) as CoreProgram<'_>,
+            Box::new(|cpu: &mut Cpu| {
+                for i in 0..600 {
+                    cpu.compute(1000);
+                    cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 4, i);
+                }
+            }),
+        ]);
+        (soc.engine_stats().expect("a completed run"), report.makespan)
+    };
+    assert_eq!(run(1), run(50));
+}
+
 /// The scale the one-thread engine is for: MOTION-EST on a 64×64 mesh —
 /// 4096 tile programs, no thread each — finishes with the motion vectors
 /// of the 32×32 run (same `Tiny` frames; the tile count only changes who
@@ -301,7 +330,7 @@ mod abort {
     #[test]
     fn tiles_without_a_program_idle() {
         let mut cfg = SocConfig::small(4);
-        cfg.telemetry.enabled = true;
+        cfg.telemetry = true;
         let s = Soc::new(cfg);
         let store = || -> CoreProgram<'_> {
             Box::new(|cpu: &mut Cpu| {
