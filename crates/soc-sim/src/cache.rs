@@ -153,12 +153,12 @@ impl Cache {
         }
     }
 
-    /// Iterate the line-aligned offsets covering `[offset, offset+len)`.
+    /// Iterate the line-aligned offsets covering `[offset, offset+len)`;
+    /// an empty range covers no line.
     pub(crate) fn lines_covering(&self, offset: u32, len: u32) -> impl Iterator<Item = u32> {
         let ls = self.cfg.line_size;
-        let first = offset & !(ls - 1);
-        let last = (offset + len.max(1) - 1) & !(ls - 1);
-        (first..=last).step_by(ls as usize)
+        let first = if len == 0 { offset } else { offset & !(ls - 1) };
+        (first..offset + len).step_by(ls as usize)
     }
 
     /// Flush-and-invalidate every valid line (returns all dirty victims).
@@ -251,7 +251,9 @@ mod tests {
         let lines: Vec<u32> = c.lines_covering(8, 8).collect();
         assert_eq!(lines, vec![8]);
         let lines: Vec<u32> = c.lines_covering(0, 0).collect();
-        assert_eq!(lines, vec![0]);
+        assert_eq!(lines, Vec::<u32>::new());
+        let lines: Vec<u32> = c.lines_covering(6, 0).collect();
+        assert_eq!(lines, Vec::<u32>::new());
     }
 
     #[test]

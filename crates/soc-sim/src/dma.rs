@@ -249,10 +249,10 @@ impl DmaEngine {
                         noc.reserve_path(cfg, port_done, ctrl, tile, len)
                     }
                     DmaKind::Sdram(DmaDir::Put) => {
-                        let ctrl = ports.tile_for(sdram_offset);
-                        let net_done = noc.reserve_path(cfg, cursor, tile, ctrl, len);
-                        cursor = net_done;
-                        noc.reserve_sdram(ports, cfg, tile, sdram_offset, net_done, len)
+                        let (at_ctrl, port_done) =
+                            noc.post_to_sdram(ports, cfg, tile, sdram_offset, cursor, len);
+                        cursor = at_ctrl;
+                        port_done
                     }
                     DmaKind::Copy { dst_tile } => {
                         let arrive = noc.reserve_path(cfg, cursor, tile, dst_tile, len);

@@ -103,6 +103,13 @@ impl SdramPorts {
         (start, done)
     }
 
+    /// Free every port and clear its statistics.
+    pub(crate) fn reset(&mut self) {
+        self.free.fill(0);
+        self.busy.fill(0);
+        self.bursts.fill(0);
+    }
+
     /// Per-controller occupancy, in controller-id order.
     pub(crate) fn report(&self) -> Vec<PortReport> {
         (0..self.tiles.len())

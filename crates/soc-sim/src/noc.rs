@@ -30,6 +30,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::config::{SocConfig, Topology};
+use crate::mem::SdramPorts;
 use crate::telemetry::{EventKind, Recorder};
 
 /// The effect a packet applies when it arrives.
@@ -189,7 +190,7 @@ impl Noc {
     /// [`EventKind::SdramPort`] span. Returns the completion time.
     pub(crate) fn reserve_sdram(
         &mut self,
-        ports: &mut crate::mem::SdramPorts,
+        ports: &mut SdramPorts,
         cfg: &SocConfig,
         tile: usize,
         offset: u32,
@@ -199,6 +200,32 @@ impl Noc {
         let (start, done) = ports.reserve(offset, ready, cfg.sdram_service(bytes));
         self.telem.span(tile, start, done, EventKind::SdramPort);
         done
+    }
+
+    /// A posted transaction of `bytes` bytes from `tile` to SDRAM
+    /// offset `offset`, ready at `ready`: the payload crosses the links
+    /// to the controller owning the offset's stripe, then occupies that
+    /// controller's port. Returns `(at_controller, port_done)`. Every
+    /// posted SDRAM write takes this path: uncached stores, cache-line
+    /// write-backs and DMA puts.
+    #[inline]
+    pub(crate) fn post_to_sdram(
+        &mut self,
+        ports: &mut SdramPorts,
+        cfg: &SocConfig,
+        tile: usize,
+        offset: u32,
+        ready: u64,
+        bytes: u32,
+    ) -> (u64, u64) {
+        let at_ctrl = self.reserve_path(cfg, ready, tile, ports.tile_for(offset), bytes);
+        (at_ctrl, self.reserve_sdram(ports, cfg, tile, offset, at_ctrl, bytes))
+    }
+
+    /// Free every link and clear its statistics.
+    pub(crate) fn reset_links(&mut self) {
+        self.link_free.fill(0);
+        self.link_stats.fill(LinkStat::default());
     }
 
     pub(crate) fn send(&mut self, arrive: u64, src: usize, dst: usize, kind: PacketKind) {

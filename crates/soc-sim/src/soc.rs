@@ -44,6 +44,20 @@
 //! * **NoC** — posted writes and remote atomics delivered at
 //!   `issue + route_latency`; in-order per (src, dst) pair, unordered
 //!   across destinations (the paper's Fig. 1 failure mode).
+//!
+//! Each transaction kind is timed in one place:
+//!
+//! * own local-memory access, per word — `Cpu::local_access`;
+//! * uncached SDRAM read — `Cpu::sdram_read`;
+//! * posted SDRAM write (uncached store, cache-line write-back, DMA put)
+//!   — `Noc::post_to_sdram`, wrapped by `Cpu::sdram_post`;
+//! * SDRAM exclusive pair (CAS, fetch-and-add) — `Cpu::sdram_rmw_u32`;
+//! * posted NoC packet (write, versioned write, remote test-and-set) —
+//!   `Cpu::noc_post`;
+//! * stall class of a read — `Global::read_stall`.
+//!
+//! A store to another tile's local memory goes through
+//! [`Cpu::noc_write`] only: [`Cpu::write`] and `write_block` reject it.
 
 use std::cell::{RefCell, RefMut};
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -86,8 +100,11 @@ struct Global {
 }
 
 impl Global {
-    fn tag_of(&self, sdram_offset: u32) -> MemTag {
-        match self.tags.binary_search_by(|&(start, end, _)| {
+    /// The stall class of a read of `sdram_offset`, from its region tag
+    /// (paper Fig. 8: shared vs. private data).
+    #[inline]
+    fn read_stall(&self, sdram_offset: u32) -> StallClass {
+        let tag = match self.tags.binary_search_by(|&(start, end, _)| {
             if sdram_offset < start {
                 std::cmp::Ordering::Greater
             } else if sdram_offset >= end {
@@ -98,6 +115,26 @@ impl Global {
         }) {
             Ok(i) => self.tags[i].2,
             Err(_) => MemTag::Private,
+        };
+        match tag {
+            MemTag::Shared => StallClass::SharedRead,
+            MemTag::Private => StallClass::PrivRead,
+        }
+    }
+
+    /// Start virtual time over for a new run: deliver the packets a
+    /// panicked run left in flight, then free every SDRAM port, NoC link
+    /// and DMA channel and clear their statistics and the interconnect
+    /// telemetry. DMA sequence numbers carry on, because completion
+    /// words persist in local memory.
+    fn restart(&mut self, cfg: &SocConfig) {
+        self.drain_packets(u64::MAX, cfg);
+        self.last_commit = (0, 0);
+        self.ports.reset();
+        self.noc.reset_links();
+        self.noc.telem.drain();
+        for ch in self.dma.iter_mut().flat_map(|e| e.channels.iter_mut()) {
+            ch.free_at = 0;
         }
     }
 
@@ -326,8 +363,8 @@ impl Soc {
     pub fn run<'env>(&'env self, programs: Vec<CoreProgram<'env>>) -> RunReport {
         assert!(programs.len() <= self.cfg.n_tiles, "more programs than tiles");
         // Memories persist across runs so callers can pre-initialise and
-        // post-inspect; the commit order starts over.
-        self.global.borrow_mut().last_commit = (0, 0);
+        // post-inspect; timing starts over.
+        self.global.borrow_mut().restart(&self.cfg);
         let spawn = |(tile, program): (usize, CoreProgram<'env>)| {
             coro::spawn(move |suspender, first| {
                 let mut cpu = Cpu::new(self, tile, TaskPort::new(suspender, first, tile));
@@ -387,19 +424,6 @@ impl Soc {
 /// derives from `std::thread::current()` is shared by all tiles, not
 /// private to one. For the same reason a program need not be `Send`.
 pub type CoreProgram<'env> = Box<dyn FnOnce(&mut Cpu<'_>) + 'env>;
-
-/// Stall category used by the memory paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StallCat {
-    PrivRead,
-    SharedRead,
-    Write,
-    Noc,
-    /// Cache-management (counted as write stall *and* flush overhead).
-    Flush,
-    /// Blocked in an event-based DMA completion wait.
-    DmaWait,
-}
 
 /// The per-core execution context handed to tile programs: the only way
 /// application / runtime code touches the simulated machine.
@@ -491,28 +515,23 @@ impl<'a> Cpu<'a> {
         self.check_time_limit();
     }
 
-    fn charge_stall(&mut self, cat: StallCat, cycles: u64) {
+    /// Stall for `cycles`, counted in `class`'s bucket. A flush stall
+    /// counts as write stall *and* flush overhead.
+    fn charge_stall(&mut self, class: StallClass, cycles: u64) {
         if cycles > 0 {
-            let class = match cat {
-                StallCat::PrivRead => StallClass::PrivRead,
-                StallCat::SharedRead => StallClass::SharedRead,
-                StallCat::Write => StallClass::Write,
-                StallCat::Noc => StallClass::Noc,
-                StallCat::Flush => StallClass::Flush,
-                StallCat::DmaWait => StallClass::DmaWait,
-            };
             self.telem.span(self.tile, self.clock, self.clock + cycles, EventKind::Stall(class));
         }
-        match cat {
-            StallCat::PrivRead => self.ctr.stall_priv_read += cycles,
-            StallCat::SharedRead => self.ctr.stall_shared_read += cycles,
-            StallCat::Write => self.ctr.stall_write += cycles,
-            StallCat::Noc => self.ctr.stall_noc += cycles,
-            StallCat::Flush => {
+        match class {
+            StallClass::PrivRead => self.ctr.stall_priv_read += cycles,
+            StallClass::SharedRead => self.ctr.stall_shared_read += cycles,
+            StallClass::Write => self.ctr.stall_write += cycles,
+            StallClass::Icache => self.ctr.stall_icache += cycles,
+            StallClass::Noc => self.ctr.stall_noc += cycles,
+            StallClass::Flush => {
                 self.ctr.stall_write += cycles;
                 self.ctr.flush_cycles += cycles;
             }
-            StallCat::DmaWait => self.ctr.stall_dma_wait += cycles,
+            StallClass::DmaWait => self.ctr.stall_dma_wait += cycles,
         }
         self.clock += cycles;
         self.check_time_limit();
@@ -537,7 +556,10 @@ impl<'a> Cpu<'a> {
     /// `f` sees the global state at `self.clock` (packets drained) and
     /// returns its result. The action itself does not advance the clock:
     /// any latency must be charged by the caller afterwards via
-    /// `charge_stall`.
+    /// `charge_stall`. Always inlined: a helper called from several
+    /// sites shares one instance per closure type, and an out-of-line
+    /// `turn` costs the memory path a call per transaction.
+    #[inline(always)]
     fn turn<R>(&mut self, f: impl FnOnce(&mut Global, &SocConfig, u64, usize) -> R) -> R {
         let mut g = self.commit_point();
         f(&mut g, &self.soc.cfg, self.clock, self.tile)
@@ -573,39 +595,21 @@ impl<'a> Cpu<'a> {
                     "tile {}: read of tile {tile}'s local memory — the NoC is write-only (paper Fig. 7)",
                     self.tile
                 );
-                let lat = self.soc.cfg.lat.local_mem.saturating_sub(1);
-                self.turn(|g, _, _, me| g.locals[me].read(offset, out));
-                self.charge_stall(StallCat::Noc, lat);
+                self.local_access(1, |m| m.read(offset, out));
             }
-            Region::SdramUncached { offset } => {
-                let bytes = out.len() as u32;
-                let (tag, stall) = self.turn(|g, cfg, now, me| {
-                    let done = g.noc.reserve_sdram(&mut g.ports, cfg, me, offset, now, bytes);
-                    g.sdram.read(offset, out);
-                    (g.tag_of(offset), done - now)
-                });
-                let cat = match tag {
-                    MemTag::Shared => StallCat::SharedRead,
-                    MemTag::Private => StallCat::PrivRead,
-                };
-                self.charge_stall(cat, stall);
-            }
+            Region::SdramUncached { offset } => self.sdram_read(offset, out),
             Region::SdramCached { offset } => {
                 if self.dcache.contains(offset) {
                     self.dcache.read_hit(offset, out);
                     self.ctr.dcache_hits += 1;
                     let hit_lat = self.soc.cfg.lat.cache_hit;
                     if hit_lat > 0 {
-                        self.charge_stall(StallCat::PrivRead, hit_lat);
+                        self.charge_stall(StallClass::PrivRead, hit_lat);
                     }
                 } else {
-                    let (tag, stall) = self.miss_fill(offset);
+                    let (class, stall) = self.miss_fill(offset);
                     self.dcache.read_hit(offset, out);
-                    let cat = match tag {
-                        MemTag::Shared => StallCat::SharedRead,
-                        MemTag::Private => StallCat::PrivRead,
-                    };
-                    self.charge_stall(cat, stall);
+                    self.charge_stall(class, stall);
                 }
             }
         }
@@ -616,29 +620,13 @@ impl<'a> Cpu<'a> {
         self.charge_instr((data.len() as u64).div_ceil(4).max(1));
         match addr::decode(addr) {
             Region::Local { tile, offset } => {
-                if tile == self.tile {
-                    let lat = self.soc.cfg.lat.local_mem.saturating_sub(1);
-                    self.turn(|g, _, _, me| g.locals[me].write(offset, data));
-                    self.charge_stall(StallCat::Noc, lat);
-                } else {
-                    // Remote local memory: posted NoC write.
-                    self.noc_write(tile, offset, data);
-                }
+                assert_eq!(tile, self.tile, "use noc_write for remote local memories");
+                self.local_access(1, |m| m.write(offset, data));
             }
             Region::SdramUncached { offset } => {
-                let bytes = data.len() as u32;
-                self.turn(|g, cfg, now, me| {
-                    // Posted: the store buffer absorbs the latency; the
-                    // payload crosses the NoC links to the controller
-                    // owning the stripe (contending with DMA bursts) and
-                    // the transaction then occupies that SDRAM port.
-                    let ctrl = g.ports.tile_for(offset);
-                    let at_ctrl = g.noc.reserve_path(cfg, now, me, ctrl, bytes);
-                    g.noc.reserve_sdram(&mut g.ports, cfg, me, offset, at_ctrl, bytes);
-                    g.sdram.write(offset, data);
-                });
-                let stall = self.soc.cfg.lat.posted_write;
-                self.charge_stall(StallCat::Write, stall);
+                // Posted: the store buffer absorbs the latency.
+                self.sdram_post(offset, data);
+                self.charge_stall(StallClass::Write, self.soc.cfg.lat.posted_write);
             }
             Region::SdramCached { offset } => {
                 if self.dcache.contains(offset) {
@@ -646,47 +634,36 @@ impl<'a> Cpu<'a> {
                     self.ctr.dcache_hits += 1;
                 } else {
                     // Write-allocate: fill, then write into the cache.
-                    let (_tag, stall) = self.miss_fill(offset);
+                    let (_, stall) = self.miss_fill(offset);
                     self.dcache.write_hit(offset, data);
-                    self.charge_stall(StallCat::Write, stall);
+                    self.charge_stall(StallClass::Write, stall);
                 }
             }
         }
     }
 
     /// Handle a cached-SDRAM miss: fetch the line (plus victim
-    /// write-back) in one commit. Returns the region tag and the stall
-    /// cycles.
-    fn miss_fill(&mut self, offset: u32) -> (MemTag, u64) {
+    /// write-back) in one commit. Returns the read-stall class of
+    /// `offset` and the stall cycles.
+    fn miss_fill(&mut self, offset: u32) -> (StallClass, u64) {
         self.ctr.dcache_misses += 1;
         let line = self.dcache.line_of(offset);
-        let line_size = self.soc.cfg.dcache.line_size;
+        let cfg = &self.soc.cfg;
+        let line_size = cfg.dcache.line_size;
         let tile = self.tile;
         let clock = self.clock;
         let mut g = self.commit_point();
         // Line fetch, then victim write-back occupying the SDRAM port.
         let gm = &mut *g;
-        let mut done =
-            gm.noc.reserve_sdram(&mut gm.ports, &self.soc.cfg, tile, line, clock, line_size);
+        let mut done = gm.noc.reserve_sdram(&mut gm.ports, cfg, tile, line, clock, line_size);
         let mut line_buf = vec![0u8; line_size as usize];
         gm.sdram.read(line, &mut line_buf);
         if let Some(wb) = self.dcache.fill(line, &line_buf) {
+            // The victim line is a posted write-back.
             gm.sdram.write(wb.offset, &wb.data);
-            // The victim line is a posted write-back: it crosses the
-            // NoC to the controller owning its stripe before occupying
-            // that port.
-            let wb_ctrl = gm.ports.tile_for(wb.offset);
-            let at_ctrl = gm.noc.reserve_path(&self.soc.cfg, done, tile, wb_ctrl, line_size);
-            done = gm.noc.reserve_sdram(
-                &mut gm.ports,
-                &self.soc.cfg,
-                tile,
-                wb.offset,
-                at_ctrl,
-                line_size,
-            );
+            (_, done) = gm.noc.post_to_sdram(&mut gm.ports, cfg, tile, wb.offset, done, line_size);
         }
-        (g.tag_of(offset), done - clock)
+        (g.read_stall(offset), done - clock)
     }
 
     // Convenience width accessors -------------------------------------
@@ -730,23 +707,9 @@ impl<'a> Cpu<'a> {
         match addr::decode(addr) {
             Region::Local { tile, offset } => {
                 assert_eq!(tile, self.tile, "remote local memory is write-only");
-                let lat = self.soc.cfg.lat.local_mem.saturating_sub(1) * words.max(1);
-                self.turn(|g, _, _, me| g.locals[me].read(offset, out));
-                self.charge_stall(StallCat::Noc, lat);
+                self.local_access(words.max(1), |m| m.read(offset, out));
             }
-            Region::SdramUncached { offset } => {
-                let bytes = out.len() as u32;
-                let (tag, stall) = self.turn(|g, cfg, now, me| {
-                    let done = g.noc.reserve_sdram(&mut g.ports, cfg, me, offset, now, bytes);
-                    g.sdram.read(offset, out);
-                    (g.tag_of(offset), done - now)
-                });
-                let cat = match tag {
-                    MemTag::Shared => StallCat::SharedRead,
-                    MemTag::Private => StallCat::PrivRead,
-                };
-                self.charge_stall(cat, stall);
-            }
+            Region::SdramUncached { offset } => self.sdram_read(offset, out),
             Region::SdramCached { .. } => panic!("read_block on the cached window"),
         }
     }
@@ -758,20 +721,11 @@ impl<'a> Cpu<'a> {
         match addr::decode(addr) {
             Region::Local { tile, offset } => {
                 assert_eq!(tile, self.tile, "use noc_write for remote local memories");
-                let lat = self.soc.cfg.lat.local_mem.saturating_sub(1) * words.max(1);
-                self.turn(|g, _, _, me| g.locals[me].write(offset, data));
-                self.charge_stall(StallCat::Noc, lat);
+                self.local_access(words.max(1), |m| m.write(offset, data));
             }
             Region::SdramUncached { offset } => {
-                let bytes = data.len() as u32;
-                self.turn(|g, cfg, now, me| {
-                    let ctrl = g.ports.tile_for(offset);
-                    let at_ctrl = g.noc.reserve_path(cfg, now, me, ctrl, bytes);
-                    g.noc.reserve_sdram(&mut g.ports, cfg, me, offset, at_ctrl, bytes);
-                    g.sdram.write(offset, data);
-                });
-                let stall = self.soc.cfg.lat.posted_write + words / 4;
-                self.charge_stall(StallCat::Write, stall);
+                self.sdram_post(offset, data);
+                self.charge_stall(StallClass::Write, self.soc.cfg.lat.posted_write + words / 4);
             }
             Region::SdramCached { .. } => panic!("write_block on the cached window"),
         }
@@ -800,19 +754,11 @@ impl<'a> Cpu<'a> {
             self.charge_instr(1); // wdc.flush
             self.ctr.flush_cycles += 1;
             let cache_op = self.soc.cfg.lat.cache_op;
-            self.charge_stall(StallCat::Flush, cache_op);
+            self.charge_stall(StallClass::Flush, cache_op);
             if let Some(wb) = self.dcache.flush_line(line) {
-                let line_size = self.soc.cfg.dcache.line_size;
-                self.turn(move |g, cfg, now, me| {
-                    // Posted write-back: the line crosses the NoC to the
-                    // controller owning its stripe, then takes that port.
-                    let ctrl = g.ports.tile_for(wb.offset);
-                    let at_ctrl = g.noc.reserve_path(cfg, now, me, ctrl, line_size);
-                    g.noc.reserve_sdram(&mut g.ports, cfg, me, wb.offset, at_ctrl, line_size);
-                    g.sdram.write(wb.offset, &wb.data);
-                });
-                let stall = self.soc.cfg.lat.posted_write;
-                self.charge_stall(StallCat::Flush, stall);
+                // Posted write-back.
+                self.sdram_post(wb.offset, &wb.data);
+                self.charge_stall(StallClass::Flush, self.soc.cfg.lat.posted_write);
             }
         }
     }
@@ -826,7 +772,7 @@ impl<'a> Cpu<'a> {
             self.charge_instr(1); // wdc.clear
             self.ctr.flush_cycles += 1;
             let cache_op = self.soc.cfg.lat.cache_op;
-            self.charge_stall(StallCat::Flush, cache_op);
+            self.charge_stall(StallClass::Flush, cache_op);
             self.dcache.invalidate_line(line);
         }
     }
@@ -841,15 +787,7 @@ impl<'a> Cpu<'a> {
     /// contend for the same links.
     pub fn noc_write(&mut self, dst: usize, offset: u32, data: &[u8]) {
         assert_ne!(dst, self.tile, "use local writes for the own tile");
-        self.charge_instr(1);
-        let payload = data.to_vec();
-        self.turn(move |g, cfg, now, me| {
-            let bytes = payload.len() as u32;
-            let arrive = g.noc.reserve_path(cfg, now, me, dst, bytes);
-            g.noc.send(arrive, me, dst, PacketKind::Write { offset, data: payload });
-        });
-        let stall = self.soc.cfg.lat.posted_write;
-        self.charge_stall(StallCat::Noc, stall);
+        self.noc_post(dst, data.len() as u32, PacketKind::Write { offset, data: data.to_vec() });
     }
 
     /// Posted versioned write: applied at the destination only if
@@ -857,20 +795,9 @@ impl<'a> Cpu<'a> {
     /// header is updated together with the payload at `offset + 4`).
     pub fn noc_write_versioned(&mut self, dst: usize, offset: u32, version: u32, data: &[u8]) {
         assert_ne!(dst, self.tile, "use local writes for the own tile");
-        self.charge_instr(1);
-        let payload = data.to_vec();
-        self.turn(move |g, cfg, now, me| {
-            let bytes = 4 + payload.len() as u32;
-            let arrive = g.noc.reserve_path(cfg, now, me, dst, bytes);
-            g.noc.send(
-                arrive,
-                me,
-                dst,
-                PacketKind::VersionedWrite { offset, version, data: payload },
-            );
-        });
-        let stall = self.soc.cfg.lat.posted_write;
-        self.charge_stall(StallCat::Noc, stall);
+        let bytes = 4 + data.len() as u32;
+        let kind = PacketKind::VersionedWrite { offset, version, data: data.to_vec() };
+        self.noc_post(dst, bytes, kind);
     }
 
     /// Remote test-and-set on one byte of `dst`'s local memory; the old
@@ -879,18 +806,21 @@ impl<'a> Cpu<'a> {
     /// memory). Clear the mailbox before issuing.
     pub fn noc_test_and_set(&mut self, dst: usize, offset: u32, mailbox_offset: u32) {
         assert_ne!(dst, self.tile, "use local_test_and_set for the own tile");
+        let kind =
+            PacketKind::TestAndSet { offset, reply_tile: self.tile, reply_offset: mailbox_offset };
+        self.noc_post(dst, 4, kind);
+    }
+
+    /// A posted NoC packet of `bytes` payload bytes to tile `dst`: one
+    /// instruction, the route's links, then the posted-write stall.
+    #[inline(always)]
+    fn noc_post(&mut self, dst: usize, bytes: u32, kind: PacketKind) {
         self.charge_instr(1);
         self.turn(move |g, cfg, now, me| {
-            let arrive = g.noc.reserve_path(cfg, now, me, dst, 4);
-            g.noc.send(
-                arrive,
-                me,
-                dst,
-                PacketKind::TestAndSet { offset, reply_tile: me, reply_offset: mailbox_offset },
-            );
+            let arrive = g.noc.reserve_path(cfg, now, me, dst, bytes);
+            g.noc.send(arrive, me, dst, kind);
         });
-        let stall = self.soc.cfg.lat.posted_write;
-        self.charge_stall(StallCat::Noc, stall);
+        self.charge_stall(StallClass::Noc, self.soc.cfg.lat.posted_write);
     }
 
     /// Program an asynchronous bulk transfer on channel `chan` of this
@@ -914,8 +844,7 @@ impl<'a> Cpu<'a> {
         });
         self.ctr.dma_transfers += 1;
         self.ctr.dma_bytes += u64::from(bytes);
-        let stall = self.soc.cfg.lat.posted_write;
-        self.charge_stall(StallCat::Noc, stall);
+        self.charge_stall(StallClass::Noc, self.soc.cfg.lat.posted_write);
         seq
     }
 
@@ -974,7 +903,7 @@ impl<'a> Cpu<'a> {
             // Sleep until the completion write lands: the parked core
             // retires no instructions; the time is DMA-wait stall.
             let stall = arrive.saturating_sub(self.clock).max(1);
-            self.charge_stall(StallCat::DmaWait, stall);
+            self.charge_stall(StallClass::DmaWait, stall);
             woke = true;
         }
     }
@@ -983,64 +912,92 @@ impl<'a> Cpu<'a> {
     /// path of the asymmetric distributed lock \[15\]).
     pub fn local_test_and_set(&mut self, offset: u32) -> u8 {
         self.charge_instr(1);
-        let old = self.turn(|g, _, _, me| {
-            let old = g.locals[me].read_u8(offset);
-            g.locals[me].write_u8(offset, 1);
+        self.local_access(1, |m| {
+            let old = m.read_u8(offset);
+            m.write_u8(offset, 1);
             old
-        });
-        let lat = self.soc.cfg.lat.local_mem.saturating_sub(1);
-        self.charge_stall(StallCat::Noc, lat);
-        old
+        })
     }
 
     /// LWX/SWX-style compare-and-swap on uncached SDRAM. Returns the old
     /// value; the swap happened iff `old == expect`.
     pub fn sdram_cas_u32(&mut self, addr: Addr, expect: u32, new: u32) -> u32 {
-        let offset = match addr::decode(addr) {
-            Region::SdramUncached { offset } => offset,
-            r => panic!("CAS requires the uncached SDRAM window, got {r:?}"),
-        };
-        self.charge_instr(2); // lwx + swx
-        let (tag, old, stall) = self.turn(|g, cfg, now, _| {
-            // Exclusive pair: a read plus a conditional write transaction
-            // on the port owning the word's stripe.
-            let (_, done) =
-                g.ports.reserve(offset, now, cfg.sdram_service(4) + cfg.sdram_service(4));
-            let old = g.sdram.read_u32(offset);
-            if old == expect {
-                g.sdram.write_u32(offset, new);
-            }
-            (g.tag_of(offset), old, done - now)
-        });
-        let cat = match tag {
-            MemTag::Shared => StallCat::SharedRead,
-            MemTag::Private => StallCat::PrivRead,
-        };
-        self.charge_stall(cat, stall);
-        old
+        self.sdram_rmw_u32("CAS", addr, |old| (old == expect).then_some(new))
     }
 
     /// Atomic fetch-and-add on uncached SDRAM (exclusive-pair loop on the
     /// real core; single transaction here).
     pub fn sdram_faa_u32(&mut self, addr: Addr, delta: u32) -> u32 {
+        self.sdram_rmw_u32("FAA", addr, |old| Some(old.wrapping_add(delta)))
+    }
+
+    /// An exclusive pair (`lwx` + `swx`) on the uncached SDRAM word at
+    /// `addr`: a read plus a conditional write transaction on the port
+    /// owning the word's stripe, stalled as a read. `update` maps the
+    /// old value to the value to store, if any; returns the old value.
+    #[inline]
+    fn sdram_rmw_u32(
+        &mut self,
+        op: &str,
+        addr: Addr,
+        update: impl FnOnce(u32) -> Option<u32>,
+    ) -> u32 {
         let offset = match addr::decode(addr) {
             Region::SdramUncached { offset } => offset,
-            r => panic!("FAA requires the uncached SDRAM window, got {r:?}"),
+            r => panic!("{op} requires the uncached SDRAM window, got {r:?}"),
         };
         self.charge_instr(2);
-        let (tag, old, stall) = self.turn(|g, cfg, now, _| {
+        let (class, old, stall) = self.turn(|g, cfg, now, _| {
             let (_, done) =
                 g.ports.reserve(offset, now, cfg.sdram_service(4) + cfg.sdram_service(4));
             let old = g.sdram.read_u32(offset);
-            g.sdram.write_u32(offset, old.wrapping_add(delta));
-            (g.tag_of(offset), old, done - now)
+            if let Some(new) = update(old) {
+                g.sdram.write_u32(offset, new);
+            }
+            (g.read_stall(offset), old, done - now)
         });
-        let cat = match tag {
-            MemTag::Shared => StallCat::SharedRead,
-            MemTag::Private => StallCat::PrivRead,
-        };
-        self.charge_stall(cat, stall);
+        self.charge_stall(class, stall);
         old
+    }
+
+    // ------------------------------------------------------------------
+    // Memory-path timing: one helper per transaction kind.
+    // ------------------------------------------------------------------
+
+    /// An access to the own local memory covering `words` words: one
+    /// commit, then the latency beyond a single cycle per word.
+    #[inline]
+    fn local_access<R>(&mut self, words: u64, f: impl FnOnce(&mut ByteMem) -> R) -> R {
+        let r = self.turn(|g, _, _, me| f(&mut g.locals[me]));
+        self.charge_stall(StallClass::Noc, self.soc.cfg.lat.local_mem.saturating_sub(1) * words);
+        r
+    }
+
+    /// A timed uncached SDRAM read at `offset`: one port transaction,
+    /// stalled as a read of the offset's region. Holds the commit guard
+    /// directly: a `turn` closure shared by two callers is not inlined.
+    #[inline(always)]
+    fn sdram_read(&mut self, offset: u32, out: &mut [u8]) {
+        let (cfg, tile, clock) = (&self.soc.cfg, self.tile, self.clock);
+        let (class, done) = {
+            let mut guard = self.commit_point();
+            let g = &mut *guard;
+            let done =
+                g.noc.reserve_sdram(&mut g.ports, cfg, tile, offset, clock, out.len() as u32);
+            g.sdram.read(offset, out);
+            (g.read_stall(offset), done)
+        };
+        self.charge_stall(class, done - clock);
+    }
+
+    /// A posted SDRAM write of `data` at `offset`
+    /// ([`Noc::post_to_sdram`]); the caller charges the stall.
+    #[inline]
+    fn sdram_post(&mut self, offset: u32, data: &[u8]) {
+        self.turn(|g, cfg, now, me| {
+            g.noc.post_to_sdram(&mut g.ports, cfg, me, offset, now, data.len() as u32);
+            g.sdram.write(offset, data);
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1189,6 +1146,71 @@ mod tests {
             }),
             Box::new(|_cpu: &mut Cpu| {}),
         ]);
+    }
+
+    /// Stores to another tile's local memory go through `noc_write`
+    /// only: `write` rejects them as `write_block` does.
+    #[test]
+    #[should_panic(expected = "use noc_write for remote local memories")]
+    fn remote_local_write_is_rejected() {
+        let s = soc(2);
+        s.run(vec![
+            Box::new(|cpu: &mut Cpu| {
+                cpu.write_u32(local_base(1), 1);
+            }),
+            Box::new(|_cpu: &mut Cpu| {}),
+        ]);
+    }
+
+    /// A run on a reused `Soc` starts from free SDRAM ports, NoC links
+    /// and DMA channels, and reports only its own occupancy: it matches
+    /// the same run on a fresh `Soc`.
+    #[test]
+    fn a_reused_soc_runs_like_a_fresh_one() {
+        let run = |s: &Soc| {
+            let r = s.run(vec![
+                Box::new(|cpu: &mut Cpu| {
+                    for i in 0..1000u32 {
+                        cpu.read_u32(SDRAM_UNCACHED_BASE + (i % 64) * 4);
+                    }
+                }),
+                Box::new(|cpu: &mut Cpu| {
+                    let get = DmaDescriptor::contiguous(
+                        DmaKind::Sdram(DmaDir::Get),
+                        0x400,
+                        0x100,
+                        256,
+                        64,
+                        0,
+                    );
+                    let seq = cpu.dma_issue(0, get);
+                    for i in 0..100u32 {
+                        cpu.write_u32(SDRAM_UNCACHED_BASE + 0x800 + i * 4, i);
+                    }
+                    cpu.dma_event_wait(0, seq);
+                }),
+            ]);
+            (format!("{r:?}"), s.link_report(), s.port_report())
+        };
+        let fresh = run(&soc(2));
+        let reused = soc(2);
+        run(&reused);
+        assert_eq!(run(&reused), fresh);
+    }
+
+    /// An empty cache range covers no line: flushing it writes nothing
+    /// back and charges nothing, and invalidating it keeps dirty data.
+    #[test]
+    fn empty_cache_ranges_touch_no_line() {
+        let s = soc(1);
+        let r = s.run(vec![Box::new(|cpu: &mut Cpu| {
+            cpu.write_u32(SDRAM_CACHED_BASE + 0x44, 7);
+            cpu.flush_dcache_range(SDRAM_CACHED_BASE + 0x44, 0);
+            cpu.invalidate_dcache_range(SDRAM_CACHED_BASE + 0x44, 0);
+            assert_eq!(cpu.read_u32(SDRAM_CACHED_BASE + 0x44), 7);
+            assert_eq!(cpu.peek_sdram_u32(SDRAM_UNCACHED_BASE + 0x44), 0);
+        })]);
+        assert_eq!(r.per_core[0].flush_cycles, 0);
     }
 
     #[test]
