@@ -14,7 +14,7 @@
 //! a failing case reports its index and the failed assertion. Case counts
 //! are bounded, and `PMC_PROPTEST_CASES` *overrides* every suite's
 //! configured count — downwards to stay fast on shared CI runners,
-//! upwards for deep sweeps (the nightly conformance job sets 256).
+//! upwards for deep sweeps (the nightly CI run sets 256).
 //!
 //! [`proptest`]: https://crates.io/crates/proptest
 
