@@ -355,15 +355,16 @@ impl Soc {
 
     /// Run one program per tile (programs beyond `n_tiles` are an error;
     /// tiles without a program idle at `done`). Returns per-core counters
-    /// and the makespan. Panics propagate from core closures.
+    /// and the makespan. Panics propagate from core closures. Memories
+    /// persist across runs, so callers can pre-initialise and
+    /// post-inspect them, and so do DMA sequence numbers; virtual time,
+    /// SDRAM ports, NoC links and DMA channels start over.
     ///
     /// Programs run as stackful coroutines under the one event loop
     /// ([`crate::engine`]) on the calling thread — no OS thread is
     /// spawned.
     pub fn run<'env>(&'env self, programs: Vec<CoreProgram<'env>>) -> RunReport {
         assert!(programs.len() <= self.cfg.n_tiles, "more programs than tiles");
-        // Memories persist across runs so callers can pre-initialise and
-        // post-inspect; timing starts over.
         self.global.borrow_mut().restart(&self.cfg);
         let spawn = |(tile, program): (usize, CoreProgram<'env>)| {
             coro::spawn(move |suspender, first| {
