@@ -15,11 +15,29 @@
 //! The message of the *first* `resume` arrives as the closure's second
 //! argument; the closure's return value is the task's last yield.
 //!
-//! Each task owns an `mmap`'d stack, and `resume`/`suspend` swap the
+//! Each task runs on a stack of its own, and `resume`/`suspend` swap the
 //! stack pointer in user space — about fifteen instructions, no kernel,
 //! no other OS thread. Every task runs on the thread that calls
 //! `resume`, and [`Task`] and [`Suspender`] are `!Send`/`!Sync`, so
 //! nothing a task touches needs to be `Send` either.
+//!
+//! [`spawn`] takes the task's stack from the thread's pool of free
+//! stacks, and dropping a task that never ran or has returned gives its
+//! stack back, guard page and touched pages included. A new stack is
+//! `mmap`'d only when the pool is empty, and the pool is unmapped when
+//! the thread exits. A task dropped while parked mid-run keeps its stack
+//! for good (see [`Task`]); that stack never enters the pool.
+//!
+//! The pool needs no size limit. Tasks are `!Send`, so a stack goes
+//! back to the thread that took it. On one thread, let *live* be the
+//! tasks spawned and not yet dropped, and *pooled* the stacks in the
+//! pool. A spawn that pops and a drop that pushes each leave
+//! live + pooled unchanged, and a leaking drop lowers it. A spawn that
+//! maps happens only with an empty pool, so afterwards live + pooled =
+//! live. Hence the stacks a thread holds, live plus pooled, never exceed
+//! the largest number of its tasks that were live at once. What stays
+//! resident until the thread exits is the pages tasks touched on those
+//! stacks, not the 1 MiB each reserves.
 //!
 //! The stack switch is written for x86-64 Unix (System V ABI) and there
 //! is no other implementation; the `compile_error!` below says what a
@@ -34,14 +52,14 @@ compile_error!(
      lands in `trampoline` with the entry function and its argument in callee-saved registers."
 );
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ffi::c_void;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 /// Stack size of one task. Tile programs are shallow closures over
-/// heap-allocated state, and thousands of tiles must coexist; stack pages
-/// are committed only when touched.
+/// heap-allocated state; stack pages are committed only when touched, so
+/// a pooled stack costs its touched pages, not this size.
 const TASK_STACK: usize = 1 << 20;
 
 extern "C" {
@@ -124,15 +142,45 @@ unsafe extern "C" fn trampoline() {
 }
 
 /// An `mmap`'d task stack: one `PROT_NONE` guard page, then
-/// [`TASK_STACK`] usable bytes growing down towards it.
+/// [`TASK_STACK`] usable bytes growing down towards it. The guard page
+/// is protected once, when the stack is mapped, and stays so until it is
+/// unmapped.
 struct Stack {
     base: *mut u8,
+}
+
+thread_local! {
+    /// This thread's free task stacks; see the module doc for its bound.
+    static POOL: Pool = const { Pool(RefCell::new(Vec::new())) };
+}
+
+/// Stacks on which no frame runs again, ready for the next [`spawn`].
+struct Pool(RefCell<Vec<Stack>>);
+
+impl Drop for Pool {
+    /// Runs at thread exit, as the thread-local's destructor.
+    fn drop(&mut self) {
+        for stack in self.0.get_mut().iter() {
+            // SAFETY: only `release` puts a stack here, and its caller
+            // promised that no frame on it runs again and nothing points
+            // into it; the pool is going away, so no `spawn` takes it out
+            // again, and each stack is in the pool once.
+            unsafe { stack.unmap() };
+        }
+    }
 }
 
 impl Stack {
     const LEN: usize = PAGE + TASK_STACK;
 
+    /// A stack from this thread's pool, or a new mapping when the pool is
+    /// empty (or already destroyed, at thread exit).
     fn new() -> Stack {
+        let pooled = POOL.try_with(|pool| pool.0.borrow_mut().pop());
+        pooled.ok().flatten().unwrap_or_else(Stack::map)
+    }
+
+    fn map() -> Stack {
         // SAFETY: an anonymous private mapping at an address of the
         // kernel's choosing aliases nothing this program owns.
         let base = unsafe {
@@ -158,6 +206,8 @@ impl Stack {
             "mprotect of a stack guard page failed: {}",
             std::io::Error::last_os_error()
         );
+        #[cfg(test)]
+        tests::MAPS.with(|maps| maps.set(maps.get() + 1));
         Stack { base: base.cast() }
     }
 
@@ -166,15 +216,34 @@ impl Stack {
         self.base.wrapping_add(Self::LEN)
     }
 
+    /// Give the stack to this thread's pool, or unmap it when the pool is
+    /// already destroyed (a task dropped by another thread-local's
+    /// destructor at thread exit).
+    ///
+    /// # Safety
+    ///
+    /// No frame on this stack may ever run again, nothing may point
+    /// into it, and it must not be released twice.
+    unsafe fn release(&self) {
+        let stack = Stack { base: self.base };
+        if POOL.try_with(move |pool| pool.0.borrow_mut().push(stack)).is_err() {
+            // SAFETY: the caller's obligation; the pool did not take the
+            // stack, so this is its only release.
+            unsafe { self.unmap() };
+        }
+    }
+
     /// # Safety
     ///
     /// No frame on this stack may ever run again, nothing may point
     /// into it, and it must not be unmapped twice.
     unsafe fn unmap(&self) {
-        // SAFETY: exactly the mapping made in `new`; the rest is the
+        // SAFETY: exactly the mapping made in `map`; the rest is the
         // caller's obligation.
         let rc = unsafe { munmap(self.base.cast(), Self::LEN) };
         debug_assert_eq!(rc, 0, "munmap of a task stack failed");
+        #[cfg(test)]
+        tests::UNMAPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -215,9 +284,9 @@ struct Control<'f, R, Y> {
 }
 
 /// The resumer-side handle of a task. Dropping it while the task is
-/// parked mid-run leaks the task's stack (and whatever its frames
-/// own): a stack with live frames is never freed, and there is no
-/// thread to unwind it on.
+/// parked mid-run leaks the task's stack and never pools it (and leaks
+/// whatever its frames own): a stack with live frames is never freed or
+/// reused, and there is no thread to unwind it on.
 pub(crate) struct Task<'f, R, Y> {
     ctl: Rc<Control<'f, R, Y>>,
     stack: Stack,
@@ -257,8 +326,9 @@ where
     ];
     let sp = stack.top().wrapping_sub(16 + std::mem::size_of_val(&frame));
     // SAFETY: `top - 16 - 56` is 8-aligned and the 56 bytes from there
-    // lie inside the fresh read-write mapping, which nothing else
-    // references yet.
+    // lie inside the stack's read-write part, which nothing else
+    // references: the stack is freshly mapped, or pooled by `release`,
+    // whose caller guaranteed that no frame on it runs again.
     unsafe { sp.cast::<[usize; 7]>().write(frame) };
     ctl.port.task_sp.set(sp);
     Task { ctl, stack }
@@ -342,9 +412,9 @@ impl<R, Y> Drop for Task<'_, R, Y> {
             // SAFETY: never started or returned — no frame on the
             // stack runs again, the only pointers into it were the
             // saved stack pointers, and `drop` runs once.
-            State::Fresh | State::Finished => unsafe { self.stack.unmap() },
-            // Live frames: leak the stack, and the control block
-            // those frames point to with it.
+            State::Fresh | State::Finished => unsafe { self.stack.release() },
+            // Live frames: leak the stack, unpooled, and the control
+            // block those frames point to with it.
             State::Suspended | State::Running => std::mem::forget(Rc::clone(&self.ctl)),
         }
     }
@@ -353,6 +423,16 @@ impl<R, Y> Drop for Task<'_, R, Y> {
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
+    use std::sync::atomic::AtomicUsize;
+
+    thread_local! {
+        /// Stacks this thread has mapped.
+        pub(super) static MAPS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Stacks unmapped by any thread. It only grows, so tests running in
+    /// parallel can raise it but never make it miss a count.
+    pub(super) static UNMAPS: AtomicUsize = AtomicUsize::new(0);
 
     /// Sets its flag when dropped: tells whether the frames of a task
     /// were unwound.
@@ -365,8 +445,8 @@ mod tests {
 
     /// The three-call API.
     mod stackful {
-        use super::super::spawn;
-        use super::Flag;
+        use super::super::{spawn, PAGE};
+        use super::{Flag, MAPS};
         use crate::engine::{Go, TaskYield};
         use std::cell::Cell;
         use std::hint::black_box;
@@ -437,6 +517,71 @@ mod tests {
             assert_eq!(task.resume(1000), 1000 + (0..=64).sum::<u64>());
         }
 
+        /// Selects the case [`overflow_child`] runs; unset, it does nothing.
+        const OVERFLOW_CASE: &str = "PMC_CORO_OVERFLOW_CASE";
+
+        /// Recursion on a task stack that reaches into the guard page dies
+        /// of `SIGSEGV` there, on the thread's first, freshly mapped stack
+        /// and on a pooled one. The recursion has no depth bound; it stops
+        /// only half-way into the guard page, so a stack whose guard page
+        /// were writable would return instead of faulting. Each case
+        /// re-runs this test binary, filtered to [`overflow_child`].
+        #[test]
+        fn an_overflow_faults_on_the_guard_page() {
+            use std::os::unix::process::ExitStatusExt;
+            let (_crate, module) = module_path!().split_once("::").expect("a path inside a crate");
+            for case in ["fresh", "pooled"] {
+                let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+                    .args(["--exact", &format!("{module}::overflow_child")])
+                    .env(OVERFLOW_CASE, case)
+                    .output()
+                    .expect("re-run the test binary");
+                assert_eq!(
+                    out.status.signal(),
+                    Some(11),
+                    "{case} stack: the child ended with {}\nstdout:\n{}\nstderr:\n{}",
+                    out.status,
+                    String::from_utf8_lossy(&out.stdout),
+                    String::from_utf8_lossy(&out.stderr)
+                );
+            }
+        }
+
+        /// The child side of [`an_overflow_faults_on_the_guard_page`].
+        #[test]
+        fn overflow_child() {
+            /// Recurse until a frame lies at or below `floor`.
+            fn descend(floor: usize) -> usize {
+                let frame = black_box([0u8; 256]);
+                if frame.as_ptr() as usize <= floor {
+                    return 0;
+                }
+                descend(floor) + frame[0] as usize
+            }
+            let Ok(case) = std::env::var(OVERFLOW_CASE) else { return };
+            let maps = MAPS.with(Cell::get);
+            let mut task = match case.as_str() {
+                "fresh" => {
+                    let task = spawn(|_port, floor: usize| descend(floor));
+                    assert_eq!(MAPS.with(Cell::get), maps + 1, "the first task maps its stack");
+                    task
+                }
+                "pooled" => {
+                    let mut done = spawn(|_port, first: usize| first);
+                    let base = done.stack.base;
+                    assert_eq!(done.resume(7), 7);
+                    drop(done);
+                    let task = spawn(|_port, floor: usize| descend(floor));
+                    assert_eq!(task.stack.base, base, "a finished task's stack is reused");
+                    assert_eq!(MAPS.with(Cell::get), maps + 1, "only the first task maps");
+                    task
+                }
+                other => panic!("unknown {OVERFLOW_CASE} {other:?}"),
+            };
+            task.resume(task.stack.base as usize + PAGE / 2);
+            panic!("the recursion wrote into the guard page");
+        }
+
         /// Dropping the handle of a parked task does not crash, and a
         /// task that was never resumed never runs.
         #[test]
@@ -483,8 +628,9 @@ mod tests {
 
     /// What a stack switch implies that the API does not say: a task
     /// dropped while parked keeps its stack — frames intact, destructors
-    /// not run. (That tasks run on the resumer's thread is asserted end to
-    /// end by `tests/engine.rs`.)
+    /// not run, and the stack never handed to a later task. (That tasks
+    /// run on the resumer's thread is asserted end to end by
+    /// `tests/engine.rs`.)
     mod stackful_only {
         use super::super::spawn;
         use super::Flag;
@@ -500,14 +646,82 @@ mod tests {
                 port.suspend(local.as_ptr() as usize);
                 local.len()
             });
+            let leaked = task.stack.base;
             let addr = task.resume(());
             drop(task);
+            for i in 0..16 {
+                let mut later = spawn(|_port, first: usize| first);
+                assert_ne!(later.stack.base, leaked, "task {i} got the leaked stack");
+                assert_eq!(later.resume(i), i);
+            }
             // SAFETY: the task was parked when its handle was dropped, so
             // its stack was leaked, not unmapped, and the frame holding
             // `local` can never run again to change it.
             let seen = unsafe { std::ptr::read_volatile(addr as *const [u64; 4]) };
             assert_eq!(seen, PATTERN);
             assert!(!unwound.get(), "a leaked task's frames are not unwound");
+        }
+    }
+
+    /// The thread's stack pool: bounded by the peak number of live tasks,
+    /// and unmapped at thread exit.
+    mod pool {
+        use super::super::{spawn, POOL};
+        use super::{MAPS, UNMAPS};
+        use std::cell::Cell;
+        use std::sync::atomic::Ordering::Relaxed;
+
+        /// Batches of 8, 3, 8 and 1 tasks, each batch live at once and
+        /// parked mid-run before it finishes: the first batch maps at most
+        /// 8 stacks and the later ones map none.
+        #[test]
+        fn mappings_stay_within_the_live_peak() {
+            let before = MAPS.with(Cell::get);
+            let mut after_first = None;
+            for batch in [8, 3, 8, 1] {
+                let mut tasks: Vec<_> = (0..batch)
+                    .map(|_| spawn(|port, first: usize| port.suspend(first) + 1))
+                    .collect();
+                for (i, task) in tasks.iter_mut().enumerate() {
+                    assert_eq!(task.resume(i), i);
+                }
+                for (i, task) in tasks.iter_mut().enumerate() {
+                    assert_eq!(task.resume(i), i + 1);
+                }
+                drop(tasks);
+                let maps = MAPS.with(Cell::get);
+                match after_first {
+                    None => {
+                        assert!(maps - before <= batch, "{} maps for {batch} tasks", maps - before);
+                        after_first = Some(maps);
+                    }
+                    Some(peak) => assert_eq!(maps, peak, "a batch of {batch} mapped a stack"),
+                }
+            }
+        }
+
+        /// A thread that finishes N tasks holds N pooled stacks, and
+        /// unmaps them when it exits.
+        #[test]
+        fn thread_exit_unmaps_the_pool() {
+            const N: usize = 6;
+            let before = UNMAPS.load(Relaxed);
+            std::thread::spawn(|| {
+                let mut tasks: Vec<_> =
+                    (0..N).map(|_| spawn(|_port, first: usize| first)).collect();
+                for (i, task) in tasks.iter_mut().enumerate() {
+                    assert_eq!(task.resume(i), i);
+                }
+                drop(tasks);
+                assert_eq!(POOL.with(|pool| pool.0.borrow().len()), N);
+            })
+            .join()
+            .expect("the thread runs its tasks");
+            let unmapped = UNMAPS.load(Relaxed) - before;
+            assert!(
+                unmapped >= N,
+                "{unmapped} stacks unmapped at the exit of a thread pooling {N}"
+            );
         }
     }
 }

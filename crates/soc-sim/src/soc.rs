@@ -362,7 +362,10 @@ impl Soc {
     ///
     /// Programs run as stackful coroutines under the one event loop
     /// ([`crate::engine`]) on the calling thread — no OS thread is
-    /// spawned.
+    /// spawned. Their stacks come from, and go back to, the calling
+    /// thread's pool of task stacks, which also persists across runs (and
+    /// across `Soc`s) until the thread exits: a thread maps stacks only for
+    /// the most tiles it has run at once.
     pub fn run<'env>(&'env self, programs: Vec<CoreProgram<'env>>) -> RunReport {
         assert!(programs.len() <= self.cfg.n_tiles, "more programs than tiles");
         self.global.borrow_mut().restart(&self.cfg);
@@ -1910,6 +1913,49 @@ mod tests {
         let payload = run.expect_err("the tile's panic propagates");
         let msg = payload.downcast_ref::<String>().expect("a string payload");
         assert_eq!(msg, "tile 2 panicked: boom at 2");
+    }
+
+    /// A run whose tiles panicked or were aborted leaves their stacks in
+    /// the thread's pool, and a later run on those stacks matches the
+    /// same run on a thread whose pool is empty.
+    #[test]
+    fn a_run_after_an_aborted_one_matches_a_fresh_thread() {
+        let run = || {
+            let s = soc(3);
+            let r = s.run(vec![
+                Box::new(|cpu: &mut Cpu| {
+                    for i in 0..200u32 {
+                        cpu.write_u32(addr::SDRAM_UNCACHED_BASE + (i % 16) * 4, i);
+                    }
+                }),
+                Box::new(|cpu: &mut Cpu| {
+                    let sum: u32 = (0..200u32)
+                        .map(|i| cpu.read_u32(addr::SDRAM_UNCACHED_BASE + (i % 16) * 4))
+                        .sum();
+                    cpu.write_u32(addr::SDRAM_UNCACHED_BASE + 0x100, sum);
+                }),
+                Box::new(|cpu: &mut Cpu| cpu.compute(500)),
+            ]);
+            format!("{r:?} {}", s.read_sdram_u32(0x100))
+        };
+        let fresh = std::thread::spawn(run).join().expect("the run on a fresh thread");
+        let s = soc(3);
+        let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.run(vec![
+                Box::new(|cpu: &mut Cpu| loop {
+                    cpu.compute(10);
+                }),
+                Box::new(|cpu: &mut Cpu| loop {
+                    cpu.write_u32(addr::SDRAM_UNCACHED_BASE, 1);
+                }),
+                Box::new(|cpu: &mut Cpu| {
+                    cpu.compute(100);
+                    panic!("boom");
+                }),
+            ])
+        }));
+        assert!(aborted.is_err());
+        assert_eq!(run(), fresh);
     }
 
     /// The commit-order check fires: after tile 1 committed at cycle 10,
