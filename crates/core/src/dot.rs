@@ -114,4 +114,106 @@ mod tests {
         assert!(full.contains("n0 -> n2"));
         assert!(!reduced.contains("n0 -> n2"));
     }
+
+    /// The reduced DOT of the paper's Fig. 4, built exactly as the
+    /// `table1` binary builds it: node labels, surviving edges and their
+    /// order are pinned byte for byte.
+    #[test]
+    fn fig4_dot_is_pinned() {
+        let (p0, p1, x) = (ProcId(0), ProcId(1), LocId(0));
+        let mut e = Execution::new(EdgeMode::Full);
+        e.ensure_init(x, 0);
+        e.acquire(p1, x);
+        e.write(p1, x, 1);
+        e.write(p1, x, 2);
+        e.release(p1, x);
+        e.acquire(p0, x);
+        e.read(p0, x, 2);
+        e.release(p0, x);
+        assert_eq!(
+            to_dot_reduced(&e),
+            r#"digraph execution {
+  rankdir=TB;
+  node [shape=box, fontname="monospace"];
+  n0 [label="init: v0=0"];
+  n1 [label="p1: acq v0"];
+  n2 [label="p1: v0=1"];
+  n3 [label="p1: v0=2"];
+  n4 [label="p1: rel v0"];
+  n5 [label="p0: acq v0"];
+  n6 [label="p0: v0?=2"];
+  n7 [label="p0: rel v0"];
+  n0 -> n1 [label="<S"];
+  n1 -> n2 [label="<P"];
+  n2 -> n3 [label="<P"];
+  n3 -> n4 [label="<P"];
+  n4 -> n5 [label="<S"];
+  n5 -> n6 [label="<l", style=dashed];
+  n6 -> n7 [label="<l", style=dashed];
+}
+"#
+        );
+    }
+
+    /// The reduced DOT of the paper's Fig. 5, built exactly as the
+    /// `table1` binary builds it. Edge lines follow the stored order of
+    /// each op's incoming edges, so this also pins that order.
+    #[test]
+    fn fig5_dot_is_pinned() {
+        let (p0, p1, x, f) = (ProcId(0), ProcId(1), LocId(0), LocId(1));
+        let mut e = Execution::new(EdgeMode::Full);
+        e.ensure_init(x, 0);
+        e.ensure_init(f, 0);
+        e.acquire(p0, x);
+        e.write(p0, x, 42);
+        e.fence(p0);
+        e.release(p0, x);
+        e.acquire(p0, f);
+        e.write(p0, f, 1);
+        e.release(p0, f);
+        e.read(p1, f, 1);
+        e.fence(p1);
+        e.acquire(p1, x);
+        e.read(p1, x, 42);
+        e.release(p1, x);
+        assert_eq!(
+            to_dot_reduced(&e),
+            r#"digraph execution {
+  rankdir=TB;
+  node [shape=box, fontname="monospace"];
+  n0 [label="init: v0=0"];
+  n1 [label="init: v1=0"];
+  n2 [label="p0: acq v0"];
+  n3 [label="p0: v0=42"];
+  n4 [label="p0: fence"];
+  n5 [label="p0: rel v0"];
+  n6 [label="p0: acq v1"];
+  n7 [label="p0: v1=1"];
+  n8 [label="p0: rel v1"];
+  n9 [label="p1: v1?=1"];
+  n10 [label="p1: fence"];
+  n11 [label="p1: acq v0"];
+  n12 [label="p1: v0?=42"];
+  n13 [label="p1: rel v0"];
+  n0 -> n2 [label="<S"];
+  n2 -> n3 [label="<P"];
+  n1 -> n4 [label="<l", style=dashed];
+  n1 -> n4 [label="<F"];
+  n3 -> n4 [label="<l", style=dashed];
+  n3 -> n5 [label="<P"];
+  n4 -> n6 [label="<F"];
+  n6 -> n7 [label="<P"];
+  n7 -> n8 [label="<P"];
+  n1 -> n9 [label="<l", style=dashed];
+  n0 -> n10 [label="<l", style=dashed];
+  n0 -> n10 [label="<F"];
+  n9 -> n10 [label="<l", style=dashed];
+  n5 -> n11 [label="<S"];
+  n10 -> n11 [label="<F"];
+  n11 -> n12 [label="<l", style=dashed];
+  n12 -> n13 [label="<l", style=dashed];
+}
+"#
+        );
+    }
 }
