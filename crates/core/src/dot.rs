@@ -6,7 +6,7 @@
 use std::fmt::Write as _;
 
 use crate::execution::Execution;
-use crate::op::OpKind;
+use crate::op::{OpId, OpKind};
 use crate::order::OrderKind;
 
 /// Render the execution as a DOT digraph with transitive reduction, like
@@ -32,8 +32,13 @@ fn render(e: &Execution, reduce: bool) -> String {
         };
         let _ = writeln!(s, "  n{} [label=\"{}\"];", id.0, label);
     }
+    // Outgoing edges per op, for the redundancy search.
+    let mut succs: Vec<Vec<OpId>> = vec![Vec::new(); e.len()];
     for edge in e.edges() {
-        if reduce && is_redundant(e, edge.from, edge.to, edge.kind) {
+        succs[edge.from.index()].push(edge.to);
+    }
+    for edge in e.edges() {
+        if reduce && is_redundant(&succs, edge.from, edge.to) {
             continue;
         }
         let style = match edge.kind {
@@ -55,17 +60,11 @@ fn render(e: &Execution, reduce: bool) -> String {
 
 /// An edge a→b is redundant for display when another path a→…→b exists
 /// that does not use the direct edge (checked in the all-orders view).
-fn is_redundant(
-    e: &Execution,
-    from: crate::op::OpId,
-    to: crate::op::OpId,
-    _kind: OrderKind,
-) -> bool {
-    // BFS from `from` to `to` avoiding the direct edge; any indirect path
+fn is_redundant(succs: &[Vec<OpId>], from: OpId, to: OpId) -> bool {
+    // DFS from `from` to `to` avoiding the direct edge; any indirect path
     // makes the direct edge redundant for drawing purposes.
-    let mut stack: Vec<crate::op::OpId> =
-        e.succs(from).iter().filter(|&&(t, _)| t != to).map(|&(t, _)| t).collect();
-    let mut seen = vec![false; e.len()];
+    let mut stack: Vec<OpId> = succs[from.index()].iter().copied().filter(|&t| t != to).collect();
+    let mut seen = vec![false; succs.len()];
     while let Some(cur) = stack.pop() {
         if cur == to {
             return true;
@@ -74,7 +73,7 @@ fn is_redundant(
             continue;
         }
         seen[cur.index()] = true;
-        for &(next, _) in e.succs(cur) {
+        for &next in &succs[cur.index()] {
             if next.0 <= to.0 && !seen[next.index()] {
                 stack.push(next);
             }

@@ -13,12 +13,33 @@
 //!
 //! The executor is the building block of the litmus-test enumerator
 //! ([`crate::interleave`]); it is cloneable so the enumerator can branch.
+//!
+//! # Canonical form
+//!
+//! The enumerator's visited-state memoization keys a state by
+//! [`ModelState::write_key`], written in one walk with no intermediate
+//! collections. An op is named by its rank in a fixed listing: the
+//! initial ops by location, then each process's ops in issue order. The
+//! key lists every op in that order with its kind, location, value and
+//! incoming edges (each edge as its source's name and its order kind,
+//! sorted), then the lock table and the read floors (floors name their
+//! write), both sorted. Every section, process and op carries its count,
+//! so a key parses back into exactly one state.
+//!
+//! Equal keys mean isomorphic states. Two states with equal keys have the
+//! same initialised locations and the same number of ops per process, so
+//! mapping the op with name `n` in one to the op with name `n` in the
+//! other is a bijection. It preserves each op's kind, location, value,
+//! issuing process and position in that process's issue order, every
+//! edge with its kind, the lock table and the floors. Everything Table I
+//! and Definition 12 compute from a state depends only on those, so the
+//! two states have the same futures. The names never mention the global
+//! append order, so two interleavings of the same per-process histories
+//! that build the same graph give equal keys.
 
-use std::collections::HashMap;
-
-use crate::execution::{EdgeMode, Execution};
-use crate::op::{LocId, OpId, OpKind, ProcId, Value, PROC_ALL};
-use crate::order::OrderKind;
+use crate::execution::{count, EdgeMode, Execution};
+use crate::op::{LocId, OpId, ProcId, Value};
+use crate::order::View;
 
 /// Errors for operations the platform would never let happen.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,8 +48,8 @@ pub(crate) enum ModelError {
     AlreadyLocked { loc: LocId, holder: ProcId },
     /// Release by a process that does not hold the lock.
     NotLockHolder { loc: LocId, holder: Option<ProcId> },
-    /// Read committed against a write that Definition 12 does not allow.
-    IllegalRead { loc: LocId, from: OpId },
+    /// A read asked for a value that Definition 12 does not allow.
+    IllegalRead { loc: LocId, value: Value },
 }
 
 impl std::fmt::Display for ModelError {
@@ -40,8 +61,8 @@ impl std::fmt::Display for ModelError {
             ModelError::NotLockHolder { loc, holder } => {
                 write!(f, "release of v{} by non-holder (holder: {holder:?})", loc.0)
             }
-            ModelError::IllegalRead { loc, from } => {
-                write!(f, "illegal read of v{} from op {}", loc.0, from.0)
+            ModelError::IllegalRead { loc, value } => {
+                write!(f, "illegal read of value {value} from v{}", loc.0)
             }
         }
     }
@@ -54,11 +75,12 @@ impl std::error::Error for ModelError {}
 #[derive(Debug, Clone)]
 pub(crate) struct ModelState {
     exec: Execution,
-    locks: HashMap<LocId, ProcId>,
+    /// Lock holder per held location, sorted by location.
+    locks: Vec<(LocId, ProcId)>,
     /// Monotonicity floor: the write each (process, location) pair last
-    /// read from. Subsequent reads must return that write or one
-    /// `⪯p`-after it.
-    floor: HashMap<(ProcId, LocId), OpId>,
+    /// read from, sorted by the pair. Subsequent reads must return that
+    /// write or one `⪯p`-after it.
+    floor: Vec<((ProcId, LocId), OpId)>,
 }
 
 impl Default for ModelState {
@@ -67,9 +89,14 @@ impl Default for ModelState {
     }
 }
 
+/// Where `k` is, or would go, in the sorted map `map`.
+fn find<K: Ord + Copy, V>(map: &[(K, V)], k: K) -> Result<usize, usize> {
+    map.binary_search_by_key(&k, |&(key, _)| key)
+}
+
 impl ModelState {
     pub(crate) fn new(mode: EdgeMode) -> Self {
-        ModelState { exec: Execution::new(mode), locks: HashMap::new(), floor: HashMap::new() }
+        ModelState { exec: Execution::new(mode), locks: Vec::new(), floor: Vec::new() }
     }
 
     /// Set the initial value of a location (Definition 3's initial
@@ -80,32 +107,44 @@ impl ModelState {
     }
 
     pub(crate) fn can_acquire(&self, v: LocId) -> bool {
-        !self.locks.contains_key(&v)
+        find(&self.locks, v).is_err()
     }
 
     pub(crate) fn acquire(&mut self, p: ProcId, v: LocId) -> Result<OpId, ModelError> {
-        if let Some(&holder) = self.locks.get(&v) {
-            return Err(ModelError::AlreadyLocked { loc: v, holder });
+        match find(&self.locks, v) {
+            Ok(i) => Err(ModelError::AlreadyLocked { loc: v, holder: self.locks[i].1 }),
+            Err(i) => {
+                self.locks.insert(i, (v, p));
+                Ok(self.exec.acquire(p, v))
+            }
         }
-        self.locks.insert(v, p);
-        Ok(self.exec.acquire(p, v))
     }
 
     pub(crate) fn release(&mut self, p: ProcId, v: LocId) -> Result<OpId, ModelError> {
-        match self.locks.get(&v) {
-            Some(&holder) if holder == p => {
-                self.locks.remove(&v);
+        match find(&self.locks, v) {
+            Ok(i) if self.locks[i].1 == p => {
+                self.locks.remove(i);
                 Ok(self.exec.release(p, v))
             }
-            holder => Err(ModelError::NotLockHolder { loc: v, holder: holder.copied() }),
+            found => Err(ModelError::NotLockHolder {
+                loc: v,
+                holder: found.ok().map(|i| self.locks[i].1),
+            }),
         }
     }
 
     pub(crate) fn write(&mut self, p: ProcId, v: LocId, value: Value) -> OpId {
         let id = self.exec.write(p, v, value);
         // A process reads its own writes: they become the new floor.
-        self.floor.insert((p, v), id);
+        self.set_floor(p, v, id);
         id
+    }
+
+    fn set_floor(&mut self, p: ProcId, v: LocId, w: OpId) {
+        match find(&self.floor, (p, v)) {
+            Ok(i) => self.floor[i].1 = w,
+            Err(i) => self.floor.insert(i, ((p, v), w)),
+        }
     }
 
     pub(crate) fn fence(&mut self, p: ProcId) -> OpId {
@@ -126,95 +165,20 @@ impl ModelState {
         self.exec.dma_complete(p, v)
     }
 
-    /// A canonical fingerprint of the executor state, independent of the
-    /// *global* append order: operations are identified by (process,
-    /// per-process issue index) — within one process, append order is the
-    /// process's own issue order — and initial operations by their
-    /// location. Two states reached along different interleavings of the
-    /// same per-process histories therefore produce identical keys, which
-    /// is what makes the litmus enumerator's opt-in memoization sound:
-    /// equal keys ⇒ isomorphic executions (respecting per-process order)
-    /// with equal lock tables and read floors ⇒ identical future
-    /// behaviour.
-    pub(crate) fn canonical_key(&self) -> Vec<u64> {
-        let kind_code = |k: OpKind| -> u64 {
-            match k {
-                OpKind::Read => 0,
-                OpKind::Write => 1,
-                OpKind::Acquire => 2,
-                OpKind::Release => 3,
-                OpKind::Fence => 4,
-                OpKind::Init => 5,
-                OpKind::DmaIssue => 6,
-                OpKind::DmaComplete => 7,
-            }
-        };
-        let order_code = |k: OrderKind| -> u64 {
-            match k {
-                OrderKind::Local => 0,
-                OrderKind::Program => 1,
-                OrderKind::Sync => 2,
-                OrderKind::Fence => 3,
-            }
-        };
-        // Canonical id per op, in append order.
-        let mut per_proc: HashMap<ProcId, u64> = HashMap::new();
-        let canon: Vec<u64> = self
-            .exec
-            .ops()
-            .map(|(_, op)| {
-                if op.proc == PROC_ALL {
-                    (u64::from(u16::MAX) << 32) | u64::from(op.loc.0)
-                } else {
-                    let c = per_proc.entry(op.proc).or_insert(0);
-                    let cid = (u64::from(op.proc.0) << 32) | *c;
-                    *c += 1;
-                    cid
-                }
-            })
-            .collect();
-        // Ops: (cid, kind, loc, value), canonically sorted.
-        let mut ops: Vec<[u64; 4]> = self
-            .exec
-            .ops()
-            .map(|(id, op)| {
-                [canon[id.index()], kind_code(op.kind), u64::from(op.loc.0), u64::from(op.value)]
-            })
-            .collect();
-        ops.sort_unstable();
-        // Edges: (canon from, canon to, order kind), canonically sorted.
-        let mut edges: Vec<[u64; 3]> = self
-            .exec
-            .edges()
-            .map(|e| [canon[e.from.index()], canon[e.to.index()], order_code(e.kind)])
-            .collect();
-        edges.sort_unstable();
-        // Lock table and read floors, canonically sorted.
-        let mut locks: Vec<[u64; 2]> =
-            self.locks.iter().map(|(v, p)| [u64::from(v.0), u64::from(p.0)]).collect();
-        locks.sort_unstable();
-        let mut floors: Vec<[u64; 3]> = self
-            .floor
-            .iter()
-            .map(|(&(p, v), w)| [u64::from(p.0), u64::from(v.0), canon[w.index()]])
-            .collect();
-        floors.sort_unstable();
-
-        let mut key = Vec::with_capacity(
-            4 + ops.len() * 4 + edges.len() * 3 + locks.len() * 2 + floors.len() * 3,
-        );
-        for (section, rows) in [
-            (0u64, ops.iter().map(|r| r.as_slice()).collect::<Vec<_>>()),
-            (1, edges.iter().map(|r| r.as_slice()).collect()),
-            (2, locks.iter().map(|r| r.as_slice()).collect()),
-            (3, floors.iter().map(|r| r.as_slice()).collect()),
-        ] {
-            key.push(section << 56 | rows.len() as u64);
-            for row in rows {
-                key.extend_from_slice(row);
-            }
+    /// Append the state's canonical form (see the module docs) to `key`:
+    /// the execution's, then `n_locks` and `loc, holder` per held lock,
+    /// then `n_floors` and `proc, loc, name of the write` per floor.
+    pub(crate) fn write_key(&self, key: &mut Vec<u32>) {
+        let starts = self.exec.write_key(key);
+        key.push(count(self.locks.len()));
+        for &(v, p) in &self.locks {
+            key.extend([v.0, u32::from(p.0)]);
         }
-        key
+        key.push(count(self.floor.len()));
+        for &((p, v), w) in &self.floor {
+            let name = self.exec.name(w, &key[starts..]);
+            key.extend([u32::from(p.0), v.0, name]);
+        }
     }
 
     /// The writes a read by `p` of `v` may legally return *now*:
@@ -222,61 +186,164 @@ impl ModelState {
     /// the monotonicity floor.
     pub(crate) fn read_candidates(&mut self, p: ProcId, v: LocId) -> Vec<(OpId, Value)> {
         self.exec.ensure_init(v, 0);
-        // Stage the read to let `Execution` compute its past cone, then
-        // discard the staged state by working on a clone. Executions are
-        // litmus-sized here, so the clone is cheap.
-        let mut staged = self.exec.clone();
-        let o = staged.read(p, v, 0);
-        let mut cands = staged.readable_writes(o);
-        if let Some(&floor) = self.floor.get(&(p, v)) {
-            use crate::order::View;
-            cands.retain(|&w| staged.reaches(floor, w, View::Proc(p)));
+        let mut cands = self.exec.readable_by_new_read(p, v);
+        if let Ok(i) = find(&self.floor, (p, v)) {
+            let floor = self.floor[i].1;
+            cands.retain(|&w| self.exec.reaches(floor, w, View::Proc(p)));
         }
-        cands.into_iter().map(|w| (w, staged.op(w).value)).collect()
+        cands.into_iter().map(|w| (w, self.exec.op(w).value)).collect()
     }
 
-    /// Commit a read by `p` of `v` returning the value of write `from`.
-    /// `from` must be one of [`Self::read_candidates`].
-    pub(crate) fn read_from(
-        &mut self,
-        p: ProcId,
-        v: LocId,
-        from: OpId,
-    ) -> Result<OpId, ModelError> {
-        let legal = self.read_candidates(p, v).iter().any(|&(w, _)| w == from);
-        if !legal {
-            return Err(ModelError::IllegalRead { loc: v, from });
-        }
-        let value = self.exec.op(from).value;
-        let id = self.exec.read(p, v, value);
-        self.floor.insert((p, v), from);
-        Ok(id)
-    }
-
-    /// Convenience: commit a read returning any candidate with the given
-    /// value (used by tests and the `WaitEq` litmus instruction).
+    /// Commit a read by `p` of `v` returning `value`, from the first
+    /// (oldest) candidate write holding it; the read's floor becomes that
+    /// write.
     pub(crate) fn read_value(
         &mut self,
         p: ProcId,
         v: LocId,
         value: Value,
     ) -> Result<OpId, ModelError> {
-        let cand = self.read_candidates(p, v).into_iter().find(|&(_, val)| val == value);
-        match cand {
-            Some((w, _)) => self.read_from(p, v, w),
-            None => Err(ModelError::IllegalRead { loc: v, from: OpId(u32::MAX) }),
-        }
+        let Some((from, _)) = self.read_candidates(p, v).into_iter().find(|&(_, val)| val == value)
+        else {
+            return Err(ModelError::IllegalRead { loc: v, value });
+        };
+        let id = self.exec.read(p, v, value);
+        self.set_floor(p, v, from);
+        Ok(id)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::fuzz::SplitMix64;
 
     const P0: ProcId = ProcId(0);
     const P1: ProcId = ProcId(1);
     const X: LocId = LocId(0);
     const F: LocId = LocId(1);
+
+    /// The sort-based canonical key [`ModelState::write_key`] replaced,
+    /// kept as its oracle: ops named `(process, issue index)` or by
+    /// location, then the ops, the edges, the lock table and the floors,
+    /// each as sorted rows behind a section tag and row count.
+    pub(crate) fn sorted_key(m: &ModelState) -> Vec<u64> {
+        use crate::op::PROC_ALL;
+        let mut per_proc: std::collections::HashMap<ProcId, u64> = Default::default();
+        let canon: Vec<u64> = m
+            .exec
+            .ops()
+            .map(|(_, op)| {
+                if op.proc == PROC_ALL {
+                    (u64::from(u16::MAX) << 32) | u64::from(op.loc.0)
+                } else {
+                    let c = per_proc.entry(op.proc).or_insert(0);
+                    *c += 1;
+                    (u64::from(op.proc.0) << 32) | (*c - 1)
+                }
+            })
+            .collect();
+        let mut ops: Vec<Vec<u64>> = m
+            .exec
+            .ops()
+            .map(|(id, op)| {
+                vec![canon[id.index()], op.kind as u64, op.loc.0.into(), op.value.into()]
+            })
+            .collect();
+        let mut edges: Vec<Vec<u64>> = m
+            .exec
+            .edges()
+            .map(|e| vec![canon[e.from.index()], canon[e.to.index()], e.kind as u64])
+            .collect();
+        let mut locks: Vec<Vec<u64>> =
+            m.locks.iter().map(|&(v, p)| vec![v.0.into(), p.0.into()]).collect();
+        let mut floors: Vec<Vec<u64>> = m
+            .floor
+            .iter()
+            .map(|&((p, v), w)| vec![p.0.into(), v.0.into(), canon[w.index()]])
+            .collect();
+        let mut key = Vec::new();
+        for (section, rows) in
+            [&mut ops, &mut edges, &mut locks, &mut floors].into_iter().enumerate()
+        {
+            rows.sort_unstable();
+            key.push((section as u64) << 56 | rows.len() as u64);
+            key.extend(rows.iter().flatten());
+        }
+        key
+    }
+
+    /// The staged read computation [`ModelState::read_candidates`]
+    /// replaced, kept as its oracle: append the read to a copy of the
+    /// execution and ask Definition 12 about it.
+    fn staged_candidates(m: &ModelState, p: ProcId, v: LocId) -> Vec<(OpId, Value)> {
+        let mut staged = m.exec.clone();
+        staged.ensure_init(v, 0);
+        let o = staged.read(p, v, 0);
+        let mut cands = staged.readable_writes(o);
+        if let Ok(i) = find(&m.floor, (p, v)) {
+            cands.retain(|&w| staged.reaches(m.floor[i].1, w, View::Proc(p)));
+        }
+        cands.into_iter().map(|w| (w, staged.op(w).value)).collect()
+    }
+
+    /// Unstaged read candidates equal the staged ones after every prefix
+    /// of random, lock-disciplined op sequences over three processes and
+    /// three locations, for every (process, location) pair — including
+    /// locations not yet initialised.
+    #[test]
+    fn unstaged_read_candidates_match_staged() {
+        for seed in 0..300 {
+            let mut rng = SplitMix64::new(seed);
+            let mut m = ModelState::default();
+            if rng.chance(50) {
+                m.init(X, 5);
+            }
+            for _ in 0..24 {
+                let p = ProcId(rng.below(3) as u16);
+                let v = LocId(rng.below(3) as u32);
+                match rng.below(7) {
+                    0 => {
+                        m.write(p, v, rng.below(4) as Value);
+                    }
+                    1 => {
+                        let cands = m.read_candidates(p, v);
+                        let (_, value) = cands[rng.below(cands.len() as u64) as usize];
+                        m.read_value(p, v, value).unwrap();
+                    }
+                    2 if m.can_acquire(v) => {
+                        m.acquire(p, v).unwrap();
+                    }
+                    3 if m.locks.contains(&(v, p)) => {
+                        m.release(p, v).unwrap();
+                    }
+                    4 => {
+                        m.fence(p);
+                    }
+                    5 => {
+                        m.dma_issue(p, v);
+                    }
+                    6 => {
+                        m.dma_complete(p, v);
+                    }
+                    _ => continue,
+                }
+                for q in 0..3 {
+                    for l in 0..4 {
+                        let (q, l) = (ProcId(q), LocId(l));
+                        assert_eq!(
+                            m.clone().read_candidates(q, l),
+                            staged_candidates(&m, q, l),
+                            "seed {seed}: p{} reading v{} after {:?}",
+                            q.0,
+                            l.0,
+                            m.exec
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn lock_discipline_enforced() {

@@ -10,9 +10,9 @@
 
 use std::collections::HashMap;
 
-use crate::op::{LocId, Op, OpId, OpKind, ProcId};
+use crate::op::{LocId, Op, OpId, OpKind, ProcId, PROC_ALL};
 use crate::order::{OrderKind, View};
-use crate::table1::{rules_for_existing, Rule, RuleScope};
+use crate::table1::{rules_for_existing, RuleScope};
 
 /// How Table I is applied on each append. There is one way — `Full`:
 /// edges are added from **every** matching existing operation, exactly
@@ -41,38 +41,25 @@ pub(crate) struct Edge {
 /// Definition 1). `P` and `V` grow implicitly as operations mention new
 /// processes/locations; every location receives its initial
 /// write-and-release operation on first use (Definition 3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Execution {
     ops: Vec<Op>,
-    /// Incoming edges per op (from older ops only).
+    /// Incoming edges per op (from older ops only), in the order Table I
+    /// added them; the DOT export prints edges in this order.
     preds: Vec<Vec<(OpId, OrderKind)>>,
-    /// Outgoing edges per op (to newer ops only).
-    succs: Vec<Vec<(OpId, OrderKind)>>,
-    /// Initial op per location (created lazily).
-    init: HashMap<LocId, OpId>,
-    /// All ops per location (rule matching); fences are not included
-    /// here.
-    by_loc: HashMap<LocId, Vec<OpId>>,
-    /// All fences per process (rule matching).
-    fences_by_proc: HashMap<ProcId, Vec<OpId>>,
-}
-
-impl Default for Execution {
-    fn default() -> Self {
-        Self::new(EdgeMode::Full)
-    }
+    /// Per op, the index in its process's issue order — or, for an
+    /// initial op, its location. With the issuing process this names the
+    /// op independently of the global append order ([`Self::write_key`]).
+    seq: Vec<u32>,
+    /// Each process's ops in issue order, indexed by `ProcId`.
+    by_proc: Vec<Vec<OpId>>,
+    /// Initial op per location, sorted by location (created lazily).
+    init: Vec<(LocId, OpId)>,
 }
 
 impl Execution {
     pub fn new(_mode: EdgeMode) -> Self {
-        Execution {
-            ops: Vec::new(),
-            preds: Vec::new(),
-            succs: Vec::new(),
-            init: HashMap::new(),
-            by_loc: HashMap::new(),
-            fences_by_proc: HashMap::new(),
-        }
+        Execution::default()
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -93,11 +80,6 @@ impl Execution {
         &self.preds[id.index()]
     }
 
-    /// Outgoing edges of `id` (targets are strictly newer operations).
-    pub(crate) fn succs(&self, id: OpId) -> &[(OpId, OrderKind)] {
-        &self.succs[id.index()]
-    }
-
     pub(crate) fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.preds.iter().enumerate().flat_map(|(to, preds)| {
             preds.iter().map(move |&(from, kind)| Edge { from, to: OpId(to as u32), kind })
@@ -107,40 +89,38 @@ impl Execution {
     /// The initial operation of a location, if the location has been used.
     #[cfg(test)]
     pub(crate) fn init_op(&self, v: LocId) -> Option<OpId> {
-        self.init.get(&v).copied()
+        self.init.binary_search_by_key(&v, |&(l, _)| l).ok().map(|i| self.init[i].1)
     }
 
     /// Ensure the initial write-and-release op of Definition 3 exists for
     /// location `v`, with the given initial value.
     pub fn ensure_init(&mut self, v: LocId, value: u32) -> OpId {
-        if let Some(&id) = self.init.get(&v) {
-            return id;
+        match self.init.binary_search_by_key(&v, |&(l, _)| l) {
+            Ok(i) => self.init[i].1,
+            Err(i) => {
+                let id = self.push(Op::init(v, value), Vec::new());
+                self.init.insert(i, (v, id));
+                id
+            }
         }
-        let id = self.push_raw(Op::init(v, value));
-        self.init.insert(v, id);
-        id
     }
 
-    fn push_raw(&mut self, op: Op) -> OpId {
+    fn push(&mut self, op: Op, preds: Vec<(OpId, OrderKind)>) -> OpId {
         let id = OpId(self.ops.len() as u32);
-        if op.kind == OpKind::Fence {
-            self.fences_by_proc.entry(op.proc).or_default().push(id);
+        let seq = if op.proc == PROC_ALL {
+            op.loc.0
         } else {
-            self.by_loc.entry(op.loc).or_default().push(id);
-        }
+            let p = usize::from(op.proc.0);
+            if self.by_proc.len() <= p {
+                self.by_proc.resize_with(p + 1, Vec::new);
+            }
+            self.by_proc[p].push(id);
+            self.by_proc[p].len() as u32 - 1
+        };
         self.ops.push(op);
-        self.preds.push(Vec::new());
-        self.succs.push(Vec::new());
+        self.preds.push(preds);
+        self.seq.push(seq);
         id
-    }
-
-    fn add_edge(&mut self, from: OpId, to: OpId, kind: OrderKind) {
-        debug_assert!(from.0 < to.0, "edges must point from older to newer ops");
-        if self.preds[to.index()].iter().any(|&(f, k)| f == from && k == kind) {
-            return;
-        }
-        self.preds[to.index()].push((from, kind));
-        self.succs[from.index()].push((to, kind));
     }
 
     /// Execute an operation: append it and apply the ordering rules of
@@ -151,9 +131,8 @@ impl Execution {
         if op.kind != OpKind::Fence {
             self.ensure_init(op.loc, 0);
         }
-        let id = self.push_raw(op);
-        self.apply_rules_full(id);
-        id
+        let preds = self.rule_edges(&op);
+        self.push(op, preds)
     }
 
     /// Convenience wrappers mirroring the model's five operations.
@@ -180,56 +159,88 @@ impl Execution {
         self.execute(Op::dma_complete(p, v))
     }
 
-    fn apply_rule_if_matching(&mut self, existing: OpId, new: OpId) {
-        let e = self.ops[existing.index()];
-        let n = self.ops[new.index()];
-        // A new fence spans every location of its process (Definition 8):
-        // the same-location requirement of the read/write/acquire/release
-        // rows is satisfied for any existing location.
-        let new_is_fence = n.kind == OpKind::Fence;
-        let rules: Vec<Rule> = rules_for_existing(e.kind, n.kind).collect();
-        for rule in rules {
-            let matches = match rule.scope {
-                RuleScope::SameProcSameLoc => {
-                    e.issued_by(n.proc) && (new_is_fence || e.on_loc(n.loc))
+    /// The Table I edges (Definition 4) operation `n` receives when it is
+    /// appended now, in append order of their sources. Executions are
+    /// litmus-sized, so every existing op is matched against the table.
+    /// Each source matches at most one rule per edge kind, so no edge
+    /// repeats.
+    pub(crate) fn rule_edges(&self, n: &Op) -> Vec<(OpId, OrderKind)> {
+        let mut out = Vec::new();
+        for (id, e) in self.ops() {
+            // Every scope needs the same process or the same location.
+            if !e.issued_by(n.proc) && !e.on_loc(n.loc) {
+                continue;
+            }
+            for rule in rules_for_existing(e.kind, n.kind) {
+                let matches = match rule.scope {
+                    // A new fence spans every location of its process
+                    // (Definition 8): the same-location requirement of
+                    // the read/write/acquire/release rows is satisfied
+                    // for any existing location.
+                    RuleScope::SameProcSameLoc => {
+                        e.issued_by(n.proc) && (n.kind == OpKind::Fence || e.on_loc(n.loc))
+                    }
+                    RuleScope::AnyProcSameLoc => e.on_loc(n.loc),
+                    RuleScope::SameProcAnyLoc => e.issued_by(n.proc),
+                };
+                if matches {
+                    out.push((id, rule.kind));
                 }
-                RuleScope::AnyProcSameLoc => e.on_loc(n.loc),
-                RuleScope::SameProcAnyLoc => e.issued_by(n.proc),
-            };
-            if matches {
-                self.add_edge(existing, new, rule.kind);
             }
         }
+        out
     }
 
-    fn apply_rules_full(&mut self, new: OpId) {
-        let n = self.ops[new.index()];
-        // Candidate existing ops: everything on the same location, plus
-        // fences of the same process. For a new fence, everything by the
-        // same process (all locations) plus its earlier fences.
-        let mut candidates: Vec<OpId> = Vec::new();
-        if n.kind == OpKind::Fence {
-            for (v, ids) in &self.by_loc {
-                let _ = v;
-                candidates.extend(
-                    ids.iter()
-                        .copied()
-                        .filter(|id| *id != new && self.ops[id.index()].issued_by(n.proc)),
-                );
+    /// Append the canonical form of the graph to `key` and return where
+    /// its per-process start table begins (for [`Self::name`]).
+    ///
+    /// The form lists the initial ops by location, then each process's
+    /// ops in issue order; an op is named by its rank in that listing, so
+    /// the name does not depend on how the processes' ops interleaved in
+    /// append order. Layout, every section led by its count:
+    ///
+    /// * `n_init`, then `loc, value` per initial op;
+    /// * `n_procs`, then the rank of each process's first op, then the
+    ///   total op count (so each process's op count is a difference);
+    /// * per op: `kind, loc, value, n_preds`, then its incoming edges as
+    ///   `name << 2 | order kind`, sorted.
+    ///
+    /// Initial ops have no incoming edges and carry no op record.
+    pub(crate) fn write_key(&self, key: &mut Vec<u32>) -> usize {
+        key.push(count(self.init.len()));
+        for &(v, id) in &self.init {
+            key.extend([v.0, self.ops[id.index()].value]);
+        }
+        key.push(count(self.by_proc.len()));
+        let starts = key.len();
+        let mut rank = self.init.len();
+        for ops in &self.by_proc {
+            key.push(count(rank));
+            rank += ops.len();
+        }
+        key.push(count(rank));
+        for &id in self.by_proc.iter().flatten() {
+            let (op, preds) = (&self.ops[id.index()], &self.preds[id.index()]);
+            key.extend([op.kind as u32, op.loc.0, op.value, count(preds.len())]);
+            let first = key.len();
+            for &(from, kind) in preds {
+                let name = self.name(from, &key[starts..]);
+                assert!(name < 1 << 30, "execution too large for a memo key");
+                key.push(name << 2 | kind as u32);
             }
+            key[first..].sort_unstable();
+        }
+        starts
+    }
+
+    /// The canonical name of `id` in a key written by [`Self::write_key`],
+    /// given the key from its per-process start table on.
+    pub(crate) fn name(&self, id: OpId, starts: &[u32]) -> u32 {
+        let op = &self.ops[id.index()];
+        if op.proc == PROC_ALL {
+            count(self.init.binary_search_by_key(&op.loc, |&(l, _)| l).expect("init op"))
         } else {
-            if let Some(ids) = self.by_loc.get(&n.loc) {
-                candidates.extend(ids.iter().copied().filter(|id| *id != new));
-            }
-        }
-        if let Some(fences) = self.fences_by_proc.get(&n.proc) {
-            candidates.extend(fences.iter().copied().filter(|id| *id != new));
-        }
-        // Init ops are issued by PROC_ALL and already included via by_loc.
-        candidates.sort_unstable_by_key(|id| id.0);
-        candidates.dedup();
-        for existing in candidates {
-            self.apply_rule_if_matching(existing, new);
+            starts[usize::from(op.proc.0)] + self.seq[id.index()]
         }
     }
 
@@ -248,12 +259,7 @@ impl Execution {
         seen[b.index()] = true;
         while let Some(cur) = stack.pop() {
             for &(from, kind) in &self.preds[cur.index()] {
-                let owner = self.ops[from.index()].proc;
-                // Local edges connect two ops of one process; for init ops
-                // (pseudo-process) the owner is the target's process.
-                let owner =
-                    if owner == crate::op::PROC_ALL { self.ops[cur.index()].proc } else { owner };
-                if !view.sees(kind, owner) {
+                if !view.sees(kind, self.owner(from, cur)) {
                     continue;
                 }
                 if from == a {
@@ -268,24 +274,35 @@ impl Execution {
         false
     }
 
+    /// The process owning edge `from → to`. Local edges connect two ops of
+    /// one process; for init ops (pseudo-process) the owner is the
+    /// target's process.
+    fn owner(&self, from: OpId, to: OpId) -> ProcId {
+        match self.ops[from.index()].proc {
+            PROC_ALL => self.ops[to.index()].proc,
+            p => p,
+        }
+    }
+
     /// Strict precedence `a ≺ b` in the given view.
     pub fn precedes(&self, a: OpId, b: OpId, view: View) -> bool {
         a != b && self.reaches(a, b, view)
     }
 
-    /// All operations `x` with `x ⪯ b` in `view` (the past cone of `b`),
-    /// including `b` itself.
-    pub(crate) fn past_cone(&self, b: OpId, view: View) -> Vec<OpId> {
-        let mut seen = vec![false; b.index() + 1];
-        let mut stack = vec![b];
-        let mut out = vec![b];
-        seen[b.index()] = true;
+    /// All operations `x` with `x ⪯ r` in `view` for some root `r` (the
+    /// past cone of the roots), including the roots themselves.
+    fn cone(&self, roots: &[OpId], view: View) -> Vec<OpId> {
+        let mut seen = vec![false; self.ops.len()];
+        let mut out = Vec::new();
+        for &r in roots {
+            if !std::mem::replace(&mut seen[r.index()], true) {
+                out.push(r);
+            }
+        }
+        let mut stack = out.clone();
         while let Some(cur) = stack.pop() {
             for &(from, kind) in &self.preds[cur.index()] {
-                let owner = self.ops[from.index()].proc;
-                let owner =
-                    if owner == crate::op::PROC_ALL { self.ops[cur.index()].proc } else { owner };
-                if !view.sees(kind, owner) || seen[from.index()] {
+                if !view.sees(kind, self.owner(from, cur)) || seen[from.index()] {
                     continue;
                 }
                 seen[from.index()] = true;
@@ -305,21 +322,33 @@ impl Execution {
     /// is a write. `W` with more than one element signals a data race.
     pub fn last_writes(&self, o: OpId) -> Vec<OpId> {
         let op = self.ops[o.index()];
-        let view = View::Proc(op.proc);
-        let cone = self.past_cone(o, view);
+        let cone = self.cone(&[o], View::Proc(op.proc));
+        self.maximal_writes(cone.into_iter().filter(|&x| x != o), op.loc, View::Proc(op.proc))
+    }
+
+    /// The writes to `v` among `cone` that no other of them precedes in
+    /// `view`.
+    fn maximal_writes(&self, cone: impl Iterator<Item = OpId>, v: LocId, view: View) -> Vec<OpId> {
         let writes: Vec<OpId> = cone
-            .into_iter()
-            .filter(|&x| {
-                x != o
-                    && self.ops[x.index()].kind.is_write_like()
-                    && self.ops[x.index()].on_loc(op.loc)
-            })
+            .filter(|&x| self.ops[x.index()].kind.is_write_like() && self.ops[x.index()].on_loc(v))
             .collect();
-        // Maximal elements: no other write in the set strictly after them.
         writes
             .iter()
             .copied()
             .filter(|&a| !writes.iter().any(|&b| b != a && self.precedes(a, b, view)))
+            .collect()
+    }
+
+    /// The writes to `v` that some write of `last` reaches in `view`, in
+    /// append order: Definition 12's readable set given the last writes.
+    fn writes_after(&self, last: &[OpId], v: LocId, view: View) -> Vec<OpId> {
+        self.ops()
+            .filter(|&(id, w)| {
+                w.kind.is_write_like()
+                    && w.on_loc(v)
+                    && last.iter().any(|&a| self.reaches(a, id, view))
+            })
+            .map(|(id, _)| id)
             .collect()
     }
 
@@ -331,20 +360,21 @@ impl Execution {
     /// `o`'s process.
     pub fn readable_writes(&self, o: OpId) -> Vec<OpId> {
         let op = self.ops[o.index()];
-        let view = View::Proc(op.proc);
-        let last = self.last_writes(o);
-        let mut out: Vec<OpId> = Vec::new();
-        for (id, cand) in self.ops() {
-            if id == o || !cand.kind.is_write_like() || !cand.on_loc(op.loc) {
-                continue;
-            }
-            if last.iter().any(|&a| self.reaches(a, id, view)) {
-                out.push(id);
-            }
-        }
-        out.sort_unstable_by_key(|id| id.0);
-        out.dedup();
+        let mut out = self.writes_after(&self.last_writes(o), op.loc, View::Proc(op.proc));
+        out.retain(|&w| w != o);
         out
+    }
+
+    /// [`Self::readable_writes`] for a read by `p` of `v` appended now,
+    /// computed without appending it. Every Table I edge into a read comes
+    /// from an op issued by its process (or an initial op), so the read's
+    /// past cone is that of its [`Self::rule_edges`] sources.
+    pub(crate) fn readable_by_new_read(&self, p: ProcId, v: LocId) -> Vec<OpId> {
+        let sources: Vec<OpId> =
+            self.rule_edges(&Op::read(p, v)).into_iter().map(|(from, _)| from).collect();
+        let view = View::Proc(p);
+        let last = self.maximal_writes(self.cone(&sources, view).into_iter(), v, view);
+        self.writes_after(&last, v, view)
     }
 
     /// All pairs of globally-unordered writes to the same location
@@ -371,6 +401,11 @@ impl Execution {
         }
         races
     }
+}
+
+/// A memo-key field: a count or rank, which must fit in 32 bits.
+pub(crate) fn count(n: usize) -> u32 {
+    u32::try_from(n).expect("memo key field exceeds 32 bits")
 }
 
 #[cfg(test)]

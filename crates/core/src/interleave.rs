@@ -16,7 +16,7 @@
 //! reproduce the paper's reasoning (Figs. 1–6) and to validate that the
 //! simulated architectures never produce an outcome outside this set.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use crate::exec_state::ModelState;
 use crate::execution::EdgeMode;
@@ -35,8 +35,8 @@ pub struct Limits {
     /// soundness harness.
     pub max_states: usize,
     /// Opt-in visited-state memoization: prune DFS nodes whose canonical
-    /// state (`crate::exec_state::ModelState::canonical_key` plus
-    /// program position and registers) has already been explored. Two
+    /// state (`crate::exec_state::ModelState::write_key` plus program
+    /// position and registers) has already been explored. Two
     /// interleavings of independent steps converge on one canonical
     /// state, so the pruned subtree's outcomes are exactly the ones the
     /// first visit produces — the outcome set is unchanged (see the
@@ -243,7 +243,12 @@ struct Search<'p> {
     states: usize,
     outcomes: BTreeSet<Outcome>,
     /// Canonical states already explored (memoization, opt-in).
-    seen: Option<std::collections::HashSet<Vec<u64>>>,
+    seen: Option<HashSet<Box<[u32]>>>,
+    /// Scratch buffer the memo key of each node is written into.
+    key: Vec<u32>,
+    /// Memo keys in the sort-based form, checked to agree with `seen`.
+    #[cfg(test)]
+    key_oracle: Option<HashSet<Vec<u64>>>,
     /// Static per-instruction footprints (`instr_locs`), precomputed when
     /// POR is on — they depend only on program text, and the safety check
     /// runs on every DFS node.
@@ -278,29 +283,24 @@ impl Node {
         (0..idx).all(|j| self.performed[t][j] || !intra_thread_dep(&thread[j], &thread[idx]))
     }
 
-    /// Canonical memoization key: model fingerprint + program position +
-    /// registers.
-    fn key(&self) -> Vec<u64> {
-        let mut key = self.model.canonical_key();
+    /// Append the canonical memoization key to `key`: model state +
+    /// program position + registers.
+    fn write_key(&self, key: &mut Vec<u32>) {
+        self.model.write_key(key);
         for flags in [&self.issued, &self.performed] {
-            for thread in flags.iter() {
+            for thread in flags {
                 // Pack into as many words as the thread needs — thread
                 // lengths are fixed per program, so the key layout is
-                // stable and long (≥ 64-instruction) threads cannot
+                // stable and long (≥ 32-instruction) threads cannot
                 // alias.
-                for chunk in thread.chunks(64) {
-                    let mut packed = 0u64;
-                    for (i, &b) in chunk.iter().enumerate() {
-                        packed |= (b as u64) << i;
-                    }
-                    key.push(packed);
+                for chunk in thread.chunks(32) {
+                    key.push(chunk.iter().enumerate().fold(0, |w, (i, &b)| w | u32::from(b) << i));
                 }
             }
         }
         for regs in &self.regs {
-            key.extend(regs.iter().map(|&v| u64::from(v)));
+            key.extend_from_slice(regs);
         }
-        key
     }
 }
 
@@ -320,59 +320,78 @@ pub fn outcomes_counted(
     program: &Program,
     limits: Limits,
 ) -> Result<(BTreeSet<Outcome>, usize), Exhausted> {
-    let mut model = ModelState::new(EdgeMode::Full);
-    for &(v, value) in &program.init {
-        model.init(v, value);
-    }
-    let regs = (0..program.threads.len()).map(|t| vec![0; program.reg_count(t)]).collect();
-    let issued: Vec<Vec<bool>> = program.threads.iter().map(|t| vec![false; t.len()]).collect();
-    let root = Node { model, performed: issued.clone(), issued, regs };
-    let (locs, sensitive) = if limits.por {
-        (
-            program
-                .threads
-                .iter()
-                .map(|t| (0..t.len()).map(|i| instr_locs(t, i)).collect())
-                .collect(),
-            program
-                .threads
-                .iter()
-                .map(|t| {
-                    let n = t.len();
-                    let mut m = vec![false; n * n];
-                    for i in 0..n {
-                        for j in 0..n {
-                            m[i * n + j] = order_sensitive(t, i, j);
-                        }
-                    }
-                    m
-                })
-                .collect(),
-        )
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    let mut search = Search {
-        program,
-        limits,
-        states: 0,
-        outcomes: BTreeSet::new(),
-        seen: limits.memoize.then(std::collections::HashSet::new),
-        locs,
-        sensitive,
-    };
-    search.dfs(root)?;
-    Ok((search.outcomes, search.states))
+    Search::new(program, limits).run()
 }
 
 impl<'p> Search<'p> {
+    fn new(program: &'p Program, limits: Limits) -> Self {
+        let (locs, sensitive) = if limits.por {
+            (
+                program
+                    .threads
+                    .iter()
+                    .map(|t| (0..t.len()).map(|i| instr_locs(t, i)).collect())
+                    .collect(),
+                program
+                    .threads
+                    .iter()
+                    .map(|t| {
+                        let n = t.len();
+                        let mut m = vec![false; n * n];
+                        for i in 0..n {
+                            for j in 0..n {
+                                m[i * n + j] = order_sensitive(t, i, j);
+                            }
+                        }
+                        m
+                    })
+                    .collect(),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        Search {
+            program,
+            limits,
+            states: 0,
+            outcomes: BTreeSet::new(),
+            seen: limits.memoize.then(HashSet::new),
+            key: Vec::new(),
+            #[cfg(test)]
+            key_oracle: None,
+            locs,
+            sensitive,
+        }
+    }
+
+    /// Explore from the program's initial state; return the outcomes and
+    /// the number of states explored.
+    fn run(mut self) -> Result<(BTreeSet<Outcome>, usize), Exhausted> {
+        let program = self.program;
+        let mut model = ModelState::new(EdgeMode::Full);
+        for &(v, value) in &program.init {
+            model.init(v, value);
+        }
+        let regs = (0..program.threads.len()).map(|t| vec![0; program.reg_count(t)]).collect();
+        let issued: Vec<Vec<bool>> = program.threads.iter().map(|t| vec![false; t.len()]).collect();
+        self.dfs(Node { model, performed: issued.clone(), issued, regs })?;
+        Ok((self.outcomes, self.states))
+    }
+
     fn dfs(&mut self, node: Node) -> Result<(), Exhausted> {
         self.states += 1;
         if self.states > self.limits.max_states {
             return Err(Exhausted);
         }
         if let Some(seen) = &mut self.seen {
-            if !seen.insert(node.key()) {
+            self.key.clear();
+            node.write_key(&mut self.key);
+            let fresh = seen.insert(self.key.as_slice().into());
+            #[cfg(test)]
+            if let Some(oracle) = &mut self.key_oracle {
+                assert_eq!(fresh, oracle.insert(node.sorted_key()), "memo keys disagree");
+            }
+            if !fresh {
                 // Already explored from an equivalent state: the pruned
                 // subtree's outcomes are exactly the first visit's.
                 return Ok(());
@@ -512,52 +531,25 @@ impl<'p> Search<'p> {
     /// whether any branch was taken.
     fn explore_perform(&mut self, node: &Node, t: usize, idx: usize) -> Result<bool, Exhausted> {
         let p = ProcId(t as u16);
-        let mut any_step = false;
-        match &self.program.threads[t][idx] {
-            Instr::DmaPut(v, value) => {
-                any_step = true;
-                let mut next = node.clone();
-                next.model.write(p, *v, *value);
-                next.performed[t][idx] = true;
-                self.dfs(next)?;
-            }
-            Instr::DmaCopy(s, d) => {
-                // Sample the source (branching over every model-allowed
-                // value) and write the destination at one floating point.
-                let mut probe = node.model.clone();
-                let cands = probe.read_candidates(p, *s);
-                let mut values: Vec<Value> = cands.iter().map(|&(_, val)| val).collect();
-                values.sort_unstable();
-                values.dedup();
-                for value in values {
-                    any_step = true;
-                    let mut next = node.clone();
-                    next.model.read_value(p, *s, value).expect("candidate value must be readable");
-                    next.model.write(p, *d, value);
-                    next.performed[t][idx] = true;
-                    self.dfs(next)?;
-                }
-            }
-            Instr::DmaGet(v, reg) => {
-                // Like a plain read: branch over every model-allowed
-                // value at the sample point.
-                let mut probe = node.model.clone();
-                let cands = probe.read_candidates(p, *v);
-                let mut values: Vec<Value> = cands.iter().map(|&(_, val)| val).collect();
-                values.sort_unstable();
-                values.dedup();
-                for value in values {
-                    any_step = true;
-                    let mut next = node.clone();
-                    next.model.read_value(p, *v, value).expect("candidate value must be readable");
-                    next.regs[t][reg.0 as usize] = value;
-                    next.performed[t][idx] = true;
-                    self.dfs(next)?;
-                }
-            }
-            other => unreachable!("{other:?} is single-phase"),
+        match self.program.threads[t][idx] {
+            Instr::DmaPut(v, value) => self.step(node, |n| {
+                n.model.write(p, v, value);
+                n.performed[t][idx] = true;
+            }),
+            // Sample the source (branching over every model-allowed
+            // value) and write the destination at one floating point.
+            Instr::DmaCopy(s, d) => self.explore_reads(node, t, s, None, |n, value| {
+                n.model.write(p, d, value);
+                n.performed[t][idx] = true;
+            }),
+            // Like a plain read: branch over every model-allowed value at
+            // the sample point.
+            Instr::DmaGet(v, reg) => self.explore_reads(node, t, v, None, |n, value| {
+                n.regs[t][reg.0 as usize] = value;
+                n.performed[t][idx] = true;
+            }),
+            ref other => unreachable!("{other:?} is single-phase"),
         }
-        Ok(any_step)
     }
 
     /// Issue the instruction at `(t, idx)` (the caller has checked
@@ -566,102 +558,55 @@ impl<'p> Search<'p> {
     fn explore_issue(&mut self, node: &Node, t: usize, idx: usize) -> Result<bool, Exhausted> {
         let thread = &self.program.threads[t];
         let p = ProcId(t as u16);
-        let mut any_step = false;
-        match &thread[idx] {
-            Instr::Write(v, value) => {
-                any_step = true;
-                let mut next = node.clone();
-                next.model.write(p, *v, *value);
-                next.issued[t][idx] = true;
-                next.performed[t][idx] = true;
-                self.dfs(next)?;
-            }
-            Instr::Fence => {
-                any_step = true;
-                let mut next = node.clone();
-                next.model.fence(p);
-                next.issued[t][idx] = true;
-                next.performed[t][idx] = true;
-                self.dfs(next)?;
-            }
-            Instr::Acquire(v) => {
-                if node.model.can_acquire(*v) {
-                    any_step = true;
-                    let mut next = node.clone();
-                    next.model.acquire(p, *v).expect("checked can_acquire");
-                    next.issued[t][idx] = true;
-                    next.performed[t][idx] = true;
-                    self.dfs(next)?;
-                }
-            }
-            Instr::Release(v) => {
-                any_step = true;
-                let mut next = node.clone();
-                next.model.release(p, *v).expect("litmus programs are lock-balanced");
-                next.issued[t][idx] = true;
-                next.performed[t][idx] = true;
-                self.dfs(next)?;
-            }
-            Instr::Read(v, reg) => {
-                // Branch over every model-allowed value (dedup:
-                // distinct writes of equal values give one
-                // outcome).
-                let mut probe = node.clone();
-                let cands = probe.model.read_candidates(p, *v);
-                let mut values: Vec<Value> = cands.iter().map(|&(_, val)| val).collect();
-                values.sort_unstable();
-                values.dedup();
-                for value in values {
-                    any_step = true;
-                    let mut next = node.clone();
-                    next.model.read_value(p, *v, value).expect("candidate value must be readable");
-                    next.regs[t][reg.0 as usize] = value;
-                    next.issued[t][idx] = true;
-                    next.performed[t][idx] = true;
-                    self.dfs(next)?;
-                }
-            }
-            Instr::WaitEq(v, value) => {
-                // Enabled only when the awaited value is readable;
-                // eventual visibility (liveness) is assumed, so
-                // paths where it is not yet readable simply do not
-                // take this step.
-                let mut probe = node.clone();
-                let ok = probe.model.read_candidates(p, *v).iter().any(|&(_, val)| val == *value);
-                if ok {
-                    any_step = true;
-                    let mut next = node.clone();
-                    next.model.read_value(p, *v, *value).expect("candidate value must be readable");
-                    next.issued[t][idx] = true;
-                    next.performed[t][idx] = true;
-                    self.dfs(next)?;
-                }
-            }
-            Instr::DmaPut(v, _) | Instr::DmaGet(v, _) => {
-                // Issue step only: the data movement floats as a
-                // separate perform step (loop above).
-                any_step = true;
-                let mut next = node.clone();
-                next.model.dma_issue(p, *v);
-                next.issued[t][idx] = true;
-                self.dfs(next)?;
-            }
-            Instr::DmaCopy(s, d) => {
-                // Issue markers on both endpoints; the combined
-                // read/write floats as one perform step.
-                any_step = true;
-                let mut next = node.clone();
-                next.model.dma_issue(p, *s);
-                next.model.dma_issue(p, *d);
-                next.issued[t][idx] = true;
-                self.dfs(next)?;
-            }
+        let done = move |n: &mut Node| {
+            n.issued[t][idx] = true;
+            n.performed[t][idx] = true;
+        };
+        match thread[idx] {
+            Instr::Write(v, value) => self.step(node, |n| {
+                n.model.write(p, v, value);
+                done(n);
+            }),
+            Instr::Fence => self.step(node, |n| {
+                n.model.fence(p);
+                done(n);
+            }),
+            Instr::Acquire(v) if !node.model.can_acquire(v) => Ok(false),
+            Instr::Acquire(v) => self.step(node, |n| {
+                n.model.acquire(p, v).expect("checked can_acquire");
+                done(n);
+            }),
+            Instr::Release(v) => self.step(node, |n| {
+                n.model.release(p, v).expect("litmus programs are lock-balanced");
+                done(n);
+            }),
+            // Branch over every model-allowed value (distinct writes of
+            // equal values give one outcome).
+            Instr::Read(v, reg) => self.explore_reads(node, t, v, None, |n, value| {
+                n.regs[t][reg.0 as usize] = value;
+                done(n);
+            }),
+            // Enabled only when the awaited value is readable; eventual
+            // visibility (liveness) is assumed, so paths where it is not
+            // yet readable simply do not take this step.
+            Instr::WaitEq(v, value) => self.explore_reads(node, t, v, Some(value), |n, _| done(n)),
+            // Issue step only: the data movement floats as a separate
+            // perform step (loop above).
+            Instr::DmaPut(v, _) | Instr::DmaGet(v, _) => self.step(node, |n| {
+                n.model.dma_issue(p, v);
+                n.issued[t][idx] = true;
+            }),
+            // Issue markers on both endpoints; the combined read/write
+            // floats as one perform step.
+            Instr::DmaCopy(s, d) => self.step(node, |n| {
+                n.model.dma_issue(p, s);
+                n.model.dma_issue(p, d);
+                n.issued[t][idx] = true;
+            }),
+            // Ready only once every outstanding transfer has performed
+            // (intra-thread dependency); mark the completion of each
+            // waited location.
             Instr::DmaWait => {
-                // Ready only once every outstanding transfer has
-                // performed (intra-thread dependency); mark the
-                // completion of each waited location.
-                any_step = true;
-                let mut next = node.clone();
                 let mut locs: Vec<LocId> = open_transfers(thread, idx)
                     .into_iter()
                     .flat_map(|j| {
@@ -671,15 +616,52 @@ impl<'p> Search<'p> {
                     .collect();
                 locs.sort_unstable_by_key(|l| l.0);
                 locs.dedup();
-                for v in locs {
-                    next.model.dma_complete(p, v);
-                }
-                next.issued[t][idx] = true;
-                next.performed[t][idx] = true;
-                self.dfs(next)?;
+                self.step(node, |n| {
+                    for v in locs {
+                        n.model.dma_complete(p, v);
+                    }
+                    done(n);
+                })
             }
         }
-        Ok(any_step)
+    }
+
+    /// Explore the one successor `apply` makes of a copy of `node`.
+    fn step(&mut self, node: &Node, apply: impl FnOnce(&mut Node)) -> Result<bool, Exhausted> {
+        let mut next = node.clone();
+        apply(&mut next);
+        self.dfs(next)?;
+        Ok(true)
+    }
+
+    /// Branch over every distinct value a read by thread `t` of `v` may
+    /// return now (only `only`, if given), in ascending order: commit the
+    /// read on a copy of `node`, let `finish` complete the instruction,
+    /// and explore the result. Returns whether any branch was taken.
+    fn explore_reads(
+        &mut self,
+        node: &Node,
+        t: usize,
+        v: LocId,
+        only: Option<Value>,
+        finish: impl Fn(&mut Node, Value),
+    ) -> Result<bool, Exhausted> {
+        let p = ProcId(t as u16);
+        // The copy the branches start from: computing candidates
+        // initialises `v`, which every branch's read would do anyway.
+        let mut base = node.clone();
+        let mut values: Vec<Value> =
+            base.model.read_candidates(p, v).into_iter().map(|(_, val)| val).collect();
+        values.retain(|&val| only.is_none_or(|o| o == val));
+        values.sort_unstable();
+        values.dedup();
+        for &value in &values {
+            self.step(&base, |n| {
+                n.model.read_value(p, v, value).expect("candidate value must be readable");
+                finish(n, value);
+            })?;
+        }
+        Ok(!values.is_empty())
     }
 }
 
@@ -693,6 +675,49 @@ mod tests {
 
     fn regs_of(outs: &BTreeSet<Outcome>) -> Vec<Outcome> {
         outs.iter().cloned().collect()
+    }
+
+    impl Node {
+        /// The sort-based memo key [`Node::write_key`] replaced, kept as
+        /// its oracle.
+        pub(super) fn sorted_key(&self) -> Vec<u64> {
+            let mut key = crate::exec_state::tests::sorted_key(&self.model);
+            for flags in [&self.issued, &self.performed] {
+                for thread in flags {
+                    for chunk in thread.chunks(64) {
+                        key.push(
+                            chunk.iter().enumerate().fold(0, |w, (i, &b)| w | u64::from(b) << i),
+                        );
+                    }
+                }
+            }
+            key.extend(self.regs.iter().flatten().map(|&v| u64::from(v)));
+            key
+        }
+    }
+
+    /// The one-walk memo key prunes exactly where the sort-based key it
+    /// replaced would: at every node the memoized enumerator visits,
+    /// pruned revisits included, a state's key is new in one form iff it
+    /// is new in the other. Runs over the lowered conformance catalogue
+    /// and the programs of the default fuzz tier (`tests/fuzz.rs`: 16
+    /// seeds from `0xC0FFEE`, lowered). Each enumeration stops at 20 000
+    /// states, which keeps the test to a few seconds; the deep property
+    /// run (`PMC_PROPTEST_CASES` above the default 64, nightly in CI)
+    /// uses the fuzz tier's 200 000.
+    #[test]
+    fn memo_key_agrees_with_sorted_key() {
+        let deep = proptest::prelude::ProptestConfig::default().effective_cases() > 64;
+        let max_states = if deep { 200_000 } else { 20_000 };
+        let catalogue = crate::conformance::cases().into_iter().map(|c| c.program);
+        let fuzzed = (0..16).map(|i| crate::fuzz::generate(0xC0FFEE + i, &Default::default()));
+        for p in catalogue.chain(fuzzed) {
+            let p = crate::conformance::lower(&p);
+            let mut search = Search::new(&p, Limits { max_states, ..Limits::memoized() });
+            search.key_oracle = Some(HashSet::new());
+            // Over budget is fine: every node visited so far was checked.
+            let _ = search.run();
+        }
     }
 
     /// Intra-thread dependencies reflect Table I.
