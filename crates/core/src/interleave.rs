@@ -701,18 +701,33 @@ mod tests {
     /// pruned revisits included, a state's key is new in one form iff it
     /// is new in the other. Runs over the lowered conformance catalogue
     /// and the programs of the default fuzz tier (`tests/fuzz.rs`: 16
-    /// seeds from `0xC0FFEE`, lowered). Each enumeration stops at 20 000
+    /// seeds from `0xC0FFEE`, lowered). Each enumeration stops at 10 000
     /// states, which keeps the test to a few seconds; the deep property
     /// run (`PMC_PROPTEST_CASES` above the default 64, nightly in CI)
     /// uses the fuzz tier's 200 000.
     #[test]
     fn memo_key_agrees_with_sorted_key() {
         let deep = proptest::prelude::ProptestConfig::default().effective_cases() > 64;
-        let max_states = if deep { 200_000 } else { 20_000 };
+        let max_states = if deep { 200_000 } else { 10_000 };
         let catalogue = crate::conformance::cases().into_iter().map(|c| c.program);
         let fuzzed = (0..16).map(|i| crate::fuzz::generate(0xC0FFEE + i, &Default::default()));
-        for p in catalogue.chain(fuzzed) {
-            let p = crate::conformance::lower(&p);
+        // Two unsynchronised writers of one value: interleavings that
+        // build alike graphs can leave the reader's floor on different
+        // writes. (Lowering would order the writes through their lock.)
+        let same_value = Program::new()
+            .thread(vec![Write(L(0), 1)])
+            .thread(vec![Write(L(0), 1)])
+            .thread(vec![Read(L(0), Reg(0)), Read(L(0), Reg(1))]);
+        // Each program also without its init list, so that locations
+        // are initialised lazily, at first touch, in every order.
+        for p in catalogue
+            .chain(fuzzed)
+            .flat_map(|p| {
+                let p = crate::conformance::lower(&p);
+                [Program { init: Vec::new(), ..p.clone() }, p]
+            })
+            .chain([same_value])
+        {
             let mut search = Search::new(&p, Limits { max_states, ..Limits::memoized() });
             search.key_oracle = Some(HashSet::new());
             // Over budget is fine: every node visited so far was checked.
