@@ -37,7 +37,7 @@
 //! append order, so two interleavings of the same per-process histories
 //! that build the same graph give equal keys.
 
-use crate::execution::{count, EdgeMode, Execution};
+use crate::execution::{count, find, EdgeMode, Execution};
 use crate::op::{LocId, OpId, ProcId, Value};
 use crate::order::View;
 
@@ -87,11 +87,6 @@ impl Default for ModelState {
     fn default() -> Self {
         Self::new(EdgeMode::Full)
     }
-}
-
-/// Where `k` is, or would go, in the sorted map `map`.
-fn find<K: Ord + Copy, V>(map: &[(K, V)], k: K) -> Result<usize, usize> {
-    map.binary_search_by_key(&k, |&(key, _)| key)
 }
 
 impl ModelState {

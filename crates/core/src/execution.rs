@@ -89,13 +89,13 @@ impl Execution {
     /// The initial operation of a location, if the location has been used.
     #[cfg(test)]
     pub(crate) fn init_op(&self, v: LocId) -> Option<OpId> {
-        self.init.binary_search_by_key(&v, |&(l, _)| l).ok().map(|i| self.init[i].1)
+        find(&self.init, v).ok().map(|i| self.init[i].1)
     }
 
     /// Ensure the initial write-and-release op of Definition 3 exists for
     /// location `v`, with the given initial value.
     pub fn ensure_init(&mut self, v: LocId, value: u32) -> OpId {
-        match self.init.binary_search_by_key(&v, |&(l, _)| l) {
+        match find(&self.init, v) {
             Ok(i) => self.init[i].1,
             Err(i) => {
                 let id = self.push(Op::init(v, value), Vec::new());
@@ -115,7 +115,7 @@ impl Execution {
                 self.by_proc.resize_with(p + 1, Vec::new);
             }
             self.by_proc[p].push(id);
-            self.by_proc[p].len() as u32 - 1
+            count(self.by_proc[p].len() - 1)
         };
         self.ops.push(op);
         self.preds.push(preds);
@@ -238,7 +238,7 @@ impl Execution {
     pub(crate) fn name(&self, id: OpId, starts: &[u32]) -> u32 {
         let op = &self.ops[id.index()];
         if op.proc == PROC_ALL {
-            count(self.init.binary_search_by_key(&op.loc, |&(l, _)| l).expect("init op"))
+            count(find(&self.init, op.loc).expect("init op"))
         } else {
             starts[usize::from(op.proc.0)] + self.seq[id.index()]
         }
@@ -401,6 +401,11 @@ impl Execution {
         }
         races
     }
+}
+
+/// Where `k` is, or would go, in the sorted map `map`.
+pub(crate) fn find<K: Ord + Copy, V>(map: &[(K, V)], k: K) -> Result<usize, usize> {
+    map.binary_search_by_key(&k, |&(key, _)| key)
 }
 
 /// A memo-key field: a count or rank, which must fit in 32 bits.
