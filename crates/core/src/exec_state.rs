@@ -17,7 +17,7 @@
 //! # Canonical form
 //!
 //! The enumerator's visited-state memoization keys a state by
-//! [`ModelState::write_key`], written in one walk with no intermediate
+//! `ModelState::write_key`, written in one walk with no intermediate
 //! collections. An op is named by its rank in a fixed listing: the
 //! initial ops by location, then each process's ops in issue order. The
 //! key lists every op in that order with its kind, location, value and

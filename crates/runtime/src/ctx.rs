@@ -14,14 +14,20 @@
 //! closure-based free functions kept for one transition release are
 //! gone; the monitor's forged-trace tests cover the raw protocol.)
 //!
-//! | annotation | uncached ("no CC") | SWCC | DSM | SPM |
-//! |---|---|---|---|---|
-//! | `scope_x` open  | lock | lock + invalidate lines | lock + await replica version | lock + copy SDRAM→SPM |
-//! | `scope_x` close | unlock | flush lines + unlock | broadcast replica + bump version + unlock | copy SPM→SDRAM + unlock |
-//! | `scope_ro` open | lock if >1 byte | lock if >1 byte | lock + await version if >1 byte | (lock while) copy SDRAM→SPM |
-//! | `scope_ro` close| unlock if locked | flush lines + unlock if locked | unlock if locked | discard SPM copy |
-//! | `fence`    | compiler-only (in-order core) | compiler-only | compiler-only | compiler-only |
-//! | `flush`    | no-op | flush lines | broadcast replica + bump version | copy SPM→SDRAM |
+//! | annotation | uncached ("no CC") | SWCC | DSM | SPM | held by |
+//! |---|---|---|---|---|---|
+//! | `scope_x` open  | lock | lock + invalidate lines | lock + await replica version | lock + copy SDRAM→SPM | `entry` |
+//! | `scope_x` close | unlock | flush lines + unlock | broadcast replica + bump version + unlock | copy SPM→SDRAM + unlock | `exit` + `publish` |
+//! | `scope_ro` open | lock if >1 byte | lock if >1 byte | lock + await version if >1 byte | (lock while) copy SDRAM→SPM | `entry` |
+//! | `scope_ro` close| unlock if locked | flush lines + unlock if locked | unlock if locked | discard SPM copy | `exit` + `publish` |
+//! | `fence`    | compiler-only (in-order core) | compiler-only | compiler-only | compiler-only | [`PmcCtx::fence`] |
+//! | `flush`    | no-op | flush lines | broadcast replica + bump version | copy SPM→SDRAM | `publish` |
+//!
+//! Each row is written once: `entry` and `exit` serve both scope kinds,
+//! and `publish` pushes a scope's writes home for `flush`, the exits and
+//! a `dma_put` whose engine transfer is null (every back-end but SPM).
+//! The conditions that vary by back-end (dirty, streaming, object size,
+//! SPM's lock only while copying) make the rows code, not step lists.
 
 use std::cell::RefCell;
 
@@ -30,7 +36,7 @@ use pmc_soc_sim::{addr, Cpu, DmaDescriptor, DmaDir, DmaKind, DmaSeg};
 
 use crate::pod::Pod;
 use crate::spm::StagingAlloc;
-use crate::system::{BackendKind, ObjMeta, PrivSlab, Shared, DMA_DONE_OFFSET};
+use crate::system::{BackendKind, PrivSlab, Shared, DMA_DONE_OFFSET};
 
 /// Trace-event kinds (recorded when the simulator's `trace` flag is on).
 ///
@@ -75,12 +81,14 @@ pub mod trace_kind {
 }
 
 /// Transfers' channel/sequence trace encoding: `chan << 28 | seq` in the
-/// low word. 16 channels and 2^28 transfers per channel per run.
+/// low word — a 4-bit channel field and 2^28 transfers per channel per
+/// run.
 pub(crate) const TRACE_SEQ_BITS: u32 = 28;
 pub(crate) const TRACE_SEQ_MASK: u32 = (1 << TRACE_SEQ_BITS) - 1;
-/// Most channels the runtime protocol supports (the trace encoding's
-/// channel field is 4 bits); enforced where the count is configured.
-pub(crate) const MAX_DMA_CHANNELS: usize = 16;
+/// Most channels the runtime protocol supports: as many as the trace
+/// encoding's channel field holds. Enforced where the count is
+/// configured.
+pub(crate) const MAX_DMA_CHANNELS: usize = 1 << (32 - TRACE_SEQ_BITS);
 
 /// The `(object, channel, sequence)` identity of one programmed
 /// transfer — the payload of a [`DmaTicket`](crate::scope::DmaTicket).
@@ -216,6 +224,21 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
     }
 }
 
+/// The `(byte offset, bytes)` range of `count` elements of `elem_size`
+/// bytes from element `first`, or `None` unless it lies within
+/// `size_bytes`. Checked arithmetic: a request past the end cannot wrap
+/// around to a range that passes.
+pub(crate) fn checked_range(
+    first: u32,
+    count: u32,
+    elem_size: u32,
+    size_bytes: u32,
+) -> Option<(u32, u32)> {
+    let off = first.checked_mul(elem_size)?;
+    let bytes = count.checked_mul(elem_size)?;
+    (off.checked_add(bytes)? <= size_bytes).then_some((off, bytes))
+}
+
 /// The scatter/gather row list of a strided 2-D transfer: `rows` rows of
 /// `row_elems` elements, row `r` starting at element
 /// `first + r * stride_elems`, bounds-checked against the object's
@@ -230,16 +253,15 @@ pub(crate) fn ranges_2d(
 ) -> Vec<(u32, u32)> {
     assert!(rows > 0 && row_elems > 0, "empty 2-D transfer");
     assert!(stride_elems >= row_elems, "2-D rows must not overlap");
-    let last = first + (rows - 1) * stride_elems + row_elems;
-    assert!(last * elem_size <= size_bytes, "2-D transfer range out of bounds");
-    (0..rows).map(|r| ((first + r * stride_elems) * elem_size, row_elems * elem_size)).collect()
+    let (off, _) = ((rows - 1).checked_mul(stride_elems))
+        .and_then(|s| s.checked_add(row_elems))
+        .and_then(|span| checked_range(first, span, elem_size, size_bytes))
+        .expect("2-D transfer range out of bounds");
+    // In bounds, so no row offset below can overflow.
+    (0..rows).map(|r| (off + r * stride_elems * elem_size, row_elems * elem_size)).collect()
 }
 
 impl<'a, 'b> CtxInner<'a, 'b> {
-    fn meta<'s>(&self, sh: &'s Shared, id: u32) -> &'s ObjMeta {
-        sh.meta(id)
-    }
-
     fn find_scope(&self, id: u32) -> Option<usize> {
         self.scopes.iter().rposition(|s| s.obj == id)
     }
@@ -248,20 +270,33 @@ impl<'a, 'b> CtxInner<'a, 'b> {
     // The six annotations (paper Section V-A).
     // ==================================================================
 
-    pub(crate) fn entry_x_id(&mut self, sh: &Shared, id: u32, streaming: bool) {
+    /// Open a scope of `kind` on object `id` — `entry_x` / `entry_ro`
+    /// (Table II rows 1 and 3).
+    pub(crate) fn entry(&mut self, sh: &Shared, id: u32, kind: ScopeKind, streaming: bool) {
         assert!(self.find_scope(id).is_none(), "nested scope on one object");
+        let exclusive = kind == ScopeKind::X;
+        let (span, record) = match kind {
+            ScopeKind::X => (span_kind::SCOPE_X, trace_kind::ENTRY_X),
+            ScopeKind::Ro => (span_kind::SCOPE_RO, trace_kind::ENTRY_RO),
+        };
         // The telemetry span covers the whole scope lifetime, entry cost
         // (lock wait, staging) included — begin before acquisition.
-        self.cpu.trace_event(span_begin(span_kind::SCOPE_X), id, 0, 0);
-        let meta = self.meta(sh, id);
-        let (lock, size, sdram_off, version_off, dsm_off) =
-            (meta.lock, meta.size, meta.sdram_off, meta.version_off, meta.dsm_off);
-        lock.lock(self.cpu);
+        self.cpu.trace_event(span_begin(span), id, 0, 0);
+        let meta = sh.meta(id);
+        // "When the size of the object is one byte, [entry_ro] does
+        // nothing. Otherwise, it acquires the same lock on the object as
+        // entry_x" (Table II). Streaming scopes lock unconditionally
+        // (even word-sized objects): the lock pins a stable snapshot for
+        // asynchronous gets and keeps the scope visible to the monitor.
+        let locked = exclusive || meta.size > ATOMIC_ACCESS_SIZE || streaming;
+        if locked {
+            meta.lock.acquire(self.cpu, exclusive);
+        }
         let mut scope = OpenScope {
             obj: id,
-            kind: ScopeKind::X,
+            kind,
             dirty: false,
-            locked: true,
+            locked,
             streaming,
             spm_off: u32::MAX,
             version: 0,
@@ -271,165 +306,73 @@ impl<'a, 'b> CtxInner<'a, 'b> {
             BackendKind::Swcc => {
                 // Ensure the first read misses and refetches the
                 // just-released version from SDRAM.
-                self.cpu.invalidate_dcache_range(addr::SDRAM_CACHED_BASE + sdram_off, size);
-            }
-            BackendKind::Dsm => {
-                scope.version = self.dsm_await_version(version_off, dsm_off);
-            }
-            BackendKind::Spm => {
-                scope.spm_off = if streaming {
-                    self.spm.alloc(size)
-                } else {
-                    self.spm_stage_in(sdram_off, size)
-                };
-            }
-        }
-        self.scopes.push(scope);
-        self.cpu.trace_event(trace_kind::ENTRY_X, id, 0, 1 | (streaming as u64) << 1);
-    }
-
-    pub(crate) fn exit_x_id(&mut self, sh: &Shared, id: u32) {
-        let idx = self.find_scope(id).expect("exit_x without entry_x");
-        assert_eq!(self.scopes[idx].kind, ScopeKind::X, "exit_x closes an entry_x scope");
-        // Closing implies completion of outstanding transfers: wait
-        // before any write-back or unlock so the released state is whole.
-        self.wait_pending_for(id);
-        self.cpu.trace_event(trace_kind::EXIT_X, id, 0, 0);
-        let scope = self.scopes.remove(idx);
-        let meta = self.meta(sh, id);
-        let (lock, size, sdram_off, version_off, dsm_off) =
-            (meta.lock, meta.size, meta.sdram_off, meta.version_off, meta.dsm_off);
-        match sh.backend {
-            BackendKind::Uncached => {}
-            BackendKind::Swcc => {
-                // Flush the object out of the cache: dirty data reaches
-                // SDRAM before the lock is released, and the object never
-                // resides in the cache outside an entry/exit pair.
-                self.cpu.flush_dcache_range(addr::SDRAM_CACHED_BASE + sdram_off, size);
-            }
-            BackendKind::Dsm => {
-                if scope.dirty {
-                    self.dsm_commit(version_off, dsm_off, size, scope.version + 1);
-                }
-            }
-            BackendKind::Spm => {
-                // Streaming scopes publish via dma_put (already waited);
-                // copying the whole staging area back would clobber
-                // untouched ranges with undefined bytes.
-                if scope.dirty && !scope.streaming {
-                    self.spm_stage_out(scope.spm_off, sdram_off, size);
-                }
-                self.spm.free(scope.spm_off, size);
-            }
-        }
-        lock.unlock(self.cpu);
-        self.cpu.trace_event(span_end(span_kind::SCOPE_X), id, 0, 0);
-    }
-
-    pub(crate) fn entry_ro_id(&mut self, sh: &Shared, id: u32, streaming: bool) {
-        assert!(self.find_scope(id).is_none(), "nested scope on one object");
-        self.cpu.trace_event(span_begin(span_kind::SCOPE_RO), id, 0, 0);
-        let meta = self.meta(sh, id);
-        let (lock, size, sdram_off, version_off, dsm_off) =
-            (meta.lock, meta.size, meta.sdram_off, meta.version_off, meta.dsm_off);
-        let multi_byte = size > ATOMIC_ACCESS_SIZE;
-        let mut scope = OpenScope {
-            obj: id,
-            kind: ScopeKind::Ro,
-            dirty: false,
-            locked: false,
-            streaming,
-            spm_off: u32::MAX,
-            version: 0,
-        };
-        // Streaming scopes lock unconditionally (even word-sized
-        // objects): the lock pins a stable snapshot for asynchronous
-        // gets and keeps the scope visible to the monitor.
-        let lock_scope = multi_byte || streaming;
-        match sh.backend {
-            // "When the size of the object is one byte, it does nothing.
-            // Otherwise, it acquires the same lock on the object as
-            // entry_x" (Table II).
-            BackendKind::Uncached | BackendKind::Swcc => {
-                if lock_scope {
-                    lock.lock_shared(self.cpu);
-                    scope.locked = true;
+                if exclusive {
+                    let base = addr::SDRAM_CACHED_BASE + meta.sdram_off;
+                    self.cpu.invalidate_dcache_range(base, meta.size);
                 }
             }
             BackendKind::Dsm => {
-                if lock_scope {
-                    lock.lock_shared(self.cpu);
-                    scope.locked = true;
-                    scope.version = self.dsm_await_version(version_off, dsm_off);
+                if locked {
+                    scope.version = self.dsm_await_version(meta.version_off, meta.dsm_off);
                 }
             }
-            BackendKind::Spm if streaming => {
-                // Hold the shared lock across the scope — regardless of
-                // size: in-flight gets must sample a stable snapshot,
-                // and the locked bit is what makes the scope visible to
-                // the monitor's streaming checks.
-                lock.lock_shared(self.cpu);
-                scope.locked = true;
-                scope.spm_off = self.spm.alloc(size);
-            }
+            BackendKind::Spm if streaming => scope.spm_off = self.spm.alloc(meta.size),
             BackendKind::Spm => {
+                scope.spm_off = self.spm_stage_in(meta.sdram_off, meta.size);
                 // "Makes a local copy of the object. If the object is
                 // larger than one byte, the object is locked before
                 // copying and unlocked afterwards."
-                if multi_byte {
-                    lock.lock_shared(self.cpu);
-                }
-                scope.spm_off = self.spm_stage_in(sdram_off, size);
-                if multi_byte {
-                    lock.unlock_shared(self.cpu);
+                if !exclusive && locked {
+                    meta.lock.release(self.cpu, false);
+                    scope.locked = false;
                 }
             }
         }
         let flags = scope.locked as u64 | (streaming as u64) << 1;
         self.scopes.push(scope);
-        self.cpu.trace_event(trace_kind::ENTRY_RO, id, 0, flags);
+        self.cpu.trace_event(record, id, 0, flags);
     }
 
-    pub(crate) fn exit_ro_id(&mut self, sh: &Shared, id: u32) {
-        let idx = self.find_scope(id).expect("exit_ro without entry_ro");
-        assert_eq!(self.scopes[idx].kind, ScopeKind::Ro, "exit_ro closes an entry_ro scope");
-        // Quiesce outstanding gets before discarding the local view.
+    /// Close the open scope on object `id` — `exit_x` / `exit_ro`
+    /// (Table II rows 2 and 4).
+    pub(crate) fn exit(&mut self, sh: &Shared, id: u32) {
+        let idx = self.find_scope(id).expect("exit without a matching entry");
+        // Closing implies completion of outstanding transfers: wait
+        // before any write-back, unlock or discard of the local view so
+        // the released state is whole.
         self.wait_pending_for(id);
-        self.cpu.trace_event(trace_kind::EXIT_RO, id, 0, 0);
-        let scope = self.scopes.remove(idx);
-        let meta = self.meta(sh, id);
-        let (lock, size, sdram_off) = (meta.lock, meta.size, meta.sdram_off);
-        match sh.backend {
-            BackendKind::Uncached => {
-                if scope.locked {
-                    lock.unlock_shared(self.cpu);
-                }
-            }
-            BackendKind::Swcc => {
-                // "Flushes the corresponding cache lines and releases the
-                // lock if entry_ro locked it": shared data never stays in
-                // the cache outside a scope (so two consecutive read-only
-                // sections fetch from background memory twice — the cost
-                // the paper's Section VI-A discusses).
-                self.cpu.flush_dcache_range(addr::SDRAM_CACHED_BASE + sdram_off, size);
-                if scope.locked {
-                    lock.unlock_shared(self.cpu);
-                }
-            }
-            BackendKind::Dsm => {
-                if scope.locked {
-                    lock.unlock_shared(self.cpu);
-                }
-            }
-            BackendKind::Spm => {
-                if scope.locked {
-                    // Streaming scopes hold the shared lock until here.
-                    lock.unlock_shared(self.cpu);
-                }
-                self.spm.free(scope.spm_off, size); // discard the local copy
-            }
+        let scope = self.scopes[idx];
+        let exclusive = scope.kind == ScopeKind::X;
+        let (span, record) = match scope.kind {
+            ScopeKind::X => (span_kind::SCOPE_X, trace_kind::EXIT_X),
+            ScopeKind::Ro => (span_kind::SCOPE_RO, trace_kind::EXIT_RO),
+        };
+        self.cpu.trace_event(record, id, 0, 0);
+        let meta = sh.meta(id);
+        let publish = match sh.backend {
+            BackendKind::Uncached => false,
+            // The object never resides in the cache outside a scope:
+            // dirty data reaches SDRAM before the lock is released, and
+            // two consecutive read-only scopes fetch from background
+            // memory twice — the cost the paper's Section VI-A discusses.
+            BackendKind::Swcc => true,
+            BackendKind::Dsm => scope.dirty,
+            // Streaming scopes publish via dma_put (already waited);
+            // copying the whole staging area back would clobber
+            // untouched ranges with undefined bytes.
+            BackendKind::Spm => scope.dirty && !scope.streaming,
+        };
+        if publish {
+            self.publish(sh, idx, &[(0, meta.size)]);
         }
-        self.cpu.trace_event(span_end(span_kind::SCOPE_RO), id, 0, 0);
+        self.scopes.remove(idx);
+        if sh.backend == BackendKind::Spm {
+            self.spm.free(scope.spm_off, meta.size); // discard the local copy
+        }
+        if scope.locked {
+            meta.lock.release(self.cpu, exclusive);
+        }
+        self.cpu.trace_event(span_end(span), id, 0, 0);
     }
 
     pub(crate) fn flush_id(&mut self, sh: &Shared, id: u32) {
@@ -441,27 +384,40 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         // writes with `dma_put` instead (forbidden on every back-end so
         // streaming code stays portable; the monitor flags it too).
         assert!(!scope.streaming, "flush is undefined on streaming scopes — use dma_put");
-        let meta = self.meta(sh, id);
-        let (size, sdram_off, version_off, dsm_off) =
-            (meta.size, meta.sdram_off, meta.version_off, meta.dsm_off);
-        // Record before the publish, like `exit_x`: the back-end work
-        // below makes the flushed values remotely visible (posted DSM
-        // broadcasts can be delivered mid-flush), so the commit record
-        // must not postdate any remote read of them.
+        // Record before the publish, like `exit`: the back-end work makes
+        // the flushed values remotely visible (posted DSM broadcasts can
+        // be delivered mid-flush), so the commit record must not postdate
+        // any remote read of them.
         self.cpu.trace_event(trace_kind::FLUSH, id, 0, 0);
+        self.publish(sh, idx, &[(0, sh.meta(id).size)]);
+    }
+
+    /// Push the writes of the open scope `idx` in `ranges` (`(byte
+    /// offset, bytes)` pairs) to the object's home — the `flush` row, the
+    /// exits' write-back and a put without an engine transfer.
+    fn publish(&mut self, sh: &Shared, idx: usize, ranges: &[(u32, u32)]) {
+        let scope = self.scopes[idx];
+        let meta = sh.meta(scope.obj);
         match sh.backend {
-            BackendKind::Uncached => {} // nothing to do: writes are already in SDRAM
+            BackendKind::Uncached => {} // writes are already in SDRAM
             BackendKind::Swcc => {
-                self.cpu.flush_dcache_range(addr::SDRAM_CACHED_BASE + sdram_off, size);
+                for &(byte_off, bytes) in ranges {
+                    let base = addr::SDRAM_CACHED_BASE + meta.sdram_off;
+                    self.cpu.flush_dcache_range(base + byte_off, bytes);
+                }
             }
             BackendKind::Dsm => {
-                let v = self.scopes[idx].version + 1;
-                self.dsm_commit(version_off, dsm_off, size, v);
+                // The replica is committed whole, whatever the ranges.
+                let v = scope.version + 1;
+                self.dsm_commit(meta.version_off, meta.dsm_off, meta.size, v);
                 self.scopes[idx].version = v;
                 self.scopes[idx].dirty = false;
             }
             BackendKind::Spm => {
-                self.spm_stage_out(scope.spm_off, sdram_off, size);
+                for &(byte_off, bytes) in ranges {
+                    let sdram_off = meta.sdram_off + byte_off;
+                    self.spm_stage_out(scope.spm_off + byte_off, sdram_off, bytes);
+                }
             }
         }
     }
@@ -478,24 +434,23 @@ impl<'a, 'b> CtxInner<'a, 'b> {
     // with an in-flight transfer.
     // ==================================================================
 
-    fn dma_channels(&self) -> u32 {
-        self.cpu.config().dma_channels as u32
-    }
-
     /// Round-robin channel assignment for the next transfer.
     fn pick_chan(&mut self) -> u32 {
-        let chan = self.next_chan % self.dma_channels();
+        let chan = self.next_chan % self.cpu.config().dma_channels as u32;
         self.next_chan = self.next_chan.wrapping_add(1);
         chan
     }
 
     fn trace_seq(chan: u32, seq: u32) -> u64 {
-        assert!(chan < 16 && seq <= TRACE_SEQ_MASK, "trace encoding exhausted");
+        assert!(
+            (chan as usize) < MAX_DMA_CHANNELS && seq <= TRACE_SEQ_MASK,
+            "trace encoding exhausted"
+        );
         u64::from(chan << TRACE_SEQ_BITS | seq)
     }
 
     /// `ranges` are `(byte_offset, bytes)` pairs within the object — the
-    /// scatter/gather element list of one transfer.
+    /// scatter/gather element list of one transfer, checked by the guard.
     pub(crate) fn dma_xfer_ranges(
         &mut self,
         sh: &Shared,
@@ -513,19 +468,14 @@ impl<'a, 'b> CtxInner<'a, 'b> {
                 "dma_put requires exclusive access (an XScope)"
             );
         }
-        let meta = self.meta(sh, id);
-        let (size, sdram_off, version_off, dsm_off) =
-            (meta.size, meta.sdram_off, meta.version_off, meta.dsm_off);
-        for &(byte_off, bytes) in ranges {
-            assert!(byte_off + bytes <= size, "DMA range outside the object");
-        }
+        let meta = sh.meta(id);
         let segs: Vec<DmaSeg> = match sh.backend {
             BackendKind::Spm => {
                 let spm_off = self.scopes[idx].spm_off;
                 ranges
                     .iter()
                     .map(|&(byte_off, bytes)| DmaSeg {
-                        far_offset: sdram_off + byte_off,
+                        far_offset: meta.sdram_off + byte_off,
                         local_offset: spm_off + byte_off,
                         bytes,
                     })
@@ -558,39 +508,22 @@ impl<'a, 'b> CtxInner<'a, 'b> {
             );
         }
         // A put is a targeted push towards global visibility: back-ends
-        // without a physical bulk path reach the same state the way
-        // their `flush` does. Publish *after* the commit records, like
-        // `flush` and `exit_x`: posted DSM broadcasts can be delivered
-        // to remote readers mid-publish, and those reads must not
-        // predate the commit record. The publish completes before this
-        // call returns, so the (null) engine transfer the ticket tracks
-        // still implies the data is home.
-        if dir == DmaDir::Put {
-            match sh.backend {
-                BackendKind::Uncached => {} // writes are already home
-                BackendKind::Swcc => {
-                    for &(byte_off, bytes) in ranges {
-                        self.cpu.flush_dcache_range(
-                            addr::SDRAM_CACHED_BASE + sdram_off + byte_off,
-                            bytes,
-                        );
-                    }
-                }
-                BackendKind::Dsm => {
-                    let v = self.scopes[idx].version + 1;
-                    self.dsm_commit(version_off, dsm_off, size, v);
-                    self.scopes[idx].version = v;
-                    self.scopes[idx].dirty = false;
-                }
-                BackendKind::Spm => {}
-            }
+        // without a physical bulk path (a null engine transfer) reach the
+        // same state the way their `flush` does. Publish *after* the
+        // commit records, like `flush` and `exit`: posted DSM broadcasts
+        // can be delivered to remote readers mid-publish, and those reads
+        // must not predate the commit record. The publish completes
+        // before this call returns, so the null transfer the ticket
+        // tracks still implies the data is home.
+        if dir == DmaDir::Put && sh.backend != BackendKind::Spm {
+            self.publish(sh, idx, ranges);
         }
         ticket
     }
 
     /// Asynchronous local-to-local copy between the open scopes on
     /// `src_id` and `dst_id` (exclusive), without a round trip through
-    /// the objects' SDRAM homes.
+    /// the objects' SDRAM homes. The guard has checked both ranges.
     pub(crate) fn dma_copy_range(
         &mut self,
         sh: &Shared,
@@ -608,14 +541,6 @@ impl<'a, 'b> CtxInner<'a, 'b> {
             self.scopes[didx].kind,
             ScopeKind::X,
             "dma_copy destination requires exclusive access (an XScope)"
-        );
-        assert!(
-            src_off + bytes <= self.meta(sh, src_id).size,
-            "dma_copy source outside the object"
-        );
-        assert!(
-            dst_off + bytes <= self.meta(sh, dst_id).size,
-            "dma_copy destination outside the object"
         );
         self.scopes[didx].dirty = true;
         let chan = self.pick_chan();
@@ -707,7 +632,7 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         if sh.backend != BackendKind::Spm {
             return;
         }
-        let meta = self.meta(sh, id);
+        let meta = sh.meta(id);
         let sdram = addr::SDRAM_UNCACHED_BASE + meta.sdram_off + byte_off;
         let local = addr::local_base(self.cpu.tile()) + self.scopes[idx].spm_off + byte_off;
         let mut off = 0u32;
@@ -798,16 +723,7 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         let scope = self.scopes[idx];
         let base = self.data_addr(sh, id, &scope);
         chunked_read(self.cpu, sh.line, base + byte_off, buf);
-        if buf.len() <= 8 {
-            let mut v = [0u8; 8];
-            v[..buf.len()].copy_from_slice(buf);
-            self.cpu.trace_event(
-                trace_kind::READ,
-                id,
-                byte_off << 8 | buf.len() as u32,
-                u64::from_le_bytes(v),
-            );
-        }
+        self.trace_access(trace_kind::READ, id, byte_off, buf);
     }
 
     pub(crate) fn raw_write(&mut self, sh: &Shared, id: u32, byte_off: u32, data: &[u8]) {
@@ -822,15 +738,17 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         let base = self.data_addr(sh, id, &scope);
         chunked_write(self.cpu, sh.line, base + byte_off, data);
         self.scopes[idx].dirty = true;
-        if data.len() <= 8 {
+        self.trace_access(trace_kind::WRITE, id, byte_off, data);
+    }
+
+    /// Record a `READ` / `WRITE` of at most 8 bytes with its value
+    /// (`len = byte_off << 8 | bytes`); wider accesses carry no value.
+    fn trace_access(&mut self, kind: u16, id: u32, byte_off: u32, bytes: &[u8]) {
+        if bytes.len() <= 8 {
             let mut v = [0u8; 8];
-            v[..data.len()].copy_from_slice(data);
-            self.cpu.trace_event(
-                trace_kind::WRITE,
-                id,
-                byte_off << 8 | data.len() as u32,
-                u64::from_le_bytes(v),
-            );
+            v[..bytes.len()].copy_from_slice(bytes);
+            let len = byte_off << 8 | bytes.len() as u32;
+            self.cpu.trace_event(kind, id, len, u64::from_le_bytes(v));
         }
     }
 

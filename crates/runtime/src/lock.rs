@@ -40,45 +40,38 @@ impl Lock {
         }
     }
 
+    /// Exclusive acquisition.
     pub fn lock(&self, cpu: &mut Cpu) {
-        let id = self.trace_id();
-        cpu.trace_event(span_begin(span_kind::LOCK_ACQUIRE), id, 0, 0);
-        match self {
-            Lock::Sdram(l) => l.lock(cpu),
-            Lock::Dist(l) => l.lock(cpu),
-        }
-        cpu.trace_event(span_end(span_kind::LOCK_ACQUIRE), id, 0, 0);
-        cpu.trace_event(span_begin(span_kind::LOCK_HOLD), id, 0, 0);
+        self.acquire(cpu, true);
     }
 
+    /// Release an exclusive acquisition.
     pub fn unlock(&self, cpu: &mut Cpu) {
-        match self {
-            Lock::Sdram(l) => l.unlock(cpu),
-            Lock::Dist(l) => l.unlock(cpu),
-        }
-        cpu.trace_event(span_end(span_kind::LOCK_HOLD), self.trace_id(), 0, 0);
+        self.release(cpu, true);
     }
 
-    /// Shared (read-only) acquisition. The paper's Table II says
-    /// `entry_ro` "acquires the same lock on the object as `entry_x`";
-    /// since the PMC model explicitly permits read-only access alongside
-    /// other read-only access (Section IV-E, relaxation 1), the SDRAM
-    /// lock implements this as the shared mode of a reader-writer lock.
-    /// The distributed lock has no shared mode and degrades to exclusive.
-    pub(crate) fn lock_shared(&self, cpu: &mut Cpu) {
+    /// Exclusive or shared (read-only) acquisition. The paper's Table II
+    /// says `entry_ro` "acquires the same lock on the object as
+    /// `entry_x`"; since the PMC model explicitly permits read-only
+    /// access alongside other read-only access (Section IV-E, relaxation
+    /// 1), the SDRAM lock implements the shared acquisition as the shared
+    /// mode of a reader-writer lock. The distributed lock has no shared
+    /// mode and degrades to exclusive.
+    pub(crate) fn acquire(&self, cpu: &mut Cpu, exclusive: bool) {
         let id = self.trace_id();
         cpu.trace_event(span_begin(span_kind::LOCK_ACQUIRE), id, 0, 0);
         match self {
-            Lock::Sdram(l) => l.lock_shared(cpu),
+            Lock::Sdram(l) => l.acquire(cpu, exclusive),
             Lock::Dist(l) => l.lock(cpu),
         }
         cpu.trace_event(span_end(span_kind::LOCK_ACQUIRE), id, 0, 0);
         cpu.trace_event(span_begin(span_kind::LOCK_HOLD), id, 0, 0);
     }
 
-    pub(crate) fn unlock_shared(&self, cpu: &mut Cpu) {
+    /// Release an acquisition made with the same `exclusive`.
+    pub(crate) fn release(&self, cpu: &mut Cpu, exclusive: bool) {
         match self {
-            Lock::Sdram(l) => l.unlock_shared(cpu),
+            Lock::Sdram(l) => l.release(cpu, exclusive),
             Lock::Dist(l) => l.unlock(cpu),
         }
         cpu.trace_event(span_end(span_kind::LOCK_HOLD), self.trace_id(), 0, 0);
@@ -96,34 +89,16 @@ pub struct SdramLock {
 const WRITER: u32 = 1 << 31;
 
 impl SdramLock {
-    /// Exclusive acquisition (the `entry_x` path).
-    pub(crate) fn lock(&self, cpu: &mut Cpu) {
+    /// Exclusive acquisition waits for a free word; shared acquisition
+    /// (the multi-byte `entry_ro` path) only for the writer bit, so it is
+    /// concurrent with other readers.
+    fn acquire(&self, cpu: &mut Cpu, exclusive: bool) {
         let mut backoff = BACKOFF_MIN;
         loop {
             // Test before test-and-set to avoid hammering exclusive pairs.
-            if cpu.read_u32(self.addr) == 0 && cpu.sdram_cas_u32(self.addr, 0, WRITER) == 0 {
-                return;
-            }
-            cpu.compute(backoff);
-            backoff = (backoff * 2).min(BACKOFF_MAX);
-        }
-    }
-
-    pub(crate) fn unlock(&self, cpu: &mut Cpu) {
-        // Untimed host peek: a simulated `read_u32` here would advance
-        // the clock in debug builds only, making debug and release
-        // simulate different schedules.
-        debug_assert_eq!(cpu.peek_sdram_u32(self.addr), WRITER, "unlock of a non-write-held lock");
-        cpu.write_u32(self.addr, 0);
-    }
-
-    /// Shared acquisition (the multi-byte `entry_ro` path): excluded by a
-    /// writer, concurrent with other readers.
-    pub(crate) fn lock_shared(&self, cpu: &mut Cpu) {
-        let mut backoff = BACKOFF_MIN;
-        loop {
             let v = cpu.read_u32(self.addr);
-            if v & WRITER == 0 && cpu.sdram_cas_u32(self.addr, v, v + 1) == v {
+            let (free, new) = if exclusive { (v == 0, WRITER) } else { (v & WRITER == 0, v + 1) };
+            if free && cpu.sdram_cas_u32(self.addr, v, new) == v {
                 return;
             }
             cpu.compute(backoff);
@@ -131,10 +106,22 @@ impl SdramLock {
         }
     }
 
-    pub(crate) fn unlock_shared(&self, cpu: &mut Cpu) {
-        // Fetch-and-add of -1 on the reader count.
-        let old = cpu.sdram_faa_u32(self.addr, u32::MAX);
-        debug_assert!(old & !WRITER > 0, "unlock_shared without readers");
+    fn release(&self, cpu: &mut Cpu, exclusive: bool) {
+        if exclusive {
+            // Untimed host peek: a simulated `read_u32` here would advance
+            // the clock in debug builds only, making debug and release
+            // simulate different schedules.
+            debug_assert_eq!(
+                cpu.peek_sdram_u32(self.addr),
+                WRITER,
+                "unlock of a non-write-held lock"
+            );
+            cpu.write_u32(self.addr, 0);
+        } else {
+            // Fetch-and-add of -1 on the reader count.
+            let old = cpu.sdram_faa_u32(self.addr, u32::MAX);
+            debug_assert!(old & !WRITER > 0, "shared release without readers");
+        }
     }
 }
 

@@ -51,7 +51,7 @@
 //! })]);
 //! ```
 
-use crate::ctx::{ranges_2d, PmcCtx, TicketCore};
+use crate::ctx::{checked_range, ranges_2d, PmcCtx, ScopeKind, TicketCore};
 use crate::pod::Pod;
 use crate::system::{Obj, Slab};
 use pmc_soc_sim::DmaDir;
@@ -107,7 +107,7 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
     /// returned guard performs `exit_x` on drop or [`XScope::close`].
     pub fn scope_x<T: Pod>(&self, obj: impl Into<Obj<T>>) -> XScope<'_, 'a, 'b, T> {
         let obj = obj.into();
-        self.inner.borrow_mut().entry_x_id(self.shared, obj.id, false);
+        self.inner.borrow_mut().entry(self.shared, obj.id, ScopeKind::X, false);
         XScope { ctx: self, obj, open: true }
     }
 
@@ -122,7 +122,7 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
     /// code portable.
     pub fn scope_x_stream<T: Pod>(&self, obj: impl Into<Obj<T>>) -> XScope<'_, 'a, 'b, T> {
         let obj = obj.into();
-        self.inner.borrow_mut().entry_x_id(self.shared, obj.id, true);
+        self.inner.borrow_mut().entry(self.shared, obj.id, ScopeKind::X, true);
         XScope { ctx: self, obj, open: true }
     }
 
@@ -133,7 +133,7 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
     /// expression: `ctx.scope_ro(flag).read()`.
     pub fn scope_ro<T: Pod>(&self, obj: impl Into<Obj<T>>) -> RoScope<'_, 'a, 'b, T> {
         let obj = obj.into();
-        self.inner.borrow_mut().entry_ro_id(self.shared, obj.id, false);
+        self.inner.borrow_mut().entry(self.shared, obj.id, ScopeKind::Ro, false);
         RoScope { ctx: self, obj, open: true }
     }
 
@@ -144,7 +144,7 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
     /// only defined on ranges a completed get covers.
     pub fn scope_ro_stream<T: Pod>(&self, obj: impl Into<Obj<T>>) -> RoScope<'_, 'a, 'b, T> {
         let obj = obj.into();
-        self.inner.borrow_mut().entry_ro_id(self.shared, obj.id, true);
+        self.inner.borrow_mut().entry(self.shared, obj.id, ScopeKind::Ro, true);
         RoScope { ctx: self, obj, open: true }
     }
 }
@@ -165,13 +165,19 @@ mod sealed {
 }
 
 macro_rules! scope_common {
-    ($Guard:ident, $exit:ident) => {
+    ($Guard:ident) => {
         impl<'s, 'a, 'b, T: Pod> $Guard<'s, 'a, 'b, T> {
             /// Element count of the guarded object (1 for plain objects,
             /// the slab length for slabs — never 0).
             #[allow(clippy::len_without_is_empty)]
             pub fn len(&self) -> u32 {
                 self.ctx.shared.meta(self.obj.id).size / T::SIZE
+            }
+
+            /// The byte range of `count` elements from element `first`;
+            /// panics with `msg` unless it lies within the object.
+            fn elems(&self, first: u32, count: u32, msg: &str) -> (u32, u32) {
+                checked_range(first, count, T::SIZE, self.len() * T::SIZE).expect(msg)
             }
 
             /// Close the scope explicitly (the exit annotation). On the
@@ -183,7 +189,7 @@ macro_rules! scope_common {
             /// scope lifetimes.
             pub fn close(mut self) {
                 self.open = false;
-                self.ctx.inner.borrow_mut().$exit(self.ctx.shared, self.obj.id);
+                self.ctx.inner.borrow_mut().exit(self.ctx.shared, self.obj.id);
             }
 
             /// Read the whole value (element 0 for slabs).
@@ -212,10 +218,9 @@ macro_rules! scope_common {
             /// Traced as `READ_BLOCK`, so the monitor range-checks it
             /// against in-flight transfers and streaming coverage.
             pub fn read_bytes_at(&self, byte_off: u32, buf: &mut [u8]) {
-                assert!(
-                    byte_off + buf.len() as u32 <= self.len() * T::SIZE,
-                    "bulk read out of bounds"
-                );
+                let len = u32::try_from(buf.len()).unwrap_or(u32::MAX);
+                checked_range(byte_off, len, 1, self.len() * T::SIZE)
+                    .expect("bulk read out of bounds");
                 self.ctx.inner.borrow_mut().read_bytes_id(
                     self.ctx.shared,
                     self.obj.id,
@@ -233,11 +238,11 @@ macro_rules! scope_common {
             /// identical ticket semantics (one uniform programming cost,
             /// same protocol).
             pub fn dma_get(&self, first: u32, count: u32) -> DmaTicket<'s, 'a, 'b> {
-                assert!(first + count <= self.len(), "dma_get range out of bounds");
+                let range = self.elems(first, count, "dma_get range out of bounds");
                 let core = self.ctx.inner.borrow_mut().dma_xfer_ranges(
                     self.ctx.shared,
                     self.obj.id,
-                    &[(first * T::SIZE, count * T::SIZE)],
+                    &[range],
                     DmaDir::Get,
                 );
                 DmaTicket { ctx: self.ctx, core }
@@ -277,12 +282,12 @@ macro_rules! scope_common {
             /// against). Defines the range for the monitor's coverage
             /// tracking on every back-end.
             pub fn stage_in_words(&self, first: u32, count: u32) {
-                assert!(first + count <= self.len(), "stage_in_words range out of bounds");
+                let (off, bytes) = self.elems(first, count, "stage_in_words range out of bounds");
                 self.ctx.inner.borrow_mut().stage_in_words_id(
                     self.ctx.shared,
                     self.obj.id,
-                    first * T::SIZE,
-                    count * T::SIZE,
+                    off,
+                    bytes,
                 );
             }
         }
@@ -309,7 +314,7 @@ macro_rules! scope_common {
                 if std::thread::panicking() {
                     return;
                 }
-                self.ctx.inner.borrow_mut().$exit(self.ctx.shared, self.obj.id);
+                self.ctx.inner.borrow_mut().exit(self.ctx.shared, self.obj.id);
             }
         }
     };
@@ -336,8 +341,8 @@ pub struct RoScope<'s, 'a, 'b, T: Pod> {
     open: bool,
 }
 
-scope_common!(XScope, exit_x_id);
-scope_common!(RoScope, exit_ro_id);
+scope_common!(XScope);
+scope_common!(RoScope);
 
 impl<'s, 'a, 'b, T: Pod> XScope<'s, 'a, 'b, T> {
     /// Write the whole value (element 0 for slabs).
@@ -367,11 +372,11 @@ impl<'s, 'a, 'b, T: Pod> XScope<'s, 'a, 'b, T> {
     /// home bytes are defined once the ticket is waited; the scope's
     /// close waits automatically.
     pub fn dma_put(&self, first: u32, count: u32) -> DmaTicket<'s, 'a, 'b> {
-        assert!(first + count <= self.len(), "dma_put range out of bounds");
+        let range = self.elems(first, count, "dma_put range out of bounds");
         let core = self.ctx.inner.borrow_mut().dma_xfer_ranges(
             self.ctx.shared,
             self.obj.id,
-            &[(first * T::SIZE, count * T::SIZE)],
+            &[range],
             DmaDir::Put,
         );
         DmaTicket { ctx: self.ctx, core }
@@ -421,13 +426,17 @@ impl<'s, 'a, 'b, T: Pod> XScope<'s, 'a, 'b, T> {
             std::ptr::eq(src.src_ctx(), self.ctx as *const PmcCtx as *const ()),
             "dma_copy endpoints must be scopes of the same context"
         );
+        let src_size = self.ctx.shared.meta(src.src_id()).size;
+        let (src_off, bytes) = checked_range(src_first, count, T::SIZE, src_size)
+            .expect("dma_copy source outside the object");
+        let (dst_off, _) = self.elems(dst_first, count, "dma_copy destination outside the object");
         let core = self.ctx.inner.borrow_mut().dma_copy_range(
             self.ctx.shared,
             src.src_id(),
-            src_first * T::SIZE,
+            src_off,
             self.obj.id,
-            dst_first * T::SIZE,
-            count * T::SIZE,
+            dst_off,
+            bytes,
         );
         DmaTicket { ctx: self.ctx, core }
     }
@@ -441,7 +450,8 @@ impl<'s, 'a, 'b, T: Pod> XScope<'s, 'a, 'b, T> {
 #[cfg(test)]
 mod tests {
     use crate::monitor::validate;
-    use crate::system::{BackendKind, LockKind, System};
+    use crate::system::{BackendKind, LockKind, Slab, System};
+    use crate::PmcCtx;
     use pmc_soc_sim::SocConfig;
 
     fn traced_cfg(n: usize) -> SocConfig {
@@ -534,6 +544,64 @@ mod tests {
                 assert_eq!(sys.read_back_at(dst, i), 104 + i, "{backend:?} elem {i}");
             }
         }
+    }
+
+    /// Runs `f` on one SPM tile with two adjacent 16-element slabs: a
+    /// request that names elements past the end of the second one must
+    /// panic with its guard's message, not wrap around to the start of
+    /// the address space and land in the first.
+    fn out_of_range(f: impl FnOnce(&PmcCtx<'_, '_>, Slab<u32>, Slab<u32>)) {
+        let mut sys = System::new(SocConfig::small(1), BackendKind::Spm, LockKind::Sdram);
+        let a = sys.alloc_slab::<u32>("a", 16);
+        let b = sys.alloc_slab::<u32>("b", 16);
+        sys.run(vec![Box::new(move |ctx| f(ctx, a, b))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dma_get range out of bounds")]
+    fn dma_get_rejects_a_wrapping_range() {
+        out_of_range(|ctx, _, b| ctx.scope_ro_stream(b).dma_get(u32::MAX, 2).wait());
+    }
+
+    #[test]
+    #[should_panic(expected = "2-D transfer range out of bounds")]
+    fn dma_get_2d_rejects_a_wrapping_range() {
+        out_of_range(|ctx, _, b| ctx.scope_ro_stream(b).dma_get_2d(u32::MAX, 1, 1, 1).wait());
+    }
+
+    #[test]
+    #[should_panic(expected = "stage_in_words range out of bounds")]
+    fn stage_in_words_rejects_a_wrapping_range() {
+        out_of_range(|ctx, _, b| ctx.scope_ro_stream(b).stage_in_words(u32::MAX, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "bulk read out of bounds")]
+    fn read_bytes_at_rejects_a_wrapping_range() {
+        out_of_range(|ctx, _, b| {
+            ctx.scope_ro_stream(b).read_bytes_at(u32::MAX - 3, &mut [0u8; 8]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "dma_put range out of bounds")]
+    fn dma_put_rejects_a_wrapping_range() {
+        out_of_range(|ctx, _, b| ctx.scope_x_stream(b).dma_put(u32::MAX, 2).wait());
+    }
+
+    #[test]
+    #[should_panic(expected = "2-D transfer range out of bounds")]
+    fn dma_put_2d_rejects_a_wrapping_range() {
+        out_of_range(|ctx, _, b| ctx.scope_x_stream(b).dma_put_2d(u32::MAX, 1, 1, 1).wait());
+    }
+
+    #[test]
+    #[should_panic(expected = "dma_copy source outside the object")]
+    fn dma_copy_from_rejects_a_wrapping_range() {
+        out_of_range(|ctx, a, b| {
+            let src = ctx.scope_ro_stream(b);
+            ctx.scope_x_stream(a).dma_copy_from(&src, 1 << 30, 0, 1).wait();
+        });
     }
 
     /// Waiting a later ticket on the *same* channel wakes on the earlier

@@ -373,15 +373,15 @@ impl System {
         crate::fifo::MFifo::alloc(self, name, depth, readers)
     }
 
-    /// Set the initial bytes of a shared object (canonical home and, for
-    /// the DSM back-end, every tile's replica).
-    pub(crate) fn init_bytes(&mut self, id: u32, bytes: &[u8]) {
-        let meta = &self.shared.objects[id as usize];
-        assert!(bytes.len() as u32 <= meta.size);
-        self.soc.write_sdram(meta.sdram_off, bytes);
+    /// Set `bytes` of a shared object's initial value at `byte_off`
+    /// (canonical home and, for the DSM back-end, every tile's replica).
+    fn init_bytes(&mut self, id: u32, byte_off: u32, bytes: &[u8]) {
+        let meta = self.shared.meta(id);
+        assert!(byte_off as usize + bytes.len() <= meta.size as usize);
+        self.soc.write_sdram(meta.sdram_off + byte_off, bytes);
         if self.shared.backend == BackendKind::Dsm {
             for t in 0..self.shared.n_tiles {
-                self.soc.write_local(t, meta.dsm_off + 4, bytes);
+                self.soc.write_local(t, meta.dsm_off + 4 + byte_off, bytes);
             }
         }
     }
@@ -390,34 +390,21 @@ impl System {
     pub fn init<T: crate::pod::Pod>(&mut self, obj: Obj<T>, value: T) {
         let mut buf = vec![0u8; T::SIZE as usize];
         value.to_bytes(&mut buf);
-        self.init_bytes(obj.id, &buf);
+        self.init_bytes(obj.id, 0, &buf);
     }
 
     /// Set the initial value of a slab element.
     pub fn init_at<T: crate::pod::Pod>(&mut self, slab: Slab<T>, i: u32, value: T) {
         assert!(i < slab.len);
-        let meta = &self.shared.objects[slab.id as usize];
         let mut buf = vec![0u8; T::SIZE as usize];
         value.to_bytes(&mut buf);
-        self.soc.write_sdram(meta.sdram_off + i * T::SIZE, &buf);
-        if self.shared.backend == BackendKind::Dsm {
-            for t in 0..self.shared.n_tiles {
-                self.soc.write_local(t, meta.dsm_off + 4 + i * T::SIZE, &buf);
-            }
-        }
+        self.init_bytes(slab.id, i * T::SIZE, &buf);
     }
 
     /// Bulk-initialise a slab's payload from raw bytes (cheap host-side
     /// fill for large inputs such as volumes and frames).
     pub fn init_slab_bytes<T: crate::pod::Pod>(&mut self, slab: Slab<T>, bytes: &[u8]) {
-        let meta = &self.shared.objects[slab.id as usize];
-        assert!(bytes.len() as u32 <= meta.size);
-        self.soc.write_sdram(meta.sdram_off, bytes);
-        if self.shared.backend == BackendKind::Dsm {
-            for t in 0..self.shared.n_tiles {
-                self.soc.write_local(t, meta.dsm_off + 4, bytes);
-            }
-        }
+        self.init_bytes(slab.id, 0, bytes);
     }
 
     /// Initialise private slab contents (e.g. per-core inputs).
@@ -429,29 +416,30 @@ impl System {
         self.soc.write_sdram(off, &buf);
     }
 
-    /// Read back a shared object after a run (from its canonical home;
-    /// for DSM the canonical state is tile 0's replica).
-    pub fn read_back<T: crate::pod::Pod>(&self, obj: Obj<T>) -> T {
-        let meta = &self.shared.objects[obj.id as usize];
-        let mut buf = vec![0u8; T::SIZE as usize];
+    /// Read `buf.len()` bytes of a shared object at `byte_off` after a
+    /// run (from its canonical home; for DSM the canonical state is tile
+    /// 0's replica).
+    fn read_back_bytes(&self, id: u32, byte_off: u32, buf: &mut [u8]) {
+        let meta = self.shared.meta(id);
         if self.shared.backend == BackendKind::Dsm {
-            self.soc.read_local(0, meta.dsm_off + 4, &mut buf);
+            self.soc.read_local(0, meta.dsm_off + 4 + byte_off, buf);
         } else {
-            self.soc.read_sdram(meta.sdram_off, &mut buf);
+            self.soc.read_sdram(meta.sdram_off + byte_off, buf);
         }
+    }
+
+    /// Read back a shared object after a run.
+    pub fn read_back<T: crate::pod::Pod>(&self, obj: Obj<T>) -> T {
+        let mut buf = vec![0u8; T::SIZE as usize];
+        self.read_back_bytes(obj.id, 0, &mut buf);
         T::from_bytes(&buf)
     }
 
     /// Read back a slab element after a run.
     pub fn read_back_at<T: crate::pod::Pod>(&self, slab: Slab<T>, i: u32) -> T {
         assert!(i < slab.len);
-        let meta = &self.shared.objects[slab.id as usize];
         let mut buf = vec![0u8; T::SIZE as usize];
-        if self.shared.backend == BackendKind::Dsm {
-            self.soc.read_local(0, meta.dsm_off + 4 + i * T::SIZE, &mut buf);
-        } else {
-            self.soc.read_sdram(meta.sdram_off + i * T::SIZE, &mut buf);
-        }
+        self.read_back_bytes(slab.id, i * T::SIZE, &mut buf);
         T::from_bytes(&buf)
     }
 
