@@ -126,6 +126,8 @@ impl SdramPorts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn rw_roundtrip() {
@@ -150,6 +152,126 @@ mod tests {
     fn out_of_bounds_panics() {
         let m = ByteMem::new(4);
         m.read_u32(1);
+    }
+
+    const PAGE: usize = 4096;
+
+    /// Memory sizes of the oracle comparison: below, at and just past
+    /// page multiples.
+    const SIZES: [usize; 7] = [1, 100, PAGE, PAGE + 4, 2 * PAGE + 1, 3 * PAGE - 3, 3 * PAGE];
+
+    /// One operation on a memory of `size` bytes, decoded from raw draws:
+    /// `pick % 6` chooses one of the six accessors, `pick / 6` an offset
+    /// near a random byte, a page boundary or the end of the memory (some
+    /// past it), and `b` a block length (mostly short, some spanning
+    /// pages).
+    fn decode(size: usize, (pick, a, b, val): (u8, u32, u32, u64)) -> Op {
+        let back = (val >> 32) as usize % 8;
+        let off = match pick / 6 {
+            0 => a as usize % (size + 8),
+            1 => (a as usize % (size / PAGE + 2) * PAGE).saturating_sub(back),
+            _ => (size + (a as usize % 3)).saturating_sub(back),
+        };
+        let len = if b % 4 == 0 { b as usize % (2 * PAGE + 16) } else { b as usize % 70 };
+        Op { kind: pick % 6, off: off as u32, len, val }
+    }
+
+    #[derive(Debug)]
+    struct Op {
+        kind: u8,
+        off: u32,
+        len: usize,
+        val: u64,
+    }
+
+    impl Op {
+        /// Bytes a block write stores: a deterministic stream from `val`.
+        fn data(&self) -> Vec<u8> {
+            let mut x = self.val | 1;
+            (0..self.len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect()
+        }
+
+        /// Apply to the memory under test; returns the bytes read.
+        fn on_mem(&self, m: &mut ByteMem) -> Vec<u8> {
+            match self.kind {
+                0 => {
+                    let mut out = vec![0; self.len];
+                    m.read(self.off, &mut out);
+                    out
+                }
+                1 => {
+                    m.write(self.off, &self.data());
+                    Vec::new()
+                }
+                2 => vec![m.read_u8(self.off)],
+                3 => {
+                    m.write_u8(self.off, self.val as u8);
+                    Vec::new()
+                }
+                4 => m.read_u32(self.off).to_le_bytes().to_vec(),
+                _ => {
+                    m.write_u32(self.off, self.val as u32);
+                    Vec::new()
+                }
+            }
+        }
+
+        /// Apply to the flat oracle; returns the bytes read.
+        fn on_flat(&self, f: &mut [u8]) -> Vec<u8> {
+            let o = self.off as usize;
+            match self.kind {
+                0 => f[o..o + self.len].to_vec(),
+                1 => {
+                    f[o..o + self.len].copy_from_slice(&self.data());
+                    Vec::new()
+                }
+                2 => vec![f[o]],
+                3 => {
+                    f[o] = self.val as u8;
+                    Vec::new()
+                }
+                4 => f[o..o + 4].to_vec(),
+                _ => {
+                    f[o..o + 4].copy_from_slice(&(self.val as u32).to_le_bytes());
+                    Vec::new()
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random sequences of the six accessors on a `ByteMem` and on a
+        /// plain `Vec<u8>` give the same bytes, panic on the same
+        /// operations (past the end) and leave the same contents.
+        #[test]
+        fn matches_a_flat_oracle(
+            (size_ix, ops) in (
+                0..SIZES.len(),
+                prop::collection::vec((0u8..18, 0u32..u32::MAX, 0u32..u32::MAX, 0u64..u64::MAX), 1..48),
+            )
+        ) {
+            let size = SIZES[size_ix];
+            let mut m = ByteMem::new(size as u32);
+            let mut flat = vec![0u8; size];
+            for raw in ops {
+                let op = decode(size, raw);
+                let got = catch_unwind(AssertUnwindSafe(|| op.on_mem(&mut m))).ok();
+                let want = catch_unwind(AssertUnwindSafe(|| op.on_flat(&mut flat))).ok();
+                prop_assert_eq!(got, want, "{op:?} on {size} bytes");
+            }
+            let mut all = vec![0u8; size];
+            m.read(0, &mut all);
+            prop_assert!(all == flat, "contents differ from the oracle ({size} bytes)");
+        }
     }
 
     /// Two controllers: transactions to different stripes overlap in
