@@ -1,52 +1,159 @@
-//! Flat byte memories (SDRAM and per-tile local memories), and the
+//! Paged byte memories (SDRAM and per-tile local memories), and the
 //! SDRAM controller ports that serialise access to them.
 
 use crate::addr;
 use crate::counters::PortReport;
 
-/// A byte-addressable memory with little-endian accessors.
+/// Bytes per page of a [`ByteMem`].
+const PAGE: usize = 4096;
+
+type Page = Box<[u8; PAGE]>;
+
+/// A byte-addressable memory with little-endian accessors, held as a
+/// table of 4 KiB pages. A page is allocated, zeroed, on its first
+/// write; a page never written reads as zeros. Building a memory costs
+/// its page table only, so a run pays for the bytes it writes, not for
+/// the memory's size.
+///
+/// Accesses are bounds-checked against the exact size, which need not
+/// be a page multiple. An access inside one page (every aligned word
+/// access) takes one lookup; only block copies that cross a page
+/// boundary walk the table page by page.
 #[derive(Debug, Clone)]
 pub(crate) struct ByteMem {
-    bytes: Vec<u8>,
+    size: usize,
+    pages: Vec<Option<Page>>,
+}
+
+/// A zeroed page: the slow path of the first write to it.
+#[cold]
+#[inline(never)]
+fn new_page() -> Page {
+    vec![0; PAGE].into_boxed_slice().try_into().expect("page size")
+}
+
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn out_of_bounds(offset: usize, len: usize, size: usize) -> ! {
+    panic!("memory access {offset}..{} past the end of a {size}-byte memory", offset + len)
 }
 
 impl ByteMem {
     pub(crate) fn new(size: u32) -> Self {
-        ByteMem { bytes: vec![0; size as usize] }
+        let size = size as usize;
+        ByteMem { size, pages: vec![None; size.div_ceil(PAGE)] }
     }
 
-    #[inline]
+    /// Panics unless `offset..offset + len` lies inside the memory.
+    #[inline(always)]
+    #[track_caller]
+    fn check(&self, offset: usize, len: usize) {
+        if offset + len > self.size {
+            out_of_bounds(offset, len, self.size);
+        }
+    }
+
+    /// The page holding byte `offset` for writing, allocated if new.
+    #[inline(always)]
+    fn page_mut(&mut self, offset: usize) -> &mut [u8; PAGE] {
+        self.pages[offset / PAGE].get_or_insert_with(new_page)
+    }
+
+    /// `(page, offset in page, length)` of each piece of a checked
+    /// block access, in address order.
+    fn pieces(offset: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let end = offset + len;
+        let mut at = offset;
+        std::iter::from_fn(move || {
+            (at < end).then(|| {
+                let (p, i) = (at / PAGE, at % PAGE);
+                let n = (PAGE - i).min(end - at);
+                at += n;
+                (p, i, n)
+            })
+        })
+    }
+
+    #[inline(always)]
     pub(crate) fn read(&self, offset: u32, out: &mut [u8]) {
-        let o = offset as usize;
-        out.copy_from_slice(&self.bytes[o..o + out.len()]);
+        let (o, len) = (offset as usize, out.len());
+        self.check(o, len);
+        let i = o % PAGE;
+        if len != 0 && i + len <= PAGE {
+            match &self.pages[o / PAGE] {
+                Some(page) => out.copy_from_slice(&page[i..i + len]),
+                None => out.fill(0),
+            }
+        } else {
+            self.read_pages(o, out);
+        }
     }
 
-    #[inline]
+    #[inline(never)]
+    fn read_pages(&self, offset: usize, out: &mut [u8]) {
+        let mut done = 0;
+        for (p, i, n) in Self::pieces(offset, out.len()) {
+            let dst = &mut out[done..done + n];
+            match &self.pages[p] {
+                Some(page) => dst.copy_from_slice(&page[i..i + n]),
+                None => dst.fill(0),
+            }
+            done += n;
+        }
+    }
+
+    #[inline(always)]
     pub(crate) fn write(&mut self, offset: u32, data: &[u8]) {
-        let o = offset as usize;
-        self.bytes[o..o + data.len()].copy_from_slice(data);
+        let (o, len) = (offset as usize, data.len());
+        self.check(o, len);
+        let i = o % PAGE;
+        if len != 0 && i + len <= PAGE {
+            self.page_mut(o)[i..i + len].copy_from_slice(data);
+        } else {
+            self.write_pages(o, data);
+        }
     }
 
-    #[inline]
+    #[inline(never)]
+    fn write_pages(&mut self, offset: usize, data: &[u8]) {
+        let mut done = 0;
+        for (p, i, n) in Self::pieces(offset, data.len()) {
+            self.page_mut(p * PAGE)[i..i + n].copy_from_slice(&data[done..done + n]);
+            done += n;
+        }
+    }
+
+    #[inline(always)]
     pub(crate) fn read_u8(&self, offset: u32) -> u8 {
-        self.bytes[offset as usize]
+        let o = offset as usize;
+        self.check(o, 1);
+        self.pages[o / PAGE].as_ref().map_or(0, |page| page[o % PAGE])
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn write_u8(&mut self, offset: u32, v: u8) {
-        self.bytes[offset as usize] = v;
+        let o = offset as usize;
+        self.check(o, 1);
+        self.page_mut(o)[o % PAGE] = v;
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn read_u32(&self, offset: u32) -> u32 {
-        let o = offset as usize;
-        u32::from_le_bytes(self.bytes[o..o + 4].try_into().unwrap())
+        let mut word = [0; 4];
+        self.read(offset, &mut word);
+        u32::from_le_bytes(word)
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn write_u32(&mut self, offset: u32, v: u32) {
-        let o = offset as usize;
-        self.bytes[o..o + 4].copy_from_slice(&v.to_le_bytes());
+        self.write(offset, &v.to_le_bytes());
+    }
+
+    /// Pages allocated so far (written at least once).
+    #[cfg(test)]
+    pub(crate) fn resident_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
     }
 }
 
@@ -154,7 +261,24 @@ mod tests {
         m.read_u32(1);
     }
 
-    const PAGE: usize = 4096;
+    /// Reads of untouched pages allocate nothing; a write allocates
+    /// exactly the pages it touches, including a partial last page.
+    #[test]
+    fn pages_are_allocated_on_first_write_only() {
+        let p = PAGE as u32;
+        let mut m = ByteMem::new(3 * p + 10);
+        let mut all = vec![0xffu8; m.size];
+        m.read(0, &mut all);
+        assert!(all.iter().all(|&b| b == 0));
+        assert_eq!((m.read_u32(p), m.read_u8(3 * p + 9)), (0, 0));
+        m.write(5, &[]);
+        assert_eq!(m.resident_pages(), 0, "reads and empty writes allocate nothing");
+        m.write(p - 2, &[1, 2, 3, 4]);
+        assert_eq!(m.resident_pages(), 2, "a write straddling a boundary allocates both pages");
+        m.write_u32(3 * p + 4, 7);
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!((m.read_u32(p - 2), m.read_u32(3 * p + 4)), (0x0403_0201, 7));
+    }
 
     /// Memory sizes of the oracle comparison: below, at and just past
     /// page multiples.

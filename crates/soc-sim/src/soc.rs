@@ -300,6 +300,13 @@ impl Soc {
         self.global.borrow().locals[tile].read(offset, out);
     }
 
+    /// Memory pages allocated so far, over SDRAM and every local memory.
+    #[cfg(test)]
+    fn resident_pages(&self) -> usize {
+        let g = self.global.borrow();
+        g.sdram.resident_pages() + g.locals.iter().map(ByteMem::resident_pages).sum::<usize>()
+    }
+
     /// The recorded trace (empty unless `cfg.trace`).
     pub fn take_trace(&self) -> Vec<TraceRecord> {
         std::mem::take(&mut self.global.borrow_mut().trace)
@@ -1036,6 +1043,22 @@ mod tests {
 
     fn soc(n: usize) -> Soc {
         Soc::new(SocConfig::small(n))
+    }
+
+    /// Building a machine allocates page tables only: a 1 024-tile
+    /// mesh with the default memories holds no page until a write.
+    #[test]
+    fn new_allocates_no_memory_page() {
+        let cfg = SocConfig {
+            topology: crate::config::Topology::Mesh { cols: 32, rows: 32 },
+            n_tiles: 1024,
+            ..SocConfig::default()
+        };
+        let s = Soc::new(cfg);
+        assert_eq!(s.resident_pages(), 0);
+        s.write_local(1023, 0, &[1]);
+        s.write_sdram(0, &[1]);
+        assert_eq!(s.resident_pages(), 2);
     }
 
     #[test]
