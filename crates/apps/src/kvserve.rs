@@ -178,11 +178,11 @@ impl KvServe {
         for s in 0..n_servers {
             mailboxes.push(sys.alloc_fifo::<Req>(&format!("kv.mbox{s}"), params.mailbox_depth, 1));
             let slab = sys.alloc_slab::<u32>(&format!("kv.shard{s}"), params.load.keys_per_shard);
-            for k in 0..params.load.keys_per_shard {
-                // The spare starts zeroed; real shards get seeded values.
-                let v = if s < n_shards { seed_value(s, k) } else { 0 };
-                sys.init_at(slab, k, v);
-            }
+            // The spare starts zeroed; real shards get seeded values.
+            let values: Vec<u32> = (0..params.load.keys_per_shard)
+                .map(|k| if s < n_shards { seed_value(s, k) } else { 0 })
+                .collect();
+            sys.init_slice(slab, 0, &values);
             shards.push(slab);
         }
         let lat = sys.alloc_vec::<u64>("kv.lat", params.load.n_requests);

@@ -76,7 +76,7 @@ impl MotionEst {
             })
             .collect();
         let frame_slab = sys.alloc_slab::<u8>("me.frame", ext * ext);
-        sys.init_slab_bytes(frame_slab, &reference);
+        sys.init_slice(frame_slab, 0, &reference);
         let mut windows = Vec::new();
         let mut blocks = Vec::new();
         for by in 0..blocks_per_edge {
@@ -95,7 +95,7 @@ impl MotionEst {
                         wbytes[(wy * we + wx) as usize] = reference[(gy * ext + gx) as usize];
                     }
                 }
-                sys.init_slab_bytes(wslab, &wbytes);
+                sys.init_slice(wslab, 0, &wbytes);
                 // Current block: the reference block shifted by (dx, dy).
                 let bslab = sys.alloc_slab::<u8>(&format!("me.blk[{t}]"), p.block * p.block);
                 let mut bbytes = vec![0u8; (p.block * p.block) as usize];
@@ -106,7 +106,7 @@ impl MotionEst {
                         bbytes[(yy * p.block + xx) as usize] = reference[(gy * ext + gx) as usize];
                     }
                 }
-                sys.init_slab_bytes(bslab, &bbytes);
+                sys.init_slice(bslab, 0, &bbytes);
                 windows.push(wslab);
                 blocks.push(bslab);
             }

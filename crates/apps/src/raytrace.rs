@@ -47,17 +47,21 @@ impl Raytrace {
     pub fn build(sys: &mut System, params: RaytraceParams) -> Self {
         let mut rng = StdRng::seed_from_u64(params.seed);
         let scene = sys.alloc_slab::<f32>("raytrace.scene", params.n_spheres * SPHERE_STRIDE);
-        for i in 0..params.n_spheres {
-            let b = i * SPHERE_STRIDE;
-            sys.init_at(scene, b, rng.random_range(-3.0f32..3.0)); // cx
-            sys.init_at(scene, b + 1, rng.random_range(-0.5f32..2.0)); // cy
-            sys.init_at(scene, b + 2, rng.random_range(3.0f32..9.0)); // cz
-            sys.init_at(scene, b + 3, rng.random_range(0.4f32..1.1)); // r
-            sys.init_at(scene, b + 4, rng.random_range(0.2f32..1.0)); // cr
-            sys.init_at(scene, b + 5, rng.random_range(0.2f32..1.0)); // cg
-            sys.init_at(scene, b + 6, rng.random_range(0.2f32..1.0)); // cb
-            sys.init_at(scene, b + 7, if i % 3 == 0 { 0.4 } else { 0.0 }); // refl
-        }
+        let spheres: Vec<f32> = (0..params.n_spheres)
+            .flat_map(|i| {
+                [
+                    rng.random_range(-3.0f32..3.0),     // cx
+                    rng.random_range(-0.5f32..2.0),     // cy
+                    rng.random_range(3.0f32..9.0),      // cz
+                    rng.random_range(0.4f32..1.1),      // r
+                    rng.random_range(0.2f32..1.0),      // cr
+                    rng.random_range(0.2f32..1.0),      // cg
+                    rng.random_range(0.2f32..1.0),      // cb
+                    if i % 3 == 0 { 0.4 } else { 0.0 }, // refl
+                ]
+            })
+            .collect();
+        sys.init_slice(scene, 0, &spheres);
         assert_eq!(params.height % params.rows_per_task, 0);
         let n_tasks = params.height / params.rows_per_task;
         let fb = (0..n_tasks)
@@ -69,9 +73,8 @@ impl Raytrace {
             })
             .collect();
         let lut = sys.alloc_private::<f32>(256);
-        for i in 0..256 {
-            sys.init_private(&lut, i, 1.0 - (-(i as f32) / 96.0).exp());
-        }
+        let tone: Vec<f32> = (0..256).map(|i| 1.0 - (-(i as f32) / 96.0).exp()).collect();
+        sys.init_private(&lut, 0, &tone);
         let tickets = sys.alloc_ticket();
         Raytrace { params, scene, fb, lut, tickets, n_tasks }
     }

@@ -69,9 +69,9 @@ impl StreamCopy {
         let inputs: Vec<Slab<u32>> = (0..p.n_tasks)
             .map(|t| {
                 let slab = sys.alloc_slab::<u32>(&format!("stream.in[{t}]"), words);
-                for i in 0..words {
-                    sys.init_at(slab, i, t.wrapping_mul(2654435761).wrapping_add(i * 97));
-                }
+                let values: Vec<u32> =
+                    (0..words).map(|i| t.wrapping_mul(2654435761).wrapping_add(i * 97)).collect();
+                sys.init_slice(slab, 0, &values);
                 slab
             })
             .collect();

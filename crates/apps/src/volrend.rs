@@ -85,7 +85,7 @@ impl Volrend {
                 }
             }
         }
-        sys.init_slab_bytes(volume, &bytes);
+        sys.init_slice(volume, 0, &bytes);
         let pd = p.dim.div_ceil(CELL);
         let pyramid = sys.alloc_slab::<u8>("volrend.pyramid", pd * pd * pd);
         let mut pyr = vec![0u8; (pd * pd * pd) as usize];
@@ -97,7 +97,7 @@ impl Volrend {
                 }
             }
         }
-        sys.init_slab_bytes(pyramid, &pyr);
+        sys.init_slice(pyramid, 0, &pyr);
         assert_eq!(p.img % p.rows_per_task, 0);
         let n_tasks = p.img / p.rows_per_task;
         let fb = (0..n_tasks)

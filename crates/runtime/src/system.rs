@@ -140,7 +140,6 @@ impl<T> Copy for PrivSlab<T> {}
 
 /// Object metadata (runtime-internal).
 pub(crate) struct ObjMeta {
-    #[allow(dead_code)]
     pub name: String,
     /// Payload size in bytes.
     pub size: u32,
@@ -207,6 +206,25 @@ pub struct System {
 const VERSION_REGION_BASE: u32 = 0;
 const SHARED_REGION_BASE: u32 = 256 << 10;
 
+/// Panics unless elements `first..first + n` lie inside a slab of
+/// `len` elements (also when the end overflows `u32`).
+fn check_elems(what: &str, first: u32, n: usize, len: u32) {
+    let end = u32::try_from(n).ok().and_then(|n| first.checked_add(n));
+    assert!(
+        end.is_some_and(|end| end <= len),
+        "{what}: elements {first}..{first}+{n} past the end of a {len}-element slab"
+    );
+}
+
+/// The little-endian encoding of `values`, back to back.
+fn encode<T: crate::pod::Pod>(values: &[T]) -> Vec<u8> {
+    let mut buf = vec![0u8; values.len() * T::SIZE as usize];
+    for (v, out) in values.iter().zip(buf.chunks_exact_mut(T::SIZE as usize)) {
+        v.to_bytes(out);
+    }
+    buf
+}
+
 impl System {
     pub fn new(cfg: SocConfig, backend: BackendKind, lock_kind: LockKind) -> Self {
         let n_tiles = cfg.n_tiles;
@@ -253,8 +271,23 @@ impl System {
         self.shared.dma_burst = bytes;
     }
 
-    fn align_up(v: u32, a: u32) -> u32 {
-        v.div_ceil(a) * a
+    /// `size` rounded up to a multiple of `a`, or `None` past `u32`.
+    fn align_up(size: u32, a: u32) -> Option<u32> {
+        size.div_ceil(a).checked_mul(a)
+    }
+
+    /// Take `n` bytes of the version/lock region (uncached SDRAM below
+    /// the shared objects); returns their offset.
+    fn take_version_bytes(&mut self, n: u32) -> u32 {
+        let off = self.version_cursor;
+        match off.checked_add(n) {
+            Some(end) if end <= SHARED_REGION_BASE => self.version_cursor = end,
+            _ => panic!(
+                "version/lock region exhausted ({SHARED_REGION_BASE} bytes: one word per object, \
+                 SDRAM lock, ticket and two per barrier)"
+            ),
+        }
+        off
     }
 
     fn new_lock(&mut self) -> Lock {
@@ -263,15 +296,14 @@ impl System {
         match self.lock_kind {
             LockKind::Sdram => {
                 // Lock words live in the version/lock region.
-                let off = self.version_cursor;
-                self.version_cursor += 4;
+                let off = self.take_version_bytes(4);
                 Lock::Sdram(SdramLock { addr: addr::SDRAM_UNCACHED_BASE + off })
             }
             LockKind::Distributed => {
                 // The mailbox region ends where the DMA completion word
                 // lives; a mailbox on top of it would corrupt `dma_wait`.
                 assert!(
-                    MAILBOX_BASE + (id + 1) * 8 <= DMA_DONE_OFFSET,
+                    id < (DMA_DONE_OFFSET - MAILBOX_BASE) / 8,
                     "distributed-lock mailboxes exhausted (lock id {id} would overlap the \
                      DMA completion word)"
                 );
@@ -284,21 +316,45 @@ impl System {
         }
     }
 
+    /// The lowest SDRAM offset of the private arenas (the top of SDRAM
+    /// until the first [`System::alloc_private`]).
+    fn private_floor(&self) -> u32 {
+        if self.priv_cursor == 0 {
+            self.soc.config().sdram_size
+        } else {
+            self.priv_cursor
+        }
+    }
+
     fn alloc_raw(&mut self, name: &str, size: u32) -> u32 {
         assert!(!self.finalized, "allocations must precede the first run");
-        let padded = Self::align_up(size.max(1), self.shared.line);
-        let sdram_off = self.sdram_cursor;
-        self.sdram_cursor += padded;
-        let version_off = self.version_cursor;
-        self.version_cursor += 4;
-        let dsm_off = self.dsm_cursor;
+        let size = size.max(1);
+        let line = self.shared.line;
         // Replica: version header word + payload, line-aligned.
-        self.dsm_cursor += Self::align_up(4 + size.max(1), self.shared.line);
+        let (Some(padded), Some(replica)) =
+            (Self::align_up(size, line), size.checked_add(4).and_then(|r| Self::align_up(r, line)))
+        else {
+            panic!("shared object {name:?}: size {size} overflows the address space")
+        };
+        let sdram_off = self.sdram_cursor;
+        match sdram_off.checked_add(padded) {
+            Some(end) if end <= self.private_floor() => self.sdram_cursor = end,
+            _ => panic!(
+                "shared-object region exhausted: {name:?} needs {padded} bytes at SDRAM offset \
+                 {sdram_off}, below {}",
+                self.private_floor()
+            ),
+        }
+        let version_off = self.take_version_bytes(4);
+        let dsm_off = self.dsm_cursor;
+        // An overflowing replica cursor cannot fit any local memory;
+        // `finalize` rejects it under DSM, the only back-end using it.
+        self.dsm_cursor = self.dsm_cursor.saturating_add(replica);
         let lock = self.new_lock();
         let id = self.shared.objects.len() as u32;
         self.shared.objects.push(ObjMeta {
             name: name.to_string(),
-            size: size.max(1),
+            size,
             sdram_off,
             version_off,
             dsm_off,
@@ -326,20 +382,30 @@ impl System {
     /// Allocate one shared object holding `len` packed elements of `T`.
     pub fn alloc_slab<T: crate::pod::Pod>(&mut self, name: &str, len: u32) -> Slab<T> {
         assert!(len > 0);
-        let id = self.alloc_raw(name, T::SIZE * len);
+        let Some(size) = T::SIZE.checked_mul(len) else {
+            panic!("slab {name:?}: size of {len} elements of {} bytes overflows u32", T::SIZE)
+        };
+        let id = self.alloc_raw(name, size);
         Slab { id, len, _ph: PhantomData }
     }
 
     /// Allocate a per-core private array in cached SDRAM.
     pub fn alloc_private<T: crate::pod::Pod>(&mut self, len: u32) -> PrivSlab<T> {
         assert!(!self.finalized, "allocations must precede the first run");
-        let bytes = Self::align_up(T::SIZE * len.max(1), self.shared.line);
-        let sdram_size = self.soc.config().sdram_size;
-        if self.priv_cursor == 0 {
-            self.priv_cursor = sdram_size;
+        let Some(bytes) =
+            T::SIZE.checked_mul(len.max(1)).and_then(|b| Self::align_up(b, self.shared.line))
+        else {
+            panic!("private slab: size of {len} elements of {} bytes overflows u32", T::SIZE)
+        };
+        match self.private_floor().checked_sub(bytes) {
+            Some(base) if base > self.sdram_cursor => self.priv_cursor = base,
+            _ => panic!(
+                "private region exhausted: {bytes} bytes do not fit between the shared objects \
+                 (ending at SDRAM offset {}) and offset {}",
+                self.sdram_cursor,
+                self.private_floor()
+            ),
         }
-        assert!(self.priv_cursor - bytes > self.sdram_cursor, "SDRAM exhausted");
-        self.priv_cursor -= bytes;
         PrivSlab { addr: addr::SDRAM_CACHED_BASE + self.priv_cursor, len, _ph: PhantomData }
     }
 
@@ -347,18 +413,14 @@ impl System {
     /// words in uncached SDRAM).
     pub fn alloc_barrier(&mut self, n: u32) -> crate::barrier::Barrier {
         assert!(!self.finalized, "allocations must precede the first run");
-        let count_off = self.version_cursor;
-        self.version_cursor += 4;
-        let phase_off = self.version_cursor;
-        self.version_cursor += 4;
-        crate::barrier::Barrier::new(count_off, phase_off, n)
+        let count_off = self.take_version_bytes(8);
+        crate::barrier::Barrier::new(count_off, count_off + 4, n)
     }
 
     /// Allocate a fetch-and-add ticket dispenser (for work distribution).
     pub fn alloc_ticket(&mut self) -> crate::queue::Tickets {
         assert!(!self.finalized, "allocations must precede the first run");
-        let off = self.version_cursor;
-        self.version_cursor += 4;
+        let off = self.take_version_bytes(4);
         crate::queue::Tickets::new(off)
     }
 
@@ -373,11 +435,24 @@ impl System {
         crate::fifo::MFifo::alloc(self, name, depth, readers)
     }
 
-    /// Set `bytes` of a shared object's initial value at `byte_off`
-    /// (canonical home and, for the DSM back-end, every tile's replica).
-    fn init_bytes(&mut self, id: u32, byte_off: u32, bytes: &[u8]) {
+    /// Panics unless `byte_off..byte_off + len` lies inside object `id`.
+    fn check_bytes(&self, id: u32, byte_off: u32, len: usize) -> &ObjMeta {
         let meta = self.shared.meta(id);
-        assert!(byte_off as usize + bytes.len() <= meta.size as usize);
+        assert!(
+            byte_off as usize + len <= meta.size as usize,
+            "bytes {byte_off}..{} past the end of {:?} ({} bytes)",
+            byte_off as usize + len,
+            meta.name,
+            meta.size
+        );
+        meta
+    }
+
+    /// Set `bytes` of a shared object's initial value at `byte_off`
+    /// (canonical home and, for the DSM back-end, every tile's replica):
+    /// one write per memory, whatever the length.
+    fn init_bytes(&mut self, id: u32, byte_off: u32, bytes: &[u8]) {
+        let meta = self.check_bytes(id, byte_off, bytes.len());
         self.soc.write_sdram(meta.sdram_off + byte_off, bytes);
         if self.shared.backend == BackendKind::Dsm {
             for t in 0..self.shared.n_tiles {
@@ -388,39 +463,43 @@ impl System {
 
     /// Set the initial value of an object.
     pub fn init<T: crate::pod::Pod>(&mut self, obj: Obj<T>, value: T) {
-        let mut buf = vec![0u8; T::SIZE as usize];
-        value.to_bytes(&mut buf);
-        self.init_bytes(obj.id, 0, &buf);
+        self.init_bytes(obj.id, 0, &encode(&[value]));
     }
 
-    /// Set the initial value of a slab element.
+    /// Set the initial value of a slab element (one-element
+    /// [`System::init_slice`]).
     pub fn init_at<T: crate::pod::Pod>(&mut self, slab: Slab<T>, i: u32, value: T) {
-        assert!(i < slab.len);
-        let mut buf = vec![0u8; T::SIZE as usize];
-        value.to_bytes(&mut buf);
-        self.init_bytes(slab.id, i * T::SIZE, &buf);
+        self.init_slice(slab, i, &[value]);
     }
 
-    /// Bulk-initialise a slab's payload from raw bytes (cheap host-side
-    /// fill for large inputs such as volumes and frames).
-    pub fn init_slab_bytes<T: crate::pod::Pod>(&mut self, slab: Slab<T>, bytes: &[u8]) {
-        self.init_bytes(slab.id, 0, bytes);
+    /// Set the initial values of slab elements `first..first +
+    /// values.len()`. The elements are encoded into one buffer and
+    /// written with one copy per memory (the home and, under DSM, each
+    /// tile's replica), so filling a large input costs its bytes, not a
+    /// write per element.
+    pub fn init_slice<T: crate::pod::Pod>(&mut self, slab: Slab<T>, first: u32, values: &[T]) {
+        check_elems("init_slice", first, values.len(), slab.len);
+        self.init_bytes(slab.id, first * T::SIZE, &encode(values));
     }
 
-    /// Initialise private slab contents (e.g. per-core inputs).
-    pub fn init_private<T: crate::pod::Pod>(&mut self, slab: &PrivSlab<T>, i: u32, value: T) {
-        assert!(i < slab.len);
-        let mut buf = vec![0u8; T::SIZE as usize];
-        value.to_bytes(&mut buf);
-        let off = slab.addr - addr::SDRAM_CACHED_BASE + i * T::SIZE;
-        self.soc.write_sdram(off, &buf);
+    /// Set the initial values of private slab elements `first..first +
+    /// values.len()` (e.g. per-core inputs), with one SDRAM write.
+    pub fn init_private<T: crate::pod::Pod>(
+        &mut self,
+        slab: &PrivSlab<T>,
+        first: u32,
+        values: &[T],
+    ) {
+        check_elems("init_private", first, values.len(), slab.len);
+        let off = slab.addr - addr::SDRAM_CACHED_BASE + first * T::SIZE;
+        self.soc.write_sdram(off, &encode(values));
     }
 
     /// Read `buf.len()` bytes of a shared object at `byte_off` after a
     /// run (from its canonical home; for DSM the canonical state is tile
     /// 0's replica).
     fn read_back_bytes(&self, id: u32, byte_off: u32, buf: &mut [u8]) {
-        let meta = self.shared.meta(id);
+        let meta = self.check_bytes(id, byte_off, buf.len());
         if self.shared.backend == BackendKind::Dsm {
             self.soc.read_local(0, meta.dsm_off + 4 + byte_off, buf);
         } else {
@@ -527,6 +606,152 @@ mod tests {
             sys.init_at(s, 2, 1.25);
             assert_eq!(sys.read_back_at(s, 2), 1.25, "{backend:?}");
         }
+    }
+
+    /// `init_slice` leaves exactly the bytes an `init_at` loop leaves,
+    /// at the home copy and in every tile's replica window, on every
+    /// back-end (only DSM fills the replicas).
+    #[test]
+    fn init_slice_matches_an_init_at_loop() {
+        let values: Vec<u16> = (0..37u16).map(|i| i.wrapping_mul(0x0101) ^ 0x5a3c).collect();
+        for backend in BackendKind::ALL {
+            let build = |slice: bool| {
+                let mut sys = System::new(SocConfig::small(3), backend, LockKind::Sdram);
+                let s = sys.alloc_slab::<u16>("s", 40);
+                if slice {
+                    sys.init_slice(s, 2, &values[..10]);
+                    sys.init_slice(s, 12, &values[10..]);
+                } else {
+                    for (i, &v) in (2..).zip(&values) {
+                        sys.init_at(s, i, v);
+                    }
+                }
+                (sys, s)
+            };
+            let ((a, s), (b, _)) = (build(false), build(true));
+            let elems = |sys: &System| (0..40).map(|i| sys.read_back_at(s, i)).collect::<Vec<_>>();
+            assert_eq!(elems(&a), elems(&b), "{backend:?}");
+            assert_eq!(elems(&b)[2..39], values[..], "{backend:?}");
+            let meta = a.shared.meta(s.id);
+            let home = |sys: &System| {
+                let mut buf = [0u8; 80];
+                sys.soc.read_sdram(meta.sdram_off, &mut buf);
+                buf
+            };
+            assert_eq!(home(&a), home(&b), "{backend:?} home copy");
+            for t in 0..3 {
+                let replica = |sys: &System| {
+                    let mut buf = [0u8; 80];
+                    sys.soc.read_local(t, meta.dsm_off + 4, &mut buf);
+                    buf
+                };
+                assert_eq!(replica(&a), replica(&b), "{backend:?} tile {t}");
+                if backend == BackendKind::Dsm {
+                    assert_eq!(replica(&b), home(&b), "tile {t}'s replica");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "init_slice: elements 3..3+2 past the end of a 4-element slab")]
+    fn init_slice_past_the_end_panics() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Dsm, LockKind::Sdram);
+        let s = sys.alloc_slab::<u32>("s", 4);
+        sys.init_slice(s, 3, &[1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "init_slice: elements 4294967295..4294967295+2 past the end")]
+    fn init_slice_range_wrapping_u32_panics() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Swcc, LockKind::Sdram);
+        let s = sys.alloc_slab::<u32>("s", 4);
+        sys.init_slice(s, u32::MAX, &[1, 2]);
+    }
+
+    #[test]
+    fn init_private_writes_the_slice() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Uncached, LockKind::Sdram);
+        let p = sys.alloc_private::<u32>(8);
+        sys.init_private(&p, 5, &[7, 8, 9]);
+        let mut buf = [0u8; 32];
+        sys.soc.read_sdram(p.addr - addr::SDRAM_CACHED_BASE, &mut buf);
+        let words: Vec<u32> =
+            buf.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect();
+        assert_eq!(words, [0, 0, 0, 0, 0, 7, 8, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "init_private: elements 6..6+3 past the end of a 8-element slab")]
+    fn init_private_past_the_end_panics() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Uncached, LockKind::Sdram);
+        let p = sys.alloc_private::<u32>(8);
+        sys.init_private(&p, 6, &[7, 8, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "slab \"big\": size of 536870913 elements of 8 bytes overflows u32")]
+    fn slab_size_overflow_panics_at_allocation() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Swcc, LockKind::Sdram);
+        sys.alloc_slab::<u64>("big", 0x2000_0001);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "shared object \"huge\": size 4294967295 overflows the address space"
+    )]
+    fn object_padding_overflow_panics_at_allocation() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Swcc, LockKind::Sdram);
+        sys.alloc_slab::<u8>("huge", u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "shared-object region exhausted: \"big\" needs 1048576 bytes")]
+    fn shared_objects_past_sdram_panic_at_allocation() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Swcc, LockKind::Sdram);
+        sys.alloc_slab::<u8>("big", 1 << 20);
+    }
+
+    /// Shared objects allocated after a private slab stop below it.
+    #[test]
+    #[should_panic(expected = "shared-object region exhausted: \"s\" needs 393216 bytes")]
+    fn shared_objects_into_private_arenas_panic_at_allocation() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Swcc, LockKind::Sdram);
+        sys.alloc_private::<u8>(512 << 10);
+        sys.alloc_slab::<u8>("s", 384 << 10);
+    }
+
+    /// Under SDRAM locks every object takes a version word and a lock
+    /// word: 40 000 of them outgrow the 256 KiB region.
+    #[test]
+    #[should_panic(expected = "version/lock region exhausted")]
+    fn version_words_past_their_region_panic_at_allocation() {
+        let cfg = SocConfig { sdram_size: 16 << 20, ..SocConfig::small(2) };
+        let mut sys = System::new(cfg, BackendKind::Swcc, LockKind::Sdram);
+        sys.alloc_vec::<u32>("v", 40_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "private region exhausted: 2097152 bytes do not fit")]
+    fn private_slab_past_sdram_panics_at_allocation() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Swcc, LockKind::Sdram);
+        sys.alloc_private::<u8>(2 << 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "private slab: size of 536870913 elements of 8 bytes overflows u32")]
+    fn private_slab_size_overflow_panics_at_allocation() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Swcc, LockKind::Sdram);
+        sys.alloc_private::<u64>(0x2000_0001);
+    }
+
+    #[test]
+    #[should_panic(expected = "bytes 2..6 past the end of \"x\" (4 bytes)")]
+    fn read_back_past_an_object_panics() {
+        let mut sys = System::new(SocConfig::small(2), BackendKind::Swcc, LockKind::Sdram);
+        let x = sys.alloc::<u32>("x");
+        sys.alloc::<u64>("next");
+        sys.read_back_bytes(x.id, 2, &mut [0; 4]);
     }
 
     #[test]
