@@ -29,7 +29,7 @@ pub(crate) struct ByteMem {
 #[cold]
 #[inline(never)]
 fn new_page() -> Page {
-    vec![0; PAGE].into_boxed_slice().try_into().expect("page size")
+    Box::new([0; PAGE])
 }
 
 #[cold]
@@ -60,17 +60,18 @@ impl ByteMem {
         self.pages[offset / PAGE].get_or_insert_with(new_page)
     }
 
-    /// `(page, offset in page, length)` of each piece of a checked
-    /// block access, in address order.
-    fn pieces(offset: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    /// `(page, offset in page, offset in block, length)` of each piece
+    /// of a checked block access, in address order.
+    fn pieces(offset: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
         let end = offset + len;
         let mut at = offset;
         std::iter::from_fn(move || {
             (at < end).then(|| {
-                let (p, i) = (at / PAGE, at % PAGE);
+                let i = at % PAGE;
                 let n = (PAGE - i).min(end - at);
+                let piece = (at / PAGE, i, at - offset, n);
                 at += n;
-                (p, i, n)
+                piece
             })
         })
     }
@@ -80,6 +81,7 @@ impl ByteMem {
         let (o, len) = (offset as usize, out.len());
         self.check(o, len);
         let i = o % PAGE;
+        // An empty access may sit at the end of the last page.
         if len != 0 && i + len <= PAGE {
             match &self.pages[o / PAGE] {
                 Some(page) => out.copy_from_slice(&page[i..i + len]),
@@ -92,14 +94,12 @@ impl ByteMem {
 
     #[inline(never)]
     fn read_pages(&self, offset: usize, out: &mut [u8]) {
-        let mut done = 0;
-        for (p, i, n) in Self::pieces(offset, out.len()) {
-            let dst = &mut out[done..done + n];
+        for (p, i, b, n) in Self::pieces(offset, out.len()) {
+            let dst = &mut out[b..b + n];
             match &self.pages[p] {
                 Some(page) => dst.copy_from_slice(&page[i..i + n]),
                 None => dst.fill(0),
             }
-            done += n;
         }
     }
 
@@ -117,10 +117,8 @@ impl ByteMem {
 
     #[inline(never)]
     fn write_pages(&mut self, offset: usize, data: &[u8]) {
-        let mut done = 0;
-        for (p, i, n) in Self::pieces(offset, data.len()) {
-            self.page_mut(p * PAGE)[i..i + n].copy_from_slice(&data[done..done + n]);
-            done += n;
+        for (p, i, b, n) in Self::pieces(offset, data.len()) {
+            self.page_mut(p * PAGE)[i..i + n].copy_from_slice(&data[b..b + n]);
         }
     }
 
