@@ -632,6 +632,44 @@ mod tests {
         assert_eq!(narrow.route(4, 0, 3), vec![3 * 4]);
     }
 
+    /// Every answer the mesh and the torus give on every grid up to 6×6,
+    /// folded into one FNV-1a digest: `is_valid_link` of each id up to
+    /// `link_count + 2`, `link_endpoints` of each valid link, and
+    /// `route` and `hops` of every `(from, to)`. Link ids appear in
+    /// `LinkReport.link` and in the run digests, so any change to a
+    /// route or to the numbering shows here.
+    #[test]
+    fn grid_answers_are_pinned() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |v: usize| {
+            for b in (v as u64).to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for (cols, rows) in (1..=6).flat_map(|c| (1..=6).map(move |r| (c, r))) {
+            let n = cols * rows;
+            for topo in [Topology::Mesh { cols, rows }, Topology::Torus { cols, rows }] {
+                for link in 0..topo.link_count(n) + 2 {
+                    let valid = topo.is_valid_link(n, link);
+                    feed(valid as usize);
+                    if valid {
+                        let (from, to) = topo.link_endpoints(n, link);
+                        feed(from);
+                        feed(to);
+                    }
+                }
+                for (from, to) in (0..n).flat_map(|f| (0..n).map(move |t| (f, t))) {
+                    let route = topo.route(n, from, to);
+                    feed(route.len());
+                    route.iter().for_each(|&l| feed(l));
+                    feed(topo.hops(n, from, to) as usize);
+                }
+            }
+        }
+        assert_eq!(h, 0x5468_69bf_aeca_efc5, "grid digest {h:#x}");
+    }
+
     #[test]
     fn validate_rejects_mesh_shape_mismatch() {
         let mut cfg = SocConfig::small(8);
