@@ -69,38 +69,35 @@ impl Topology {
         }
     }
 
+    /// `(cols, rows, wraps)` of a mesh (no wraparound) or a torus;
+    /// `None` for the ring.
+    fn grid(self) -> Option<(usize, usize, bool)> {
+        match self {
+            Topology::Ring => None,
+            Topology::Mesh { cols, rows } => Some((cols, rows, false)),
+            Topology::Torus { cols, rows } => Some((cols, rows, true)),
+        }
+    }
+
     /// Whether `link` names a physical link of the topology (mesh
     /// boundary slots — e.g. the east link of a rightmost tile — do
     /// not exist).
     pub fn is_valid_link(self, n_tiles: usize, link: usize) -> bool {
-        match self {
-            Topology::Ring => link < 2 * n_tiles,
-            Topology::Mesh { cols, rows } => {
-                let n = cols * rows;
-                if link >= 4 * n {
-                    return false;
-                }
-                let (dir, t) = (link / n, link % n);
-                let (x, y) = (t % cols, t / cols);
-                match dir {
-                    0 => x + 1 < cols, // east
-                    1 => x > 0,        // west
-                    2 => y + 1 < rows, // south
-                    _ => y > 0,        // north
-                }
-            }
-            Topology::Torus { cols, rows } => {
-                let n = cols * rows;
-                if link >= 4 * n {
-                    return false;
-                }
-                // Wraparound gives every tile all four links; only a
-                // degenerate dimension (a self-loop) is not a link.
-                match link / n {
-                    0 | 1 => cols > 1, // east / west
-                    _ => rows > 1,     // south / north
-                }
-            }
+        let Some((cols, rows, wraps)) = self.grid() else {
+            return link < 2 * n_tiles;
+        };
+        let n = cols * rows;
+        if link >= 4 * n {
+            return false;
+        }
+        let (x, y) = (link % n % cols, link % n / cols);
+        // Wraparound gives a torus tile all four links; only a
+        // degenerate dimension (a self-loop) is not a link.
+        match link / n {
+            0 => x + 1 < cols || (wraps && cols > 1), // east
+            1 => x > 0 || (wraps && cols > 1),        // west
+            2 => y + 1 < rows || (wraps && rows > 1), // south
+            _ => y > 0 || (wraps && rows > 1),        // north
         }
     }
 
@@ -108,36 +105,19 @@ impl Topology {
     /// topology).
     pub fn link_endpoints(self, n_tiles: usize, link: usize) -> (usize, usize) {
         assert!(self.is_valid_link(n_tiles, link), "link {link} is not part of the {self:?}");
-        match self {
-            Topology::Ring => {
-                let n = n_tiles;
-                if link < n {
-                    (link, (link + 1) % n)
-                } else {
-                    ((link - n + 1) % n, link - n)
-                }
-            }
-            Topology::Mesh { cols, rows } => {
-                let n = cols * rows;
-                let (dir, t) = (link / n, link % n);
-                match dir {
-                    0 => (t, t + 1),
-                    1 => (t, t - 1),
-                    2 => (t, t + cols),
-                    _ => (t, t - cols),
-                }
-            }
-            Topology::Torus { cols, rows } => {
-                let n = cols * rows;
-                let (dir, t) = (link / n, link % n);
-                let (x, y) = (t % cols, t / cols);
-                match dir {
-                    0 => (t, y * cols + (x + 1) % cols),
-                    1 => (t, y * cols + (x + cols - 1) % cols),
-                    2 => (t, (y + 1) % rows * cols + x),
-                    _ => (t, (y + rows - 1) % rows * cols + x),
-                }
-            }
+        let Some((cols, rows, _)) = self.grid() else {
+            let n = n_tiles;
+            return if link < n { (link, (link + 1) % n) } else { ((link - n + 1) % n, link - n) };
+        };
+        let n = cols * rows;
+        let (dir, t) = (link / n, link % n);
+        let (x, y) = (t % cols, t / cols);
+        // A valid mesh link never crosses an edge, so the wrap is a no-op.
+        match dir {
+            0 => (t, y * cols + (x + 1) % cols),
+            1 => (t, y * cols + (x + cols - 1) % cols),
+            2 => (t, (y + 1) % rows * cols + x),
+            _ => (t, (y + rows - 1) % rows * cols + x),
         }
     }
 
@@ -155,102 +135,59 @@ impl Topology {
         if from == to {
             return Vec::new();
         }
-        match self {
-            Topology::Ring => {
-                let n = n_tiles;
-                let cw = (to + n - from) % n;
-                let ccw = n - cw;
-                if cw <= ccw {
-                    (0..cw).map(|k| (from + k) % n).collect()
-                } else {
-                    (0..ccw).map(|k| n + (from + n - 1 - k) % n).collect()
-                }
-            }
-            Topology::Mesh { cols, rows } => {
-                let n = cols * rows;
-                let (mut x, y0) = (from % cols, from / cols);
-                let (tx, ty) = (to % cols, to / cols);
-                let mut links = Vec::new();
-                while x < tx {
-                    links.push(y0 * cols + x); // east of (x, y0)
-                    x += 1;
-                }
-                while x > tx {
-                    links.push(n + y0 * cols + x); // west of (x, y0)
-                    x -= 1;
-                }
-                let mut y = y0;
-                while y < ty {
-                    links.push(2 * n + y * cols + x); // south of (x, y)
-                    y += 1;
-                }
-                while y > ty {
-                    links.push(3 * n + y * cols + x); // north of (x, y)
-                    y -= 1;
-                }
-                links
-            }
-            Topology::Torus { cols, rows } => {
-                let n = cols * rows;
-                let (mut x, mut y) = (from % cols, from / cols);
-                let (tx, ty) = (to % cols, to / cols);
-                let mut links = Vec::new();
-                // X leg: the shorter way around the row ring, east on
-                // ties.
-                let east = (tx + cols - x) % cols;
-                if east <= cols - east {
-                    for _ in 0..east {
-                        links.push(y * cols + x); // east of (x, y)
-                        x = (x + 1) % cols;
-                    }
-                } else {
-                    for _ in 0..cols - east {
-                        links.push(n + y * cols + x); // west of (x, y)
-                        x = (x + cols - 1) % cols;
-                    }
-                }
-                // Y leg: the shorter way around the column ring, south
-                // on ties.
-                let south = (ty + rows - y) % rows;
-                if south <= rows - south {
-                    for _ in 0..south {
-                        links.push(2 * n + y * cols + x); // south of (x, y)
-                        y = (y + 1) % rows;
-                    }
-                } else {
-                    for _ in 0..rows - south {
-                        links.push(3 * n + y * cols + x); // north of (x, y)
-                        y = (y + rows - 1) % rows;
-                    }
-                }
-                links
-            }
+        let Some((cols, rows, wraps)) = self.grid() else {
+            let n = n_tiles;
+            let cw = (to + n - from) % n;
+            let ccw = n - cw;
+            return if cw <= ccw {
+                (0..cw).map(|k| (from + k) % n).collect()
+            } else {
+                (0..ccw).map(|k| n + (from + n - 1 - k) % n).collect()
+            };
+        };
+        let n = cols * rows;
+        let (mut x, mut y) = (from % cols, from / cols);
+        let (east, dx) = leg(x, to % cols, cols, wraps);
+        let (south, dy) = leg(y, to / cols, rows, wraps);
+        let mut links = Vec::with_capacity(dx + dy);
+        for _ in 0..dx {
+            links.push(if east { 0 } else { n } + y * cols + x); // east / west of (x, y)
+            x = if east { x + 1 } else { x + cols - 1 } % cols;
         }
+        for _ in 0..dy {
+            links.push(if south { 2 * n } else { 3 * n } + y * cols + x); // south / north of (x, y)
+            y = if south { y + 1 } else { y + rows - 1 } % rows;
+        }
+        links
     }
 
     /// Hop count of the route `from → to` (shortest arc on the ring,
     /// Manhattan distance on the mesh, wrap-aware Manhattan distance on
     /// the torus).
     pub fn hops(self, n_tiles: usize, from: usize, to: usize) -> u64 {
-        match self {
-            Topology::Ring => {
-                if from == to {
-                    return 0;
-                }
-                let d = from.abs_diff(to);
-                d.min(n_tiles - d) as u64
-            }
-            Topology::Mesh { cols, .. } => {
-                let dx = (from % cols).abs_diff(to % cols);
-                let dy = (from / cols).abs_diff(to / cols);
-                (dx + dy) as u64
-            }
-            Topology::Torus { cols, rows } => {
-                let dx = (from % cols).abs_diff(to % cols);
-                let dy = (from / cols).abs_diff(to / cols);
-                (dx.min(cols - dx) + dy.min(rows - dy)) as u64
-            }
-        }
+        let Some((cols, rows, wraps)) = self.grid() else {
+            let d = from.abs_diff(to);
+            return d.min(n_tiles - d) as u64;
+        };
+        let (_, dx) = leg(from % cols, to % cols, cols, wraps);
+        let (_, dy) = leg(from / cols, to / cols, rows, wraps);
+        (dx + dy) as u64
+    }
+}
+
+/// One dimension of a grid route from coordinate `a` to `b` on a line
+/// (or, with `wraps`, a ring) of `size`: whether it runs forward
+/// (east/south) and how many steps it takes. Around a ring it takes the
+/// shorter way, forward on ties.
+fn leg(a: usize, b: usize, size: usize, wraps: bool) -> (bool, usize) {
+    if !wraps {
+        return (b >= a, a.abs_diff(b));
+    }
+    let forward = (b + size - a) % size;
+    if forward <= size - forward {
+        (true, forward)
+    } else {
+        (false, size - forward)
     }
 }
 
