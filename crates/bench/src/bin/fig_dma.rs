@@ -39,7 +39,9 @@
 
 use pmc_apps::motion_est::{MotionEst, MotionEstParams};
 use pmc_apps::stream::{StreamCopy, StreamCopyParams, StreamMode};
-use pmc_bench::{mesh_dims, spread_controllers, top_links, top_links_json, Args, Takes};
+use pmc_bench::{
+    mesh_dims, spread_controllers, top_links, top_links_json, topology_named, Args, Takes,
+};
 use pmc_runtime::{BackendKind, LockKind, System};
 use pmc_soc_sim::telemetry::json;
 use pmc_soc_sim::{
@@ -56,23 +58,6 @@ struct Run {
     ports: Vec<PortReport>,
 }
 
-/// Re-shape `kind` for a system of `n` tiles (the channel-scaling table
-/// runs systems smaller than `--tiles`, and a mesh or torus must cover
-/// exactly the tile count).
-fn topo_for(kind: Topology, n: usize) -> Topology {
-    match kind {
-        Topology::Ring => Topology::Ring,
-        Topology::Mesh { .. } => {
-            let (cols, rows) = mesh_dims(n);
-            Topology::Mesh { cols, rows }
-        }
-        Topology::Torus { .. } => {
-            let (cols, rows) = mesh_dims(n);
-            Topology::Torus { cols, rows }
-        }
-    }
-}
-
 fn run_stream(
     tiles: usize,
     params: StreamCopyParams,
@@ -83,7 +68,10 @@ fn run_stream(
     mem_controllers: &[usize],
 ) -> Run {
     let n_tiles = tiles.max(2);
-    let topology = topo_for(topology, n_tiles);
+    // Re-shape for `n_tiles` (the channel-scaling table runs systems
+    // smaller than `--tiles`, and a mesh or torus must cover exactly the
+    // tile count).
+    let topology = topology_named(topology.name(), n_tiles).expect("a topology's own name");
     let mut cfg = SocConfig { n_tiles, topology, ..SocConfig::default() };
     cfg.icache_mpki = 1;
     cfg.dma_channels = channels;
@@ -111,7 +99,7 @@ fn run_stream(
 fn t2t_vs_sdram(bytes: u32, topology: Topology) -> (u64, u64) {
     const BUF: u32 = 4096;
     let (src, dst) = (2usize, 5usize);
-    let topology = topo_for(topology, 8);
+    let topology = topology_named(topology.name(), 8).expect("a topology's own name");
     let cfg = move || {
         let small = SocConfig::small(8);
         // The payload sits at `BUF`: the largest cell needs more local
@@ -347,7 +335,7 @@ fn main() {
         // must account for them on both topologies. On the topology the
         // baseline already ran on, reuse it instead of re-simulating.
         let rerun;
-        let posted = if topo_for(topo, tiles) == topo_for(topology, tiles) {
+        let posted = if topo.name() == topology.name() {
             &word
         } else {
             rerun = run_stream(tiles, params, StreamMode::WordCopy, 256, 1, topo, &[]);

@@ -24,20 +24,9 @@
 
 use pmc_apps::kvserve::{run_serve_session, KvServe, KvServeParams, ServeReport};
 use pmc_apps::loadgen::LoadGenParams;
-use pmc_bench::{mesh_dims, spread_controllers, Args, Takes};
+use pmc_bench::{spread_controllers, topology_named, Args, Takes};
 use pmc_runtime::{monitor, BackendKind, RunConfig};
 use pmc_soc_sim::telemetry::{json, perfetto_json};
-use pmc_soc_sim::Topology;
-
-fn topo(name: &str, n_tiles: usize) -> Topology {
-    let (cols, rows) = mesh_dims(n_tiles);
-    match name {
-        "ring" => Topology::Ring,
-        "mesh" => Topology::Mesh { cols, rows },
-        "torus" => Topology::Torus { cols, rows },
-        other => panic!("unknown topology {other}"),
-    }
-}
 
 struct Cell {
     backend: BackendKind,
@@ -59,7 +48,7 @@ fn run_cell(
     // 2-D factorisation rather than a 1×n line; the extra tile idles.
     let n_tiles = KvServe::tiles_needed(&params).next_multiple_of(2);
     let session = RunConfig::new(backend)
-        .topology(topo(topology, n_tiles))
+        .topology(topology_named(topology, n_tiles).expect("a known topology name"))
         .n_tiles(n_tiles)
         .telemetry(true)
         .trace(true)

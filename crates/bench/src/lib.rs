@@ -19,6 +19,7 @@
 
 use pmc_apps::workload::Breakdown;
 use pmc_soc_sim::telemetry::json;
+use pmc_soc_sim::Topology;
 
 /// Render a Fig. 8-style percentage bar row (the stall columns sum to
 /// 100%: `dma-wait` is the time cores sleep in event-based DMA
@@ -134,20 +135,13 @@ impl Args {
         self.get(name, Takes::Str).unwrap_or(default).to_string()
     }
 
-    /// The `--topology` flag (`ring` | `mesh` | `torus`) as a topology
-    /// for `n_tiles` tiles. Meshes and tori use the most nearly square
-    /// factorisation of the tile count (8 → 2×4, 16 → 4×4; primes
-    /// degenerate to a 1×n line).
-    pub fn topology(&self, n_tiles: usize) -> pmc_soc_sim::Topology {
-        let (cols, rows) = mesh_dims(n_tiles);
-        match self.str("--topology", "ring").as_str() {
-            "ring" => pmc_soc_sim::Topology::Ring,
-            "mesh" => pmc_soc_sim::Topology::Mesh { cols, rows },
-            "torus" => pmc_soc_sim::Topology::Torus { cols, rows },
-            other => {
-                self.fail(&format!("--topology must be `ring`, `mesh` or `torus`, got `{other}`"))
-            }
-        }
+    /// The `--topology` flag as a topology for `n_tiles` tiles
+    /// ([`topology_named`]).
+    pub fn topology(&self, n_tiles: usize) -> Topology {
+        let name = self.str("--topology", "ring");
+        topology_named(&name, n_tiles).unwrap_or_else(|| {
+            self.fail(&format!("--topology must be `ring`, `mesh` or `torus`, got `{name}`"))
+        })
     }
 }
 
@@ -172,6 +166,20 @@ fn usage_error(error: &str, accepted: &[(&str, Takes)]) -> ! {
 /// controller-scaling tables measure port parallelism, not placement.
 pub fn spread_controllers(n_tiles: usize, k: usize) -> Vec<usize> {
     (0..k.max(1)).map(|i| i * n_tiles / k.max(1)).collect()
+}
+
+/// The topology called `name` (`ring` | `mesh` | `torus`) for `n_tiles`
+/// tiles, or `None` for any other name. Meshes and tori use the most
+/// nearly square factorisation of the tile count (8 → 2×4, 16 → 4×4;
+/// primes degenerate to a 1×n line).
+pub fn topology_named(name: &str, n_tiles: usize) -> Option<Topology> {
+    let (cols, rows) = mesh_dims(n_tiles);
+    match name {
+        "ring" => Some(Topology::Ring),
+        "mesh" => Some(Topology::Mesh { cols, rows }),
+        "torus" => Some(Topology::Torus { cols, rows }),
+        _ => None,
+    }
 }
 
 /// The most nearly square `cols × rows` factorisation of `n`.
@@ -246,11 +254,19 @@ mod tests {
         let args = parse("--json --tiles 16 --topology mesh").unwrap();
         assert!(args.flag("--json"));
         assert_eq!(args.u32("--tiles", 8), 16);
-        assert_eq!(args.topology(16), pmc_soc_sim::Topology::Mesh { cols: 4, rows: 4 });
+        assert_eq!(args.topology(16), Topology::Mesh { cols: 4, rows: 4 });
         let none = parse("").unwrap();
         assert!(!none.flag("--json"));
         assert_eq!(none.u32("--tiles", 8), 8);
         assert_eq!(none.str("--topology", "ring"), "ring");
+    }
+
+    #[test]
+    fn topologies_are_named_on_the_squarest_grid() {
+        assert_eq!(topology_named("ring", 8), Some(Topology::Ring));
+        assert_eq!(topology_named("torus", 8), Some(Topology::Torus { cols: 2, rows: 4 }));
+        assert_eq!(topology_named("mesh", 7), Some(Topology::Mesh { cols: 1, rows: 7 }));
+        assert_eq!(topology_named("hex", 8), None);
     }
 
     #[test]
