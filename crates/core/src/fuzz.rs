@@ -28,6 +28,10 @@
 //!
 //! Plain reads stay unrestricted: read-only scopes on word-sized objects
 //! take no lock (Table II).
+//!
+//! The workspace's property suites run on the same stream:
+//! [`for_each_case`] hands each case of a suite its own seeded
+//! [`SplitMix64`] and names the suite, case and seed of a failure.
 
 use crate::litmus::{Instr, Program, Reg};
 use crate::op::{LocId, Value};
@@ -55,7 +59,7 @@ impl SplitMix64 {
     }
 
     /// Uniform draw from `0..n` (`n > 0`).
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
+    pub fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         self.next_u64() % n
     }
@@ -64,6 +68,50 @@ impl SplitMix64 {
     pub(crate) fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
     }
+}
+
+/// Run the property `check` on [`case_count`]`(default)` cases of the
+/// suite `name`. Case `i` draws from its own [`SplitMix64`], seeded from
+/// `name` and `i`, so a failing case replays alone from its seed. A
+/// failing case prints the suite, its index and its seed, and then
+/// unwinds with the failure's own message.
+pub fn for_each_case(name: &str, default: u32, mut check: impl FnMut(&mut SplitMix64)) {
+    for case in 0..case_count(default) {
+        let seed = case_seed(name, case);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            check(&mut SplitMix64::new(seed));
+        }));
+        if let Err(failure) = run {
+            eprintln!("{}", case_report(name, case, seed));
+            std::panic::resume_unwind(failure);
+        }
+    }
+}
+
+/// Cases a property suite runs: `default`, or exactly the value of
+/// `PMC_PROPTEST_CASES` when that is set (to lower or raise every
+/// suite's count; 0 runs one case).
+pub fn case_count(default: u32) -> u32 {
+    parse_case_count(std::env::var("PMC_PROPTEST_CASES").ok().as_deref(), default)
+}
+
+fn parse_case_count(value: Option<&str>, default: u32) -> u32 {
+    let Some(value) = value else { return default };
+    let n: u32 = value.parse().unwrap_or_else(|_| {
+        panic!("PMC_PROPTEST_CASES={value:?} is not a case count (an unsigned 32-bit integer)")
+    });
+    n.max(1)
+}
+
+/// FNV-1a over the suite name, then the case index.
+fn case_seed(name: &str, case: u32) -> u64 {
+    name.bytes()
+        .chain(case.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+fn case_report(name: &str, case: u32, seed: u64) -> String {
+    format!("property case {case} of {name} failed; replay it with SplitMix64::new({seed:#x})")
 }
 
 /// Budgets for [`generate`]. The defaults keep enumeration cheap (a
@@ -591,6 +639,53 @@ mod tests {
     use crate::interleave::{outcomes_with, Limits};
 
     /// The generator is a pure function of its seed.
+    #[test]
+    fn each_case_draws_the_stream_of_its_suite_and_index() {
+        let first = |name: &str, case| SplitMix64::new(case_seed(name, case)).next_u64();
+        assert_eq!(first("a", 3), first("a", 3));
+        assert_ne!(first("a", 3), first("a", 4));
+        assert_ne!(first("a", 3), first("b", 3));
+        let mut seen = Vec::new();
+        for_each_case("a", 5, |rng| seen.push(rng.next_u64()));
+        let want: Vec<u64> = (0..case_count(5)).map(|case| first("a", case)).collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn a_failing_case_is_reported_and_replays_from_its_seed() {
+        // Fails on case 2 (or the last case, if fewer run).
+        let failing = case_count(64).min(3) - 1;
+        let mut case = 0;
+        let mut check = |rng: &mut SplitMix64| {
+            let draw = rng.next_u64();
+            case += 1;
+            assert!(case <= failing, "case drew {draw:#x}");
+        };
+        let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_case("demo", 64, &mut check)
+        }))
+        .unwrap_err();
+        let seed = case_seed("demo", failing);
+        let replay = SplitMix64::new(seed).next_u64();
+        assert_eq!(failure.downcast_ref::<String>(), Some(&format!("case drew {replay:#x}")));
+        let report = case_report("demo", failing, seed);
+        assert!(report.contains(&format!("case {failing} of demo")), "{report}");
+        assert!(report.contains(&format!("{seed:#x}")), "{report}");
+    }
+
+    #[test]
+    fn the_case_count_variable_is_exact_and_checked() {
+        assert_eq!(parse_case_count(None, 64), 64);
+        assert_eq!(parse_case_count(Some("8"), 64), 8);
+        assert_eq!(parse_case_count(Some("256"), 64), 256);
+        assert_eq!(parse_case_count(Some("0"), 64), 1);
+        for bad in ["abc", "", "256x"] {
+            let failure = std::panic::catch_unwind(|| parse_case_count(Some(bad), 64)).unwrap_err();
+            let msg = failure.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains(&format!("PMC_PROPTEST_CASES={bad:?}")), "{msg}");
+        }
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let cfg = GenConfig::default();

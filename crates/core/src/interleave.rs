@@ -707,7 +707,7 @@ mod tests {
     /// uses the fuzz tier's 200 000.
     #[test]
     fn memo_key_agrees_with_sorted_key() {
-        let deep = proptest::prelude::ProptestConfig::default().effective_cases() > 64;
+        let deep = crate::fuzz::case_count(64) > 64;
         let max_states = if deep { 200_000 } else { 10_000 };
         let catalogue = crate::conformance::cases().into_iter().map(|c| c.program);
         let fuzzed = (0..16).map(|i| crate::fuzz::generate(0xC0FFEE + i, &Default::default()));

@@ -1,8 +1,7 @@
 //! Property-based tests of the PMC model's core invariants.
 
-use proptest::prelude::*;
-
 use pmc_core::execution::{EdgeMode, Execution};
+use pmc_core::fuzz::{for_each_case, SplitMix64};
 use pmc_core::interleave::{outcomes_with, Limits};
 use pmc_core::litmus::{Instr, Program, Reg};
 use pmc_core::models::trace::MemEvent;
@@ -12,22 +11,21 @@ use pmc_core::op::{LocId, ProcId};
 /// A random sequence of model operations for 2–3 processes over 2
 /// locations, with lock discipline handled by construction (acquire and
 /// release are always paired immediately around a write).
-fn op_seq() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
+fn op_seq(rng: &mut SplitMix64) -> Vec<(u8, u8, u8)> {
     // (action, proc, loc): action 0 = read, 1 = locked write, 2 = fence.
-    prop::collection::vec((0u8..3, 0u8..3, 0u8..2), 1..25)
+    let len = 1 + rng.below(24);
+    (0..len).map(|_| (rng.below(3) as u8, rng.below(3) as u8, rng.below(2) as u8)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Last-writes (Definition 11) is never empty once a location is
-    /// initialised, and every readable write (Definition 12) is on the
-    /// right location.
-    #[test]
-    fn last_writes_nonempty_and_readable_consistent(seq in op_seq()) {
+/// Last-writes (Definition 11) is never empty once a location is
+/// initialised, and every readable write (Definition 12) is on the
+/// right location.
+#[test]
+fn last_writes_nonempty_and_readable_consistent() {
+    for_each_case("last_writes_nonempty_and_readable_consistent", 64, |rng| {
         let mut e = Execution::new(EdgeMode::Full);
         let mut reads = Vec::new();
-        for &(action, p, v) in &seq {
+        for (action, p, v) in op_seq(rng) {
             let (p, v) = (ProcId(p as u16), LocId(v as u32));
             match action {
                 0 => reads.push(e.read(p, v, 0)),
@@ -36,26 +34,30 @@ proptest! {
                     e.write(p, v, 1);
                     e.release(p, v);
                 }
-                _ => { e.fence(p); }
+                _ => {
+                    e.fence(p);
+                }
             }
         }
         for r in reads {
             let loc = e.op(r).loc;
             let lw = e.last_writes(r);
-            prop_assert!(!lw.is_empty(), "W is never empty (init op exists)");
+            assert!(!lw.is_empty(), "W is never empty (init op exists)");
             for w in e.readable_writes(r) {
-                prop_assert_eq!(e.op(w).loc, loc);
-                prop_assert!(e.op(w).kind.is_write_like());
+                assert_eq!(e.op(w).loc, loc);
+                assert!(e.op(w).kind.is_write_like());
             }
         }
-    }
+    });
+}
 
-    /// Lock-protected writes to one location are totally ordered in the
-    /// global view (the paper's GDO): no write-write races.
-    #[test]
-    fn locked_writes_are_race_free(seq in op_seq()) {
+/// Lock-protected writes to one location are totally ordered in the
+/// global view (the paper's GDO): no write-write races.
+#[test]
+fn locked_writes_are_race_free() {
+    for_each_case("locked_writes_are_race_free", 64, |rng| {
         let mut e = Execution::new(EdgeMode::Full);
-        for &(action, p, v) in &seq {
+        for (action, p, v) in op_seq(rng) {
             let (p, v) = (ProcId(p as u16), LocId(v as u32));
             if action == 1 {
                 e.acquire(p, v);
@@ -63,8 +65,8 @@ proptest! {
                 e.release(p, v);
             }
         }
-        prop_assert!(e.write_write_races().is_empty());
-    }
+        assert!(e.write_write_races().is_empty());
+    });
 }
 
 /// Random small litmus programs: every PMC-allowed behaviour satisfies

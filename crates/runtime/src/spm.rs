@@ -60,7 +60,7 @@ impl StagingAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pmc_core::fuzz::for_each_case;
 
     /// Whether every region has been freed *and* reclaimed — the arena
     /// is back at `base`, its pristine state.
@@ -101,18 +101,17 @@ mod tests {
         a.alloc(33);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Interleaved alloc/free of prefetch-style scopes: live regions
-        /// never overlap each other (nor the line padding of another),
-        /// every region stays inside the arena, and once everything is
-        /// freed — in an arbitrary, generally non-LIFO order — the arena
-        /// is fully reclaimed.
-        #[test]
-        fn interleaved_scopes_never_overlap_and_always_reclaim(
-            ops in prop::collection::vec((0u32..3, 1u32..600, 0u32..8), 1..60)
-        ) {
+    /// Interleaved alloc/free of prefetch-style scopes: live regions
+    /// never overlap each other (nor the line padding of another),
+    /// every region stays inside the arena, and once everything is
+    /// freed — in an arbitrary, generally non-LIFO order — the arena
+    /// is fully reclaimed.
+    #[test]
+    fn interleaved_scopes_never_overlap_and_always_reclaim() {
+        for_each_case("interleaved_scopes_never_overlap_and_always_reclaim", 256, |rng| {
+            let ops = (0..1 + rng.below(59))
+                .map(|_| (rng.below(3) as u32, 1 + rng.below(599) as u32, rng.below(8) as u32))
+                .collect::<Vec<_>>();
             let (base, end, line) = (128u32, 32 << 10, 32u32);
             let mut a = StagingAlloc::new(base, end, line);
             // Live regions as (offset, raw_size).
@@ -129,13 +128,14 @@ mod tests {
                         continue;
                     }
                     let off = a.alloc(size);
-                    prop_assert!(off >= base && off + padded(size) <= end,
-                        "region [{off}, +{size}) escapes the arena");
+                    assert!(
+                        off >= base && off + padded(size) <= end,
+                        "region [{off}, +{size}) escapes the arena"
+                    );
                     for &(o, s) in &live {
                         let (a0, a1) = (off, off + padded(size));
                         let (b0, b1) = (o, o + padded(s));
-                        prop_assert!(a1 <= b0 || b1 <= a0,
-                            "overlap: [{a0},{a1}) vs live [{b0},{b1})");
+                        assert!(a1 <= b0 || b1 <= a0, "overlap: [{a0},{a1}) vs live [{b0},{b1})");
                     }
                     live.push((off, size));
                 } else {
@@ -148,16 +148,17 @@ mod tests {
                 let (off, size) = live.swap_remove((off_seed(&live)) % live.len());
                 a.free(off, size);
             }
-            prop_assert!(fully_reclaimed(&a, base),
-                "dead regions leaked: top {} base {base}", a.top);
-        }
+            assert!(fully_reclaimed(&a, base), "dead regions leaked: top {} base {base}", a.top);
+        });
+    }
 
-        /// The bump pointer never exceeds the sum of padded live+dead
-        /// regions above base (no phantom growth from reclamation).
-        #[test]
-        fn top_is_bounded_by_outstanding_bytes(
-            sizes in prop::collection::vec(1u32..512, 1..40)
-        ) {
+    /// The bump pointer never exceeds the sum of padded live+dead
+    /// regions above base (no phantom growth from reclamation).
+    #[test]
+    fn top_is_bounded_by_outstanding_bytes() {
+        for_each_case("top_is_bounded_by_outstanding_bytes", 256, |rng| {
+            let sizes =
+                (0..1 + rng.below(39)).map(|_| 1 + rng.below(511) as u32).collect::<Vec<_>>();
             let line = 32u32;
             let mut a = StagingAlloc::new(0, 1 << 20, line);
             let mut regions: Vec<(u32, u32)> = Vec::new();
@@ -173,9 +174,9 @@ mod tests {
             // Dead bytes below top are bounded by what was freed, which
             // is itself bounded by everything ever allocated.
             let ever: u32 = sizes.iter().map(|&s| s.div_ceil(line) * line).sum();
-            prop_assert!(a.top >= outstanding.min(ever));
-            prop_assert!(a.top <= ever);
-        }
+            assert!(a.top >= outstanding.min(ever));
+            assert!(a.top <= ever);
+        });
     }
 
     /// Deterministic pseudo-random pick derived from the live set (keeps

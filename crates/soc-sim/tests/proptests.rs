@@ -1,7 +1,6 @@
 //! Property-based tests of the simulator substrates.
 
-use proptest::prelude::*;
-
+use pmc_core::fuzz::{for_each_case, SplitMix64};
 use pmc_soc_sim::cache::Cache;
 use pmc_soc_sim::{addr, CacheConfig, Cpu, Soc, SocConfig, Topology};
 use std::collections::{HashMap, HashSet};
@@ -15,20 +14,20 @@ struct RefModel {
     dirty: HashMap<u32, bool>,
 }
 
-fn cache_ops() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
+fn cache_ops(rng: &mut SplitMix64) -> Vec<(u8, u8, u8)> {
     // (op, line_idx, value): op 0 = read, 1 = write, 2 = flush,
     // 3 = invalidate.
-    prop::collection::vec((0u8..4, 0u8..12, 0u8..=255), 1..60)
+    let len = 1 + rng.below(59);
+    (0..len).map(|_| (rng.below(4) as u8, rng.below(12) as u8, rng.below(256) as u8)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The write-back cache agrees with a reference model under arbitrary
-    /// fill/write/flush/invalidate sequences (tiny cache to force
-    /// evictions).
-    #[test]
-    fn cache_matches_reference(ops in cache_ops()) {
+/// The write-back cache agrees with a reference model under arbitrary
+/// fill/write/flush/invalidate sequences (tiny cache to force
+/// evictions).
+#[test]
+fn cache_matches_reference() {
+    for_each_case("cache_matches_reference", 128, |rng| {
+        let ops = cache_ops(rng);
         let cfg = CacheConfig { line_size: 8, sets: 2, ways: 2 };
         let mut cache = Cache::new(cfg);
         let mut model = RefModel::default();
@@ -52,7 +51,7 @@ proptest! {
                     let mut out = [0u8; 1];
                     cache.read_hit(line, &mut out);
                     let expect = model.cached[&line];
-                    prop_assert_eq!(out[0], expect, "stale/fresh mismatch at {}", line);
+                    assert_eq!(out[0], expect, "stale/fresh mismatch at {}", line);
                 }
                 1 => {
                     if !cache.contains(line) {
@@ -75,9 +74,9 @@ proptest! {
                     if model.dirty.remove(&line).unwrap_or(false) {
                         let v = model.cached[&line];
                         model.backing.insert(line, v);
-                        prop_assert_eq!(wb.as_ref().map(|w| w.data[0]), Some(v));
+                        assert_eq!(wb.as_ref().map(|w| w.data[0]), Some(v));
                     } else {
-                        prop_assert!(wb.is_none());
+                        assert!(wb.is_none());
                     }
                     model.cached.remove(&line);
                 }
@@ -95,29 +94,35 @@ proptest! {
         }
         for (line, dirty) in model.dirty {
             if dirty {
-                prop_assert_eq!(model.backing[&line], model.cached[&line]);
+                assert_eq!(model.backing[&line], model.cached[&line]);
             }
         }
-    }
+    });
+}
 
-    /// Mesh XY routes are deterministic, cycle-free, exactly Manhattan-
-    /// distance long, and made of valid links that chain from source to
-    /// destination (the satellite properties of the topology refactor).
-    #[test]
-    fn mesh_xy_routes_are_minimal_acyclic_and_valid(
-        (cols, rows, a, b) in (1u8..6, 1u8..6, 0u16..4096, 0u16..4096)
-    ) {
+/// Mesh XY routes are deterministic, cycle-free, exactly Manhattan-
+/// distance long, and made of valid links that chain from source to
+/// destination (the satellite properties of the topology refactor).
+#[test]
+fn mesh_xy_routes_are_minimal_acyclic_and_valid() {
+    for_each_case("mesh_xy_routes_are_minimal_acyclic_and_valid", 128, |rng| {
+        let (cols, rows, a, b) = (
+            1 + rng.below(5) as u8,
+            1 + rng.below(5) as u8,
+            rng.below(4096) as u16,
+            rng.below(4096) as u16,
+        );
         let (cols, rows) = (cols as usize, rows as usize);
         let n = cols * rows;
         let topo = Topology::Mesh { cols, rows };
         let (from, to) = (a as usize % n, b as usize % n);
         let route = topo.route(n, from, to);
         // Deterministic: routing twice yields the identical link list.
-        prop_assert_eq!(&route, &topo.route(n, from, to));
+        assert_eq!(&route, &topo.route(n, from, to));
         // Minimal: length equals the Manhattan distance (and `hops`).
         let manhattan = (from % cols).abs_diff(to % cols) + (from / cols).abs_diff(to / cols);
-        prop_assert_eq!(route.len(), manhattan);
-        prop_assert_eq!(route.len() as u64, topo.hops(n, from, to));
+        assert_eq!(route.len(), manhattan);
+        assert_eq!(route.len() as u64, topo.hops(n, from, to));
         // Valid and cycle-free: every link exists on the mesh, links
         // chain tile-to-tile from `from` to `to`, no tile is visited
         // twice.
@@ -125,39 +130,45 @@ proptest! {
         let mut at = from;
         visited.insert(at);
         for &link in &route {
-            prop_assert!(topo.is_valid_link(n, link), "invalid link {}", link);
-            prop_assert!(link < topo.link_count(n));
+            assert!(topo.is_valid_link(n, link), "invalid link {}", link);
+            assert!(link < topo.link_count(n));
             let (lf, lt) = topo.link_endpoints(n, link);
-            prop_assert_eq!(lf, at, "links must chain");
-            prop_assert!(visited.insert(lt), "cycle through tile {}", lt);
+            assert_eq!(lf, at, "links must chain");
+            assert!(visited.insert(lt), "cycle through tile {}", lt);
             at = lt;
         }
-        prop_assert_eq!(at, to);
-    }
+        assert_eq!(at, to);
+    });
+}
 
-    /// Torus routes are deterministic, cycle-free, made of valid links
-    /// that chain from source to destination, and minimal: exactly the
-    /// wrap-aware Manhattan distance (the shorter way around each
-    /// dimension), never longer than the mesh route on the same grid.
-    #[test]
-    fn torus_routes_wrap_minimally_and_chain(
-        (cols, rows, a, b) in (1u8..6, 1u8..6, 0u16..4096, 0u16..4096)
-    ) {
+/// Torus routes are deterministic, cycle-free, made of valid links
+/// that chain from source to destination, and minimal: exactly the
+/// wrap-aware Manhattan distance (the shorter way around each
+/// dimension), never longer than the mesh route on the same grid.
+#[test]
+fn torus_routes_wrap_minimally_and_chain() {
+    for_each_case("torus_routes_wrap_minimally_and_chain", 128, |rng| {
+        let (cols, rows, a, b) = (
+            1 + rng.below(5) as u8,
+            1 + rng.below(5) as u8,
+            rng.below(4096) as u16,
+            rng.below(4096) as u16,
+        );
         let (cols, rows) = (cols as usize, rows as usize);
         let n = cols * rows;
         let topo = Topology::Torus { cols, rows };
         let (from, to) = (a as usize % n, b as usize % n);
         let route = topo.route(n, from, to);
         // Deterministic: routing twice yields the identical link list.
-        prop_assert_eq!(&route, &topo.route(n, from, to));
+        assert_eq!(&route, &topo.route(n, from, to));
         // Minimal: each dimension goes the shorter way around.
         let dx = (from % cols).abs_diff(to % cols);
         let dy = (from / cols).abs_diff(to / cols);
         let wrap_dist = dx.min(cols - dx) + dy.min(rows - dy);
-        prop_assert_eq!(route.len(), wrap_dist);
-        prop_assert_eq!(route.len() as u64, topo.hops(n, from, to));
+        assert_eq!(route.len(), wrap_dist);
+        assert_eq!(route.len() as u64, topo.hops(n, from, to));
         let mesh = Topology::Mesh { cols, rows };
-        prop_assert!(topo.hops(n, from, to) <= mesh.hops(n, from, to));
+        assert!(topo.hops(n, from, to) <= mesh.hops(n, from, to));
         // Valid and cycle-free: every link exists on the torus, links
         // chain tile-to-tile from `from` to `to`, no tile is visited
         // twice.
@@ -165,32 +176,33 @@ proptest! {
         let mut at = from;
         visited.insert(at);
         for &link in &route {
-            prop_assert!(topo.is_valid_link(n, link), "invalid link {}", link);
-            prop_assert!(link < topo.link_count(n));
+            assert!(topo.is_valid_link(n, link), "invalid link {}", link);
+            assert!(link < topo.link_count(n));
             let (lf, lt) = topo.link_endpoints(n, link);
-            prop_assert_eq!(lf, at, "links must chain");
-            prop_assert!(visited.insert(lt), "cycle through tile {}", lt);
+            assert_eq!(lf, at, "links must chain");
+            assert!(visited.insert(lt), "cycle through tile {}", lt);
             at = lt;
         }
-        prop_assert_eq!(at, to);
-    }
+        assert_eq!(at, to);
+    });
+}
 
-    /// Controller interleaving partitions the SDRAM offset space: every
-    /// offset maps to exactly one in-range controller, the map is stable
-    /// on repeated lookups, offsets within one 4 KiB stripe share an
-    /// owner, and with `k` controllers `k` consecutive stripes cover all
-    /// `k` owners (round-robin).
-    #[test]
-    fn interleaving_partitions_the_address_space(
-        (offset, k) in (0u32..u32::MAX, 1usize..9)
-    ) {
+/// Controller interleaving partitions the SDRAM offset space: every
+/// offset maps to exactly one in-range controller, the map is stable
+/// on repeated lookups, offsets within one 4 KiB stripe share an
+/// owner, and with `k` controllers `k` consecutive stripes cover all
+/// `k` owners (round-robin).
+#[test]
+fn interleaving_partitions_the_address_space() {
+    for_each_case("interleaving_partitions_the_address_space", 128, |rng| {
+        let (offset, k) = (rng.below(u64::from(u32::MAX)) as u32, 1 + rng.below(8) as usize);
         let c = addr::controller_for(offset, k);
-        prop_assert!(c < k, "owner {} out of range for {} controllers", c, k);
+        assert!(c < k, "owner {} out of range for {} controllers", c, k);
         // Pure: the same offset always resolves to the same controller.
-        prop_assert_eq!(c, addr::controller_for(offset, k));
+        assert_eq!(c, addr::controller_for(offset, k));
         // Stripe-aligned: the stripe base shares the owner.
         let stripe = 1u32 << addr::CTRL_STRIPE_SHIFT;
-        prop_assert_eq!(addr::controller_for(offset & !(stripe - 1), k), c);
+        assert_eq!(addr::controller_for(offset & !(stripe - 1), k), c);
         // Round-robin: k consecutive stripes hit every controller once
         // (clamped below the top of the offset space so the window
         // doesn't wrap).
@@ -199,34 +211,42 @@ proptest! {
         for i in 0..k as u32 {
             owners.insert(addr::controller_for(base + i * stripe, k));
         }
-        prop_assert_eq!(owners.len(), k, "k consecutive stripes must cover all k controllers");
-    }
+        assert_eq!(owners.len(), k, "k consecutive stripes must cover all k controllers");
+    });
+}
 
-    /// Ring routes never exceed `n_tiles / 2` links (the shortest arc),
-    /// are made of valid link ids, chain from source to destination,
-    /// and match `hops`.
-    #[test]
-    fn ring_routes_take_the_shortest_arc((n, a, b) in (1u8..33, 0u16..4096, 0u16..4096)) {
+/// Ring routes never exceed `n_tiles / 2` links (the shortest arc),
+/// are made of valid link ids, chain from source to destination,
+/// and match `hops`.
+#[test]
+fn ring_routes_take_the_shortest_arc() {
+    for_each_case("ring_routes_take_the_shortest_arc", 128, |rng| {
+        let (n, a, b) = (1 + rng.below(32) as u8, rng.below(4096) as u16, rng.below(4096) as u16);
         let n = n as usize;
         let topo = Topology::Ring;
         let (from, to) = (a as usize % n, b as usize % n);
         let route = topo.route(n, from, to);
-        prop_assert!(route.len() <= n / 2, "route of {} links on a {}-ring", route.len(), n);
-        prop_assert_eq!(route.len() as u64, topo.hops(n, from, to));
+        assert!(route.len() <= n / 2, "route of {} links on a {}-ring", route.len(), n);
+        assert_eq!(route.len() as u64, topo.hops(n, from, to));
         let mut at = from;
         for &link in &route {
-            prop_assert!(topo.is_valid_link(n, link), "invalid link {}", link);
+            assert!(topo.is_valid_link(n, link), "invalid link {}", link);
             let (lf, lt) = topo.link_endpoints(n, link);
-            prop_assert_eq!(lf, at, "links must chain");
+            assert_eq!(lf, at, "links must chain");
             at = lt;
         }
-        prop_assert_eq!(at, to);
-    }
+        assert_eq!(at, to);
+    });
+}
 
-    /// Uncached SDRAM is a plain memory regardless of access interleaving
-    /// by a single core: last write wins.
-    #[test]
-    fn uncached_sdram_last_write_wins(writes in prop::collection::vec((0u32..64, 0u32..1000), 1..40)) {
+/// Uncached SDRAM is a plain memory regardless of access interleaving
+/// by a single core: last write wins.
+#[test]
+fn uncached_sdram_last_write_wins() {
+    for_each_case("uncached_sdram_last_write_wins", 128, |rng| {
+        let writes = (0..1 + rng.below(39))
+            .map(|_| (rng.below(64) as u32, rng.below(1000) as u32))
+            .collect::<Vec<_>>();
         let soc = Soc::new(SocConfig::small(1));
         let writes_ref = &writes;
         soc.run(vec![Box::new(move |cpu: &mut Cpu| {
@@ -239,9 +259,9 @@ proptest! {
             expect.insert(slot, val);
         }
         for (slot, val) in expect {
-            prop_assert_eq!(soc.read_sdram_u32(slot * 4), val);
+            assert_eq!(soc.read_sdram_u32(slot * 4), val);
         }
-    }
+    });
 }
 
 /// Determinism fuzz: random mixed workloads produce bit-identical
