@@ -18,8 +18,8 @@ fn op_seq(rng: &mut SplitMix64) -> Vec<(u8, u8, u8)> {
 }
 
 /// Last-writes (Definition 11) is never empty once a location is
-/// initialised, and every readable write (Definition 12) is on the
-/// right location.
+/// initialised, and it and every readable write (Definition 12) are
+/// writes to the right location.
 #[test]
 fn last_writes_nonempty_and_readable_consistent() {
     for_each_case("last_writes_nonempty_and_readable_consistent", 64, |rng| {
@@ -43,7 +43,7 @@ fn last_writes_nonempty_and_readable_consistent() {
             let loc = e.op(r).loc;
             let lw = e.last_writes(r);
             assert!(!lw.is_empty(), "W is never empty (init op exists)");
-            for w in e.readable_writes(r) {
+            for w in lw.into_iter().chain(e.readable_writes(r)) {
                 assert_eq!(e.op(w).loc, loc);
                 assert!(e.op(w).kind.is_write_like());
             }

@@ -191,7 +191,8 @@ fn torus_routes_wrap_minimally_and_chain() {
 /// offset maps to exactly one in-range controller, the map is stable
 /// on repeated lookups, offsets within one 4 KiB stripe share an
 /// owner, and with `k` controllers `k` consecutive stripes cover all
-/// `k` owners (round-robin).
+/// `k` owners (round-robin from controller 0: stripe `s` is owned by
+/// controller `s mod k`).
 #[test]
 fn interleaving_partitions_the_address_space() {
     for_each_case("interleaving_partitions_the_address_space", 128, |rng| {
@@ -209,7 +210,9 @@ fn interleaving_partitions_the_address_space() {
         let base = offset.min(u32::MAX - 16 * stripe) & !(stripe - 1);
         let mut owners = HashSet::new();
         for i in 0..k as u32 {
-            owners.insert(addr::controller_for(base + i * stripe, k));
+            let owner = addr::controller_for(base + i * stripe, k);
+            assert_eq!(owner, ((base >> addr::CTRL_STRIPE_SHIFT) + i) as usize % k);
+            owners.insert(owner);
         }
         assert_eq!(owners.len(), k, "k consecutive stripes must cover all k controllers");
     });
