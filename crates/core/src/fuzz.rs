@@ -28,13 +28,10 @@
 //!
 //! Plain reads stay unrestricted: read-only scopes on word-sized objects
 //! take no lock (Table II).
-//!
-//! The workspace's property suites run on the same stream:
-//! [`for_each_case`] hands each case of a suite its own seeded
-//! [`SplitMix64`] and names the suite, case and seed of a failure.
 
 use crate::litmus::{Instr, Program, Reg};
 use crate::op::{LocId, Value};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Deterministic splitmix64 stream — the de-facto standard seeder: every
 /// output is one add-xor-shift-multiply scramble of a Weyl sequence, so
@@ -70,44 +67,36 @@ impl SplitMix64 {
     }
 }
 
-/// Run the property `check` on [`case_count`]`(default)` cases of the
-/// suite `name`. Case `i` draws from its own [`SplitMix64`], seeded from
-/// `name` and `i`, so a failing case replays alone from its seed. A
-/// failing case prints the suite, its index and its seed, and then
-/// unwinds with the failure's own message.
+/// Run the property `check` on `default` cases of the suite `name` (or
+/// as many as `PMC_PROPTEST_CASES` says). Case `i` draws from its own
+/// [`SplitMix64`], seeded from `name` and `i`, so a failing case replays
+/// alone from its seed. A failing case prints the suite, its index and
+/// its seed, and then unwinds with the failure's own message.
 pub fn for_each_case(name: &str, default: u32, mut check: impl FnMut(&mut SplitMix64)) {
     for case in 0..case_count(default) {
         let seed = case_seed(name, case);
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            check(&mut SplitMix64::new(seed));
-        }));
-        if let Err(failure) = run {
+        if let Err(failure) = catch_unwind(AssertUnwindSafe(|| check(&mut SplitMix64::new(seed)))) {
             eprintln!("{}", case_report(name, case, seed));
-            std::panic::resume_unwind(failure);
+            resume_unwind(failure);
         }
     }
 }
 
-/// Cases a property suite runs: `default`, or exactly the value of
-/// `PMC_PROPTEST_CASES` when that is set (to lower or raise every
-/// suite's count; 0 runs one case).
-pub fn case_count(default: u32) -> u32 {
+/// Cases a property suite runs: `default`, or exactly `PMC_PROPTEST_CASES`
+/// when that is set (to lower or raise every suite's count; 0 runs one).
+pub(crate) fn case_count(default: u32) -> u32 {
     parse_case_count(std::env::var("PMC_PROPTEST_CASES").ok().as_deref(), default)
 }
 
 fn parse_case_count(value: Option<&str>, default: u32) -> u32 {
-    let Some(value) = value else { return default };
-    let n: u32 = value.parse().unwrap_or_else(|_| {
-        panic!("PMC_PROPTEST_CASES={value:?} is not a case count (an unsigned 32-bit integer)")
-    });
-    n.max(1)
+    let Some(v) = value else { return default };
+    v.parse::<u32>().unwrap_or_else(|_| panic!("PMC_PROPTEST_CASES={v:?} is not a u32")).max(1)
 }
 
 /// FNV-1a over the suite name, then the case index.
 fn case_seed(name: &str, case: u32) -> u64 {
-    name.bytes()
-        .chain(case.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    name.bytes().chain(case.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, fnv)
 }
 
 fn case_report(name: &str, case: u32, seed: u64) -> String {
