@@ -627,7 +627,6 @@ mod tests {
     use super::*;
     use crate::interleave::{outcomes_with, Limits};
 
-    /// The generator is a pure function of its seed.
     #[test]
     fn each_case_draws_the_stream_of_its_suite_and_index() {
         let first = |name: &str, case| SplitMix64::new(case_seed(name, case)).next_u64();
@@ -650,10 +649,8 @@ mod tests {
             case += 1;
             assert!(case <= failing, "case drew {draw:#x}");
         };
-        let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for_each_case("demo", 64, &mut check)
-        }))
-        .unwrap_err();
+        let failure =
+            catch_unwind(AssertUnwindSafe(|| for_each_case("demo", 64, &mut check))).unwrap_err();
         let seed = case_seed("demo", failing);
         let replay = SplitMix64::new(seed).next_u64();
         assert_eq!(failure.downcast_ref::<String>(), Some(&format!("case drew {replay:#x}")));
@@ -669,12 +666,13 @@ mod tests {
         assert_eq!(parse_case_count(Some("256"), 64), 256);
         assert_eq!(parse_case_count(Some("0"), 64), 1);
         for bad in ["abc", "", "256x"] {
-            let failure = std::panic::catch_unwind(|| parse_case_count(Some(bad), 64)).unwrap_err();
+            let failure = catch_unwind(|| parse_case_count(Some(bad), 64)).unwrap_err();
             let msg = failure.downcast_ref::<String>().expect("a formatted message");
             assert!(msg.contains(&format!("PMC_PROPTEST_CASES={bad:?}")), "{msg}");
         }
     }
 
+    /// The generator is a pure function of its seed.
     #[test]
     fn generation_is_deterministic() {
         let cfg = GenConfig::default();
