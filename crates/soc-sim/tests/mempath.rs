@@ -11,12 +11,15 @@
 //! and a deliberate timing-model change re-pins them from the values
 //! the failing assertion prints.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
+use pmc_core::fuzz::SplitMix64;
 use pmc_soc_sim::addr::{local_base, SDRAM_CACHED_BASE, SDRAM_UNCACHED_BASE};
 use pmc_soc_sim::telemetry::StallClass;
 use pmc_soc_sim::{
-    CoreProgram, Counters, Cpu, DmaDescriptor, DmaDir, DmaKind, EventKind, MemTag, Soc, SocConfig,
+    CacheConfig, CoreProgram, Counters, Cpu, DmaDescriptor, DmaDir, DmaKind, EventKind, MemTag,
+    Soc, SocConfig,
 };
 
 /// SDRAM offset of stripe `s` (0: controller on tile 0, 1: controller
@@ -260,4 +263,81 @@ fn memory_path_timing_is_pinned_on_a_two_controller_mesh() {
         memory: 1782033648056109917,
     };
     assert_eq!(run_pinned(), expected);
+}
+
+/// One tile's seeded mix of cached reads and writes (widths 1, 2 and 4,
+/// aligned, so never across a line), flushes and invalidations of
+/// ranges up to three lines long (empty ones included), over a shared
+/// footprint three times the cache's capacity. Returns every value
+/// read, in order.
+fn cached_mix(cpu: &mut Cpu, seed: u64, footprint: u32, line: u32) -> Vec<u32> {
+    let mut rng = SplitMix64::new(seed);
+    let mut reads = Vec::new();
+    for _ in 0..300 {
+        let width = [1u32, 2, 4][rng.below(3) as usize];
+        let at = SDRAM_CACHED_BASE + rng.below(u64::from(footprint / width)) as u32 * width;
+        let range = rng.below(u64::from(3 * line) + 1) as u32;
+        match rng.below(10) {
+            0..=3 => {
+                let mut out = [0u8; 4];
+                cpu.read(at, &mut out[..width as usize]);
+                reads.push(u32::from_le_bytes(out));
+            }
+            4..=7 => {
+                let value = (rng.next_u64() as u32).to_le_bytes();
+                cpu.write(at, &value[..width as usize]);
+            }
+            8 => cpu.flush_dcache_range(at, range),
+            _ => cpu.invalidate_dcache_range(at, range),
+        }
+    }
+    reads
+}
+
+/// The cached path on every small cache geometry — ways 1, 2 and 4,
+/// lines of 8, 32 and 64 bytes, 1, 2 and 8 sets — with two tiles
+/// sharing one footprint, so misses, LRU evictions of dirty lines,
+/// flushes and stale reads all occur. One FNV-1a digest over every
+/// value read, each tile's counters, the makespan and the final SDRAM
+/// bytes of the footprint, captured before the cache kept its lines in
+/// one flat array: a change to the cache must reproduce it exactly.
+#[test]
+fn cached_path_is_pinned_across_geometries() {
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for ways in [1, 2, 4] {
+        for line_size in [8, 32, 64] {
+            for sets in [1, 2, 8] {
+                let mut cfg = SocConfig::small(2);
+                cfg.dcache = CacheConfig { line_size, sets, ways };
+                let footprint = 3 * ways * sets * line_size;
+                let seed = u64::from(ways << 16 | line_size << 8 | sets);
+                let soc = Soc::new(cfg);
+                let reads: [RefCell<Vec<u32>>; 2] = Default::default();
+                let report = soc.run(
+                    (0..2u64)
+                        .map(|t| -> CoreProgram<'_> {
+                            let reads = &reads[t as usize];
+                            Box::new(move |cpu: &mut Cpu| {
+                                *reads.borrow_mut() =
+                                    cached_mix(cpu, seed * 2 + t, footprint, line_size);
+                            })
+                        })
+                        .collect(),
+                );
+                for value in reads.iter().flat_map(|r| r.take()) {
+                    digest = fnv1a(digest, &value.to_le_bytes());
+                }
+                for c in &report.per_core {
+                    for field in counter_fields(c) {
+                        digest = fnv1a(digest, &field.to_le_bytes());
+                    }
+                }
+                digest = fnv1a(digest, &report.makespan.to_le_bytes());
+                let mut image = vec![0u8; footprint as usize];
+                soc.read_sdram(0, &mut image);
+                digest = fnv1a(digest, &image);
+            }
+        }
+    }
+    assert_eq!(digest, 0x017b_4b47_63f3_2b9c, "cached-path digest {digest:#x}");
 }
