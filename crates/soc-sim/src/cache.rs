@@ -6,50 +6,49 @@
 //! to manage (paper Section V-B). Like the MicroBlaze, the cache can
 //! either invalidate a line or flush-and-invalidate it; there is no way to
 //! reconcile a dirty line in place.
+//!
+//! Storage is two flat arrays whatever the geometry: one [`Line`] of
+//! metadata per slot and one byte array holding every slot's data, slot
+//! `i` at bytes `i * line_size..(i + 1) * line_size`. Fills, write-backs
+//! and flushes move bytes between a slot and SDRAM in place
+//! ([`Cache::bytes`], [`Cache::bytes_mut`]); nothing on the access path
+//! allocates.
 
 use crate::config::CacheConfig;
 
-/// A dirty line evicted or flushed: must be written back to SDRAM.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Writeback {
-    /// SDRAM offset of the line.
-    pub offset: u32,
-    pub data: Vec<u8>,
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u32,
     valid: bool,
     dirty: bool,
     stamp: u64,
-    data: Vec<u8>,
 }
 
-/// Set-associative write-back cache indexed by SDRAM offset.
+/// Set-associative write-back cache indexed by SDRAM offset. A *slot* is
+/// the index of one way of one set (`set * ways + way`).
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>, // sets * ways, row-major by set
+    data: Vec<u8>,    // line_size bytes per slot, in slot order
     tick: u64,
 }
 
 impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.line_size.is_power_of_two() && cfg.sets.is_power_of_two());
-        let line = Line {
-            tag: 0,
-            valid: false,
-            dirty: false,
-            stamp: 0,
-            data: vec![0; cfg.line_size as usize],
-        };
-        Cache { cfg, lines: vec![line; (cfg.sets * cfg.ways) as usize], tick: 0 }
+        let slots = (cfg.sets * cfg.ways) as usize;
+        Cache {
+            cfg,
+            lines: vec![Line::default(); slots],
+            data: vec![0; slots * cfg.line_size as usize],
+            tick: 0,
+        }
     }
 
     /// The line-aligned base of an SDRAM offset.
     #[inline]
-    pub(crate) fn line_of(&self, offset: u32) -> u32 {
+    pub fn line_of(&self, offset: u32) -> u32 {
         offset & !(self.cfg.line_size - 1)
     }
 
@@ -58,95 +57,98 @@ impl Cache {
         (line / self.cfg.line_size) & (self.cfg.sets - 1)
     }
 
-    fn slot(&mut self, line: u32) -> Option<usize> {
-        let set = self.set_of(line);
-        let base = (set * self.cfg.ways) as usize;
+    /// The slot holding the line containing `offset`, if present.
+    #[inline]
+    pub fn lookup(&self, offset: u32) -> Option<usize> {
+        let line = self.line_of(offset);
+        let base = (self.set_of(line) * self.cfg.ways) as usize;
         (base..base + self.cfg.ways as usize)
             .find(|&i| self.lines[i].valid && self.lines[i].tag == line)
     }
 
-    /// Whether the line containing `offset` is present.
-    pub fn contains(&mut self, offset: u32) -> bool {
-        let line = self.line_of(offset);
-        self.slot(line).is_some()
+    /// The bytes of `slot`'s line.
+    #[inline]
+    pub fn bytes(&self, slot: usize) -> &[u8] {
+        let ls = self.cfg.line_size as usize;
+        &self.data[slot * ls..(slot + 1) * ls]
     }
 
-    /// Read within a present line. Panics if absent.
-    pub fn read_hit(&mut self, offset: u32, out: &mut [u8]) {
-        let line = self.line_of(offset);
-        let i = self.slot(line).expect("read_hit on absent line");
+    /// The bytes of `slot`'s line, for filling it from memory.
+    #[inline]
+    pub fn bytes_mut(&mut self, slot: usize) -> &mut [u8] {
+        let ls = self.cfg.line_size as usize;
+        &mut self.data[slot * ls..(slot + 1) * ls]
+    }
+
+    /// Mark `slot` most recently used and return the byte range of
+    /// `len` bytes at `offset` within it.
+    #[inline]
+    fn touch(&mut self, slot: usize, offset: u32, len: usize) -> std::ops::Range<usize> {
+        debug_assert!(self.lines[slot].valid && self.lines[slot].tag == self.line_of(offset));
         self.tick += 1;
-        self.lines[i].stamp = self.tick;
-        let within = (offset - line) as usize;
-        out.copy_from_slice(&self.lines[i].data[within..within + out.len()]);
+        self.lines[slot].stamp = self.tick;
+        let start = slot * self.cfg.line_size as usize + (offset - self.lines[slot].tag) as usize;
+        start..start + len
     }
 
-    /// Write within a present line (write-back: marks dirty). Panics if
-    /// absent.
-    pub fn write_hit(&mut self, offset: u32, data: &[u8]) {
-        let line = self.line_of(offset);
-        let i = self.slot(line).expect("write_hit on absent line");
-        self.tick += 1;
-        self.lines[i].stamp = self.tick;
-        self.lines[i].dirty = true;
-        let within = (offset - line) as usize;
-        self.lines[i].data[within..within + data.len()].copy_from_slice(data);
+    /// Read `out.len()` bytes at `offset` from the line in `slot` (a
+    /// [`Cache::lookup`] or [`Cache::fill`] of that offset).
+    #[inline]
+    pub fn read(&mut self, slot: usize, offset: u32, out: &mut [u8]) {
+        let range = self.touch(slot, offset, out.len());
+        out.copy_from_slice(&self.data[range]);
     }
 
-    /// Install a line (allocate-on-miss, both reads and writes). Returns
-    /// the dirty victim to write back, if any.
-    pub fn fill(&mut self, line: u32, data: &[u8]) -> Option<Writeback> {
+    /// Write `data` at `offset` into the line in `slot` (write-back:
+    /// marks it dirty).
+    #[inline]
+    pub fn write(&mut self, slot: usize, offset: u32, data: &[u8]) {
+        let range = self.touch(slot, offset, data.len());
+        self.lines[slot].dirty = true;
+        self.data[range].copy_from_slice(data);
+    }
+
+    /// Install the absent line `line` (allocate-on-miss, both reads and
+    /// writes) and return its slot, plus the SDRAM offset of the dirty
+    /// victim it evicts, if any. The slot still holds the victim's bytes:
+    /// write them back from [`Cache::bytes`], then fill the line through
+    /// [`Cache::bytes_mut`].
+    pub fn fill(&mut self, line: u32) -> (usize, Option<u32>) {
         debug_assert_eq!(line, self.line_of(line));
-        debug_assert_eq!(data.len(), self.cfg.line_size as usize);
-        let set = self.set_of(line);
-        let base = (set * self.cfg.ways) as usize;
+        let base = (self.set_of(line) * self.cfg.ways) as usize;
         let end = base + self.cfg.ways as usize;
         // Prefer an invalid way; otherwise evict LRU.
         let victim = (base..end).find(|&i| !self.lines[i].valid).unwrap_or_else(|| {
             (base..end).min_by_key(|&i| self.lines[i].stamp).expect("ways >= 1")
         });
-        let evicted = {
-            let l = &self.lines[victim];
-            if l.valid && l.dirty {
-                Some(Writeback { offset: l.tag, data: l.data.clone() })
-            } else {
-                None
-            }
-        };
         self.tick += 1;
         let l = &mut self.lines[victim];
-        l.tag = line;
-        l.valid = true;
-        l.dirty = false;
-        l.stamp = self.tick;
-        l.data.copy_from_slice(data);
-        evicted
+        let evicted = (l.valid && l.dirty).then_some(l.tag);
+        *l = Line { tag: line, valid: true, dirty: false, stamp: self.tick };
+        (victim, evicted)
     }
 
-    /// Flush-and-invalidate the line containing `offset`: returns the
-    /// write-back if it was present and dirty. The line never stays in
-    /// the cache (the MicroBlaze cannot reconcile in place).
-    pub fn flush_line(&mut self, offset: u32) -> Option<Writeback> {
-        let line = self.line_of(offset);
-        let i = self.slot(line)?;
-        let l = &mut self.lines[i];
+    /// Flush-and-invalidate the line containing `offset`: returns its
+    /// slot if it was present and dirty, whose [`Cache::bytes`] must then
+    /// be written back (they stay until the slot is filled again). The
+    /// line never stays in the cache (the MicroBlaze cannot reconcile in
+    /// place).
+    pub fn flush_line(&mut self, offset: u32) -> Option<usize> {
+        let slot = self.lookup(offset)?;
+        let l = &mut self.lines[slot];
+        let dirty = l.dirty;
         l.valid = false;
-        if l.dirty {
-            l.dirty = false;
-            Some(Writeback { offset: l.tag, data: l.data.clone() })
-        } else {
-            None
-        }
+        l.dirty = false;
+        dirty.then_some(slot)
     }
 
     /// Invalidate without write-back (discard local modifications).
     /// Returns whether the line was present.
     pub fn invalidate_line(&mut self, offset: u32) -> bool {
-        let line = self.line_of(offset);
-        match self.slot(line) {
-            Some(i) => {
-                self.lines[i].valid = false;
-                self.lines[i].dirty = false;
+        match self.lookup(offset) {
+            Some(slot) => {
+                self.lines[slot].valid = false;
+                self.lines[slot].dirty = false;
                 true
             }
             None => false,
@@ -154,26 +156,12 @@ impl Cache {
     }
 
     /// Iterate the line-aligned offsets covering `[offset, offset+len)`;
-    /// an empty range covers no line.
+    /// an empty range covers no line. The iterator does not borrow the
+    /// cache, so a walk can flush or invalidate as it goes.
     pub(crate) fn lines_covering(&self, offset: u32, len: u32) -> impl Iterator<Item = u32> {
         let ls = self.cfg.line_size;
         let first = if len == 0 { offset } else { offset & !(ls - 1) };
         (first..offset + len).step_by(ls as usize)
-    }
-
-    /// Flush-and-invalidate every valid line (returns all dirty victims).
-    pub fn flush_all(&mut self) -> Vec<Writeback> {
-        let mut out = Vec::new();
-        for l in &mut self.lines {
-            if l.valid {
-                if l.dirty {
-                    out.push(Writeback { offset: l.tag, data: l.data.clone() });
-                }
-                l.valid = false;
-                l.dirty = false;
-            }
-        }
-        out
     }
 }
 
@@ -186,28 +174,46 @@ mod tests {
         Cache::new(CacheConfig { line_size: 8, sets: 2, ways: 2 })
     }
 
+    /// Install `line` with `bytes` as a miss does: returns the dirty
+    /// victim's offset and bytes.
+    fn fill_with(c: &mut Cache, line: u32, bytes: &[u8]) -> Option<(u32, Vec<u8>)> {
+        let (slot, victim) = c.fill(line);
+        let evicted = victim.map(|offset| (offset, c.bytes(slot).to_vec()));
+        c.bytes_mut(slot).copy_from_slice(bytes);
+        evicted
+    }
+
+    fn read_hit(c: &mut Cache, offset: u32, out: &mut [u8]) {
+        let slot = c.lookup(offset).expect("read of an absent line");
+        c.read(slot, offset, out);
+    }
+
+    fn write_hit(c: &mut Cache, offset: u32, data: &[u8]) {
+        let slot = c.lookup(offset).expect("write of an absent line");
+        c.write(slot, offset, data);
+    }
+
     #[test]
     fn fill_then_hit() {
         let mut c = tiny();
-        assert!(!c.contains(0));
-        assert!(c.fill(0, &[1, 2, 3, 4, 5, 6, 7, 8]).is_none());
-        assert!(c.contains(0));
-        assert!(c.contains(7));
-        assert!(!c.contains(8));
+        assert!(c.lookup(0).is_none());
+        assert!(fill_with(&mut c, 0, &[1, 2, 3, 4, 5, 6, 7, 8]).is_none());
+        assert!(c.lookup(0).is_some());
+        assert!(c.lookup(7).is_some());
+        assert!(c.lookup(8).is_none());
         let mut b = [0u8; 2];
-        c.read_hit(2, &mut b);
+        read_hit(&mut c, 2, &mut b);
         assert_eq!(b, [3, 4]);
     }
 
     #[test]
     fn write_makes_dirty_and_flush_returns_it() {
         let mut c = tiny();
-        assert!(c.fill(8, &[0; 8]).is_none());
-        c.write_hit(12, &[9, 9]);
-        let wb = c.flush_line(8).expect("dirty line must write back");
-        assert_eq!(wb.offset, 8);
-        assert_eq!(wb.data[4..6], [9, 9]);
-        assert!(!c.contains(8), "flush always invalidates");
+        assert!(fill_with(&mut c, 8, &[0; 8]).is_none());
+        write_hit(&mut c, 12, &[9, 9]);
+        let slot = c.flush_line(8).expect("dirty line must write back");
+        assert_eq!(c.bytes(slot)[4..6], [9, 9]);
+        assert!(c.lookup(8).is_none(), "flush always invalidates");
         // Flushing again: nothing.
         assert!(c.flush_line(8).is_none());
     }
@@ -215,14 +221,15 @@ mod tests {
     #[test]
     fn invalidate_discards_dirty_data() {
         let mut c = tiny();
-        c.fill(0, &[0; 8]);
-        c.write_hit(0, &[7]);
+        fill_with(&mut c, 0, &[0; 8]);
+        write_hit(&mut c, 0, &[7]);
         assert!(c.invalidate_line(0));
-        assert!(!c.contains(0));
-        // Re-fill sees backing data, not the discarded write.
-        c.fill(0, &[1; 8]);
+        assert!(c.lookup(0).is_none());
+        // Re-fill sees backing data, not the discarded write, and has no
+        // dirty victim to write back.
+        assert!(fill_with(&mut c, 0, &[1; 8]).is_none());
         let mut b = [0u8; 1];
-        c.read_hit(0, &mut b);
+        read_hit(&mut c, 0, &mut b);
         assert_eq!(b, [1]);
     }
 
@@ -230,17 +237,17 @@ mod tests {
     fn lru_eviction_writes_back_dirty_victim() {
         let mut c = tiny();
         // Set 0 holds lines 0 and 16 (line/8 mod 2 == 0).
-        c.fill(0, &[0; 8]);
-        c.write_hit(0, &[42]);
-        c.fill(16, &[0; 8]);
+        fill_with(&mut c, 0, &[0; 8]);
+        write_hit(&mut c, 0, &[42]);
+        fill_with(&mut c, 16, &[0; 8]);
         // Touch 16 so line 0 is LRU.
         let mut b = [0u8; 1];
-        c.read_hit(16, &mut b);
+        read_hit(&mut c, 16, &mut b);
         // Fill 32 (same set): evicts line 0, which is dirty.
-        let wb = c.fill(32, &[0; 8]).expect("dirty LRU victim");
-        assert_eq!(wb.offset, 0);
-        assert_eq!(wb.data[0], 42);
-        assert!(c.contains(16) && c.contains(32) && !c.contains(0));
+        let (offset, data) = fill_with(&mut c, 32, &[0; 8]).expect("dirty LRU victim");
+        assert_eq!(offset, 0);
+        assert_eq!(data[0], 42);
+        assert!(c.lookup(16).is_some() && c.lookup(32).is_some() && c.lookup(0).is_none());
     }
 
     #[test]
@@ -257,26 +264,14 @@ mod tests {
     }
 
     #[test]
-    fn flush_all_returns_only_dirty() {
-        let mut c = tiny();
-        c.fill(0, &[0; 8]);
-        c.fill(8, &[0; 8]);
-        c.write_hit(8, &[5]);
-        let wbs = c.flush_all();
-        assert_eq!(wbs.len(), 1);
-        assert_eq!(wbs[0].offset, 8);
-        assert!(!c.contains(0) && !c.contains(8));
-    }
-
-    #[test]
     fn stale_data_is_served_until_invalidated() {
         // The whole point of the simulator: caches are incoherent.
         let mut c = tiny();
-        c.fill(0, &[1; 8]);
+        fill_with(&mut c, 0, &[1; 8]);
         // Backing store changes (another core wrote SDRAM) — cache still
         // serves the old bytes.
         let mut b = [0u8; 1];
-        c.read_hit(0, &mut b);
+        read_hit(&mut c, 0, &mut b);
         assert_eq!(b, [1]);
     }
 }

@@ -125,42 +125,56 @@ impl Topology {
     /// cycle-free, and minimal: the shortest arc on the ring (clockwise
     /// on ties), the XY path (X leg then Y leg) on the mesh, the
     /// wrap-aware XY path (shorter way around each dimension, east/south
-    /// on ties) on the torus.
+    /// on ties) on the torus. The collected form of
+    /// [`Topology::route_links`].
+    pub fn route(self, n_tiles: usize, from: usize, to: usize) -> Vec<usize> {
+        self.route_links(n_tiles, from, to).collect()
+    }
+
+    /// The links of [`Topology::route`], computed as they are walked (no
+    /// allocation): the ring's arc is one straight run of links, a grid
+    /// route its X run then its Y run.
     ///
     /// Endpoint ranges are checked by `SocConfig::validate` before a
     /// run starts (every routed endpoint is a tile or a configured
     /// memory controller), so this hot path only `debug_assert!`s them.
-    pub fn route(self, n_tiles: usize, from: usize, to: usize) -> Vec<usize> {
+    pub(crate) fn route_links(
+        self,
+        n_tiles: usize,
+        from: usize,
+        to: usize,
+    ) -> impl Iterator<Item = usize> {
         debug_assert!(from < n_tiles && to < n_tiles, "route endpoints out of range");
-        if from == to {
-            return Vec::new();
-        }
         let Some((cols, rows, wraps)) = self.grid() else {
             let n = n_tiles;
-            let cw = (to + n - from) % n;
-            let ccw = n - cw;
-            return if cw <= ccw {
-                (0..cw).map(|k| (from + k) % n).collect()
+            let (cw, steps) = leg(from, to, n, true);
+            // Clockwise link `i` leaves tile `i`; counterclockwise link
+            // `n + i` enters tile `i`, one tile behind the one it leaves.
+            let run = if cw {
+                links(0, from, 1, n, 1, steps)
             } else {
-                (0..ccw).map(|k| n + (from + n - 1 - k) % n).collect()
+                links(n, from + n - 1, n - 1, n, 1, steps)
             };
+            // The ring has no second dimension: an empty second run.
+            return run.chain(links(0, 0, 0, 1, 0, 0));
         };
         let n = cols * rows;
-        let (mut x, mut y) = (from % cols, from / cols);
+        let (x, y) = (from % cols, from / cols);
         let (east, dx) = leg(x, to % cols, cols, wraps);
         let (south, dy) = leg(y, to / cols, rows, wraps);
-        let mut links = Vec::with_capacity(dx + dy);
-        for _ in 0..dx {
-            links.push(if east { 0 } else { n } + y * cols + x); // east / west of (x, y)
-            x = if east { x + 1 } else { x + cols - 1 } % cols;
-        }
-        for _ in 0..dy {
-            links.push(if south { 2 * n } else { 3 * n } + y * cols + x); // south / north of (x, y)
-            y = if south { y + 1 } else { y + rows - 1 } % rows;
-        }
-        links
+        // East / west of (x, y) along the row, then south / north of
+        // (to's column, y) along that column.
+        let (x_base, x_stride) = if east { (0, 1) } else { (n, cols - 1) };
+        let (y_base, y_stride) = if south { (2 * n, 1) } else { (3 * n, rows - 1) };
+        links(x_base + y * cols, x, x_stride, cols, 1, dx).chain(links(
+            y_base + to % cols,
+            y,
+            y_stride,
+            rows,
+            cols,
+            dy,
+        ))
     }
-
     /// Hop count of the route `from → to` (shortest arc on the ring,
     /// Manhattan distance on the mesh, wrap-aware Manhattan distance on
     /// the torus).
@@ -189,6 +203,20 @@ fn leg(a: usize, b: usize, size: usize, wraps: bool) -> (bool, usize) {
     } else {
         (false, size - forward)
     }
+}
+
+/// `steps` links in a straight run along one dimension of `size` tiles,
+/// starting at coordinate `start` and moving `stride` (mod `size`) per
+/// step: the `k`-th has id `base + (start + k * stride) % size * scale`.
+fn links(
+    base: usize,
+    start: usize,
+    stride: usize,
+    size: usize,
+    scale: usize,
+    steps: usize,
+) -> impl Iterator<Item = usize> {
+    (0..steps).map(move |k| base + (start + k * stride) % size * scale)
 }
 
 /// Data-cache geometry (per core).

@@ -149,8 +149,8 @@ impl Noc {
     /// bandwidth; the header adds `noc_per_hop` pipeline latency per hop
     /// and `noc_fixed` once. Contention appears as waiting for a link's
     /// earlier reservation to drain. The route comes from
-    /// [`Topology::route`], so the same accounting serves every
-    /// topology.
+    /// [`Topology::route`]'s link walk, so the same accounting serves
+    /// every topology.
     pub fn reserve_path(
         &mut self,
         cfg: &SocConfig,
@@ -168,7 +168,7 @@ impl Noc {
             "Noc::with_topology was not used but bulk traffic needs link state"
         );
         let mut t = ready + cfg.lat.noc_fixed;
-        for link in cfg.topology.route(cfg.n_tiles, from, to) {
+        for link in cfg.topology.route_links(cfg.n_tiles, from, to) {
             let start = t.max(self.link_free[link]);
             self.link_free[link] = start + serialise;
             self.link_stats[link].busy += serialise;

@@ -609,20 +609,21 @@ impl<'a> Cpu<'a> {
                 self.local_access(1, |m| m.read(offset, out));
             }
             Region::SdramUncached { offset } => self.sdram_read(offset, out),
-            Region::SdramCached { offset } => {
-                if self.dcache.contains(offset) {
-                    self.dcache.read_hit(offset, out);
+            Region::SdramCached { offset } => match self.dcache.lookup(offset) {
+                Some(slot) => {
+                    self.dcache.read(slot, offset, out);
                     self.ctr.dcache_hits += 1;
                     let hit_lat = self.soc.cfg.lat.cache_hit;
                     if hit_lat > 0 {
                         self.charge_stall(StallClass::PrivRead, hit_lat);
                     }
-                } else {
-                    let (class, stall) = self.miss_fill(offset);
-                    self.dcache.read_hit(offset, out);
+                }
+                None => {
+                    let (class, slot, stall) = self.miss_fill(offset);
+                    self.dcache.read(slot, offset, out);
                     self.charge_stall(class, stall);
                 }
-            }
+            },
         }
     }
 
@@ -639,24 +640,25 @@ impl<'a> Cpu<'a> {
                 self.sdram_post(offset, data);
                 self.charge_stall(StallClass::Write, self.soc.cfg.lat.posted_write);
             }
-            Region::SdramCached { offset } => {
-                if self.dcache.contains(offset) {
-                    self.dcache.write_hit(offset, data);
+            Region::SdramCached { offset } => match self.dcache.lookup(offset) {
+                Some(slot) => {
+                    self.dcache.write(slot, offset, data);
                     self.ctr.dcache_hits += 1;
-                } else {
+                }
+                None => {
                     // Write-allocate: fill, then write into the cache.
-                    let (_, stall) = self.miss_fill(offset);
-                    self.dcache.write_hit(offset, data);
+                    let (_, slot, stall) = self.miss_fill(offset);
+                    self.dcache.write(slot, offset, data);
                     self.charge_stall(StallClass::Write, stall);
                 }
-            }
+            },
         }
     }
 
     /// Handle a cached-SDRAM miss: fetch the line (plus victim
     /// write-back) in one commit. Returns the read-stall class of
-    /// `offset` and the stall cycles.
-    fn miss_fill(&mut self, offset: u32) -> (StallClass, u64) {
+    /// `offset`, the line's slot and the stall cycles.
+    fn miss_fill(&mut self, offset: u32) -> (StallClass, usize, u64) {
         self.ctr.dcache_misses += 1;
         let line = self.dcache.line_of(offset);
         let cfg = &self.soc.cfg;
@@ -667,14 +669,15 @@ impl<'a> Cpu<'a> {
         // Line fetch, then victim write-back occupying the SDRAM port.
         let gm = &mut *g;
         let mut done = gm.noc.reserve_sdram(&mut gm.ports, cfg, tile, line, clock, line_size);
-        let mut line_buf = vec![0u8; line_size as usize];
-        gm.sdram.read(line, &mut line_buf);
-        if let Some(wb) = self.dcache.fill(line, &line_buf) {
-            // The victim line is a posted write-back.
-            gm.sdram.write(wb.offset, &wb.data);
-            (_, done) = gm.noc.post_to_sdram(&mut gm.ports, cfg, tile, wb.offset, done, line_size);
+        let (slot, victim) = self.dcache.fill(line);
+        if let Some(victim) = victim {
+            // The victim line is a posted write-back, straight from the
+            // slot before the fetched line lands in it.
+            gm.sdram.write(victim, self.dcache.bytes(slot));
+            (_, done) = gm.noc.post_to_sdram(&mut gm.ports, cfg, tile, victim, done, line_size);
         }
-        (g.read_stall(offset), done - clock)
+        gm.sdram.read(line, self.dcache.bytes_mut(slot));
+        (g.read_stall(offset), slot, done - clock)
     }
 
     // Convenience width accessors -------------------------------------
@@ -760,16 +763,20 @@ impl<'a> Cpu<'a> {
     /// written back; cycles count as flush overhead.
     pub fn flush_dcache_range(&mut self, addr: Addr, len: u32) {
         let offset = addr::sdram_offset(addr);
-        let lines: Vec<u32> = self.dcache.lines_covering(offset, len).collect();
-        for line in lines {
+        for line in self.dcache.lines_covering(offset, len) {
             self.charge_instr(1); // wdc.flush
             self.ctr.flush_cycles += 1;
             let cache_op = self.soc.cfg.lat.cache_op;
             self.charge_stall(StallClass::Flush, cache_op);
-            if let Some(wb) = self.dcache.flush_line(line) {
-                // Posted write-back.
-                self.sdram_post(wb.offset, &wb.data);
-                self.charge_stall(StallClass::Flush, self.soc.cfg.lat.posted_write);
+            if let Some(slot) = self.dcache.flush_line(line) {
+                // Posted write-back, straight from the invalidated slot.
+                let (cfg, tile, clock) = (&self.soc.cfg, self.tile, self.clock);
+                let mut guard = self.commit_point();
+                let g = &mut *guard;
+                g.noc.post_to_sdram(&mut g.ports, cfg, tile, line, clock, cfg.dcache.line_size);
+                g.sdram.write(line, self.dcache.bytes(slot));
+                drop(guard);
+                self.charge_stall(StallClass::Flush, cfg.lat.posted_write);
             }
         }
     }
@@ -778,8 +785,7 @@ impl<'a> Cpu<'a> {
     /// `[addr, addr + len)`. Purely core-local.
     pub fn invalidate_dcache_range(&mut self, addr: Addr, len: u32) {
         let offset = addr::sdram_offset(addr);
-        let lines: Vec<u32> = self.dcache.lines_covering(offset, len).collect();
-        for line in lines {
+        for line in self.dcache.lines_covering(offset, len) {
             self.charge_instr(1); // wdc.clear
             self.ctr.flush_cycles += 1;
             let cache_op = self.soc.cfg.lat.cache_op;

@@ -36,36 +36,17 @@ fn cache_matches_reference() {
             match op {
                 0 => {
                     // Read through the cache, filling on miss.
-                    if !cache.contains(line) {
-                        let byte = *model.backing.get(&line).unwrap_or(&0);
-                        let mut data = [0u8; 8];
-                        data[0] = byte;
-                        if let Some(wb) = cache.fill(line, &data) {
-                            model.backing.insert(wb.offset, wb.data[0]);
-                            model.cached.remove(&wb.offset);
-                            model.dirty.remove(&wb.offset);
-                        }
-                        model.cached.insert(line, byte);
-                        model.dirty.insert(line, false);
-                    }
+                    let slot =
+                        cache.lookup(line).unwrap_or_else(|| fill(&mut cache, &mut model, line));
                     let mut out = [0u8; 1];
-                    cache.read_hit(line, &mut out);
+                    cache.read(slot, line, &mut out);
                     let expect = model.cached[&line];
                     assert_eq!(out[0], expect, "stale/fresh mismatch at {}", line);
                 }
                 1 => {
-                    if !cache.contains(line) {
-                        let byte = *model.backing.get(&line).unwrap_or(&0);
-                        let mut data = [0u8; 8];
-                        data[0] = byte;
-                        if let Some(wb) = cache.fill(line, &data) {
-                            model.backing.insert(wb.offset, wb.data[0]);
-                            model.cached.remove(&wb.offset);
-                            model.dirty.remove(&wb.offset);
-                        }
-                        model.cached.insert(line, byte);
-                    }
-                    cache.write_hit(line, &[value]);
+                    let slot =
+                        cache.lookup(line).unwrap_or_else(|| fill(&mut cache, &mut model, line));
+                    cache.write(slot, line, &[value]);
                     model.cached.insert(line, value);
                     model.dirty.insert(line, true);
                 }
@@ -74,7 +55,7 @@ fn cache_matches_reference() {
                     if model.dirty.remove(&line).unwrap_or(false) {
                         let v = model.cached[&line];
                         model.backing.insert(line, v);
-                        assert_eq!(wb.as_ref().map(|w| w.data[0]), Some(v));
+                        assert_eq!(wb.map(|slot| cache.bytes(slot)[0]), Some(v));
                     } else {
                         assert!(wb.is_none());
                     }
@@ -87,10 +68,12 @@ fn cache_matches_reference() {
                 }
             }
         }
-        // Final flush-all must land exactly the dirty reference state in
-        // backing.
-        for wb in cache.flush_all() {
-            model.backing.insert(wb.offset, wb.data[0]);
+        // A final flush of every line the ops touch must land exactly the
+        // dirty reference state in backing.
+        for line in (0..12).map(|i| i * 8) {
+            if let Some(slot) = cache.flush_line(line) {
+                model.backing.insert(line, cache.bytes(slot)[0]);
+            }
         }
         for (line, dirty) in model.dirty {
             if dirty {
@@ -98,6 +81,24 @@ fn cache_matches_reference() {
             }
         }
     });
+}
+
+/// Miss on `line`: install it from the model's backing store, writing a
+/// dirty victim back first, as `Cpu`'s miss path does. Returns the slot.
+fn fill(cache: &mut Cache, model: &mut RefModel, line: u32) -> usize {
+    let (slot, victim) = cache.fill(line);
+    if let Some(offset) = victim {
+        model.backing.insert(offset, cache.bytes(slot)[0]);
+        model.cached.remove(&offset);
+        model.dirty.remove(&offset);
+    }
+    let byte = *model.backing.get(&line).unwrap_or(&0);
+    let data = cache.bytes_mut(slot);
+    data.fill(0);
+    data[0] = byte;
+    model.cached.insert(line, byte);
+    model.dirty.insert(line, false);
+    slot
 }
 
 /// Mesh XY routes are deterministic, cycle-free, exactly Manhattan-
