@@ -20,8 +20,8 @@
 
 use pmc_apps::workload::{SessionWorkload, Workload, WorkloadParams};
 use pmc_bench::{
-    breakdown_header, breakdown_json, breakdown_row, mesh_dims, top_links, top_links_json, Args,
-    Takes,
+    breakdown_header, breakdown_json, breakdown_row, mesh_dims, top_links, top_links_json,
+    topology_named, Args, Takes,
 };
 use pmc_runtime::{BackendKind, RunConfig};
 use pmc_soc_sim::telemetry::json;
@@ -90,7 +90,8 @@ fn main() {
     say!("{:<6} {:>12} {:>14} {:>14}  busiest links", "topo", "makespan", "total busy", "max busy");
     let mut checksums = Vec::new();
     let mut topo_rows = Vec::new();
-    for topo in [Topology::Ring, Topology::Mesh { cols, rows }, Topology::Torus { cols, rows }] {
+    for name in ["ring", "mesh", "torus"] {
+        let topo = topology_named(name, tiles).expect("a known topology name");
         let r = run(Workload::Volrend, BackendKind::Swcc, topo, params);
         let total: u64 = r.links.iter().map(|l| l.busy).sum();
         let max = r.links.iter().map(|l| l.busy).max().unwrap_or(0);
