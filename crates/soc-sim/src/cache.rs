@@ -7,7 +7,7 @@
 //! either invalidate a line or flush-and-invalidate it; there is no way to
 //! reconcile a dirty line in place.
 //!
-//! Storage is two flat arrays whatever the geometry: one [`Line`] of
+//! Storage is two flat arrays whatever the geometry: one `Line` of
 //! metadata per slot and one byte array holding every slot's data, slot
 //! `i` at bytes `i * line_size..(i + 1) * line_size`. Fills, write-backs
 //! and flushes move bytes between a slot and SDRAM in place
@@ -48,7 +48,7 @@ impl Cache {
 
     /// The line-aligned base of an SDRAM offset.
     #[inline]
-    pub fn line_of(&self, offset: u32) -> u32 {
+    pub(crate) fn line_of(&self, offset: u32) -> u32 {
         offset & !(self.cfg.line_size - 1)
     }
 

@@ -126,7 +126,7 @@ impl Topology {
     /// on ties), the XY path (X leg then Y leg) on the mesh, the
     /// wrap-aware XY path (shorter way around each dimension, east/south
     /// on ties) on the torus. The collected form of
-    /// [`Topology::route_links`].
+    /// `Topology::route_links`.
     pub fn route(self, n_tiles: usize, from: usize, to: usize) -> Vec<usize> {
         self.route_links(n_tiles, from, to).collect()
     }

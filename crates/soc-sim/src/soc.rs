@@ -50,7 +50,8 @@
 //! * own local-memory access, per word — `Cpu::local_access`;
 //! * uncached SDRAM read — `Cpu::sdram_read`;
 //! * posted SDRAM write (uncached store, cache-line write-back, DMA put)
-//!   — `Noc::post_to_sdram`, wrapped by `Cpu::sdram_post`;
+//!   — `Noc::post_to_sdram`, wrapped with the bytes' store by
+//!   `Global::post_sdram` for the core's own writes;
 //! * SDRAM exclusive pair (CAS, fetch-and-add) — `Cpu::sdram_rmw_u32`;
 //! * posted NoC packet (write, versioned write, remote test-and-set) —
 //!   `Cpu::noc_post`;
@@ -100,6 +101,25 @@ struct Global {
 }
 
 impl Global {
+    /// A posted write of `data` from `tile` to SDRAM offset `offset`,
+    /// ready at `ready` ([`Noc::post_to_sdram`]): returns when the
+    /// controller's port has served it. Uncached stores and cache-line
+    /// write-backs take this path.
+    #[inline]
+    fn post_sdram(
+        &mut self,
+        cfg: &SocConfig,
+        tile: usize,
+        offset: u32,
+        ready: u64,
+        data: &[u8],
+    ) -> u64 {
+        let bytes = data.len() as u32;
+        let (_, done) = self.noc.post_to_sdram(&mut self.ports, cfg, tile, offset, ready, bytes);
+        self.sdram.write(offset, data);
+        done
+    }
+
     /// The stall class of a read of `sdram_offset`, from its region tag
     /// (paper Fig. 8: shared vs. private data).
     #[inline]
@@ -673,8 +693,7 @@ impl<'a> Cpu<'a> {
         if let Some(victim) = victim {
             // The victim line is a posted write-back, straight from the
             // slot before the fetched line lands in it.
-            gm.sdram.write(victim, self.dcache.bytes(slot));
-            (_, done) = gm.noc.post_to_sdram(&mut gm.ports, cfg, tile, victim, done, line_size);
+            done = gm.post_sdram(cfg, tile, victim, done, self.dcache.bytes(slot));
         }
         gm.sdram.read(line, self.dcache.bytes_mut(slot));
         (g.read_stall(offset), slot, done - clock)
@@ -771,11 +790,7 @@ impl<'a> Cpu<'a> {
             if let Some(slot) = self.dcache.flush_line(line) {
                 // Posted write-back, straight from the invalidated slot.
                 let (cfg, tile, clock) = (&self.soc.cfg, self.tile, self.clock);
-                let mut guard = self.commit_point();
-                let g = &mut *guard;
-                g.noc.post_to_sdram(&mut g.ports, cfg, tile, line, clock, cfg.dcache.line_size);
-                g.sdram.write(line, self.dcache.bytes(slot));
-                drop(guard);
+                self.commit_point().post_sdram(cfg, tile, line, clock, self.dcache.bytes(slot));
                 self.charge_stall(StallClass::Flush, cfg.lat.posted_write);
             }
         }
@@ -1008,12 +1023,11 @@ impl<'a> Cpu<'a> {
     }
 
     /// A posted SDRAM write of `data` at `offset`
-    /// ([`Noc::post_to_sdram`]); the caller charges the stall.
+    /// ([`Global::post_sdram`]); the caller charges the stall.
     #[inline]
     fn sdram_post(&mut self, offset: u32, data: &[u8]) {
         self.turn(|g, cfg, now, me| {
-            g.noc.post_to_sdram(&mut g.ports, cfg, me, offset, now, data.len() as u32);
-            g.sdram.write(offset, data);
+            g.post_sdram(cfg, me, offset, now, data);
         });
     }
 

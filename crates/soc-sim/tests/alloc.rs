@@ -25,24 +25,33 @@ fn count() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
-// SAFETY: every call forwards to `System` with the caller's arguments.
+// SAFETY: every method forwards its caller's arguments unchanged to
+// `System`, so `System`'s guarantees are the wrapper's.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        // SAFETY: the caller upholds this method's contract, which is
+        // `System`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        // SAFETY: the caller upholds this method's contract, which is
+        // `System`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        // SAFETY: the caller upholds this method's contract, which is
+        // `System`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds this method's contract, which is
+        // `System`'s.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
