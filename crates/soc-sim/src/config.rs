@@ -151,12 +151,12 @@ impl Topology {
             // Clockwise link `i` leaves tile `i`; counterclockwise link
             // `n + i` enters tile `i`, one tile behind the one it leaves.
             let run = if cw {
-                links(0, from, 1, n, 1, steps)
+                link_run(0, from, 1, n, 1, steps)
             } else {
-                links(n, from + n - 1, n - 1, n, 1, steps)
+                link_run(n, from + n - 1, n - 1, n, 1, steps)
             };
             // The ring has no second dimension: an empty second run.
-            return run.chain(links(0, 0, 0, 1, 0, 0));
+            return run.chain(link_run(0, 0, 0, 1, 0, 0));
         };
         let n = cols * rows;
         let (x, y) = (from % cols, from / cols);
@@ -166,7 +166,7 @@ impl Topology {
         // (to's column, y) along that column.
         let (x_base, x_stride) = if east { (0, 1) } else { (n, cols - 1) };
         let (y_base, y_stride) = if south { (2 * n, 1) } else { (3 * n, rows - 1) };
-        links(x_base + y * cols, x, x_stride, cols, 1, dx).chain(links(
+        link_run(x_base + y * cols, x, x_stride, cols, 1, dx).chain(link_run(
             y_base + to % cols,
             y,
             y_stride,
@@ -175,6 +175,7 @@ impl Topology {
             dy,
         ))
     }
+
     /// Hop count of the route `from → to` (shortest arc on the ring,
     /// Manhattan distance on the mesh, wrap-aware Manhattan distance on
     /// the torus).
@@ -208,7 +209,7 @@ fn leg(a: usize, b: usize, size: usize, wraps: bool) -> (bool, usize) {
 /// `steps` links in a straight run along one dimension of `size` tiles,
 /// starting at coordinate `start` and moving `stride` (mod `size`) per
 /// step: the `k`-th has id `base + (start + k * stride) % size * scale`.
-fn links(
+fn link_run(
     base: usize,
     start: usize,
     stride: usize,
