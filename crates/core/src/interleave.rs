@@ -992,24 +992,58 @@ mod tests {
         );
     }
 
+    /// FNV-1a over `bytes`, continuing from `h`.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Fold one enumeration into a digest: its mode tag, then its state
+    /// count, outcome count and every outcome's registers — or, over
+    /// budget, `u64::MAX`.
+    fn fold_run(h: u64, mode: u8, run: &Result<(BTreeSet<Outcome>, usize), Exhausted>) -> u64 {
+        let h = fnv1a(h, &[mode]);
+        let Ok((outs, states)) = run else { return fnv1a(h, &u64::MAX.to_le_bytes()) };
+        let mut h = fnv1a(h, &(*states as u64).to_le_bytes());
+        h = fnv1a(h, &(outs.len() as u64).to_le_bytes());
+        for regs in outs.iter().flatten() {
+            h = fnv1a(h, &(regs.len() as u64).to_le_bytes());
+            for v in regs {
+                h = fnv1a(h, &v.to_le_bytes());
+            }
+        }
+        h
+    }
+
     /// The differential proof obligation for partial-order reduction: on
     /// the *entire* conformance catalogue (lowered exactly as the sweep
     /// runs it), POR — alone and composed with memoization — produces
     /// bit-identical outcome sets while never exploring more states, and
     /// strictly fewer in aggregate.
+    ///
+    /// It also pins the enumerator exactly: every run's state count and
+    /// outcome set (`fold_run`) goes into one digest — the four modes on
+    /// the lowered catalogue, then the raw catalogue and the default fuzz
+    /// tier's programs (`tests/fuzz.rs`: 16 seeds from `0xC0FFEE`,
+    /// lowered) in both memoized modes at the fuzz tier's 200 000 states.
     #[test]
     fn por_preserves_outcome_sets() {
+        let modes = [
+            Limits::default(),
+            Limits { por: true, ..Limits::default() },
+            Limits::memoized(),
+            Limits::reduced_memoized(),
+        ];
+        let mut digest = 0xcbf2_9ce4_8422_2325;
         let mut total_plain = 0usize;
         let mut total_por = 0usize;
         let mut total_memo = 0usize;
         let mut total_both = 0usize;
         for case in crate::conformance::cases() {
             let p = crate::conformance::lower(&case.program);
-            let (plain, plain_states) = outcomes_counted(&p, Limits::default()).unwrap();
-            let (por, por_states) =
-                outcomes_counted(&p, Limits { por: true, ..Limits::default() }).unwrap();
-            let (memo, memo_states) = outcomes_counted(&p, Limits::memoized()).unwrap();
-            let (both, both_states) = outcomes_counted(&p, Limits::reduced_memoized()).unwrap();
+            let runs = modes.map(|limits| outcomes_counted(&p, limits));
+            digest = runs.iter().zip(0..).fold(digest, |h, (run, mode)| fold_run(h, mode, run));
+            let [(plain, plain_states), (por, por_states), (memo, memo_states), (both, both_states)] =
+                runs.map(Result::unwrap);
             assert_eq!(plain, por, "{}: POR changed the outcome set", case.name);
             assert_eq!(plain, both, "{}: POR+memo changed the outcome set", case.name);
             assert_eq!(plain, memo, "{}: memoization changed the outcome set", case.name);
@@ -1024,6 +1058,19 @@ mod tests {
         assert!(
             total_both < total_memo,
             "POR+memo must strictly reduce: {total_both} vs {total_memo}"
+        );
+        let fuzzed = (0..16).map(|i| {
+            crate::conformance::lower(&crate::fuzz::generate(0xC0FFEE + i, &Default::default()))
+        });
+        for p in crate::conformance::cases().into_iter().map(|c| c.program).chain(fuzzed) {
+            for mode in [2, 3] {
+                let limits = Limits { max_states: 200_000, ..modes[usize::from(mode)] };
+                digest = fold_run(digest, mode, &outcomes_counted(&p, limits));
+            }
+        }
+        assert_eq!(
+            digest, 0x8562_7a0d_bf3d_64dc,
+            "the enumerator's state counts or outcome sets changed"
         );
     }
 
