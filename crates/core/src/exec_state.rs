@@ -12,7 +12,9 @@
 //!   (a process can never observe a location moving backwards).
 //!
 //! The executor is the building block of the litmus-test enumerator
-//! ([`crate::interleave`]); it is cloneable so the enumerator can branch.
+//! ([`crate::interleave`]), which explores every branch on one state: it
+//! takes a [`ModelState::mark`] before a step and returns to it with
+//! [`ModelState::undo`] once the step's subtree is explored.
 //!
 //! # Canonical form
 //!
@@ -48,8 +50,6 @@ pub(crate) enum ModelError {
     AlreadyLocked { loc: LocId, holder: ProcId },
     /// Release by a process that does not hold the lock.
     NotLockHolder { loc: LocId, holder: Option<ProcId> },
-    /// A read asked for a value that Definition 12 does not allow.
-    IllegalRead { loc: LocId, value: Value },
 }
 
 impl std::fmt::Display for ModelError {
@@ -60,9 +60,6 @@ impl std::fmt::Display for ModelError {
             }
             ModelError::NotLockHolder { loc, holder } => {
                 write!(f, "release of v{} by non-holder (holder: {holder:?})", loc.0)
-            }
-            ModelError::IllegalRead { loc, value } => {
-                write!(f, "illegal read of value {value} from v{}", loc.0)
             }
         }
     }
@@ -81,6 +78,30 @@ pub(crate) struct ModelState {
     /// read from, sorted by the pair. Subsequent reads must return that
     /// write or one `⪯p`-after it.
     floor: Vec<((ProcId, LocId), OpId)>,
+    /// The inverse of every lock and floor change since the root, newest
+    /// last; [`Self::undo`] replays it backwards.
+    log: Vec<Undo>,
+}
+
+/// The inverse of one change to the lock table or the floors.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// A lock was added at this index.
+    LockAdded(usize),
+    /// This lock was removed from this index.
+    LockRemoved(usize, (LocId, ProcId)),
+    /// A floor was added at this index.
+    FloorAdded(usize),
+    /// The floor at this index held this write.
+    FloorSet(usize, OpId),
+}
+
+/// A point to return to with [`ModelState::undo`]: the execution's
+/// [`Execution::mark`] and the undo log's length.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Mark {
+    exec: (usize, usize),
+    log: usize,
 }
 
 impl Default for ModelState {
@@ -91,7 +112,34 @@ impl Default for ModelState {
 
 impl ModelState {
     pub(crate) fn new(mode: EdgeMode) -> Self {
-        ModelState { exec: Execution::new(mode), locks: Vec::new(), floor: Vec::new() }
+        ModelState {
+            exec: Execution::new(mode),
+            locks: Vec::new(),
+            floor: Vec::new(),
+            log: Vec::new(),
+        }
+    }
+
+    pub(crate) fn mark(&self) -> Mark {
+        Mark { exec: self.exec.mark(), log: self.log.len() }
+    }
+
+    /// Return to the state `mark` was taken in: undo every lock and floor
+    /// change since, newest first, then pop the ops appended since.
+    pub(crate) fn undo(&mut self, mark: Mark) {
+        for undo in self.log.drain(mark.log..).rev() {
+            match undo {
+                Undo::LockAdded(i) => {
+                    self.locks.remove(i);
+                }
+                Undo::LockRemoved(i, lock) => self.locks.insert(i, lock),
+                Undo::FloorAdded(i) => {
+                    self.floor.remove(i);
+                }
+                Undo::FloorSet(i, w) => self.floor[i].1 = w,
+            }
+        }
+        self.exec.truncate(mark.exec);
     }
 
     /// Set the initial value of a location (Definition 3's initial
@@ -110,6 +158,7 @@ impl ModelState {
             Ok(i) => Err(ModelError::AlreadyLocked { loc: v, holder: self.locks[i].1 }),
             Err(i) => {
                 self.locks.insert(i, (v, p));
+                self.log.push(Undo::LockAdded(i));
                 Ok(self.exec.acquire(p, v))
             }
         }
@@ -118,7 +167,8 @@ impl ModelState {
     pub(crate) fn release(&mut self, p: ProcId, v: LocId) -> Result<OpId, ModelError> {
         match find(&self.locks, v) {
             Ok(i) if self.locks[i].1 == p => {
-                self.locks.remove(i);
+                let lock = self.locks.remove(i);
+                self.log.push(Undo::LockRemoved(i, lock));
                 Ok(self.exec.release(p, v))
             }
             found => Err(ModelError::NotLockHolder {
@@ -136,10 +186,14 @@ impl ModelState {
     }
 
     fn set_floor(&mut self, p: ProcId, v: LocId, w: OpId) {
-        match find(&self.floor, (p, v)) {
-            Ok(i) => self.floor[i].1 = w,
-            Err(i) => self.floor.insert(i, ((p, v), w)),
-        }
+        let undo = match find(&self.floor, (p, v)) {
+            Ok(i) => Undo::FloorSet(i, std::mem::replace(&mut self.floor[i].1, w)),
+            Err(i) => {
+                self.floor.insert(i, ((p, v), w));
+                Undo::FloorAdded(i)
+            }
+        };
+        self.log.push(undo);
     }
 
     pub(crate) fn fence(&mut self, p: ProcId) -> OpId {
@@ -189,22 +243,13 @@ impl ModelState {
         cands.into_iter().map(|w| (w, self.exec.op(w).value)).collect()
     }
 
-    /// Commit a read by `p` of `v` returning `value`, from the first
-    /// (oldest) candidate write holding it; the read's floor becomes that
-    /// write.
-    pub(crate) fn read_value(
-        &mut self,
-        p: ProcId,
-        v: LocId,
-        value: Value,
-    ) -> Result<OpId, ModelError> {
-        let Some((from, _)) = self.read_candidates(p, v).into_iter().find(|&(_, val)| val == value)
-        else {
-            return Err(ModelError::IllegalRead { loc: v, value });
-        };
+    /// Commit a read by `p` of `v` returning `value` from the write
+    /// `from`, one of its [`Self::read_candidates`]; the read's floor
+    /// becomes that write.
+    pub(crate) fn read_from(&mut self, p: ProcId, v: LocId, from: OpId, value: Value) -> OpId {
         let id = self.exec.read(p, v, value);
         self.set_floor(p, v, from);
-        Ok(id)
+        id
     }
 }
 
@@ -217,6 +262,17 @@ pub(crate) mod tests {
     const P1: ProcId = ProcId(1);
     const X: LocId = LocId(0);
     const F: LocId = LocId(1);
+
+    impl ModelState {
+        /// Commit a read by `p` of `v` returning `value`, from the first
+        /// (oldest) candidate write holding it, or `None` if Definition 12
+        /// allows no such read.
+        fn read_value(&mut self, p: ProcId, v: LocId, value: Value) -> Option<OpId> {
+            let (from, _) =
+                self.read_candidates(p, v).into_iter().find(|&(_, val)| val == value)?;
+            Some(self.read_from(p, v, from, value))
+        }
+    }
 
     /// The sort-based canonical key [`ModelState::write_key`] replaced,
     /// kept as its oracle: ops named `(process, issue index)` or by
@@ -282,6 +338,50 @@ pub(crate) mod tests {
         cands.into_iter().map(|w| (w, staged.op(w).value)).collect()
     }
 
+    /// A state to run random op sequences on: empty, or with one of the
+    /// three locations initialised to 5 (the others initialise lazily).
+    fn random_start(rng: &mut SplitMix64) -> ModelState {
+        let mut m = ModelState::default();
+        if rng.chance(50) {
+            m.init(X, 5);
+        }
+        m
+    }
+
+    /// Apply one random, lock-disciplined op by one of three processes to
+    /// one of three locations; return whether an op was applied.
+    fn random_op(rng: &mut SplitMix64, m: &mut ModelState) -> bool {
+        let p = ProcId(rng.below(3) as u16);
+        let v = LocId(rng.below(3) as u32);
+        match rng.below(7) {
+            0 => {
+                m.write(p, v, rng.below(4) as Value);
+            }
+            1 => {
+                let cands = m.read_candidates(p, v);
+                let (_, value) = cands[rng.below(cands.len() as u64) as usize];
+                m.read_value(p, v, value).unwrap();
+            }
+            2 if m.can_acquire(v) => {
+                m.acquire(p, v).unwrap();
+            }
+            3 if m.locks.contains(&(v, p)) => {
+                m.release(p, v).unwrap();
+            }
+            4 => {
+                m.fence(p);
+            }
+            5 => {
+                m.dma_issue(p, v);
+            }
+            6 => {
+                m.dma_complete(p, v);
+            }
+            _ => return false,
+        }
+        true
+    }
+
     /// Unstaged read candidates equal the staged ones after every prefix
     /// of random, lock-disciplined op sequences over three processes and
     /// three locations, for every (process, location) pair — including
@@ -290,38 +390,10 @@ pub(crate) mod tests {
     fn unstaged_read_candidates_match_staged() {
         for seed in 0..300 {
             let mut rng = SplitMix64::new(seed);
-            let mut m = ModelState::default();
-            if rng.chance(50) {
-                m.init(X, 5);
-            }
+            let mut m = random_start(&mut rng);
             for _ in 0..24 {
-                let p = ProcId(rng.below(3) as u16);
-                let v = LocId(rng.below(3) as u32);
-                match rng.below(7) {
-                    0 => {
-                        m.write(p, v, rng.below(4) as Value);
-                    }
-                    1 => {
-                        let cands = m.read_candidates(p, v);
-                        let (_, value) = cands[rng.below(cands.len() as u64) as usize];
-                        m.read_value(p, v, value).unwrap();
-                    }
-                    2 if m.can_acquire(v) => {
-                        m.acquire(p, v).unwrap();
-                    }
-                    3 if m.locks.contains(&(v, p)) => {
-                        m.release(p, v).unwrap();
-                    }
-                    4 => {
-                        m.fence(p);
-                    }
-                    5 => {
-                        m.dma_issue(p, v);
-                    }
-                    6 => {
-                        m.dma_complete(p, v);
-                    }
-                    _ => continue,
+                if !random_op(&mut rng, &mut m) {
+                    continue;
                 }
                 for q in 0..3 {
                     for l in 0..4 {
@@ -338,6 +410,44 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// `undo` returns to the marked state: after a random prefix, a
+    /// mark, a random suffix and the undo, the state has the marked
+    /// state's memo key, and every (process, location) pair — a location
+    /// only the suffix initialised included — has its read candidates.
+    #[test]
+    fn undo_restores_the_state() {
+        crate::fuzz::for_each_case("undo_restores_the_state", 256, |rng| {
+            let mut m = random_start(rng);
+            for _ in 0..rng.below(16) {
+                random_op(rng, &mut m);
+            }
+            let mark = m.mark();
+            let marked = m.clone();
+            for _ in 0..rng.below(16) {
+                random_op(rng, &mut m);
+            }
+            m.undo(mark);
+            let key = |m: &ModelState| {
+                let mut key = Vec::new();
+                m.write_key(&mut key);
+                key
+            };
+            assert_eq!(key(&m), key(&marked), "memo key after undo");
+            for q in 0..3 {
+                for l in 0..4 {
+                    let (q, l) = (ProcId(q), LocId(l));
+                    assert_eq!(
+                        m.clone().read_candidates(q, l),
+                        marked.clone().read_candidates(q, l),
+                        "p{} reading v{} after undo",
+                        q.0,
+                        l.0
+                    );
+                }
+            }
+        });
     }
 
     #[test]
@@ -366,7 +476,7 @@ pub(crate) mod tests {
         m.read_value(P0, X, 7).unwrap();
         let vals: Vec<Value> = m.read_candidates(P0, X).iter().map(|&(_, v)| v).collect();
         assert_eq!(vals, vec![7]);
-        assert!(m.read_value(P0, X, 0).is_err());
+        assert!(m.read_value(P0, X, 0).is_none());
     }
 
     /// A process always reads its own writes (never older values).

@@ -105,6 +105,30 @@ impl Execution {
         }
     }
 
+    /// The point to return to with [`Self::truncate`]: the op count and
+    /// the number of processes with an issue list.
+    pub(crate) fn mark(&self) -> (usize, usize) {
+        (self.ops.len(), self.by_proc.len())
+    }
+
+    /// Pop every op appended since `mark` was taken. The graph is
+    /// append-only, so this restores it exactly — `by_proc` included,
+    /// whose length the memo key counts.
+    pub(crate) fn truncate(&mut self, (ops, procs): (usize, usize)) {
+        while self.ops.len() > ops {
+            let op = self.ops.pop().expect("above the mark");
+            self.preds.pop();
+            self.seq.pop();
+            if op.proc == PROC_ALL {
+                let i = find(&self.init, op.loc).expect("init op");
+                self.init.remove(i);
+            } else {
+                self.by_proc[usize::from(op.proc.0)].pop();
+            }
+        }
+        self.by_proc.truncate(procs);
+    }
+
     fn push(&mut self, op: Op, preds: Vec<(OpId, OrderKind)>) -> OpId {
         let id = OpId(self.ops.len() as u32);
         let seq = if op.proc == PROC_ALL {

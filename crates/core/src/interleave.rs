@@ -20,7 +20,7 @@ use std::collections::{BTreeSet, HashSet};
 
 use crate::exec_state::ModelState;
 use crate::execution::EdgeMode;
-use crate::litmus::{Instr, Program};
+use crate::litmus::{Instr, Program, Reg};
 use crate::op::{LocId, OpKind, ProcId, Value};
 use crate::table1;
 
@@ -258,7 +258,9 @@ struct Search<'p> {
     sensitive: Vec<Vec<bool>>,
 }
 
-#[derive(Clone)]
+/// The DFS state. The search keeps exactly one: a step applies one
+/// instruction to it, explores the subtree, and undoes what it did
+/// ([`Search::step`]).
 struct Node {
     model: ModelState,
     /// Issued-instruction flags, per thread.
@@ -374,11 +376,13 @@ impl<'p> Search<'p> {
         }
         let regs = (0..program.threads.len()).map(|t| vec![0; program.reg_count(t)]).collect();
         let issued: Vec<Vec<bool>> = program.threads.iter().map(|t| vec![false; t.len()]).collect();
-        self.dfs(Node { model, performed: issued.clone(), issued, regs })?;
+        self.dfs(&mut Node { model, performed: issued.clone(), issued, regs })?;
         Ok((self.outcomes, self.states))
     }
 
-    fn dfs(&mut self, node: Node) -> Result<(), Exhausted> {
+    /// Explore every run below `node` and leave `node` as it was (unless
+    /// the state budget runs out, which ends the search).
+    fn dfs(&mut self, node: &mut Node) -> Result<(), Exhausted> {
         self.states += 1;
         if self.states > self.limits.max_states {
             return Err(Exhausted);
@@ -398,13 +402,13 @@ impl<'p> Search<'p> {
             }
         }
         if self.limits.por {
-            match self.por_choice(&node) {
+            match self.por_choice(node) {
                 PorChoice::Step(t, idx, Phase::Perform) => {
-                    self.explore_perform(&node, t, idx)?;
+                    self.explore_perform(node, t, idx)?;
                     return Ok(());
                 }
                 PorChoice::Step(t, idx, Phase::Issue) => {
-                    self.explore_issue(&node, t, idx)?;
+                    self.explore_issue(node, t, idx)?;
                     return Ok(());
                 }
                 PorChoice::Stuck => return Ok(()),
@@ -418,12 +422,12 @@ impl<'p> Search<'p> {
             // execute their floating data movement at any point.
             for idx in 0..thread.len() {
                 if node.issued[t][idx] && !node.performed[t][idx] {
-                    any_step |= self.explore_perform(&node, t, idx)?;
+                    any_step |= self.explore_perform(node, t, idx)?;
                 }
             }
             for idx in 0..thread.len() {
                 if node.ready(self.program, t, idx) {
-                    any_step |= self.explore_issue(&node, t, idx)?;
+                    any_step |= self.explore_issue(node, t, idx)?;
                 }
             }
         }
@@ -435,7 +439,7 @@ impl<'p> Search<'p> {
             // performed too.
             let complete = node.issued.iter().all(|flags| flags.iter().all(|&done| done));
             if complete {
-                self.outcomes.insert(node.regs);
+                self.outcomes.insert(node.regs.clone());
             }
         }
         Ok(())
@@ -529,23 +533,28 @@ impl<'p> Search<'p> {
     /// Execute the floating data movement of the issued DMA transfer at
     /// `(t, idx)`, branching over every model-allowed sample. Returns
     /// whether any branch was taken.
-    fn explore_perform(&mut self, node: &Node, t: usize, idx: usize) -> Result<bool, Exhausted> {
+    fn explore_perform(
+        &mut self,
+        node: &mut Node,
+        t: usize,
+        idx: usize,
+    ) -> Result<bool, Exhausted> {
         let p = ProcId(t as u16);
         match self.program.threads[t][idx] {
-            Instr::DmaPut(v, value) => self.step(node, |n| {
+            Instr::DmaPut(v, value) => self.step(node, t, idx, None, |n| {
                 n.model.write(p, v, value);
                 n.performed[t][idx] = true;
             }),
             // Sample the source (branching over every model-allowed
             // value) and write the destination at one floating point.
-            Instr::DmaCopy(s, d) => self.explore_reads(node, t, s, None, |n, value| {
+            Instr::DmaCopy(s, d) => self.explore_reads(node, t, idx, s, |n, value| {
                 n.model.write(p, d, value);
                 n.performed[t][idx] = true;
             }),
             // Like a plain read: branch over every model-allowed value at
             // the sample point.
-            Instr::DmaGet(v, reg) => self.explore_reads(node, t, v, None, |n, value| {
-                n.regs[t][reg.0 as usize] = value;
+            Instr::DmaGet(v, reg) => self.explore_reads(node, t, idx, v, |n, value| {
+                n.regs[t][usize::from(reg.0)] = value;
                 n.performed[t][idx] = true;
             }),
             ref other => unreachable!("{other:?} is single-phase"),
@@ -555,7 +564,7 @@ impl<'p> Search<'p> {
     /// Issue the instruction at `(t, idx)` (the caller has checked
     /// [`Node::ready`]), branching over read values where the model
     /// allows several. Returns whether any branch was taken.
-    fn explore_issue(&mut self, node: &Node, t: usize, idx: usize) -> Result<bool, Exhausted> {
+    fn explore_issue(&mut self, node: &mut Node, t: usize, idx: usize) -> Result<bool, Exhausted> {
         let thread = &self.program.threads[t];
         let p = ProcId(t as u16);
         let done = move |n: &mut Node| {
@@ -563,42 +572,42 @@ impl<'p> Search<'p> {
             n.performed[t][idx] = true;
         };
         match thread[idx] {
-            Instr::Write(v, value) => self.step(node, |n| {
+            Instr::Write(v, value) => self.step(node, t, idx, None, |n| {
                 n.model.write(p, v, value);
                 done(n);
             }),
-            Instr::Fence => self.step(node, |n| {
+            Instr::Fence => self.step(node, t, idx, None, |n| {
                 n.model.fence(p);
                 done(n);
             }),
             Instr::Acquire(v) if !node.model.can_acquire(v) => Ok(false),
-            Instr::Acquire(v) => self.step(node, |n| {
+            Instr::Acquire(v) => self.step(node, t, idx, None, |n| {
                 n.model.acquire(p, v).expect("checked can_acquire");
                 done(n);
             }),
-            Instr::Release(v) => self.step(node, |n| {
+            Instr::Release(v) => self.step(node, t, idx, None, |n| {
                 n.model.release(p, v).expect("litmus programs are lock-balanced");
                 done(n);
             }),
             // Branch over every model-allowed value (distinct writes of
             // equal values give one outcome).
-            Instr::Read(v, reg) => self.explore_reads(node, t, v, None, |n, value| {
-                n.regs[t][reg.0 as usize] = value;
+            Instr::Read(v, reg) => self.explore_reads(node, t, idx, v, |n, value| {
+                n.regs[t][usize::from(reg.0)] = value;
                 done(n);
             }),
             // Enabled only when the awaited value is readable; eventual
             // visibility (liveness) is assumed, so paths where it is not
             // yet readable simply do not take this step.
-            Instr::WaitEq(v, value) => self.explore_reads(node, t, v, Some(value), |n, _| done(n)),
+            Instr::WaitEq(v, _) => self.explore_reads(node, t, idx, v, |n, _| done(n)),
             // Issue step only: the data movement floats as a separate
             // perform step (loop above).
-            Instr::DmaPut(v, _) | Instr::DmaGet(v, _) => self.step(node, |n| {
+            Instr::DmaPut(v, _) | Instr::DmaGet(v, _) => self.step(node, t, idx, None, |n| {
                 n.model.dma_issue(p, v);
                 n.issued[t][idx] = true;
             }),
             // Issue markers on both endpoints; the combined read/write
             // floats as one perform step.
-            Instr::DmaCopy(s, d) => self.step(node, |n| {
+            Instr::DmaCopy(s, d) => self.step(node, t, idx, None, |n| {
                 n.model.dma_issue(p, s);
                 n.model.dma_issue(p, d);
                 n.issued[t][idx] = true;
@@ -616,7 +625,7 @@ impl<'p> Search<'p> {
                     .collect();
                 locs.sort_unstable_by_key(|l| l.0);
                 locs.dedup();
-                self.step(node, |n| {
+                self.step(node, t, idx, None, |n| {
                     for v in locs {
                         n.model.dma_complete(p, v);
                     }
@@ -626,42 +635,68 @@ impl<'p> Search<'p> {
         }
     }
 
-    /// Explore the one successor `apply` makes of a copy of `node`.
-    fn step(&mut self, node: &Node, apply: impl FnOnce(&mut Node)) -> Result<bool, Exhausted> {
-        let mut next = node.clone();
-        apply(&mut next);
-        self.dfs(next)?;
+    /// Explore the successor `apply` makes of `node` by a step of
+    /// instruction `idx` of thread `t`, then undo the step. `apply` may
+    /// change the model, that instruction's issued and performed flags,
+    /// and register `reg` of thread `t` — nothing else, since nothing
+    /// else is restored.
+    fn step(
+        &mut self,
+        node: &mut Node,
+        t: usize,
+        idx: usize,
+        reg: Option<Reg>,
+        apply: impl FnOnce(&mut Node),
+    ) -> Result<bool, Exhausted> {
+        let mark = node.model.mark();
+        let flags = (node.issued[t][idx], node.performed[t][idx]);
+        let reg = reg.map(|r| (usize::from(r.0), node.regs[t][usize::from(r.0)]));
+        apply(node);
+        self.dfs(node)?;
+        node.model.undo(mark);
+        (node.issued[t][idx], node.performed[t][idx]) = flags;
+        if let Some((r, value)) = reg {
+            node.regs[t][r] = value;
+        }
         Ok(true)
     }
 
     /// Branch over every distinct value a read by thread `t` of `v` may
-    /// return now (only `only`, if given), in ascending order: commit the
-    /// read on a copy of `node`, let `finish` complete the instruction,
-    /// and explore the result. Returns whether any branch was taken.
+    /// return now (for a wait, only the awaited value), in ascending
+    /// order: commit the read from the oldest candidate write holding the
+    /// value, let `finish` complete instruction `idx`, and explore the
+    /// result. Returns whether any branch was taken.
     fn explore_reads(
         &mut self,
-        node: &Node,
+        node: &mut Node,
         t: usize,
+        idx: usize,
         v: LocId,
-        only: Option<Value>,
         finish: impl Fn(&mut Node, Value),
     ) -> Result<bool, Exhausted> {
         let p = ProcId(t as u16);
-        // The copy the branches start from: computing candidates
-        // initialises `v`, which every branch's read would do anyway.
-        let mut base = node.clone();
-        let mut values: Vec<Value> =
-            base.model.read_candidates(p, v).into_iter().map(|(_, val)| val).collect();
-        values.retain(|&val| only.is_none_or(|o| o == val));
-        values.sort_unstable();
-        values.dedup();
-        for &value in &values {
-            self.step(&base, |n| {
-                n.model.read_value(p, v, value).expect("candidate value must be readable");
+        // The register a read writes; the value a wait accepts.
+        let (reg, only) = match self.program.threads[t][idx] {
+            Instr::Read(_, reg) | Instr::DmaGet(_, reg) => (Some(reg), None),
+            Instr::WaitEq(_, value) => (None, Some(value)),
+            _ => (None, None),
+        };
+        // Computing candidates initialises `v`, which every branch's read
+        // would do anyway; the mark undoes it once all branches are done.
+        let mark = node.model.mark();
+        let mut cands = node.model.read_candidates(p, v);
+        cands.retain(|&(_, val)| only.is_none_or(|o| o == val));
+        // Candidates come oldest first, and the sort is stable.
+        cands.sort_by_key(|&(_, val)| val);
+        cands.dedup_by_key(|&mut (_, val)| val);
+        for &(from, value) in &cands {
+            self.step(node, t, idx, reg, |n| {
+                n.model.read_from(p, v, from, value);
                 finish(n, value);
             })?;
         }
-        Ok(!values.is_empty())
+        node.model.undo(mark);
+        Ok(!cands.is_empty())
     }
 }
 
