@@ -250,7 +250,8 @@ impl Noc {
     }
 
     /// Earliest in-flight completion-word write for any of `dst`'s
-    /// completion words at local-memory offsets `done_offsets` — the
+    /// completion words named by `watches` (`(local-memory offset,
+    /// awaited sequence)` pairs; only the offsets matter here) — the
     /// event a blocked [`crate::soc::Cpu::dma_event_wait_any`] sleeps
     /// on. `None` when no such write is in flight (every programmed
     /// transfer on those words' channels has already landed). One heap
@@ -259,7 +260,7 @@ impl Noc {
     pub(crate) fn next_completion_arrival_any(
         &self,
         dst: usize,
-        done_offsets: &[u32],
+        watches: &[(u32, u32)],
     ) -> Option<u64> {
         self.heap
             .iter()
@@ -267,7 +268,7 @@ impl Noc {
                 p.dst == dst
                     && matches!(&p.kind,
                         PacketKind::DmaBurst { done: Some((off, _)), .. }
-                            if done_offsets.contains(off))
+                            if watches.iter().any(|&(o, _)| o == *off))
             })
             .map(|p| p.arrive)
             .min()

@@ -906,7 +906,6 @@ impl<'a> Cpu<'a> {
     pub(crate) fn dma_event_wait_any(&mut self, watches: &[(u32, u32)]) -> usize {
         assert!(!watches.is_empty(), "empty DMA event-wait set");
         self.ctr.dma_event_waits += 1;
-        let offsets: Vec<u32> = watches.iter().map(|&(off, _)| off).collect();
         let mut woke = false;
         loop {
             // The check: one load per watched completion word.
@@ -916,7 +915,7 @@ impl<'a> Cpu<'a> {
                 // One heap pass across every watched word: the in-flight
                 // queue can be large (every posted write and queued
                 // burst).
-                let next = g.noc.next_completion_arrival_any(me, &offsets);
+                let next = g.noc.next_completion_arrival_any(me, watches);
                 (hit, next)
             });
             if let Some(i) = hit {

@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pmc_soc_sim::addr::{SDRAM_CACHED_BASE, SDRAM_UNCACHED_BASE};
-use pmc_soc_sim::{CoreProgram, Cpu, Soc, SocConfig};
+use pmc_soc_sim::{CoreProgram, Cpu, DmaDescriptor, DmaDir, DmaKind, Soc, SocConfig};
 
 /// The system allocator, counting allocations (fresh and resized) per
 /// thread.
@@ -157,4 +157,26 @@ fn the_memory_path_allocates_nothing() {
     assert_eq!(soc.read_sdram_u32(0x260), 3, "the flush wrote back");
     assert_eq!(soc.read_sdram_u32(0x320), 0x0101_0101, "the invalidation discarded");
     assert_eq!(soc.read_sdram_u32(0x104), 5);
+}
+
+/// A DMA event wait whose completion word has already landed allocates
+/// nothing. (A wait that sleeps is not covered: each burst that lands
+/// while it sleeps allocates its copy buffer.)
+#[test]
+fn a_dma_event_wait_on_a_landed_completion_allocates_nothing() {
+    let soc = Soc::new(SocConfig::small(4));
+    let mut programs: Vec<CoreProgram<'_>> =
+        (0..3).map(|_| Box::new(|_: &mut Cpu| {}) as _).collect();
+    programs.push(Box::new(|cpu: &mut Cpu| {
+        // A 1 KiB get into local memory, completion word at offset 0.
+        let desc = DmaDescriptor::contiguous(DmaKind::Sdram(DmaDir::Get), 0, 0x100, 1024, 64, 0);
+        let seq = cpu.dma_issue(0, desc);
+        cpu.dma_event_wait(0, seq);
+        let before = cpu.now();
+        allocates_nothing("a DMA event wait on a landed completion", cpu, |cpu| {
+            cpu.dma_event_wait(0, seq);
+        });
+        assert!(cpu.now() - before < 16, "the landed completion needed no sleep");
+    }));
+    soc.run(programs);
 }
