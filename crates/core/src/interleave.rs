@@ -705,7 +705,6 @@ mod tests {
     use super::*;
     use crate::litmus::catalogue;
     use crate::litmus::Instr::*;
-    use crate::litmus::Reg;
     use crate::op::LocId as L;
 
     fn regs_of(outs: &BTreeSet<Outcome>) -> Vec<Outcome> {
