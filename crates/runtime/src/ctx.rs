@@ -34,7 +34,7 @@ use std::cell::RefCell;
 use pmc_soc_sim::trace::{span_begin, span_end, span_kind};
 use pmc_soc_sim::{addr, Cpu, DmaDescriptor, DmaDir, DmaKind, DmaSeg};
 
-use crate::pod::Pod;
+use crate::pod::{with_buf, Pod};
 use crate::spm::StagingAlloc;
 use crate::system::{BackendKind, PrivSlab, Shared, DMA_DONE_OFFSET};
 
@@ -149,6 +149,12 @@ pub(crate) struct CtxInner<'a, 'b> {
     pending_dma: Vec<(u32, TicketCore)>,
     /// Round-robin cursor for channel assignment.
     next_chan: u32,
+    /// Scratch bytes reused by every DSM commit, SPM staging copy and
+    /// synchronous `dma_copy`: it grows to the largest object once, so
+    /// those copies stop allocating after the first.
+    scratch: Vec<u8>,
+    /// Scatter/gather list reused by every transfer's descriptor.
+    segs: Vec<DmaSeg>,
 }
 
 /// Per-core PMC context: the annotation API plus typed data access.
@@ -174,6 +180,8 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
                 spm,
                 pending_dma: Vec::new(),
                 next_chan: 0,
+                scratch: Vec::new(),
+                segs: Vec::new(),
             }),
         }
     }
@@ -217,10 +225,11 @@ impl<'a, 'b> PmcCtx<'a, 'b> {
 
     pub fn priv_read<T: Pod>(&self, slab: &PrivSlab<T>, i: u32) -> T {
         assert!(i < slab.len);
-        let inner = &mut *self.inner.borrow_mut();
-        let mut buf = vec![0u8; T::SIZE as usize];
-        chunked_read(inner.cpu, self.shared.line, slab.addr + i * T::SIZE, &mut buf);
-        T::from_bytes(&buf)
+        with_buf(T::SIZE, |buf| {
+            let cpu = &mut *self.inner.borrow_mut().cpu;
+            chunked_read(cpu, self.shared.line, slab.addr + i * T::SIZE, buf);
+            T::from_bytes(buf)
+        })
     }
 }
 
@@ -250,7 +259,7 @@ pub(crate) fn ranges_2d(
     row_elems: u32,
     rows: u32,
     stride_elems: u32,
-) -> Vec<(u32, u32)> {
+) -> impl Iterator<Item = (u32, u32)> + Clone {
     assert!(rows > 0 && row_elems > 0, "empty 2-D transfer");
     assert!(stride_elems >= row_elems, "2-D rows must not overlap");
     let (off, _) = ((rows - 1).checked_mul(stride_elems))
@@ -258,7 +267,7 @@ pub(crate) fn ranges_2d(
         .and_then(|span| checked_range(first, span, elem_size, size_bytes))
         .expect("2-D transfer range out of bounds");
     // In bounds, so no row offset below can overflow.
-    (0..rows).map(|r| (off + r * stride_elems * elem_size, row_elems * elem_size)).collect()
+    (0..rows).map(move |r| (off + r * stride_elems * elem_size, row_elems * elem_size))
 }
 
 impl<'a, 'b> CtxInner<'a, 'b> {
@@ -363,7 +372,7 @@ impl<'a, 'b> CtxInner<'a, 'b> {
             BackendKind::Spm => scope.dirty && !scope.streaming,
         };
         if publish {
-            self.publish(sh, idx, &[(0, meta.size)]);
+            self.publish(sh, idx, [(0, meta.size)]);
         }
         self.scopes.remove(idx);
         if sh.backend == BackendKind::Spm {
@@ -389,19 +398,19 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         // be delivered mid-flush), so the commit record must not postdate
         // any remote read of them.
         self.cpu.trace_event(trace_kind::FLUSH, id, 0, 0);
-        self.publish(sh, idx, &[(0, sh.meta(id).size)]);
+        self.publish(sh, idx, [(0, sh.meta(id).size)]);
     }
 
     /// Push the writes of the open scope `idx` in `ranges` (`(byte
     /// offset, bytes)` pairs) to the object's home — the `flush` row, the
     /// exits' write-back and a put without an engine transfer.
-    fn publish(&mut self, sh: &Shared, idx: usize, ranges: &[(u32, u32)]) {
+    fn publish(&mut self, sh: &Shared, idx: usize, ranges: impl IntoIterator<Item = (u32, u32)>) {
         let scope = self.scopes[idx];
         let meta = sh.meta(scope.obj);
         match sh.backend {
             BackendKind::Uncached => {} // writes are already in SDRAM
             BackendKind::Swcc => {
-                for &(byte_off, bytes) in ranges {
+                for (byte_off, bytes) in ranges {
                     let base = addr::SDRAM_CACHED_BASE + meta.sdram_off;
                     self.cpu.flush_dcache_range(base + byte_off, bytes);
                 }
@@ -414,7 +423,7 @@ impl<'a, 'b> CtxInner<'a, 'b> {
                 self.scopes[idx].dirty = false;
             }
             BackendKind::Spm => {
-                for &(byte_off, bytes) in ranges {
+                for (byte_off, bytes) in ranges {
                     let sdram_off = meta.sdram_off + byte_off;
                     self.spm_stage_out(scope.spm_off + byte_off, sdram_off, bytes);
                 }
@@ -441,6 +450,30 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         chan
     }
 
+    /// Program a transfer of `kind` with scatter/gather list `segs`
+    /// (empty: a null transfer, completion word only) on channel `chan`,
+    /// returning its sequence number. The descriptor's list is the reused
+    /// `self.segs`, so issuing allocates nothing once it has grown.
+    fn issue(
+        &mut self,
+        sh: &Shared,
+        chan: u32,
+        kind: DmaKind,
+        segs: impl Iterator<Item = DmaSeg>,
+    ) -> u32 {
+        let mut desc = DmaDescriptor {
+            kind,
+            segs: std::mem::take(&mut self.segs),
+            burst: sh.dma_burst,
+            done_offset: DMA_DONE_OFFSET + 4 * chan,
+        };
+        desc.segs.clear();
+        desc.segs.extend(segs);
+        let seq = self.cpu.dma_issue(chan as usize, &desc);
+        self.segs = desc.segs;
+        seq
+    }
+
     fn trace_seq(chan: u32, seq: u32) -> u64 {
         assert!(
             (chan as usize) < MAX_DMA_CHANNELS && seq <= TRACE_SEQ_MASK,
@@ -455,7 +488,7 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         &mut self,
         sh: &Shared,
         id: u32,
-        ranges: &[(u32, u32)],
+        ranges: impl Iterator<Item = (u32, u32)> + Clone,
         dir: DmaDir,
     ) -> TicketCore {
         let idx = self
@@ -469,37 +502,24 @@ impl<'a, 'b> CtxInner<'a, 'b> {
             );
         }
         let meta = sh.meta(id);
-        let segs: Vec<DmaSeg> = match sh.backend {
-            BackendKind::Spm => {
-                let spm_off = self.scopes[idx].spm_off;
-                ranges
-                    .iter()
-                    .map(|&(byte_off, bytes)| DmaSeg {
-                        far_offset: meta.sdram_off + byte_off,
-                        local_offset: spm_off + byte_off,
-                        bytes,
-                    })
-                    .collect()
-            }
-            _ => Vec::new(), // null transfer: completion word only
-        };
+        // Only SPM stages: elsewhere the transfer is null (completion
+        // word only).
+        let staged = sh.backend == BackendKind::Spm;
+        let spm_off = self.scopes[idx].spm_off;
+        let segs = ranges.clone().filter(|_| staged).map(|(byte_off, bytes)| DmaSeg {
+            far_offset: meta.sdram_off + byte_off,
+            local_offset: spm_off + byte_off,
+            bytes,
+        });
         let chan = self.pick_chan();
-        let seq = self.cpu.dma_issue(
-            chan as usize,
-            DmaDescriptor {
-                kind: DmaKind::Sdram(dir),
-                segs,
-                burst: sh.dma_burst,
-                done_offset: DMA_DONE_OFFSET + 4 * chan,
-            },
-        );
+        let seq = self.issue(sh, chan, DmaKind::Sdram(dir), segs);
         let ticket = TicketCore { obj: id, chan, seq };
         self.pending_dma.push((id, ticket));
         let kind = match dir {
             DmaDir::Get => trace_kind::DMA_GET,
             DmaDir::Put => trace_kind::DMA_PUT,
         };
-        for &(byte_off, bytes) in ranges {
+        for (byte_off, bytes) in ranges.clone() {
             self.cpu.trace_event(
                 kind,
                 id,
@@ -544,17 +564,18 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         );
         self.scopes[didx].dirty = true;
         let chan = self.pick_chan();
-        let desc = match sh.backend {
-            BackendKind::Spm => DmaDescriptor::contiguous(
+        let seq = match sh.backend {
+            BackendKind::Spm => {
                 // Both staging areas live in this tile's local memory:
                 // a zero-hop local-to-local engine transfer.
-                DmaKind::Copy { dst_tile: self.cpu.tile() },
-                self.scopes[didx].spm_off + dst_off,
-                self.scopes[sidx].spm_off + src_off,
-                bytes,
-                sh.dma_burst,
-                DMA_DONE_OFFSET + 4 * chan,
-            ),
+                let seg = DmaSeg {
+                    far_offset: self.scopes[didx].spm_off + dst_off,
+                    local_offset: self.scopes[sidx].spm_off + src_off,
+                    bytes,
+                };
+                let kind = DmaKind::Copy { dst_tile: self.cpu.tile() };
+                self.issue(sh, chan, kind, std::iter::once(seg))
+            }
             _ => {
                 // No staging copies: move the bytes between the scope
                 // views synchronously (performing at issue is one of the
@@ -564,23 +585,20 @@ impl<'a, 'b> CtxInner<'a, 'b> {
                 let dst_scope = self.scopes[didx];
                 let src_base = self.data_addr(sh, src_id, &src_scope) + src_off;
                 let dst_base = self.data_addr(sh, dst_id, &dst_scope) + dst_off;
-                let mut buf = vec![0u8; bytes as usize];
+                let buf = scratch(&mut self.scratch, bytes);
                 match sh.backend {
                     BackendKind::Swcc => {
-                        chunked_read(self.cpu, sh.line, src_base, &mut buf);
-                        chunked_write(self.cpu, sh.line, dst_base, &buf);
+                        chunked_read(self.cpu, sh.line, src_base, buf);
+                        chunked_write(self.cpu, sh.line, dst_base, buf);
                     }
                     _ => {
-                        self.cpu.read_block(src_base, &mut buf);
-                        self.cpu.write_block(dst_base, &buf);
+                        self.cpu.read_block(src_base, buf);
+                        self.cpu.write_block(dst_base, buf);
                     }
                 }
-                let mut d = DmaDescriptor::null(DMA_DONE_OFFSET + 4 * chan);
-                d.burst = sh.dma_burst;
-                d
+                self.issue(sh, chan, DmaKind::Sdram(DmaDir::Get), std::iter::empty())
             }
         };
-        let seq = self.cpu.dma_issue(chan as usize, desc);
         self.pending_dma.push((src_id, TicketCore { obj: src_id, chan, seq }));
         let ticket_dst = TicketCore { obj: dst_id, chan, seq };
         self.pending_dma.push((dst_id, ticket_dst));
@@ -672,14 +690,14 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         let me = self.cpu.tile();
         let hdr = addr::local_base(me) + dsm_off;
         self.cpu.write_u32(hdr, new_version);
-        let mut buf = vec![0u8; size as usize];
-        self.cpu.read_block(hdr + 4, &mut buf);
+        let buf = scratch(&mut self.scratch, size);
+        self.cpu.read_block(hdr + 4, buf);
         let n_tiles = self.cpu.n_tiles();
         for t in 0..n_tiles {
             if t != me {
                 // Versioned: a replica never rolls back even when
                 // broadcasts from different writers race in the NoC.
-                self.cpu.noc_write_versioned(t, dsm_off, new_version, &buf);
+                self.cpu.noc_write_versioned(t, dsm_off, new_version, buf);
             }
         }
         self.cpu.write_u32(addr::SDRAM_UNCACHED_BASE + version_off, new_version);
@@ -689,17 +707,17 @@ impl<'a, 'b> CtxInner<'a, 'b> {
     /// offset.
     fn spm_stage_in(&mut self, sdram_off: u32, size: u32) -> u32 {
         let spm_off = self.spm.alloc(size);
-        let mut buf = vec![0u8; size as usize];
-        self.cpu.read_block(addr::SDRAM_UNCACHED_BASE + sdram_off, &mut buf);
-        self.cpu.write_block(addr::local_base(self.cpu.tile()) + spm_off, &buf);
+        let buf = scratch(&mut self.scratch, size);
+        self.cpu.read_block(addr::SDRAM_UNCACHED_BASE + sdram_off, buf);
+        self.cpu.write_block(addr::local_base(self.cpu.tile()) + spm_off, buf);
         spm_off
     }
 
     /// SPM: write a staged object back to its SDRAM home.
     fn spm_stage_out(&mut self, spm_off: u32, sdram_off: u32, size: u32) {
-        let mut buf = vec![0u8; size as usize];
-        self.cpu.read_block(addr::local_base(self.cpu.tile()) + spm_off, &mut buf);
-        self.cpu.write_block(addr::SDRAM_UNCACHED_BASE + sdram_off, &buf);
+        let buf = scratch(&mut self.scratch, size);
+        self.cpu.read_block(addr::local_base(self.cpu.tile()) + spm_off, buf);
+        self.cpu.write_block(addr::SDRAM_UNCACHED_BASE + sdram_off, buf);
     }
 
     /// Where object bytes live for this core *right now* (scope-aware).
@@ -770,6 +788,16 @@ impl<'a, 'b> CtxInner<'a, 'b> {
         }
         self.cpu.trace_event(trace_kind::READ_BLOCK, id, buf.len() as u32, u64::from(byte_off));
     }
+}
+
+/// The first `len` bytes of the reused scratch buffer `buf`, which grows
+/// (zero-filled) when shorter. Every caller overwrites them before use.
+fn scratch(buf: &mut Vec<u8>, len: u32) -> &mut [u8] {
+    let len = len as usize;
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    &mut buf[..len]
 }
 
 /// Split an access at cache-line and word boundaries (the compiler's

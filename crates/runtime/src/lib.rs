@@ -20,6 +20,12 @@
 //! asynchronous transfers hand back `#[must_use]` [`DmaTicket`]s whose
 //! completion the owning scope's close enforces.
 //!
+//! After set-up a run allocates nothing on the host per simulated
+//! operation: typed accesses marshal through a stack buffer
+//! ([`pod`]), and DSM commits, SPM staging, synchronous copies and DMA
+//! descriptors reuse per-tile buffers (`tests/alloc.rs` gates this on
+//! all four back-ends).
+//!
 //! Guard-based message passing (the paper's Fig. 6):
 //!
 //! ```

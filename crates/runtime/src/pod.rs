@@ -5,6 +5,32 @@
 //! exactly the case the paper's Section V-A discusses: the model's
 //! locations are single bytes, so the runtime must lock around non-atomic
 //! (multi-byte) accesses.
+//!
+//! Every typed access (a scope guard's `read`/`read_at`/`write`/
+//! `write_at`, `PmcCtx::priv_read`, `System::read_back`/`read_back_at`)
+//! marshals through `with_buf`: a zeroed `POD_BUF`-byte (64-byte) array
+//! on the stack, so an access allocates nothing on the host. Every
+//! in-tree `Pod` fits under that bound: the largest are Radiosity's
+//! `Patch = [f32; 8]` and kvserve's `Req`, both 32 bytes; the primitives
+//! and [`Vec2`] are at most 8. A larger `Pod` (any `[T; N]` above 64
+//! bytes) still works, with no compile-time bound: its accesses fall
+//! back to a heap buffer of `T::SIZE` bytes per call.
+
+/// Bytes of the stack buffer [`with_buf`] lends: a `Pod` up to this size
+/// is marshalled without touching the heap.
+pub(crate) const POD_BUF: usize = 64;
+
+/// Run `f` on a zeroed scratch buffer of `size` bytes: a stack array up
+/// to [`POD_BUF`] bytes, a heap vector above it.
+#[inline]
+pub(crate) fn with_buf<R>(size: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    let size = size as usize;
+    if size <= POD_BUF {
+        f(&mut [0u8; POD_BUF][..size])
+    } else {
+        f(&mut vec![0u8; size])
+    }
+}
 
 /// A fixed-size, byte-serialisable value.
 pub trait Pod: Copy + 'static {
@@ -101,6 +127,24 @@ mod tests {
         a.to_bytes(&mut buf);
         assert_eq!(<[u16; 3]>::from_bytes(&buf), a);
         assert_eq!(<[u16; 3]>::SIZE, 6);
+    }
+
+    #[test]
+    fn with_buf_lends_exactly_size_bytes_on_either_side_of_the_bound() {
+        for size in [0, 1, POD_BUF as u32, POD_BUF as u32 + 1, 4096] {
+            let len = with_buf(size, |buf| {
+                assert!(buf.iter().all(|&b| b == 0), "the buffer starts zeroed");
+                buf.fill(0xff);
+                buf.len()
+            });
+            assert_eq!(len, size as usize);
+        }
+        let big: [u64; 9] = std::array::from_fn(|i| i as u64);
+        let back = with_buf(<[u64; 9]>::SIZE, |buf| {
+            big.to_bytes(buf);
+            <[u64; 9]>::from_bytes(buf)
+        });
+        assert_eq!(back, big, "a Pod above the bound round-trips through the heap fallback");
     }
 
     #[test]

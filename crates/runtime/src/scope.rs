@@ -52,7 +52,7 @@
 //! ```
 
 use crate::ctx::{checked_range, ranges_2d, PmcCtx, ScopeKind, TicketCore};
-use crate::pod::Pod;
+use crate::pod::{with_buf, Pod};
 use crate::system::{Obj, Slab};
 use pmc_soc_sim::DmaDir;
 
@@ -194,22 +194,24 @@ macro_rules! scope_common {
 
             /// Read the whole value (element 0 for slabs).
             pub fn read(&self) -> T {
-                let mut buf = vec![0u8; T::SIZE as usize];
-                self.ctx.inner.borrow_mut().raw_read(self.ctx.shared, self.obj.id, 0, &mut buf);
-                T::from_bytes(&buf)
+                with_buf(T::SIZE, |buf| {
+                    self.ctx.inner.borrow_mut().raw_read(self.ctx.shared, self.obj.id, 0, buf);
+                    T::from_bytes(buf)
+                })
             }
 
             /// Read element `i`.
             pub fn read_at(&self, i: u32) -> T {
                 assert!(i < self.len(), "read_at out of bounds");
-                let mut buf = vec![0u8; T::SIZE as usize];
-                self.ctx.inner.borrow_mut().raw_read(
-                    self.ctx.shared,
-                    self.obj.id,
-                    i * T::SIZE,
-                    &mut buf,
-                );
-                T::from_bytes(&buf)
+                with_buf(T::SIZE, |buf| {
+                    self.ctx.inner.borrow_mut().raw_read(
+                        self.ctx.shared,
+                        self.obj.id,
+                        i * T::SIZE,
+                        buf,
+                    );
+                    T::from_bytes(buf)
+                })
             }
 
             /// Bulk read of `buf.len()` bytes at `byte_off`. On
@@ -242,7 +244,7 @@ macro_rules! scope_common {
                 let core = self.ctx.inner.borrow_mut().dma_xfer_ranges(
                     self.ctx.shared,
                     self.obj.id,
-                    &[range],
+                    std::iter::once(range),
                     DmaDir::Get,
                 );
                 DmaTicket { ctx: self.ctx, core }
@@ -265,7 +267,7 @@ macro_rules! scope_common {
                 let core = self.ctx.inner.borrow_mut().dma_xfer_ranges(
                     self.ctx.shared,
                     self.obj.id,
-                    &ranges,
+                    ranges,
                     DmaDir::Get,
                 );
                 DmaTicket { ctx: self.ctx, core }
@@ -347,17 +349,19 @@ scope_common!(RoScope);
 impl<'s, 'a, 'b, T: Pod> XScope<'s, 'a, 'b, T> {
     /// Write the whole value (element 0 for slabs).
     pub fn write(&self, value: T) {
-        let mut buf = vec![0u8; T::SIZE as usize];
-        value.to_bytes(&mut buf);
-        self.ctx.inner.borrow_mut().raw_write(self.ctx.shared, self.obj.id, 0, &buf);
+        with_buf(T::SIZE, |buf| {
+            value.to_bytes(buf);
+            self.ctx.inner.borrow_mut().raw_write(self.ctx.shared, self.obj.id, 0, buf);
+        });
     }
 
     /// Write element `i`.
     pub fn write_at(&self, i: u32, value: T) {
         assert!(i < self.len(), "write_at out of bounds");
-        let mut buf = vec![0u8; T::SIZE as usize];
-        value.to_bytes(&mut buf);
-        self.ctx.inner.borrow_mut().raw_write(self.ctx.shared, self.obj.id, i * T::SIZE, &buf);
+        with_buf(T::SIZE, |buf| {
+            value.to_bytes(buf);
+            self.ctx.inner.borrow_mut().raw_write(self.ctx.shared, self.obj.id, i * T::SIZE, buf);
+        });
     }
 
     /// `flush`: force this scope's modifications towards global
@@ -376,7 +380,7 @@ impl<'s, 'a, 'b, T: Pod> XScope<'s, 'a, 'b, T> {
         let core = self.ctx.inner.borrow_mut().dma_xfer_ranges(
             self.ctx.shared,
             self.obj.id,
-            &[range],
+            std::iter::once(range),
             DmaDir::Put,
         );
         DmaTicket { ctx: self.ctx, core }
@@ -394,7 +398,7 @@ impl<'s, 'a, 'b, T: Pod> XScope<'s, 'a, 'b, T> {
         let core = self.ctx.inner.borrow_mut().dma_xfer_ranges(
             self.ctx.shared,
             self.obj.id,
-            &ranges,
+            ranges,
             DmaDir::Put,
         );
         DmaTicket { ctx: self.ctx, core }

@@ -12,6 +12,7 @@ use std::marker::PhantomData;
 use pmc_soc_sim::{addr, Cpu, MemTag, RunReport, Soc, SocConfig};
 
 use crate::lock::{DistLock, Lock, SdramLock};
+use crate::pod::with_buf;
 
 /// Which Table II column implements the annotations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -509,17 +510,19 @@ impl System {
 
     /// Read back a shared object after a run.
     pub fn read_back<T: crate::pod::Pod>(&self, obj: Obj<T>) -> T {
-        let mut buf = vec![0u8; T::SIZE as usize];
-        self.read_back_bytes(obj.id, 0, &mut buf);
-        T::from_bytes(&buf)
+        with_buf(T::SIZE, |buf| {
+            self.read_back_bytes(obj.id, 0, buf);
+            T::from_bytes(buf)
+        })
     }
 
     /// Read back a slab element after a run.
     pub fn read_back_at<T: crate::pod::Pod>(&self, slab: Slab<T>, i: u32) -> T {
         assert!(i < slab.len);
-        let mut buf = vec![0u8; T::SIZE as usize];
-        self.read_back_bytes(slab.id, i * T::SIZE, &mut buf);
-        T::from_bytes(&buf)
+        with_buf(T::SIZE, |buf| {
+            self.read_back_bytes(slab.id, i * T::SIZE, buf);
+            T::from_bytes(buf)
+        })
     }
 
     fn finalize(&mut self) {

@@ -113,6 +113,12 @@ pub struct Noc {
     /// tests).
     link_free: Vec<u64>,
     link_stats: Vec<LinkStat>,
+    /// Payload buffers of delivered `Write` / `VersionedWrite` packets,
+    /// handed out again by [`Noc::payload`]. A buffer keeps the largest
+    /// capacity it was given, so once there are as many as writes were
+    /// ever in flight, each grown to the payloads it carries, posting a
+    /// write allocates nothing.
+    free: Vec<Vec<u8>>,
     /// Interconnect-side telemetry ring (link occupancy, SDRAM-port
     /// service, DMA descriptor lifetimes). Disabled by default — the
     /// instrumented paths then cost one branch; install an enabled
@@ -226,6 +232,20 @@ impl Noc {
     pub(crate) fn reset_links(&mut self) {
         self.link_free.fill(0);
         self.link_stats.fill(LinkStat::default());
+    }
+
+    /// A packet payload holding a copy of `data`, in a buffer from the
+    /// free list when one is there.
+    pub(crate) fn payload(&mut self, data: &[u8]) -> Vec<u8> {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(data);
+        buf
+    }
+
+    /// Return a delivered packet's payload buffer to the free list.
+    pub(crate) fn recycle(&mut self, buf: Vec<u8>) {
+        self.free.push(buf);
     }
 
     pub(crate) fn send(&mut self, arrive: u64, src: usize, dst: usize, kind: PacketKind) {

@@ -60,6 +60,7 @@
 //! A store to another tile's local memory goes through
 //! [`Cpu::noc_write`] only: [`Cpu::write`] and `write_block` reject it.
 
+use std::borrow::Borrow;
 use std::cell::{RefCell, RefMut};
 use std::sync::atomic::Ordering as AtomicOrdering;
 
@@ -98,6 +99,9 @@ struct Global {
     telem_tiles: Vec<(Vec<TelemetryEvent>, u64)>,
     /// Scheduler statistics of the last run (`None` until one completes).
     engine_stats: Option<EngineStats>,
+    /// Copy buffer of every landing DMA burst, reused: it grows to the
+    /// largest burst once, so a landing allocates nothing after that.
+    burst_buf: Vec<u8>,
 }
 
 impl Global {
@@ -169,6 +173,7 @@ impl Global {
         match p.kind {
             PacketKind::Write { offset, data } => {
                 self.locals[p.dst].write(offset, &data);
+                self.noc.recycle(data);
             }
             PacketKind::VersionedWrite { offset, version, data } => {
                 let current = self.locals[p.dst].read_u32(offset);
@@ -176,6 +181,7 @@ impl Global {
                     self.locals[p.dst].write_u32(offset, version);
                     self.locals[p.dst].write(offset + 4, &data);
                 }
+                self.noc.recycle(data);
             }
             PacketKind::TestAndSet { offset, reply_tile, reply_offset } => {
                 let old = self.locals[p.dst].read_u8(offset);
@@ -186,30 +192,35 @@ impl Global {
                 // = 0 is distinguishable from old == 0).
                 let reply = 0x0100u32 | old as u32;
                 let arrive = self.noc.reserve_path(cfg, p.arrive, p.dst, reply_tile, 4);
+                let data = self.noc.payload(&reply.to_le_bytes());
                 self.noc.send(
                     arrive,
                     p.dst,
                     reply_tile,
-                    PacketKind::Write { offset: reply_offset, data: reply.to_le_bytes().to_vec() },
+                    PacketKind::Write { offset: reply_offset, data },
                 );
             }
             PacketKind::DmaBurst { kind, far_offset, local_offset, len, done } => {
                 if len > 0 {
-                    let mut buf = vec![0u8; len as usize];
+                    let len = len as usize;
+                    if self.burst_buf.len() < len {
+                        self.burst_buf.resize(len, 0);
+                    }
+                    let buf = &mut self.burst_buf[..len];
                     match kind {
                         DmaKind::Sdram(DmaDir::Get) => {
-                            self.sdram.read(far_offset, &mut buf);
-                            self.locals[p.dst].write(local_offset, &buf);
+                            self.sdram.read(far_offset, buf);
+                            self.locals[p.dst].write(local_offset, buf);
                         }
                         DmaKind::Sdram(DmaDir::Put) => {
-                            self.locals[p.dst].read(local_offset, &mut buf);
-                            self.sdram.write(far_offset, &buf);
+                            self.locals[p.dst].read(local_offset, buf);
+                            self.sdram.write(far_offset, buf);
                         }
                         DmaKind::Copy { dst_tile } => {
                             // Tile-to-tile: the issuing tile's scratchpad
                             // drains into the destination tile's.
-                            self.locals[p.dst].read(local_offset, &mut buf);
-                            self.locals[dst_tile].write(far_offset, &buf);
+                            self.locals[p.dst].read(local_offset, buf);
+                            self.locals[dst_tile].write(far_offset, buf);
                         }
                     }
                 }
@@ -279,6 +290,7 @@ impl Soc {
             trace: Vec::new(),
             telem_tiles: vec![(Vec::new(), 0); cfg.n_tiles],
             engine_stats: None,
+            burst_buf: Vec::new(),
         };
         Soc { cfg, global: RefCell::new(global) }
     }
@@ -819,7 +831,10 @@ impl<'a> Cpu<'a> {
     /// contend for the same links.
     pub fn noc_write(&mut self, dst: usize, offset: u32, data: &[u8]) {
         assert_ne!(dst, self.tile, "use local writes for the own tile");
-        self.noc_post(dst, data.len() as u32, PacketKind::Write { offset, data: data.to_vec() });
+        self.noc_post(dst, data.len() as u32, |noc| PacketKind::Write {
+            offset,
+            data: noc.payload(data),
+        });
     }
 
     /// Posted versioned write: applied at the destination only if
@@ -828,8 +843,11 @@ impl<'a> Cpu<'a> {
     pub fn noc_write_versioned(&mut self, dst: usize, offset: u32, version: u32, data: &[u8]) {
         assert_ne!(dst, self.tile, "use local writes for the own tile");
         let bytes = 4 + data.len() as u32;
-        let kind = PacketKind::VersionedWrite { offset, version, data: data.to_vec() };
-        self.noc_post(dst, bytes, kind);
+        self.noc_post(dst, bytes, |noc| PacketKind::VersionedWrite {
+            offset,
+            version,
+            data: noc.payload(data),
+        });
     }
 
     /// Remote test-and-set on one byte of `dst`'s local memory; the old
@@ -840,16 +858,19 @@ impl<'a> Cpu<'a> {
         assert_ne!(dst, self.tile, "use local_test_and_set for the own tile");
         let kind =
             PacketKind::TestAndSet { offset, reply_tile: self.tile, reply_offset: mailbox_offset };
-        self.noc_post(dst, 4, kind);
+        self.noc_post(dst, 4, |_| kind);
     }
 
-    /// A posted NoC packet of `bytes` payload bytes to tile `dst`: one
-    /// instruction, the route's links, then the posted-write stall.
+    /// A posted NoC packet of `bytes` payload bytes to tile `dst`, made
+    /// by `kind` at the commit point (a payload comes from the NoC's
+    /// free list): one instruction, the route's links, then the
+    /// posted-write stall.
     #[inline(always)]
-    fn noc_post(&mut self, dst: usize, bytes: u32, kind: PacketKind) {
+    fn noc_post(&mut self, dst: usize, bytes: u32, kind: impl FnOnce(&mut Noc) -> PacketKind) {
         self.charge_instr(1);
         self.turn(move |g, cfg, now, me| {
             let arrive = g.noc.reserve_path(cfg, now, me, dst, bytes);
+            let kind = kind(&mut g.noc);
             g.noc.send(arrive, me, dst, kind);
         });
         self.charge_stall(StallClass::Noc, self.soc.cfg.lat.posted_write);
@@ -864,7 +885,11 @@ impl<'a> Cpu<'a> {
     /// burst lands — poll it with [`Cpu::read_u32`] (`done >= seq`;
     /// channels complete independently, so each channel needs its own
     /// completion word).
-    pub fn dma_issue(&mut self, chan: usize, desc: DmaDescriptor) -> u32 {
+    ///
+    /// The descriptor is read, not kept: pass it by value, or by
+    /// reference to reuse one descriptor's segment list across transfers.
+    pub fn dma_issue(&mut self, chan: usize, desc: impl Borrow<DmaDescriptor>) -> u32 {
+        let desc = desc.borrow();
         // Descriptor writes plus the doorbell on the real engine: two
         // words per scatter/gather element, four for the header.
         self.charge_instr(4 + 2 * desc.segs.len().max(1) as u64);
@@ -872,7 +897,7 @@ impl<'a> Cpu<'a> {
         let bytes = desc.total_bytes();
         let seq = self.turn(move |g, cfg, now, me| {
             let Global { dma, noc, ports, .. } = g;
-            dma[me].issue(cfg, noc, ports, now, me, chan, &desc)
+            dma[me].issue(cfg, noc, ports, now, me, chan, desc)
         });
         self.ctr.dma_transfers += 1;
         self.ctr.dma_bytes += u64::from(bytes);

@@ -1,68 +1,11 @@
 //! Heap-allocation budget of a run and of the simulated memory path,
-//! counted by a global allocator wrapper.
-//!
-//! The count is a thread-local: tests run on parallel threads, and every
-//! tile program of a `Soc::run` runs as a coroutine on the calling
-//! thread, so a test sees exactly its own allocations.
+//! counted by the thread-local counting allocator in `counting_alloc`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
-use pmc_soc_sim::addr::{SDRAM_CACHED_BASE, SDRAM_UNCACHED_BASE};
+use counting_alloc::allocs;
+use pmc_soc_sim::addr::{local_base, SDRAM_CACHED_BASE, SDRAM_UNCACHED_BASE};
 use pmc_soc_sim::{CoreProgram, Cpu, DmaDescriptor, DmaDir, DmaKind, Soc, SocConfig};
-
-/// The system allocator, counting allocations (fresh and resized) per
-/// thread.
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // A thread being torn down has no counter left; its allocations are
-    // nobody's test.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its caller's arguments unchanged to
-// `System`, so `System`'s guarantees are the wrapper's.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller upholds this method's contract, which is
-        // `System`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller upholds this method's contract, which is
-        // `System`'s.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: the caller upholds this method's contract, which is
-        // `System`'s.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds this method's contract, which is
-        // `System`'s.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
-
-/// Allocations made on this thread so far.
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
 
 /// Allocations made by one run of four empty tile programs on a `Soc`
 /// whose data caches have `sets` sets.
@@ -160,8 +103,8 @@ fn the_memory_path_allocates_nothing() {
 }
 
 /// A DMA event wait whose completion word has already landed allocates
-/// nothing. (A wait that sleeps is not covered: each burst that lands
-/// while it sleeps allocates its copy buffer.)
+/// nothing (`a_sleeping_dma_event_wait_allocates_nothing` covers one
+/// that sleeps).
 #[test]
 fn a_dma_event_wait_on_a_landed_completion_allocates_nothing() {
     let soc = Soc::new(SocConfig::small(4));
@@ -179,4 +122,79 @@ fn a_dma_event_wait_on_a_landed_completion_allocates_nothing() {
         assert!(cpu.now() - before < 16, "the landed completion needed no sleep");
     }));
     soc.run(programs);
+}
+
+/// A DMA event wait that sleeps through a 1 KiB get in 64-byte bursts
+/// allocates nothing: each burst that lands while it sleeps copies
+/// through the simulator's reused burst buffer. One get first, so the
+/// buffer and the in-flight queue have grown to their size.
+#[test]
+fn a_sleeping_dma_event_wait_allocates_nothing() {
+    let soc = Soc::new(SocConfig::small(4));
+    let pattern: Vec<u8> = (0..1024u32).map(|i| i as u8).collect();
+    soc.write_sdram(0, &pattern);
+    let mut programs: Vec<CoreProgram<'_>> =
+        (0..3).map(|_| Box::new(|_: &mut Cpu| {}) as _).collect();
+    programs.push(Box::new(|cpu: &mut Cpu| {
+        let desc = DmaDescriptor::contiguous(DmaKind::Sdram(DmaDir::Get), 0, 0x100, 1024, 64, 0);
+        let seq = cpu.dma_issue(0, &desc);
+        cpu.dma_event_wait(0, seq);
+        let seq = cpu.dma_issue(0, &desc);
+        let before = cpu.now();
+        allocates_nothing("a DMA event wait that sleeps through 16 bursts", cpu, |cpu| {
+            cpu.dma_event_wait(0, seq);
+        });
+        assert!(cpu.now() - before > 64, "the wait slept until the last burst landed");
+    }));
+    soc.run(programs);
+    let mut landed = vec![0u8; 1024];
+    soc.read_local(3, 0x100, &mut landed);
+    assert_eq!(landed, pattern);
+}
+
+/// Posted NoC writes, versioned writes and a remote test-and-set round
+/// trip allocate nothing: a payload comes from the NoC's free list, to
+/// which each delivered write returns its buffer. Each counted call
+/// follows one delivered call of its kind.
+#[test]
+fn noc_packets_allocate_nothing() {
+    let soc = Soc::new(SocConfig::small(4));
+    let mut programs: Vec<CoreProgram<'_>> =
+        (0..3).map(|_| Box::new(|_: &mut Cpu| {}) as _).collect();
+    programs.push(Box::new(|cpu: &mut Cpu| {
+        let mailbox = local_base(3) + 0x40;
+        // Sleep past every packet's arrival, then commit (an own local
+        // read) so the arrived packets are delivered.
+        let settle = |cpu: &mut Cpu| {
+            cpu.compute(1000);
+            cpu.read_u32(mailbox);
+        };
+        let tas_round_trip = |cpu: &mut Cpu| {
+            cpu.write_u32(mailbox, 0);
+            cpu.noc_test_and_set(0, 0x80, 0x40);
+            while cpu.read_u32(mailbox) == 0 {
+                cpu.compute(8);
+            }
+        };
+        cpu.noc_write(1, 0x100, &[1; 32]);
+        settle(cpu);
+        allocates_nothing("a NoC write", cpu, |cpu| cpu.noc_write(1, 0x100, &[3; 32]));
+        settle(cpu);
+        cpu.noc_write_versioned(2, 0x200, 1, &[2; 32]);
+        settle(cpu);
+        allocates_nothing("a versioned NoC write", cpu, |cpu| {
+            cpu.noc_write_versioned(2, 0x200, 2, &[4; 32]);
+        });
+        settle(cpu);
+        tas_round_trip(cpu);
+        allocates_nothing("a remote test-and-set round trip", cpu, tas_round_trip);
+        assert_eq!(cpu.read_u32(mailbox), 0x0101, "the lock byte was already set");
+    }));
+    soc.run(programs);
+    let mut bytes = [0u8; 36];
+    soc.read_local(1, 0x100, &mut bytes[..32]);
+    assert_eq!(bytes[..32], [3; 32]);
+    soc.read_local(2, 0x200, &mut bytes);
+    assert_eq!(bytes[..4], 2u32.to_le_bytes());
+    assert_eq!(bytes[4..], [4; 32]);
 }
