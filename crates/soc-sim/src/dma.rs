@@ -119,7 +119,8 @@ impl DmaDescriptor {
     }
 
     /// A null transfer: completion word only.
-    pub fn null(done_offset: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn null(done_offset: u32) -> Self {
         DmaDescriptor { kind: DmaKind::Sdram(DmaDir::Get), segs: Vec::new(), burst: 4, done_offset }
     }
 
