@@ -1200,4 +1200,254 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:#?}");
         assert!(v[0].message.contains("entry_ro"), "{v:#?}");
     }
+
+    /// A forged trace record at time = its index.
+    fn rec(i: usize, tile: usize, kind: u16, addr: u32, len: u32, value: u64) -> TraceRecord {
+        TraceRecord { time: i as u64, tile, kind, addr, len, value }
+    }
+
+    /// A DMA record's `value`: byte offset, channel, sequence number.
+    fn dma(off: u32, chan: u32, seq: u32) -> u64 {
+        u64::from(off) << 32 | u64::from(chan << crate::ctx::TRACE_SEQ_BITS | seq)
+    }
+
+    /// One minimal forged trace per violation site, with the exact full
+    /// message it must raise and nothing else. A few rows carry extra
+    /// records that must stay clean: the read of a put source in flight
+    /// (puts do not hazard reads) and a wait on another channel (it
+    /// retires nothing of channel 1).
+    #[test]
+    fn every_violation_site_has_its_exact_message() {
+        type Row = (&'static str, Vec<(usize, u16, u32, u32, u64)>);
+        let rows: Vec<Row> = vec![
+            (
+                "entry_x(obj 1) while tile 0 holds it",
+                vec![(0, k::ENTRY_X, 1, 0, 1), (1, k::ENTRY_X, 1, 0, 1)],
+            ),
+            (
+                "entry_x(obj 1) while tile 0 holds it read-only",
+                vec![(0, k::ENTRY_RO, 1, 0, 1), (1, k::ENTRY_X, 1, 0, 1)],
+            ),
+            (
+                "exit_x(obj 1) by non-holder (holder Some(0))",
+                vec![(0, k::ENTRY_X, 1, 0, 1), (1, k::EXIT_X, 1, 0, 0)],
+            ),
+            (
+                "exit_x(obj 1) with outstanding DMA transfers",
+                vec![
+                    (0, k::ENTRY_X, 1, 0, 1),
+                    (0, k::DMA_PUT, 1, 4, dma(0, 0, 0)),
+                    (0, k::EXIT_X, 1, 0, 0),
+                ],
+            ),
+            (
+                "streaming exit_x(obj 1) with writes never published by dma_put",
+                vec![(0, k::ENTRY_X, 1, 0, 3), (0, k::WRITE, 1, 4, 9), (0, k::EXIT_X, 1, 0, 0)],
+            ),
+            (
+                "locked entry_ro(obj 1) while tile 0 holds it",
+                vec![(0, k::ENTRY_X, 1, 0, 1), (1, k::ENTRY_RO, 1, 0, 1)],
+            ),
+            (
+                "exit_ro(obj 1) with outstanding DMA transfers",
+                vec![
+                    (0, k::ENTRY_RO, 1, 0, 3),
+                    (0, k::DMA_GET, 1, 4, dma(0, 0, 0)),
+                    (0, k::EXIT_RO, 1, 0, 0),
+                ],
+            ),
+            (
+                "flush(obj 1) inside a streaming scope",
+                vec![(0, k::ENTRY_X, 1, 0, 3), (0, k::FLUSH, 1, 0, 0)],
+            ),
+            (
+                "dma_put(obj 1) without exclusive access (None)",
+                vec![(0, k::DMA_PUT, 1, 4, dma(0, 0, 0))],
+            ),
+            (
+                "dma_get(obj 1) while another tile holds it",
+                vec![(0, k::ENTRY_X, 1, 0, 1), (1, k::DMA_GET, 1, 4, dma(0, 0, 0))],
+            ),
+            (
+                "dma_copy destination (obj 2) without exclusive access (None)",
+                vec![
+                    (0, k::ENTRY_RO, 1, 0, 1),
+                    (0, k::DMA_COPY_SRC, 1, 4, dma(0, 0, 0)),
+                    (0, k::DMA_COPY_DST, 2, 4, dma(0, 0, 0)),
+                ],
+            ),
+            (
+                "dma_copy source (obj 1) outside an owning scope",
+                vec![
+                    (0, k::ENTRY_X, 2, 0, 1),
+                    (0, k::DMA_COPY_SRC, 1, 4, dma(0, 0, 0)),
+                    (0, k::DMA_COPY_DST, 2, 4, dma(0, 0, 0)),
+                ],
+            ),
+            (
+                "dma_copy source range of obj 1 never defined in this streaming scope",
+                vec![
+                    (0, k::ENTRY_RO, 1, 0, 3),
+                    (0, k::ENTRY_X, 2, 0, 1),
+                    (0, k::DMA_COPY_SRC, 1, 4, dma(0, 0, 0)),
+                    (0, k::DMA_COPY_DST, 2, 4, dma(0, 0, 0)),
+                ],
+            ),
+            (
+                "bulk read of obj 1 DMA-target memory before dma_wait",
+                vec![
+                    (0, k::ENTRY_RO, 1, 0, 1),
+                    (0, k::DMA_GET, 1, 8, dma(0, 0, 0)),
+                    (0, k::READ_BLOCK, 1, 4, 0),
+                ],
+            ),
+            (
+                "bulk read of obj 1 range never defined in this streaming scope \
+                 (no completed dma_get or own write covers it)",
+                vec![(0, k::ENTRY_RO, 1, 0, 3), (0, k::READ_BLOCK, 1, 4, 0)],
+            ),
+            ("write to obj 1 without exclusive access (None)", vec![(0, k::WRITE, 1, 4, 9)]),
+            (
+                "write to obj 1 range with an in-flight DMA transfer (before dma_wait)",
+                vec![
+                    (0, k::ENTRY_X, 1, 0, 1),
+                    (0, k::DMA_PUT, 1, 4, dma(0, 0, 0)),
+                    (0, k::WRITE, 1, 4, 9),
+                ],
+            ),
+            (
+                "read of obj 1 DMA-target memory before dma_wait",
+                vec![
+                    (0, k::ENTRY_X, 1, 0, 1),
+                    (0, k::DMA_PUT, 1, 4, dma(4, 0, 0)),
+                    (0, k::DMA_GET, 1, 4, dma(0, 1, 0)),
+                    (0, k::READ, 1, 4 << 8 | 4, 5), // put source: clean
+                    (0, k::DMA_WAIT, 1, 0, dma(0, 0, 0)), // retires the put only
+                    (0, k::READ, 1, 4, 0),          // the get on channel 1 is in flight
+                ],
+            ),
+            (
+                "read of obj 1 range never defined in this streaming scope \
+                 (no completed dma_get or own write covers it)",
+                vec![(0, k::ENTRY_RO, 1, 0, 3), (0, k::READ, 1, 4, 0)],
+            ),
+            (
+                "stale read under lock: obj 1 chunk (0, 4) read 0x7, expected 0x9",
+                vec![
+                    (0, k::ENTRY_X, 1, 0, 1),
+                    (0, k::WRITE, 1, 4, 9),
+                    (0, k::EXIT_X, 1, 0, 0),
+                    (1, k::ENTRY_X, 1, 0, 1),
+                    (1, k::READ, 1, 4, 7),
+                ],
+            ),
+            (
+                "monotonicity violation: obj 1 chunk (0, 4) read 0x0 (index 0 < floor 1)",
+                vec![
+                    (0, k::ENTRY_X, 1, 0, 1),
+                    (0, k::WRITE, 1, 4, 1),
+                    (0, k::EXIT_X, 1, 0, 0),
+                    (1, k::READ, 1, 4, 0),
+                    (1, k::READ, 1, 4, 1),
+                    (1, k::READ, 1, 4, 0),
+                ],
+            ),
+            (
+                "out-of-thin-air read: obj 1 chunk (0, 4) value 0x7 never committed",
+                vec![
+                    (0, k::ENTRY_X, 1, 0, 1),
+                    (0, k::WRITE, 1, 4, 1),
+                    (0, k::EXIT_X, 1, 0, 0),
+                    (1, k::READ, 1, 4, 1),
+                    (1, k::READ, 1, 4, 7),
+                ],
+            ),
+            ("unknown trace kind 99", vec![(0, 99, 1, 0, 0)]),
+        ];
+        for (expected, records) in rows {
+            let trace: Vec<TraceRecord> = records
+                .into_iter()
+                .enumerate()
+                .map(|(i, (tile, kind, addr, len, value))| rec(i, tile, kind, addr, len, value))
+                .collect();
+            let v = validate(&trace);
+            let messages: Vec<&str> = v.iter().map(|v| v.message.as_str()).collect();
+            assert_eq!(messages, [expected], "{trace:#?}");
+        }
+    }
+
+    /// Apply one seeded mutation to `trace`: drop a record, swap two
+    /// neighbours, move a record to the other tile, flip a value bit or
+    /// shift a DMA offset by up to 64 bytes (never below 0).
+    fn mutate(trace: &mut Vec<TraceRecord>, rng: &mut pmc_core::fuzz::SplitMix64) {
+        let i = rng.below(trace.len() as u64) as usize;
+        match rng.below(5) {
+            0 => {
+                trace.remove(i);
+            }
+            1 => {
+                let j = (i + 1).min(trace.len() - 1);
+                trace.swap(i, j);
+            }
+            2 => trace[i].tile ^= 1,
+            3 => trace[i].value ^= 1 << rng.below(64),
+            _ => {
+                let transfers: Vec<usize> = (0..trace.len())
+                    .filter(|&j| {
+                        [k::DMA_GET, k::DMA_PUT, k::DMA_COPY_SRC, k::DMA_COPY_DST]
+                            .contains(&trace[j].kind)
+                    })
+                    .collect();
+                if transfers.is_empty() {
+                    return;
+                }
+                let r = &mut trace[transfers[rng.below(transfers.len() as u64) as usize]];
+                let off = (r.value >> 32) as u32;
+                let d = 4 * (1 + rng.below(16) as u32);
+                let off = if rng.below(2) == 0 { off.saturating_sub(d) } else { off + d };
+                r.value = u64::from(off) << 32 | (r.value & 0xffff_ffff);
+            }
+        }
+    }
+
+    /// The monitor's behaviour in one number: every conformance program
+    /// on every back-end and lock kind (ring), its trace clean and under
+    /// 32 seeded single mutations, each violation (time, tile, message,
+    /// context) folded into one FNV-1a digest.
+    #[test]
+    fn violations_on_the_mutated_conformance_corpus_are_pinned() {
+        use crate::{BackendKind, LockKind, RunConfig};
+        let fnv = |h: u64, bytes: &[u8]| {
+            bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        };
+        let mut rng = pmc_core::fuzz::SplitMix64::new(0x6d6f_6e69_746f_7221);
+        let (mut h, mut traces, mut violations) = (0xcbf2_9ce4_8422_2325_u64, 0, 0);
+        for case in pmc_core::conformance::cases() {
+            for backend in BackendKind::ALL {
+                for lock in [LockKind::Sdram, LockKind::Distributed] {
+                    let clean =
+                        RunConfig::new(backend).lock(lock).session().litmus(&case.program).trace;
+                    for mutant in 0..=32 {
+                        let mut trace = clean.clone();
+                        if mutant > 0 {
+                            mutate(&mut trace, &mut rng);
+                        }
+                        let v = validate(&trace);
+                        assert!(mutant > 0 || v.is_empty(), "{}: {v:#?}", case.name);
+                        h = fnv(h, &(v.len() as u64).to_le_bytes());
+                        for v in &v {
+                            h = fnv(
+                                h,
+                                format!("{}|{}|{}|{:?};", v.time, v.tile, v.message, v.context)
+                                    .as_bytes(),
+                            );
+                        }
+                        traces += 1;
+                        violations += v.len();
+                    }
+                }
+            }
+        }
+        assert_eq!((traces, violations, h), (4752, 1628, 0x83a6_582e_0f7c_074d));
+    }
 }
