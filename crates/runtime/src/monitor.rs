@@ -2,27 +2,41 @@
 //!
 //! With tracing enabled, the runtime records every annotation and every
 //! shared read/write in *global virtual-time order* (the simulator
-//! serialises commits). This checker replays the trace and verifies the
-//! guarantees the PMC model grants an annotated program:
+//! serialises commits). This checker replays the trace one record at a
+//! time and verifies the guarantees the PMC model grants an annotated
+//! program. Each record is checked against these rules, in this order:
 //!
-//! * **mutual exclusion** — an `entry_x` scope on an object never
-//!   overlaps any other scope on it; locked `entry_ro` scopes are
-//!   *shared* and may overlap each other (the model's read-only-
-//!   alongside-read-only relaxation) but never an exclusive scope;
-//! * **freshness under exclusive access** — a read inside an `entry_x`
-//!   (or locked `entry_ro`) scope returns exactly the bytes of the last
-//!   committed write (Definition 11/12: the acquire synchronises with
-//!   every previous release);
-//! * **slow-read monotonicity** — an unlocked read-only access may be
-//!   stale, but per reader each location never moves backwards through
-//!   the committed-write history (Definition 12's second clause);
-//! * **DMA protocol** — bulk transfers are issued only under the owning
-//!   scope (puts need exclusive access), no access by the issuing tile
-//!   touches a range with an in-flight transfer (reads of a DMA target
-//!   before `dma_wait`, writes under an unfinished put), scopes never
-//!   exit with outstanding transfers, and *streaming* scopes read only
-//!   ranges a completed get or an own write defines and publish every
-//!   write with a put before exiting.
+//! 1. **ranges** — a record's byte range `[start, start + len)` within
+//!    its object ends at or below `u32::MAX`; a range past it is a
+//!    violation of its own, and the record is checked no further;
+//! 2. **mutual exclusion** — an `entry_x` scope on an object never
+//!    overlaps any other scope on it; locked `entry_ro` scopes are
+//!    *shared* and may overlap each other (the model's read-only-
+//!    alongside-read-only relaxation) but never an exclusive scope;
+//! 3. **exits** — only the holder exits an `entry_x`, no scope exits
+//!    with outstanding transfers, and a *streaming* `entry_x` publishes
+//!    every write with a put before exiting;
+//! 4. **flush** — never inside a streaming scope;
+//! 5. **DMA issue** — puts and `dma_copy` destinations need exclusive
+//!    access, gets never race another tile's scope, and `dma_copy`
+//!    sources lie in an owning scope over a defined range;
+//! 6. **DMA wait** — retires the tile's transfers on one channel up to a
+//!    sequence number; completed gets and copies define their ranges;
+//! 7. **reads** — no read (word or bulk) of a range an in-flight get or
+//!    copy destination of the same tile targets, streaming scopes read
+//!    only ranges a completed get, a word-copy fill or an own write
+//!    defines, and:
+//!    * **freshness under exclusive access** — a word read inside an
+//!      `entry_x` (or locked `entry_ro`) scope returns exactly the bytes
+//!      of the last committed write (Definition 11/12: the acquire
+//!      synchronises with every previous release);
+//!    * **slow-read monotonicity** — an unlocked read-only access may be
+//!      stale, but per reader each location never moves backwards
+//!      through the committed-write history (Definition 12's second
+//!      clause), and never returns a value nobody committed;
+//! 8. **writes** — only under exclusive access, and never into a range
+//!    with an in-flight transfer of the same tile;
+//! 9. **kinds** — a record of an unknown kind is a violation.
 //!
 //! Any back-end bug — a missing invalidate, a lost broadcast, a flush
 //! after the unlock, a transfer outliving its scope — shows up as a
@@ -134,12 +148,31 @@ impl ObjState {
         }
     }
 
+    /// The chunk values staged in `[start, end)` — pending writes, else
+    /// the last committed value — keyed by offset relative to `start`.
+    /// Only word-traced chunks have values; bulk-staged bytes have no
+    /// per-chunk history to carry.
+    fn staged(&self, start: u32, end: u32) -> Vec<((u32, u32), u64)> {
+        let inside = |&(off, len): &(u32, u32)| off >= start && off + len <= end;
+        let pending = self.pending.iter().map(|(c, &v)| (c, v));
+        let committed = self
+            .history
+            .iter()
+            .filter(|(c, _)| !self.pending.contains_key(c))
+            .filter_map(|(c, hist)| Some((c, *hist.last()?)));
+        pending
+            .chain(committed)
+            .filter(|(c, _)| inside(c))
+            .map(|(&(off, len), v)| ((off - start, len), v))
+            .collect()
+    }
+
     /// Does `tile` hold any scope (exclusive or locked read-only)?
     fn held_by(&self, tile: usize) -> bool {
         self.x_holder == Some(tile) || self.ro_holders.contains_key(&tile)
     }
 
-    /// Does `tile` hold a *streaming* scope?
+    /// Does `tile` hold a *streaming* scope? (Implies [`Self::held_by`].)
     fn streaming_for(&self, tile: usize) -> bool {
         if self.x_holder == Some(tile) {
             self.x_streaming
@@ -153,8 +186,16 @@ impl ObjState {
         self.x_holder.is_some() || !self.ro_holders.is_empty()
     }
 
-    fn covered_for(&self, tile: usize) -> &[(u32, u32)] {
-        self.covered.get(&tile).map_or(&[], |v| v.as_slice())
+    /// Is `[start, end)` undefined in `tile`'s streaming scope: covered
+    /// by no completed get or copy, word-copy fill or own write?
+    fn undefined_for(&self, tile: usize, start: u32, end: u32) -> bool {
+        self.streaming_for(tile)
+            && !covers(self.covered.get(&tile).map_or(&[], |v| v.as_slice()), start, end)
+    }
+
+    /// Mark `[start, end)` defined in `tile`'s streaming scope.
+    fn cover(&mut self, tile: usize, start: u32, end: u32) {
+        add_covered(self.covered.entry(tile).or_default(), start, end);
     }
 }
 
@@ -194,11 +235,28 @@ struct Outstanding {
     kind: XferKind,
 }
 
-/// Split a DMA trace `value` into `(byte_offset, chan, seq)` (see
+/// Split the low word of a DMA trace `value` into `(chan, seq)` (see
 /// [`crate::ctx::trace_kind`] for the encoding).
-fn decode_dma(value: u64) -> (u32, u32, u32) {
+fn chan_seq(value: u64) -> (u32, u32) {
     let low = value as u32;
-    ((value >> 32) as u32, low >> crate::ctx::TRACE_SEQ_BITS, low & crate::ctx::TRACE_SEQ_MASK)
+    (low >> crate::ctx::TRACE_SEQ_BITS, low & crate::ctx::TRACE_SEQ_MASK)
+}
+
+/// Does an in-flight transfer of `r`'s tile on `r`'s object overlap
+/// `range` (`None`: anywhere in the object)? With `reads`, only
+/// transfers that race a CPU read count.
+fn in_flight_over(
+    xfers: &[Outstanding],
+    r: &TraceRecord,
+    range: Option<(u32, u32)>,
+    reads: bool,
+) -> bool {
+    xfers.iter().any(|o| {
+        o.tile == r.tile
+            && o.obj == r.addr
+            && (!reads || o.kind.hazards_reads())
+            && range.is_none_or(|(start, end)| start < o.end && end > o.start)
+    })
 }
 
 /// Insert `[start, end)` into a sorted, disjoint interval list, merging
@@ -235,101 +293,112 @@ fn covers(ranges: &[(u32, u32)], start: u32, end: u32) -> bool {
 
 /// Validate a trace; returns all violations (empty = clean).
 pub fn validate(trace: &[TraceRecord]) -> Vec<Violation> {
-    let mut objs: HashMap<u32, ObjState> = HashMap::new();
-    // Per (tile, obj, chunk): minimum history index the reader may see.
-    let mut floor: HashMap<(usize, u32, (u32, u32)), usize> = HashMap::new();
-    // In-flight DMA transfers across all tiles.
-    let mut outstanding: Vec<Outstanding> = Vec::new();
-    let mut out = Vec::new();
-    let violate = |r: &TraceRecord, msg: String, out: &mut Vec<Violation>| {
-        out.push(Violation { time: r.time, tile: r.tile, message: msg, context: Vec::new() });
-    };
-    for r in trace {
-        // Telemetry span markers share the trace channel but are not
-        // protocol events — they carry no consistency semantics.
-        if r.is_span() {
-            continue;
-        }
-        match r.kind {
-            k::ENTRY_X => {
-                let st = objs.entry(r.addr).or_default();
-                if let Some(t) = st.x_holder {
-                    violate(
-                        r,
-                        format!("entry_x(obj {}) while tile {t} holds it", r.addr),
-                        &mut out,
-                    );
-                } else if let Some((&t, _)) = st.ro_holders.iter().next() {
-                    violate(
-                        r,
-                        format!("entry_x(obj {}) while tile {t} holds it read-only", r.addr),
-                        &mut out,
-                    );
-                }
-                st.x_holder = Some(r.tile);
-                st.x_streaming = r.value & 2 != 0;
-                st.covered.remove(&r.tile);
-                st.pending.clear();
+    let mut monitor = Monitor::default();
+    // Telemetry span markers share the trace channel but are not
+    // protocol events — they carry no consistency semantics.
+    for r in trace.iter().filter(|r| !r.is_span()) {
+        monitor.observe(r);
+    }
+    // Attach the offending tile's trailing records (spans included) to
+    // each violation so the report shows what that tile was doing.
+    let mut out = monitor.violations;
+    for v in &mut out {
+        let mut ctx: Vec<TraceRecord> = trace
+            .iter()
+            .rev()
+            .filter(|r| r.tile == v.tile && r.time <= v.time)
+            .take(CONTEXT_EVENTS)
+            .copied()
+            .collect();
+        ctx.reverse();
+        v.context = ctx;
+    }
+    out
+}
+
+/// What the replay carries from one protocol record to the next.
+#[derive(Default)]
+struct Monitor {
+    objs: HashMap<u32, ObjState>,
+    /// Per (tile, obj, chunk): minimum history index the reader may see.
+    floor: HashMap<(usize, u32, (u32, u32)), usize>,
+    /// In-flight DMA transfers across all tiles.
+    in_flight: Vec<Outstanding>,
+    violations: Vec<Violation>,
+}
+
+impl Monitor {
+    /// Check one protocol record against the rules (module doc, in
+    /// order) and apply it to the state.
+    fn observe(&mut self, r: &TraceRecord) {
+        let Monitor { objs, floor, in_flight, violations } = self;
+        let mut flag = |message: String| {
+            violations.push(Violation { time: r.time, tile: r.tile, message, context: Vec::new() });
+        };
+        // The one range decode: a word access packs `offset << 8 | bytes`
+        // into `len`; the other ranged records carry the byte offset in
+        // `value` (DMA records in its high word).
+        let (start, len) = match r.kind {
+            k::READ | k::WRITE => (r.len >> 8, r.len & 0xff),
+            k::READ_BLOCK | k::STAGE_IN => (r.value as u32, r.len),
+            k::DMA_GET | k::DMA_PUT | k::DMA_COPY_SRC | k::DMA_COPY_DST => {
+                ((r.value >> 32) as u32, r.len)
             }
-            k::EXIT_X => {
-                let st = objs.entry(r.addr).or_default();
-                if st.x_holder != Some(r.tile) {
-                    violate(
-                        r,
-                        format!("exit_x(obj {}) by non-holder (holder {:?})", r.addr, st.x_holder),
-                        &mut out,
-                    );
+            _ => (0, 0),
+        };
+        let Some(end) = start.checked_add(len) else {
+            return flag(format!(
+                "trace kind {} on obj {}: range {start:#x} + {len:#x} ends past u32::MAX",
+                r.kind, r.addr
+            ));
+        };
+        let chunk = (start, len);
+        let st = objs.entry(r.addr).or_default();
+        match r.kind {
+            k::ENTRY_X | k::ENTRY_RO => {
+                let (x, streaming) = (r.kind == k::ENTRY_X, r.value & 2 != 0);
+                if !x && r.value & 1 == 0 {
+                    return; // unlocked read-only scopes take no part
                 }
-                if outstanding.iter().any(|o| o.tile == r.tile && o.obj == r.addr) {
-                    violate(
-                        r,
-                        format!("exit_x(obj {}) with outstanding DMA transfers", r.addr),
-                        &mut out,
-                    );
+                let entry = if x { "entry_x" } else { "locked entry_ro" };
+                if let Some(t) = st.x_holder {
+                    flag(format!("{entry}(obj {}) while tile {t} holds it", r.addr));
+                } else if let Some(t) = st.ro_holders.keys().filter(|_| x).min() {
+                    flag(format!("entry_x(obj {}) while tile {t} holds it read-only", r.addr));
                 }
-                if st.x_streaming && !st.pending.is_empty() {
-                    violate(
-                        r,
-                        format!(
+                if x {
+                    (st.x_holder, st.x_streaming) = (Some(r.tile), streaming);
+                    st.pending.clear();
+                } else {
+                    st.ro_holders.insert(r.tile, streaming);
+                }
+                st.covered.remove(&r.tile);
+            }
+            k::EXIT_X | k::EXIT_RO => {
+                let x = r.kind == k::EXIT_X;
+                if x && st.x_holder != Some(r.tile) {
+                    flag(format!(
+                        "exit_x(obj {}) by non-holder (holder {:?})",
+                        r.addr, st.x_holder
+                    ));
+                }
+                if in_flight_over(in_flight, r, None, false) {
+                    let exit = if x { "exit_x" } else { "exit_ro" };
+                    flag(format!("{exit}(obj {}) with outstanding DMA transfers", r.addr));
+                }
+                if x {
+                    if st.x_streaming && !st.pending.is_empty() {
+                        flag(format!(
                             "streaming exit_x(obj {}) with writes never published by dma_put",
                             r.addr
-                        ),
-                        &mut out,
-                    );
-                }
-                // Commit the scope's writes to history.
-                st.commit_pending();
-                st.x_holder = None;
-                st.x_streaming = false;
-                st.covered.remove(&r.tile);
-            }
-            k::ENTRY_RO => {
-                let locked = r.value & 1 != 0;
-                if locked {
-                    let st = objs.entry(r.addr).or_default();
-                    // Shared access: concurrent locked read-only scopes
-                    // are fine; only an exclusive holder conflicts.
-                    if let Some(t) = st.x_holder {
-                        violate(
-                            r,
-                            format!("locked entry_ro(obj {}) while tile {t} holds it", r.addr),
-                            &mut out,
-                        );
+                        ));
                     }
-                    st.ro_holders.insert(r.tile, r.value & 2 != 0);
-                    st.covered.remove(&r.tile);
+                    // Commit the scope's writes to history.
+                    st.commit_pending();
+                    (st.x_holder, st.x_streaming) = (None, false);
+                } else {
+                    st.ro_holders.remove(&r.tile);
                 }
-            }
-            k::EXIT_RO => {
-                let st = objs.entry(r.addr).or_default();
-                if outstanding.iter().any(|o| o.tile == r.tile && o.obj == r.addr) {
-                    violate(
-                        r,
-                        format!("exit_ro(obj {}) with outstanding DMA transfers", r.addr),
-                        &mut out,
-                    );
-                }
-                st.ro_holders.remove(&r.tile);
                 st.covered.remove(&r.tile);
             }
             k::FLUSH => {
@@ -338,126 +407,65 @@ pub fn validate(trace: &[TraceRecord]) -> Vec<Violation> {
                 // stage-out would publish undefined staging bytes on
                 // SPM): the runtime refuses it, so a trace showing one
                 // is a broken back-end or a forged trace.
-                let st = objs.entry(r.addr).or_default();
-                if st.held_by(r.tile) && st.streaming_for(r.tile) {
-                    violate(r, format!("flush(obj {}) inside a streaming scope", r.addr), &mut out);
+                if st.streaming_for(r.tile) {
+                    flag(format!("flush(obj {}) inside a streaming scope", r.addr));
                 }
                 st.commit_pending();
             }
-            k::DMA_GET | k::DMA_PUT => {
-                let put = r.kind == k::DMA_PUT;
-                let (start, chan, seq) = decode_dma(r.value);
-                let end = start + r.len;
-                let st = objs.entry(r.addr).or_default();
-                let held = st.held_by(r.tile);
-                let held_x = st.x_holder == Some(r.tile);
-                if put && !held_x {
-                    violate(
-                        r,
-                        format!(
-                            "dma_put(obj {}) without exclusive access ({:?})",
-                            r.addr, st.x_holder
-                        ),
-                        &mut out,
-                    );
-                } else if !put && !held && st.any_holder() {
-                    violate(
-                        r,
-                        format!("dma_get(obj {}) while another tile holds it", r.addr),
-                        &mut out,
-                    );
+            k::DMA_GET | k::DMA_PUT | k::DMA_COPY_SRC | k::DMA_COPY_DST => {
+                let kind = match r.kind {
+                    k::DMA_GET => XferKind::Get,
+                    k::DMA_PUT => XferKind::Put,
+                    k::DMA_COPY_SRC => XferKind::CopySrc,
+                    _ => XferKind::CopyDst,
+                };
+                let (obj, holder, held) = (r.addr, st.x_holder, st.held_by(r.tile));
+                let exclusive = holder == Some(r.tile);
+                match kind {
+                    XferKind::Put if !exclusive => {
+                        flag(format!("dma_put(obj {obj}) without exclusive access ({holder:?})"));
+                    }
+                    XferKind::CopyDst if !exclusive => flag(format!(
+                        "dma_copy destination (obj {obj}) without exclusive access ({holder:?})"
+                    )),
+                    XferKind::Get if !held && st.any_holder() => {
+                        flag(format!("dma_get(obj {obj}) while another tile holds it"));
+                    }
+                    XferKind::CopySrc if !held => {
+                        flag(format!("dma_copy source (obj {obj}) outside an owning scope"));
+                    }
+                    // The engine samples the source lazily: a streaming
+                    // source scope must have defined the range already.
+                    XferKind::CopySrc if st.undefined_for(r.tile, start, end) => flag(format!(
+                        "dma_copy source range of obj {obj} never defined in this streaming scope"
+                    )),
+                    _ => {}
                 }
-                if put {
+                if kind == XferKind::Put {
                     // The put publishes the staged state of its range
                     // (like a range-limited flush); writes outside the
                     // range stay pending so a streaming exit can flag
                     // them as never published.
                     st.commit_pending_range(start, end);
                 }
-                let kind = if put { XferKind::Put } else { XferKind::Get };
-                outstanding.push(Outstanding {
-                    tile: r.tile,
-                    obj: r.addr,
-                    start,
-                    end,
-                    chan,
-                    seq,
-                    kind,
-                });
-            }
-            k::DMA_COPY_SRC | k::DMA_COPY_DST => {
-                let dst = r.kind == k::DMA_COPY_DST;
-                let (start, chan, seq) = decode_dma(r.value);
-                let end = start + r.len;
-                let st = objs.entry(r.addr).or_default();
-                let held = st.held_by(r.tile);
-                let held_x = st.x_holder == Some(r.tile);
-                if dst && !held_x {
-                    violate(
-                        r,
-                        format!(
-                            "dma_copy destination (obj {}) without exclusive access ({:?})",
-                            r.addr, st.x_holder
-                        ),
-                        &mut out,
-                    );
-                } else if !dst && !held {
-                    violate(
-                        r,
-                        format!("dma_copy source (obj {}) outside an owning scope", r.addr),
-                        &mut out,
-                    );
-                }
-                // The engine samples the source lazily: a streaming
-                // source scope must have defined the range already.
-                if !dst
-                    && held
-                    && st.streaming_for(r.tile)
-                    && !covers(st.covered_for(r.tile), start, end)
-                {
-                    violate(
-                        r,
-                        format!(
-                            "dma_copy source range of obj {} never defined in this \
-                             streaming scope",
-                            r.addr
-                        ),
-                        &mut out,
-                    );
-                }
-                let kind = if dst { XferKind::CopyDst } else { XferKind::CopySrc };
-                outstanding.push(Outstanding {
-                    tile: r.tile,
-                    obj: r.addr,
-                    start,
-                    end,
-                    chan,
-                    seq,
-                    kind,
-                });
+                let (chan, seq) = chan_seq(r.value);
+                in_flight.push(Outstanding { tile: r.tile, obj, start, end, chan, seq, kind });
             }
             k::DMA_WAIT => {
-                let (_, chan, waited) = decode_dma(r.value);
+                let (chan, waited) = chan_seq(r.value);
                 // Engine channels complete in issue order: the wait
                 // retires every transfer of this tile *on this channel*
                 // up to the sequence number; completed gets and copies
                 // define their target ranges.
-                let mut kept = Vec::with_capacity(outstanding.len());
-                let mut retired = Vec::new();
-                for o in outstanding.drain(..) {
-                    if o.tile == r.tile && o.chan == chan && o.seq <= waited {
-                        retired.push(o);
-                    } else {
-                        kept.push(o);
-                    }
-                }
-                outstanding = kept;
+                let retired: Vec<Outstanding> = in_flight
+                    .extract_if(.., |o| o.tile == r.tile && o.chan == chan && o.seq <= waited)
+                    .collect();
                 for o in &retired {
                     match o.kind {
                         XferKind::Get => {
                             let st = objs.entry(o.obj).or_default();
                             if st.held_by(o.tile) {
-                                add_covered(st.covered.entry(o.tile).or_default(), o.start, o.end);
+                                st.cover(o.tile, o.start, o.end);
                             }
                         }
                         XferKind::CopyDst => {
@@ -465,39 +473,16 @@ pub fn validate(trace: &[TraceRecord]) -> Vec<Violation> {
                             // range and lands the *source's* staged
                             // values in the destination as pending
                             // writes (to be published / committed like
-                            // the tile's own writes). Chunk values are
-                            // carried over where the source has them —
-                            // word-traced accesses; bulk-staged source
-                            // bytes have no per-chunk history to carry.
+                            // the tile's own writes).
                             let src = retired.iter().find(|s| {
                                 s.kind == XferKind::CopySrc && s.seq == o.seq && s.chan == o.chan
                             });
-                            let moved: Vec<((u32, u32), u64)> = match src {
-                                None => Vec::new(),
-                                Some(src) => {
-                                    let sst = objs.entry(src.obj).or_default();
-                                    let mut vals = Vec::new();
-                                    for (&(off, len), &v) in &sst.pending {
-                                        if off >= src.start && off + len <= src.end {
-                                            vals.push(((off - src.start, len), v));
-                                        }
-                                    }
-                                    for (&(off, len), hist) in &sst.history {
-                                        if off >= src.start
-                                            && off + len <= src.end
-                                            && !sst.pending.contains_key(&(off, len))
-                                        {
-                                            if let Some(&v) = hist.last() {
-                                                vals.push(((off - src.start, len), v));
-                                            }
-                                        }
-                                    }
-                                    vals
-                                }
-                            };
+                            let moved = src.map_or(Vec::new(), |s| {
+                                objs.entry(s.obj).or_default().staged(s.start, s.end)
+                            });
                             let st = objs.entry(o.obj).or_default();
                             if st.x_holder == Some(o.tile) {
-                                add_covered(st.covered.entry(o.tile).or_default(), o.start, o.end);
+                                st.cover(o.tile, o.start, o.end);
                                 for ((rel, len), v) in moved {
                                     st.pending.insert((o.start + rel, len), v);
                                 }
@@ -510,110 +495,29 @@ pub fn validate(trace: &[TraceRecord]) -> Vec<Violation> {
             k::STAGE_IN => {
                 // Synchronous word-copy fill: defines the range in the
                 // streaming scope's coverage.
-                let start = r.value as u32;
-                let end = start + r.len;
-                let st = objs.entry(r.addr).or_default();
-                if st.held_by(r.tile) && st.streaming_for(r.tile) {
-                    add_covered(st.covered.entry(r.tile).or_default(), start, end);
+                if st.streaming_for(r.tile) {
+                    st.cover(r.tile, start, end);
                 }
             }
-            k::READ_BLOCK => {
-                // Bulk read: range checks only (no value history — the
-                // payload is not traced). Same hazards as a word read.
-                let start = r.value as u32;
-                let end = start + r.len;
-                let st = objs.entry(r.addr).or_default();
-                if outstanding.iter().any(|o| {
-                    o.tile == r.tile
-                        && o.obj == r.addr
-                        && o.kind.hazards_reads()
-                        && start < o.end
-                        && end > o.start
-                }) {
-                    violate(
-                        r,
-                        format!("bulk read of obj {} DMA-target memory before dma_wait", r.addr),
-                        &mut out,
-                    );
+            k::READ | k::READ_BLOCK => {
+                // A bulk read is range-checked only: its payload is not
+                // traced, so it has no value history.
+                let word = r.kind == k::READ;
+                let read = if word { "read" } else { "bulk read" };
+                if in_flight_over(in_flight, r, Some((start, end)), true) {
+                    flag(format!("{read} of obj {} DMA-target memory before dma_wait", r.addr));
                 }
-                if st.held_by(r.tile)
-                    && st.streaming_for(r.tile)
-                    && !covers(st.covered_for(r.tile), start, end)
+                if !(word && st.pending.contains_key(&chunk))
+                    && st.undefined_for(r.tile, start, end)
                 {
-                    violate(
-                        r,
-                        format!(
-                            "bulk read of obj {} range never defined in this streaming scope \
-                             (no completed dma_get or own write covers it)",
-                            r.addr
-                        ),
-                        &mut out,
-                    );
+                    flag(format!(
+                        "{read} of obj {} range never defined in this streaming scope \
+                         (no completed dma_get or own write covers it)",
+                        r.addr
+                    ));
                 }
-            }
-            k::WRITE => {
-                let chunk = (r.len >> 8, r.len & 0xff);
-                let st = objs.entry(r.addr).or_default();
-                if st.x_holder != Some(r.tile) {
-                    violate(
-                        r,
-                        format!(
-                            "write to obj {} without exclusive access ({:?})",
-                            r.addr, st.x_holder
-                        ),
-                        &mut out,
-                    );
-                }
-                if outstanding.iter().any(|o| {
-                    o.tile == r.tile
-                        && o.obj == r.addr
-                        && chunk.0 < o.end
-                        && chunk.0 + chunk.1 > o.start
-                }) {
-                    violate(
-                        r,
-                        format!(
-                            "write to obj {} range with an in-flight DMA transfer (before dma_wait)",
-                            r.addr
-                        ),
-                        &mut out,
-                    );
-                }
-                if st.x_streaming {
-                    add_covered(st.covered.entry(r.tile).or_default(), chunk.0, chunk.0 + chunk.1);
-                }
-                st.pending.insert(chunk, r.value);
-            }
-            k::READ => {
-                let chunk = (r.len >> 8, r.len & 0xff);
-                let st = objs.entry(r.addr).or_default();
-                if outstanding.iter().any(|o| {
-                    o.tile == r.tile
-                        && o.obj == r.addr
-                        && o.kind.hazards_reads()
-                        && chunk.0 < o.end
-                        && chunk.0 + chunk.1 > o.start
-                }) {
-                    violate(
-                        r,
-                        format!("read of obj {} DMA-target memory before dma_wait", r.addr),
-                        &mut out,
-                    );
-                }
-                if st.held_by(r.tile)
-                    && st.streaming_for(r.tile)
-                    && !st.pending.contains_key(&chunk)
-                    && !covers(st.covered_for(r.tile), chunk.0, chunk.0 + chunk.1)
-                {
-                    violate(
-                        r,
-                        format!(
-                            "read of obj {} range never defined in this streaming scope \
-                             (no completed dma_get or own write covers it)",
-                            r.addr
-                        ),
-                        &mut out,
-                    );
+                if !word {
+                    return;
                 }
                 let held = st.held_by(r.tile);
                 let hist = st.history.entry(chunk).or_default();
@@ -627,76 +531,66 @@ pub fn validate(trace: &[TraceRecord]) -> Vec<Violation> {
                     let expect =
                         st.pending.get(&chunk).copied().unwrap_or_else(|| *hist.last().unwrap());
                     if r.value != expect {
-                        violate(
-                            r,
-                            format!(
-                                "stale read under lock: obj {} chunk {chunk:?} read {:#x}, expected {expect:#x}",
-                                r.addr, r.value
-                            ),
-                            &mut out,
-                        );
+                        flag(format!(
+                            "stale read under lock: obj {} chunk {chunk:?} read {:#x}, expected {expect:#x}",
+                            r.addr, r.value
+                        ));
                     }
-                    let idx = hist.len() - 1;
-                    floor.insert((r.tile, r.addr, chunk), idx);
-                } else {
-                    // Slow read: any committed value at or after the
-                    // reader's floor.
-                    // Only a reader that has observed *nothing yet* (no
-                    // floor entry — a floor of 0 already pins index 0) may
-                    // still see the initial value after commits happened:
-                    // materialise it at index 0, shifting every previously
-                    // recorded floor up by one.
-                    let never_read = !floor.contains_key(&(r.tile, r.addr, chunk));
-                    if never_read && !hist.contains(&r.value) && st.init_open.remove(&chunk) {
-                        hist.insert(0, r.value);
-                        for ((_, o, c), f) in floor.iter_mut() {
-                            if *o == r.addr && *c == chunk {
-                                *f += 1;
-                            }
+                    floor.insert((r.tile, r.addr, chunk), hist.len() - 1);
+                    return;
+                }
+                // Slow read: any committed value at or after the reader's
+                // floor. Only a reader that has observed *nothing yet* (no
+                // floor entry — a floor of 0 already pins index 0) may
+                // still see the initial value after commits happened:
+                // materialise it at index 0, shifting every previously
+                // recorded floor up by one.
+                let never_read = !floor.contains_key(&(r.tile, r.addr, chunk));
+                if never_read && !hist.contains(&r.value) && st.init_open.remove(&chunk) {
+                    hist.insert(0, r.value);
+                    for ((_, o, c), f) in floor.iter_mut() {
+                        if *o == r.addr && *c == chunk {
+                            *f += 1;
                         }
-                    }
-                    let fl = floor.get(&(r.tile, r.addr, chunk)).copied().unwrap_or(0);
-                    match hist.iter().rposition(|&v| v == r.value) {
-                        Some(idx) if idx >= fl => {
-                            floor.insert((r.tile, r.addr, chunk), idx);
-                        }
-                        Some(idx) => violate(
-                            r,
-                            format!(
-                                "monotonicity violation: obj {} chunk {chunk:?} read {:#x} (index {idx} < floor {fl})",
-                                r.addr, r.value
-                            ),
-                            &mut out,
-                        ),
-                        None => violate(
-                            r,
-                            format!(
-                                "out-of-thin-air read: obj {} chunk {chunk:?} value {:#x} never committed",
-                                r.addr, r.value
-                            ),
-                            &mut out,
-                        ),
                     }
                 }
+                let fl = floor.get(&(r.tile, r.addr, chunk)).copied().unwrap_or(0);
+                match hist.iter().rposition(|&v| v == r.value) {
+                    Some(idx) if idx >= fl => {
+                        floor.insert((r.tile, r.addr, chunk), idx);
+                    }
+                    Some(idx) => flag(format!(
+                        "monotonicity violation: obj {} chunk {chunk:?} read {:#x} (index {idx} < floor {fl})",
+                        r.addr, r.value
+                    )),
+                    None => flag(format!(
+                        "out-of-thin-air read: obj {} chunk {chunk:?} value {:#x} never committed",
+                        r.addr, r.value
+                    )),
+                }
+            }
+            k::WRITE => {
+                if st.x_holder != Some(r.tile) {
+                    flag(format!(
+                        "write to obj {} without exclusive access ({:?})",
+                        r.addr, st.x_holder
+                    ));
+                }
+                if in_flight_over(in_flight, r, Some((start, end)), false) {
+                    flag(format!(
+                        "write to obj {} range with an in-flight DMA transfer (before dma_wait)",
+                        r.addr
+                    ));
+                }
+                if st.x_streaming {
+                    st.cover(r.tile, start, end);
+                }
+                st.pending.insert(chunk, r.value);
             }
             k::FENCE => {}
-            other => violate(r, format!("unknown trace kind {other}"), &mut out),
+            other => flag(format!("unknown trace kind {other}")),
         }
     }
-    // Attach the offending tile's trailing records (spans included) to
-    // each violation so the report shows what that tile was doing.
-    for v in &mut out {
-        let mut ctx: Vec<TraceRecord> = trace
-            .iter()
-            .rev()
-            .filter(|r| r.tile == v.tile && r.time <= v.time)
-            .take(CONTEXT_EVENTS)
-            .copied()
-            .collect();
-        ctx.reverse();
-        v.context = ctx;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1374,6 +1268,37 @@ mod tests {
             let messages: Vec<&str> = v.iter().map(|v| v.message.as_str()).collect();
             assert_eq!(messages, [expected], "{trace:#?}");
         }
+    }
+
+    /// A byte range whose end passes `u32::MAX` is a violation of its
+    /// own, on every ranged record kind, and the record is checked no
+    /// further (a wrapped end would hide every overlap and coverage gap).
+    #[test]
+    fn ranges_past_u32_max_are_violations() {
+        let (off, len) = (0xffff_ff00_u32, 0x200);
+        let expect = |kind| {
+            format!("trace kind {kind} on obj 1: range 0xffffff00 + 0x200 ends past u32::MAX")
+        };
+        let by_value = [k::READ_BLOCK, k::STAGE_IN].map(|kind| (kind, u64::from(off)));
+        let by_dma = [k::DMA_GET, k::DMA_PUT, k::DMA_COPY_SRC, k::DMA_COPY_DST]
+            .map(|kind| (kind, dma(off, 0, 0)));
+        for (kind, value) in by_value.into_iter().chain(by_dma) {
+            let trace = vec![
+                rec(0, 0, k::ENTRY_X, 1, 0, 1),
+                rec(1, 0, kind, 1, len, value),
+                rec(2, 0, k::EXIT_X, 1, 0, 0), // no transfer was issued
+            ];
+            let v = validate(&trace);
+            let messages: Vec<&str> = v.iter().map(|v| v.message.as_str()).collect();
+            assert_eq!(messages, [expect(kind)], "{trace:#?}");
+        }
+        // Inside a locked streaming read-only scope, the bulk read is not
+        // also an undefined read.
+        let trace =
+            vec![rec(0, 0, k::ENTRY_RO, 1, 0, 3), rec(1, 0, k::READ_BLOCK, 1, len, u64::from(off))];
+        let v = validate(&trace);
+        assert_eq!(v.len(), 1, "{v:#?}");
+        assert_eq!(v[0].message, expect(k::READ_BLOCK));
     }
 
     /// Apply one seeded mutation to `trace`: drop a record, swap two
