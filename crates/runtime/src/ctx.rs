@@ -761,8 +761,15 @@ impl<'a, 'b> CtxInner<'a, 'b> {
 
     /// Record a `READ` / `WRITE` of at most 8 bytes with its value
     /// (`len = byte_off << 8 | bytes`); wider accesses carry no value.
+    /// The packing holds offsets below 16 MiB: a traced access past that
+    /// would alias a lower offset in the monitor, so it panics instead.
     fn trace_access(&mut self, kind: u16, id: u32, byte_off: u32, bytes: &[u8]) {
-        if bytes.len() <= 8 {
+        if bytes.len() <= 8 && self.cpu.config().trace {
+            assert!(
+                byte_off < 1 << 24,
+                "traced access at byte offset {byte_off:#x} of object {id}: the trace packs word \
+                 offsets below 16 MiB (1 << 24)"
+            );
             let mut v = [0u8; 8];
             v[..bytes.len()].copy_from_slice(bytes);
             let len = byte_off << 8 | bytes.len() as u32;
@@ -933,6 +940,39 @@ mod tests {
                 let _s = ctx.scope_ro(a.obj());
             }
         })]);
+    }
+
+    /// A 20 MiB slab on a 64 MiB SDRAM: element 1 and element
+    /// `(1 << 22) + 1` lie 16 MiB apart, one more bit than a traced word
+    /// offset holds.
+    fn access_past_16_mib(trace: bool) {
+        let mut cfg = SocConfig::small(1);
+        cfg.sdram_size = 64 << 20;
+        cfg.trace = trace;
+        let mut sys = System::new(cfg, BackendKind::Uncached, LockKind::Sdram);
+        let s = sys.alloc_slab::<u32>("s", 5 << 20);
+        sys.run(vec![Box::new(move |ctx| {
+            let x = ctx.scope_x(s.obj());
+            x.write_at(1, 7);
+            x.write_at((1 << 22) + 1, 9);
+            assert_eq!(x.read_at(1), 7);
+        })]);
+        assert_eq!(sys.read_back_at(s, (1 << 22) + 1), 9);
+    }
+
+    /// Traced, the second write would alias element 1's trace chunk and
+    /// the monitor would report a stale read of 7 where 9 was "written":
+    /// the access is refused instead.
+    #[test]
+    #[should_panic(expected = "the trace packs word offsets below 16 MiB (1 << 24)")]
+    fn traced_access_past_16_mib_is_refused() {
+        access_past_16_mib(true);
+    }
+
+    /// Untraced, the same program runs: the limit is the trace's alone.
+    #[test]
+    fn untraced_access_past_16_mib_runs() {
+        access_past_16_mib(false);
     }
 
     /// Ticket semantics are FIFO per channel: waiting a later ticket
