@@ -13,8 +13,8 @@
 //!
 //! The executor is the building block of the litmus-test enumerator
 //! ([`crate::interleave`]), which explores every branch on one state: it
-//! takes a [`ModelState::mark`] before a step and returns to it with
-//! [`ModelState::undo`] once the step's subtree is explored.
+//! takes a `ModelState::mark` before a step and returns to it with
+//! `ModelState::undo` once the step's subtree is explored.
 //!
 //! # Canonical form
 //!
