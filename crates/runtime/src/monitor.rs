@@ -335,9 +335,9 @@ impl Monitor {
         let mut flag = |message: String| {
             violations.push(Violation { time: r.time, tile: r.tile, message, context: Vec::new() });
         };
-        // The one range decode: a word access packs `offset << 8 | bytes`
-        // into `len`; the other ranged records carry the byte offset in
-        // `value` (DMA records in its high word).
+        // Every ranged record's `[start, end)`, decoded here only: a word
+        // access packs `offset << 8 | bytes` into `len`; the others carry
+        // the byte offset in `value` (DMA records in its high word).
         let (start, len) = match r.kind {
             k::READ | k::WRITE => (r.len >> 8, r.len & 0xff),
             k::READ_BLOCK | k::STAGE_IN => (r.value as u32, r.len),
