@@ -19,14 +19,19 @@
 //! # Canonical form
 //!
 //! The enumerator's visited-state memoization keys a state by
-//! `ModelState::write_key`, written in one walk with no intermediate
-//! collections. An op is named by its rank in a fixed listing: the
-//! initial ops by location, then each process's ops in issue order. The
-//! key lists every op in that order with its kind, location, value and
-//! incoming edges (each edge as its source's name and its order kind,
-//! sorted), then the lock table and the read floors (floors name their
-//! write), both sorted. Every section, process and op carries its count,
-//! so a key parses back into exactly one state.
+//! `ModelState::write_key`. Every op has a *stable name*: an initial op
+//! is named by its location, a process op by its process and its index
+//! in that process's issue order (`Execution::name`). A name never
+//! mentions the global append order, and an op's incoming edges are all
+//! added when it is appended, so its record — kind, location, value,
+//! edge count, then each edge as its source's name and its order kind,
+//! sorted — is fixed at that point. `Execution::push` writes the record
+//! into its process's *fragment*, one buffer per process, and `undo`
+//! cuts the fragment back. The key is then the initial ops (`loc, value`
+//! by location), the process count and each process's op count, each
+//! fragment copied whole, the lock table and the read floors (a floor
+//! names its write), both sorted. Every section, process and op carries
+//! its count, so a key parses back into exactly one state.
 //!
 //! Equal keys mean isomorphic states. Two states with equal keys have the
 //! same initialised locations and the same number of ops per process, so
@@ -35,9 +40,25 @@
 //! issuing process and position in that process's issue order, every
 //! edge with its kind, the lock table and the floors. Everything Table I
 //! and Definition 12 compute from a state depends only on those, so the
-//! two states have the same futures. The names never mention the global
-//! append order, so two interleavings of the same per-process histories
-//! that build the same graph give equal keys.
+//! two states have the same futures. Two interleavings of the same
+//! per-process histories that build the same graph give equal keys.
+//!
+//! The keys prune exactly where rank-named keys did, which named an op
+//! by its rank among the initial ops by location and then each
+//! process's ops in issue order. Given the initial ops and the op count
+//! of each process — which both keys state — ranks and stable names are
+//! in bijection, and the bijection keeps their order (initial ops by
+//! location first, then process by process, each in issue order). So it
+//! keeps every sorted edge list sorted, and two states have equal keys
+//! in one naming exactly when they have equal keys in the other; a
+//! state whose initial ops or op counts differ differs in both.
+//!
+//! A name is `slot << 20 | index` in 30 bits, so that an edge fits one
+//! `u32` word as `name << 2 | order kind`: slot 0 with the location as
+//! index for an initial op, slot `p + 1` with the issue index for an op
+//! of process `p`. Appending an op asserts the bounds this sets: at most
+//! 1 023 processes, fewer than 2^20 ops per process, and initial ops on
+//! locations below 2^20.
 
 use crate::execution::{count, find, EdgeMode, Execution};
 use crate::op::{LocId, OpId, ProcId, Value};
@@ -218,29 +239,42 @@ impl ModelState {
     /// the execution's, then `n_locks` and `loc, holder` per held lock,
     /// then `n_floors` and `proc, loc, name of the write` per floor.
     pub(crate) fn write_key(&self, key: &mut Vec<u32>) {
-        let starts = self.exec.write_key(key);
+        self.exec.write_key(key);
         key.push(count(self.locks.len()));
         for &(v, p) in &self.locks {
             key.extend([v.0, u32::from(p.0)]);
         }
         key.push(count(self.floor.len()));
         for &((p, v), w) in &self.floor {
-            let name = self.exec.name(w, &key[starts..]);
-            key.extend([u32::from(p.0), v.0, name]);
+            key.extend([u32::from(p.0), v.0, self.exec.name(w)]);
         }
     }
 
-    /// The writes a read by `p` of `v` may legally return *now*:
-    /// Definition 12 (last write or anything `⪯p`-after it) filtered by
-    /// the monotonicity floor.
-    pub(crate) fn read_candidates(&mut self, p: ProcId, v: LocId) -> Vec<(OpId, Value)> {
+    /// Push onto `out`, oldest first, the writes a read by `p` of `v` may
+    /// legally return *now* with their values: Definition 12 (last write
+    /// or anything `⪯p`-after it) filtered by the monotonicity floor.
+    pub(crate) fn push_read_candidates(
+        &mut self,
+        p: ProcId,
+        v: LocId,
+        out: &mut Vec<(OpId, Value)>,
+    ) {
         self.exec.ensure_init(v, 0);
-        let mut cands = self.exec.readable_by_new_read(p, v);
-        if let Ok(i) = find(&self.floor, (p, v)) {
-            let floor = self.floor[i].1;
-            cands.retain(|&w| self.exec.reaches(floor, w, View::Proc(p)));
-        }
-        cands.into_iter().map(|w| (w, self.exec.op(w).value)).collect()
+        let floor = find(&self.floor, (p, v)).ok().map(|i| self.floor[i].1);
+        let exec = &self.exec;
+        exec.readable_by_new_read(p, v, |w| {
+            if floor.is_none_or(|floor| exec.reaches(floor, w, View::Proc(p))) {
+                out.push((w, exec.op(w).value));
+            }
+        });
+    }
+
+    /// [`Self::push_read_candidates`] into a fresh list.
+    #[cfg(test)]
+    pub(crate) fn read_candidates(&mut self, p: ProcId, v: LocId) -> Vec<(OpId, Value)> {
+        let mut cands = Vec::new();
+        self.push_read_candidates(p, v, &mut cands);
+        cands
     }
 
     /// Commit a read by `p` of `v` returning `value` from the write

@@ -37,6 +37,19 @@ pub(crate) struct Edge {
     pub kind: OrderKind,
 }
 
+/// Bits of an op's stable name: a memo key packs `name << 2 | order
+/// kind` into one `u32`.
+const NAME_BITS: u32 = 30;
+/// The low bits of a name: an initial op's location, or a process op's
+/// index in its process's issue order. The bits above hold the slot: 0
+/// for the initial ops, `p + 1` for process `p`.
+const INDEX_BITS: u32 = 20;
+/// Processes a memo key can name (`ProcId`s `0..MAX_PROCS`).
+const MAX_PROCS: usize = (1 << (NAME_BITS - INDEX_BITS)) - 1;
+/// Ops per process a memo key can name, and the bound on the location
+/// of an initial op.
+const MAX_INDEX: u32 = 1 << INDEX_BITS;
+
 /// An execution `E = (P, V, O, ≺)` under construction (paper
 /// Definition 1). `P` and `V` grow implicitly as operations mention new
 /// processes/locations; every location receives its initial
@@ -44,17 +57,43 @@ pub(crate) struct Edge {
 #[derive(Debug, Clone, Default)]
 pub struct Execution {
     ops: Vec<Op>,
-    /// Incoming edges per op (from older ops only), in the order Table I
-    /// added them; the DOT export prints edges in this order.
-    preds: Vec<Vec<(OpId, OrderKind)>>,
-    /// Per op, the index in its process's issue order — or, for an
-    /// initial op, its location. With the issuing process this names the
-    /// op independently of the global append order ([`Self::write_key`]).
-    seq: Vec<u32>,
-    /// Each process's ops in issue order, indexed by `ProcId`.
-    by_proc: Vec<Vec<OpId>>,
+    /// Per op: its stable name, and where its edges and its key record
+    /// start.
+    meta: Vec<Meta>,
+    /// The incoming edges (from older ops only) of every op, op after op
+    /// in append order; each op's edges in the order Table I added them.
+    /// The DOT export prints edges in this order.
+    preds: Vec<(OpId, OrderKind)>,
+    /// Each process's op count and key fragment, indexed by `ProcId`.
+    /// Entries at and above `live` are empty and kept for their buffers.
+    procs: Vec<Fragment>,
+    /// One more than the highest process with an op (0 if none): the
+    /// process count the memo key states.
+    live: usize,
     /// Initial op per location, sorted by location (created lazily).
     init: Vec<(LocId, OpId)>,
+}
+
+/// What an op keeps beside its [`Op`].
+#[derive(Debug, Clone, Copy)]
+struct Meta {
+    /// The op's name in the memo key ([`Execution::name`]).
+    name: u32,
+    /// Where its incoming edges start in `Execution::preds`.
+    preds: u32,
+    /// Where its record starts in its process's fragment (0 for an
+    /// initial op, which has no record).
+    record: u32,
+}
+
+/// One process's share of the memo key ([`Execution::write_key`]).
+#[derive(Debug, Clone, Default)]
+struct Fragment {
+    /// The process's op count: the issue index of its next op.
+    ops: u32,
+    /// Per op in issue order: `kind, loc, value, n_preds`, then its
+    /// incoming edges as `name << 2 | order kind`, sorted.
+    words: Vec<u32>,
 }
 
 impl Execution {
@@ -75,14 +114,15 @@ impl Execution {
     }
 
     /// Incoming edges of `id` (sources are strictly older operations).
-    #[cfg(test)]
     pub(crate) fn preds(&self, id: OpId) -> &[(OpId, OrderKind)] {
-        &self.preds[id.index()]
+        let start = self.meta[id.index()].preds as usize;
+        let end = self.meta.get(id.index() + 1).map_or(self.preds.len(), |m| m.preds as usize);
+        &self.preds[start..end]
     }
 
     pub(crate) fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.preds.iter().enumerate().flat_map(|(to, preds)| {
-            preds.iter().map(move |&(from, kind)| Edge { from, to: OpId(to as u32), kind })
+        (0..self.ops.len()).map(|i| OpId(i as u32)).flat_map(move |to| {
+            self.preds(to).iter().map(move |&(from, kind)| Edge { from, to, kind })
         })
     }
 
@@ -98,7 +138,7 @@ impl Execution {
         match find(&self.init, v) {
             Ok(i) => self.init[i].1,
             Err(i) => {
-                let id = self.push(Op::init(v, value), Vec::new());
+                let id = self.push(Op::init(v, value), self.preds.len());
                 self.init.insert(i, (v, id));
                 id
             }
@@ -106,44 +146,68 @@ impl Execution {
     }
 
     /// The point to return to with [`Self::truncate`]: the op count and
-    /// the number of processes with an issue list.
+    /// the live process count.
     pub(crate) fn mark(&self) -> (usize, usize) {
-        (self.ops.len(), self.by_proc.len())
+        (self.ops.len(), self.live)
     }
 
     /// Pop every op appended since `mark` was taken. The graph is
-    /// append-only, so this restores it exactly — `by_proc` included,
-    /// whose length the memo key counts.
-    pub(crate) fn truncate(&mut self, (ops, procs): (usize, usize)) {
+    /// append-only, so this restores it exactly — each process's op
+    /// count and fragment, and the live process count the memo key
+    /// states, included.
+    pub(crate) fn truncate(&mut self, (ops, live): (usize, usize)) {
+        if let Some(meta) = self.meta.get(ops) {
+            self.preds.truncate(meta.preds as usize);
+        }
         while self.ops.len() > ops {
             let op = self.ops.pop().expect("above the mark");
-            self.preds.pop();
-            self.seq.pop();
+            let meta = self.meta.pop().expect("one per op");
             if op.proc == PROC_ALL {
                 let i = find(&self.init, op.loc).expect("init op");
                 self.init.remove(i);
             } else {
-                self.by_proc[usize::from(op.proc.0)].pop();
+                let fragment = &mut self.procs[usize::from(op.proc.0)];
+                fragment.ops -= 1;
+                fragment.words.truncate(meta.record as usize);
             }
         }
-        self.by_proc.truncate(procs);
+        self.live = live;
     }
 
-    fn push(&mut self, op: Op, preds: Vec<(OpId, OrderKind)>) -> OpId {
+    /// Append `op`, whose incoming edges are `preds[first..]`: name it
+    /// and write its record into its process's fragment.
+    fn push(&mut self, op: Op, first: usize) -> OpId {
         let id = OpId(self.ops.len() as u32);
-        let seq = if op.proc == PROC_ALL {
-            op.loc.0
+        let (name, record) = if op.proc == PROC_ALL {
+            assert!(
+                op.loc.0 < MAX_INDEX,
+                "a memo key names initial ops of locations below {MAX_INDEX}"
+            );
+            (op.loc.0, 0)
         } else {
             let p = usize::from(op.proc.0);
-            if self.by_proc.len() <= p {
-                self.by_proc.resize_with(p + 1, Vec::new);
+            assert!(p < MAX_PROCS, "a memo key names at most {MAX_PROCS} processes");
+            if self.procs.len() <= p {
+                self.procs.resize_with(p + 1, Fragment::default);
             }
-            self.by_proc[p].push(id);
-            count(self.by_proc[p].len() - 1)
+            self.live = self.live.max(p + 1);
+            let fragment = &mut self.procs[p];
+            let index = fragment.ops;
+            assert!(index < MAX_INDEX, "a memo key names at most {MAX_INDEX} ops per process");
+            fragment.ops += 1;
+            let record = fragment.words.len();
+            let preds = &self.preds[first..];
+            fragment.words.extend([op.kind as u32, op.loc.0, op.value, count(preds.len())]);
+            let edges = fragment.words.len();
+            let meta = &self.meta;
+            fragment.words.extend(
+                preds.iter().map(|&(from, kind)| meta[from.index()].name << 2 | kind as u32),
+            );
+            fragment.words[edges..].sort_unstable();
+            ((p as u32 + 1) << INDEX_BITS | index, count(record))
         };
         self.ops.push(op);
-        self.preds.push(preds);
-        self.seq.push(seq);
+        self.meta.push(Meta { name, preds: count(first), record });
         id
     }
 
@@ -155,8 +219,11 @@ impl Execution {
         if op.kind != OpKind::Fence {
             self.ensure_init(op.loc, 0);
         }
-        let preds = self.rule_edges(&op);
-        self.push(op, preds)
+        let mut preds = std::mem::take(&mut self.preds);
+        let first = preds.len();
+        self.rule_edges(&op, |from, kind| preds.push((from, kind)));
+        self.preds = preds;
+        self.push(op, first)
     }
 
     /// Convenience wrappers mirroring the model's five operations.
@@ -184,12 +251,11 @@ impl Execution {
     }
 
     /// The Table I edges (Definition 4) operation `n` receives when it is
-    /// appended now, in append order of their sources. Executions are
-    /// litmus-sized, so every existing op is matched against the table.
-    /// Each source matches at most one rule per edge kind, so no edge
-    /// repeats.
-    pub(crate) fn rule_edges(&self, n: &Op) -> Vec<(OpId, OrderKind)> {
-        let mut out = Vec::new();
+    /// appended now, passed to `edge` in append order of their sources.
+    /// Executions are litmus-sized, so every existing op is matched
+    /// against the table. Each source matches at most one rule per edge
+    /// kind, so no edge repeats.
+    fn rule_edges(&self, n: &Op, mut edge: impl FnMut(OpId, OrderKind)) {
         for (id, e) in self.ops() {
             // Every scope needs the same process or the same location.
             if !e.issued_by(n.proc) && !e.on_loc(n.loc) {
@@ -208,69 +274,51 @@ impl Execution {
                     RuleScope::SameProcAnyLoc => e.issued_by(n.proc),
                 };
                 if matches {
-                    out.push((id, rule.kind));
+                    edge(id, rule.kind);
                 }
             }
         }
-        out
     }
 
-    /// Append the canonical form of the graph to `key` and return where
-    /// its per-process start table begins (for [`Self::name`]).
+    /// Append the canonical form of the graph to `key` (see
+    /// `crate::exec_state`'s `# Canonical form`). Layout, every section
+    /// led by its count:
     ///
-    /// The form lists the initial ops by location, then each process's
-    /// ops in issue order; an op is named by its rank in that listing, so
-    /// the name does not depend on how the processes' ops interleaved in
-    /// append order. Layout, every section led by its count:
+    /// * `n_init`, then `loc, value` per initial op, by location;
+    /// * `n_procs` (the live process count), then each process's op
+    ///   count;
+    /// * each process's fragment, copied whole: per op in issue order,
+    ///   `kind, loc, value, n_preds`, then its incoming edges as
+    ///   `name << 2 | order kind` ([`Self::name`]), sorted.
     ///
-    /// * `n_init`, then `loc, value` per initial op;
-    /// * `n_procs`, then the rank of each process's first op, then the
-    ///   total op count (so each process's op count is a difference);
-    /// * per op: `kind, loc, value, n_preds`, then its incoming edges as
-    ///   `name << 2 | order kind`, sorted.
-    ///
-    /// Initial ops have no incoming edges and carry no op record.
-    pub(crate) fn write_key(&self, key: &mut Vec<u32>) -> usize {
+    /// Initial ops have no incoming edges and carry no op record. Each
+    /// record was written when its op was appended: an op's edges and
+    /// its sources' names never change afterwards.
+    pub(crate) fn write_key(&self, key: &mut Vec<u32>) {
         key.push(count(self.init.len()));
         for &(v, id) in &self.init {
             key.extend([v.0, self.ops[id.index()].value]);
         }
-        key.push(count(self.by_proc.len()));
-        let starts = key.len();
-        let mut rank = self.init.len();
-        for ops in &self.by_proc {
-            key.push(count(rank));
-            rank += ops.len();
+        let procs = &self.procs[..self.live];
+        key.push(count(procs.len()));
+        key.extend(procs.iter().map(|f| f.ops));
+        for fragment in procs {
+            key.extend_from_slice(&fragment.words);
         }
-        key.push(count(rank));
-        for &id in self.by_proc.iter().flatten() {
-            let (op, preds) = (&self.ops[id.index()], &self.preds[id.index()]);
-            key.extend([op.kind as u32, op.loc.0, op.value, count(preds.len())]);
-            let first = key.len();
-            for &(from, kind) in preds {
-                let name = self.name(from, &key[starts..]);
-                assert!(name < 1 << 30, "execution too large for a memo key");
-                key.push(name << 2 | kind as u32);
-            }
-            key[first..].sort_unstable();
-        }
-        starts
     }
 
-    /// The canonical name of `id` in a key written by [`Self::write_key`],
-    /// given the key from its per-process start table on.
-    pub(crate) fn name(&self, id: OpId, starts: &[u32]) -> u32 {
-        let op = &self.ops[id.index()];
-        if op.proc == PROC_ALL {
-            count(find(&self.init, op.loc).expect("init op"))
-        } else {
-            starts[usize::from(op.proc.0)] + self.seq[id.index()]
-        }
+    /// The stable name of `id` in the memo key: an initial op is named by
+    /// its location, the op with issue index `i` of process `p` by
+    /// `(p + 1) << 20 | i`. Names never depend on the global append
+    /// order, so they are fixed when the op is appended.
+    pub(crate) fn name(&self, id: OpId) -> u32 {
+        self.meta[id.index()].name
     }
 
     /// Does `a ⪯ b` hold in the given view? (Reflexive; `a ≺ b` for
-    /// strict precedence with `a != b`.) Implemented as a backward BFS
-    /// from `b` over edges visible in `view`.
+    /// strict precedence with `a != b`.) One sweep from `b` down to `a`
+    /// over the edges visible in `view`: edges point forward in append
+    /// order, so an op's successors are swept before it.
     pub(crate) fn reaches(&self, a: OpId, b: OpId, view: View) -> bool {
         if a == b {
             return true;
@@ -278,21 +326,20 @@ impl Execution {
         if a.0 > b.0 {
             return false; // edges only point forward in append order
         }
-        let mut seen = vec![false; b.index() + 1];
-        let mut stack = vec![b];
-        seen[b.index()] = true;
-        while let Some(cur) = stack.pop() {
-            for &(from, kind) in &self.preds[cur.index()] {
-                if !view.sees(kind, self.owner(from, cur)) {
+        let mut set = OpSet::new(b.index() + 1);
+        set.insert(b);
+        for cur in (a.0 + 1..=b.0).rev().map(OpId) {
+            if !set.contains(cur) {
+                continue;
+            }
+            for &(from, kind) in self.preds(cur) {
+                if from.0 < a.0 || !view.sees(kind, self.owner(from, cur)) {
                     continue;
                 }
                 if from == a {
                     return true;
                 }
-                if from.0 > a.0 && !seen[from.index()] {
-                    seen[from.index()] = true;
-                    stack.push(from);
-                }
+                set.insert(from);
             }
         }
         false
@@ -313,67 +360,87 @@ impl Execution {
         a != b && self.reaches(a, b, view)
     }
 
-    /// All operations `x` with `x ⪯ r` in `view` for some root `r` (the
-    /// past cone of the roots), including the roots themselves.
-    fn cone(&self, roots: &[OpId], view: View) -> Vec<OpId> {
-        let mut seen = vec![false; self.ops.len()];
-        let mut out = Vec::new();
-        for &r in roots {
-            if !std::mem::replace(&mut seen[r.index()], true) {
-                out.push(r);
-            }
-        }
-        let mut stack = out.clone();
-        while let Some(cur) = stack.pop() {
-            for &(from, kind) in &self.preds[cur.index()] {
-                if !view.sees(kind, self.owner(from, cur)) || seen[from.index()] {
-                    continue;
+    /// Is `id` a write (or initial op) to `v`?
+    fn writes_to(&self, id: OpId, v: LocId) -> bool {
+        let op = &self.ops[id.index()];
+        op.kind.is_write_like() && op.on_loc(v)
+    }
+
+    /// Grow `set` into its past cone in `view`: every op `x` with
+    /// `x ⪯ r` for some `r` in it.
+    fn cone(&self, set: &mut OpSet, view: View) {
+        for cur in (0..self.ops.len() as u32).rev().map(OpId) {
+            if set.contains(cur) {
+                for &(from, kind) in self.preds(cur) {
+                    if view.sees(kind, self.owner(from, cur)) {
+                        set.insert(from);
+                    }
                 }
-                seen[from.index()] = true;
-                out.push(from);
-                stack.push(from);
             }
         }
-        out
+    }
+
+    /// The writes to `v` in `cone` (a past cone) that no other of them
+    /// precedes in `view`. One sweep downwards marks every op strictly
+    /// below a write of the cone; the writes left unmarked are maximal.
+    fn maximal_writes(&self, cone: &OpSet, v: LocId, view: View) -> OpSet {
+        let mut below = OpSet::new(self.ops.len());
+        let mut last = OpSet::new(self.ops.len());
+        for cur in (0..self.ops.len() as u32).rev().map(OpId) {
+            let write = cone.contains(cur) && self.writes_to(cur, v);
+            if write && !below.contains(cur) {
+                last.insert(cur);
+            }
+            if write || below.contains(cur) {
+                for &(from, kind) in self.preds(cur) {
+                    if view.sees(kind, self.owner(from, cur)) {
+                        below.insert(from);
+                    }
+                }
+            }
+        }
+        last
+    }
+
+    /// Pass to `each`, in append order, the writes to `v` that some write
+    /// of `last` reaches in `view`: Definition 12's readable set given the
+    /// last writes. One sweep upwards grows the set reached from `last`.
+    fn writes_after(&self, mut last: OpSet, v: LocId, view: View, mut each: impl FnMut(OpId)) {
+        for cur in (0..self.ops.len() as u32).map(OpId) {
+            let reached = last.contains(cur)
+                || self.preds(cur).iter().any(|&(from, kind)| {
+                    last.contains(from) && view.sees(kind, self.owner(from, cur))
+                });
+            if reached {
+                last.insert(cur);
+                if self.writes_to(cur, v) {
+                    each(cur);
+                }
+            }
+        }
+    }
+
+    /// The past cone of `o` in its process's view, without `o`.
+    fn cone_before(&self, o: OpId) -> OpSet {
+        let mut cone = OpSet::new(self.ops.len());
+        cone.insert(o);
+        self.cone(&mut cone, View::Proc(self.ops[o.index()].proc));
+        cone.remove(o);
+        cone
     }
 
     /// The *last writes* `W_o` before operation `o` (paper Definition 11):
     /// writes `a` to `loc(o)` with `a ≺ o` and no write `b` with
-    /// `a ≺ b ≺ o`. Precedence is taken in the view of `o`'s process
-    /// (the paper's `⪯p` shorthand; local orderings of the reader count).
+    /// `a ≺ b ≺ o`, in append order. Precedence is taken in the view of
+    /// `o`'s process (the paper's `⪯p` shorthand; local orderings of the
+    /// reader count).
     ///
     /// Never empty once the location is initialised: the initial operation
     /// is a write. `W` with more than one element signals a data race.
     pub fn last_writes(&self, o: OpId) -> Vec<OpId> {
         let op = self.ops[o.index()];
-        let cone = self.cone(&[o], View::Proc(op.proc));
-        self.maximal_writes(cone.into_iter().filter(|&x| x != o), op.loc, View::Proc(op.proc))
-    }
-
-    /// The writes to `v` among `cone` that no other of them precedes in
-    /// `view`.
-    fn maximal_writes(&self, cone: impl Iterator<Item = OpId>, v: LocId, view: View) -> Vec<OpId> {
-        let writes: Vec<OpId> = cone
-            .filter(|&x| self.ops[x.index()].kind.is_write_like() && self.ops[x.index()].on_loc(v))
-            .collect();
-        writes
-            .iter()
-            .copied()
-            .filter(|&a| !writes.iter().any(|&b| b != a && self.precedes(a, b, view)))
-            .collect()
-    }
-
-    /// The writes to `v` that some write of `last` reaches in `view`, in
-    /// append order: Definition 12's readable set given the last writes.
-    fn writes_after(&self, last: &[OpId], v: LocId, view: View) -> Vec<OpId> {
-        self.ops()
-            .filter(|&(id, w)| {
-                w.kind.is_write_like()
-                    && w.on_loc(v)
-                    && last.iter().any(|&a| self.reaches(a, id, view))
-            })
-            .map(|(id, _)| id)
-            .collect()
+        let last = self.maximal_writes(&self.cone_before(o), op.loc, View::Proc(op.proc));
+        self.ops().map(|(id, _)| id).filter(|&id| last.contains(id)).collect()
     }
 
     /// The set of writes whose value operation `o` may return (paper
@@ -384,21 +451,26 @@ impl Execution {
     /// `o`'s process.
     pub fn readable_writes(&self, o: OpId) -> Vec<OpId> {
         let op = self.ops[o.index()];
-        let mut out = self.writes_after(&self.last_writes(o), op.loc, View::Proc(op.proc));
+        let view = View::Proc(op.proc);
+        let last = self.maximal_writes(&self.cone_before(o), op.loc, view);
+        let mut out = Vec::new();
+        self.writes_after(last, op.loc, view, |w| out.push(w));
         out.retain(|&w| w != o);
         out
     }
 
     /// [`Self::readable_writes`] for a read by `p` of `v` appended now,
-    /// computed without appending it. Every Table I edge into a read comes
-    /// from an op issued by its process (or an initial op), so the read's
-    /// past cone is that of its [`Self::rule_edges`] sources.
-    pub(crate) fn readable_by_new_read(&self, p: ProcId, v: LocId) -> Vec<OpId> {
-        let sources: Vec<OpId> =
-            self.rule_edges(&Op::read(p, v)).into_iter().map(|(from, _)| from).collect();
+    /// computed without appending it and passed to `each` in append
+    /// order. Every Table I edge into a read comes from an op issued by
+    /// its process (or an initial op), so the read's past cone is that of
+    /// its [`Self::rule_edges`] sources.
+    pub(crate) fn readable_by_new_read(&self, p: ProcId, v: LocId, each: impl FnMut(OpId)) {
+        let mut cone = OpSet::new(self.ops.len());
+        self.rule_edges(&Op::read(p, v), |from, _| cone.insert(from));
         let view = View::Proc(p);
-        let last = self.maximal_writes(self.cone(&sources, view).into_iter(), v, view);
-        self.writes_after(&last, v, view)
+        self.cone(&mut cone, view);
+        let last = self.maximal_writes(&cone, v, view);
+        self.writes_after(last, v, view, each);
     }
 
     /// All pairs of globally-unordered writes to the same location
@@ -427,12 +499,57 @@ impl Execution {
     }
 }
 
+/// A set of ops as a bitset: on the stack for executions of up to 512
+/// ops, so that the queries above allocate nothing on litmus-sized
+/// executions, and on the heap beyond.
+struct OpSet {
+    inline: [u64; 8],
+    spilled: Vec<u64>,
+}
+
+impl OpSet {
+    /// The empty set over ops `0..len`.
+    fn new(len: usize) -> Self {
+        let words = len.div_ceil(64);
+        let spilled = if words > 8 { vec![0; words] } else { Vec::new() };
+        OpSet { inline: [0; 8], spilled }
+    }
+
+    fn words(&self) -> &[u64] {
+        if self.spilled.is_empty() {
+            &self.inline
+        } else {
+            &self.spilled
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        if self.spilled.is_empty() {
+            &mut self.inline
+        } else {
+            &mut self.spilled
+        }
+    }
+
+    fn contains(&self, id: OpId) -> bool {
+        self.words()[id.index() / 64] >> (id.0 % 64) & 1 != 0
+    }
+
+    fn insert(&mut self, id: OpId) {
+        self.words_mut()[id.index() / 64] |= 1 << (id.0 % 64);
+    }
+
+    fn remove(&mut self, id: OpId) {
+        self.words_mut()[id.index() / 64] &= !(1 << (id.0 % 64));
+    }
+}
+
 /// Where `k` is, or would go, in the sorted map `map`.
 pub(crate) fn find<K: Ord + Copy, V>(map: &[(K, V)], k: K) -> Result<usize, usize> {
     map.binary_search_by_key(&k, |&(key, _)| key)
 }
 
-/// A memo-key field: a count or rank, which must fit in 32 bits.
+/// A memo-key field: a count or offset, which must fit in 32 bits.
 pub(crate) fn count(n: usize) -> u32 {
     u32::try_from(n).expect("memo key field exceeds 32 bits")
 }

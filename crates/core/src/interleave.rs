@@ -16,12 +16,12 @@
 //! reproduce the paper's reasoning (Figs. 1–6) and to validate that the
 //! simulated architectures never produce an outcome outside this set.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use crate::exec_state::ModelState;
-use crate::execution::EdgeMode;
+use crate::execution::{count, EdgeMode};
 use crate::litmus::{Instr, Program, Reg};
-use crate::op::{LocId, OpKind, ProcId, Value};
+use crate::op::{LocId, OpId, OpKind, ProcId, Value};
 use crate::table1;
 
 /// An outcome: for each thread, the final value of each of its registers.
@@ -176,27 +176,34 @@ pub(crate) fn intra_thread_dep(a: &Instr, b: &Instr) -> bool {
     false
 }
 
-/// The transfers a `DmaWait` at `idx` completes: every DMA transfer
-/// instruction after the previous wait (static — waits issue in program
-/// order thanks to the wait-chains-with-wait dependency).
-fn open_transfers(thread: &[Instr], idx: usize) -> Vec<usize> {
-    let prev_wait =
-        thread[..idx].iter().rposition(|i| matches!(i, Instr::DmaWait)).map_or(0, |p| p + 1);
-    (prev_wait..idx).filter(|&j| thread[j].is_dma_transfer()).collect()
-}
-
 /// Every location instruction `idx` of `thread` can touch across both of
 /// its phases: its signature locations, plus — for a [`Instr::DmaWait`],
 /// whose signature is location-free but whose execution marks the
 /// completion of every open transfer — the locations those transfers
-/// touch.
+/// touch, sorted and without repeats: the locations the wait completes.
+///
+/// The transfers a wait completes are every DMA transfer instruction
+/// after the previous wait (static — waits issue in program order thanks
+/// to the wait-chains-with-wait dependency).
 fn instr_locs(thread: &[Instr], idx: usize) -> Vec<LocId> {
     let sig_locs = |i: usize| {
         let (sigs, n) = instr_sigs(&thread[i]);
         sigs.into_iter().take(n).filter_map(|(_, l)| l)
     };
     match thread[idx] {
-        Instr::DmaWait => open_transfers(thread, idx).into_iter().flat_map(sig_locs).collect(),
+        Instr::DmaWait => {
+            let prev_wait = thread[..idx]
+                .iter()
+                .rposition(|i| matches!(i, Instr::DmaWait))
+                .map_or(0, |p| p + 1);
+            let mut locs: Vec<LocId> = (prev_wait..idx)
+                .filter(|&j| thread[j].is_dma_transfer())
+                .flat_map(sig_locs)
+                .collect();
+            locs.sort_unstable();
+            locs.dedup();
+            locs
+        }
         _ => sig_locs(idx).collect(),
     }
 }
@@ -243,15 +250,19 @@ struct Search<'p> {
     states: usize,
     outcomes: BTreeSet<Outcome>,
     /// Canonical states already explored (memoization, opt-in).
-    seen: Option<HashSet<Box<[u32]>>>,
+    seen: Option<MemoSet>,
     /// Scratch buffer the memo key of each node is written into.
     key: Vec<u32>,
     /// Memo keys in the sort-based form, checked to agree with `seen`.
     #[cfg(test)]
-    key_oracle: Option<HashSet<Vec<u64>>>,
-    /// Static per-instruction footprints (`instr_locs`), precomputed when
-    /// POR is on — they depend only on program text, and the safety check
-    /// runs on every DFS node.
+    key_oracle: Option<std::collections::HashSet<Vec<u64>>>,
+    /// The read candidates of every [`Search::explore_reads`] on the DFS
+    /// path, each level's above its caller's.
+    cands: Vec<(OpId, Value)>,
+    /// Static per-instruction footprints (`instr_locs`) — they depend
+    /// only on program text. The POR safety check reads them on every DFS
+    /// node, and a `DmaWait` issues a completion for each of its
+    /// locations.
     locs: Vec<Vec<Vec<LocId>>>,
     /// Static per-thread order-sensitivity matrices (`sensitive[t][i *
     /// len + j]`), precomputed for the same reason.
@@ -327,40 +338,39 @@ pub fn outcomes_counted(
 
 impl<'p> Search<'p> {
     fn new(program: &'p Program, limits: Limits) -> Self {
-        let (locs, sensitive) = if limits.por {
-            (
-                program
-                    .threads
-                    .iter()
-                    .map(|t| (0..t.len()).map(|i| instr_locs(t, i)).collect())
-                    .collect(),
-                program
-                    .threads
-                    .iter()
-                    .map(|t| {
-                        let n = t.len();
-                        let mut m = vec![false; n * n];
-                        for i in 0..n {
-                            for j in 0..n {
-                                m[i * n + j] = order_sensitive(t, i, j);
-                            }
+        let locs = program
+            .threads
+            .iter()
+            .map(|t| (0..t.len()).map(|i| instr_locs(t, i)).collect())
+            .collect();
+        let sensitive = if limits.por {
+            program
+                .threads
+                .iter()
+                .map(|t| {
+                    let n = t.len();
+                    let mut m = vec![false; n * n];
+                    for i in 0..n {
+                        for j in 0..n {
+                            m[i * n + j] = order_sensitive(t, i, j);
                         }
-                        m
-                    })
-                    .collect(),
-            )
+                    }
+                    m
+                })
+                .collect()
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         Search {
             program,
             limits,
             states: 0,
             outcomes: BTreeSet::new(),
-            seen: limits.memoize.then(HashSet::new),
+            seen: limits.memoize.then(MemoSet::new),
             key: Vec::new(),
             #[cfg(test)]
             key_oracle: None,
+            cands: Vec::new(),
             locs,
             sensitive,
         }
@@ -390,7 +400,7 @@ impl<'p> Search<'p> {
         if let Some(seen) = &mut self.seen {
             self.key.clear();
             node.write_key(&mut self.key);
-            let fresh = seen.insert(self.key.as_slice().into());
+            let fresh = seen.insert(&self.key);
             #[cfg(test)]
             if let Some(oracle) = &mut self.key_oracle {
                 assert_eq!(fresh, oracle.insert(node.sorted_key()), "memo keys disagree");
@@ -438,7 +448,7 @@ impl<'p> Search<'p> {
             // until taken, so a reachable leaf always has every transfer
             // performed too.
             let complete = node.issued.iter().all(|flags| flags.iter().all(|&done| done));
-            if complete {
+            if complete && !self.outcomes.contains(&node.regs) {
                 self.outcomes.insert(node.regs.clone());
             }
         }
@@ -541,7 +551,7 @@ impl<'p> Search<'p> {
     ) -> Result<bool, Exhausted> {
         let p = ProcId(t as u16);
         match self.program.threads[t][idx] {
-            Instr::DmaPut(v, value) => self.step(node, t, idx, None, |n| {
+            Instr::DmaPut(v, value) => self.step(node, t, idx, None, |n, _| {
                 n.model.write(p, v, value);
                 n.performed[t][idx] = true;
             }),
@@ -572,20 +582,20 @@ impl<'p> Search<'p> {
             n.performed[t][idx] = true;
         };
         match thread[idx] {
-            Instr::Write(v, value) => self.step(node, t, idx, None, |n| {
+            Instr::Write(v, value) => self.step(node, t, idx, None, |n, _| {
                 n.model.write(p, v, value);
                 done(n);
             }),
-            Instr::Fence => self.step(node, t, idx, None, |n| {
+            Instr::Fence => self.step(node, t, idx, None, |n, _| {
                 n.model.fence(p);
                 done(n);
             }),
             Instr::Acquire(v) if !node.model.can_acquire(v) => Ok(false),
-            Instr::Acquire(v) => self.step(node, t, idx, None, |n| {
+            Instr::Acquire(v) => self.step(node, t, idx, None, |n, _| {
                 n.model.acquire(p, v).expect("checked can_acquire");
                 done(n);
             }),
-            Instr::Release(v) => self.step(node, t, idx, None, |n| {
+            Instr::Release(v) => self.step(node, t, idx, None, |n, _| {
                 n.model.release(p, v).expect("litmus programs are lock-balanced");
                 done(n);
             }),
@@ -601,13 +611,13 @@ impl<'p> Search<'p> {
             Instr::WaitEq(v, _) => self.explore_reads(node, t, idx, v, |n, _| done(n)),
             // Issue step only: the data movement floats as a separate
             // perform step (loop above).
-            Instr::DmaPut(v, _) | Instr::DmaGet(v, _) => self.step(node, t, idx, None, |n| {
+            Instr::DmaPut(v, _) | Instr::DmaGet(v, _) => self.step(node, t, idx, None, |n, _| {
                 n.model.dma_issue(p, v);
                 n.issued[t][idx] = true;
             }),
             // Issue markers on both endpoints; the combined read/write
             // floats as one perform step.
-            Instr::DmaCopy(s, d) => self.step(node, t, idx, None, |n| {
+            Instr::DmaCopy(s, d) => self.step(node, t, idx, None, |n, _| {
                 n.model.dma_issue(p, s);
                 n.model.dma_issue(p, d);
                 n.issued[t][idx] = true;
@@ -615,23 +625,12 @@ impl<'p> Search<'p> {
             // Ready only once every outstanding transfer has performed
             // (intra-thread dependency); mark the completion of each
             // waited location.
-            Instr::DmaWait => {
-                let mut locs: Vec<LocId> = open_transfers(thread, idx)
-                    .into_iter()
-                    .flat_map(|j| {
-                        let (sigs, n) = instr_sigs(&thread[j]);
-                        sigs.into_iter().take(n).filter_map(|(_, l)| l)
-                    })
-                    .collect();
-                locs.sort_unstable_by_key(|l| l.0);
-                locs.dedup();
-                self.step(node, t, idx, None, |n| {
-                    for v in locs {
-                        n.model.dma_complete(p, v);
-                    }
-                    done(n);
-                })
-            }
+            Instr::DmaWait => self.step(node, t, idx, None, |n, search| {
+                for &v in &search.locs[t][idx] {
+                    n.model.dma_complete(p, v);
+                }
+                done(n);
+            }),
         }
     }
 
@@ -639,19 +638,19 @@ impl<'p> Search<'p> {
     /// instruction `idx` of thread `t`, then undo the step. `apply` may
     /// change the model, that instruction's issued and performed flags,
     /// and register `reg` of thread `t` — nothing else, since nothing
-    /// else is restored.
+    /// else is restored — and may read the search's static tables.
     fn step(
         &mut self,
         node: &mut Node,
         t: usize,
         idx: usize,
         reg: Option<Reg>,
-        apply: impl FnOnce(&mut Node),
+        apply: impl FnOnce(&mut Node, &Self),
     ) -> Result<bool, Exhausted> {
         let mark = node.model.mark();
         let flags = (node.issued[t][idx], node.performed[t][idx]);
         let reg = reg.map(|r| (usize::from(r.0), node.regs[t][usize::from(r.0)]));
-        apply(node);
+        apply(node, self);
         self.dfs(node)?;
         node.model.undo(mark);
         (node.issued[t][idx], node.performed[t][idx]) = flags;
@@ -684,24 +683,175 @@ impl<'p> Search<'p> {
         // Computing candidates initialises `v`, which every branch's read
         // would do anyway; the mark undoes it once all branches are done.
         let mark = node.model.mark();
-        let mut cands = node.model.read_candidates(p, v);
-        cands.retain(|&(_, val)| only.is_none_or(|o| o == val));
-        // Candidates come oldest first, and the sort is stable.
-        cands.sort_by_key(|&(_, val)| val);
-        cands.dedup_by_key(|&mut (_, val)| val);
-        for &(from, value) in &cands {
-            self.step(node, t, idx, reg, |n| {
+        // This level's candidates go on the shared stack above its
+        // callers'; the levels below push theirs above these and pop
+        // them before returning.
+        let base = self.cands.len();
+        node.model.push_read_candidates(p, v, &mut self.cands);
+        // By value, then oldest first; keep the oldest write of each
+        // value the instruction accepts.
+        self.cands[base..].sort_unstable_by_key(|&(w, val)| (val, w));
+        let mut end = base;
+        for i in base..self.cands.len() {
+            let value = self.cands[i].1;
+            let first = i == base || self.cands[i - 1].1 != value;
+            if first && only.is_none_or(|o| o == value) {
+                self.cands[end] = self.cands[i];
+                end += 1;
+            }
+        }
+        self.cands.truncate(end);
+        for i in base..end {
+            let (from, value) = self.cands[i];
+            self.step(node, t, idx, reg, |n, _| {
                 n.model.read_from(p, v, from, value);
                 finish(n, value);
             })?;
         }
+        self.cands.truncate(base);
         node.model.undo(mark);
-        Ok(!cands.is_empty())
+        Ok(end > base)
     }
+}
+
+/// Words per chunk of [`MemoSet`]'s key store (64 KiB).
+const CHUNK: usize = 1 << 14;
+
+/// No key: the end of a bucket's chain.
+const NONE: u32 = u32::MAX;
+
+/// An exact set of memo keys. Each key's words are appended to the last
+/// of a list of fixed-size chunks, so a key is never moved or copied
+/// once stored and the store's slack is at most one chunk plus each
+/// chunk's unused tail. Keys are found through a table of buckets
+/// indexed by a seedless 64-bit hash, each bucket chaining the keys that
+/// land in it. A hash match always compares the full key, so two keys
+/// are one member only when they are equal.
+struct MemoSet {
+    /// The stored keys' words.
+    chunks: Vec<Vec<u32>>,
+    /// One entry per stored key.
+    keys: Vec<MemoKey>,
+    /// Per bucket, its newest key (an index into `keys`), or [`NONE`].
+    /// The bucket count is a power of two, at least the key count.
+    buckets: Vec<u32>,
+    /// The hash bits kept, so that a test can force collisions.
+    #[cfg(test)]
+    hash_mask: u64,
+}
+
+/// Where a stored key lives, and the next key of its bucket.
+struct MemoKey {
+    hash: u64,
+    chunk: u32,
+    start: u32,
+    len: u32,
+    next: u32,
+}
+
+impl MemoSet {
+    fn new() -> Self {
+        MemoSet {
+            chunks: Vec::new(),
+            keys: Vec::new(),
+            buckets: vec![NONE; 64],
+            #[cfg(test)]
+            hash_mask: u64::MAX,
+        }
+    }
+
+    /// The stored words of `key`.
+    fn words(&self, key: &MemoKey) -> &[u32] {
+        let start = key.start as usize;
+        &self.chunks[key.chunk as usize][start..start + key.len as usize]
+    }
+
+    /// Add `key`; return whether it was new.
+    fn insert(&mut self, key: &[u32]) -> bool {
+        let hash = memo_hash(key);
+        #[cfg(test)]
+        let hash = hash & self.hash_mask;
+        let bucket = hash as usize & (self.buckets.len() - 1);
+        let mut i = self.buckets[bucket];
+        while i != NONE {
+            let stored = &self.keys[i as usize];
+            if stored.hash == hash && self.words(stored) == key {
+                return false;
+            }
+            i = stored.next;
+        }
+        let fits = self.chunks.last().is_some_and(|c| c.capacity() - c.len() >= key.len());
+        if !fits {
+            self.chunks.push(Vec::with_capacity(CHUNK.max(key.len())));
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk with room");
+        let start = chunk.len();
+        chunk.extend_from_slice(key);
+        let index = u32::try_from(self.keys.len())
+            .ok()
+            .filter(|&i| i != NONE)
+            .expect("fewer than 2^32 - 1 memo keys");
+        self.keys.push(MemoKey {
+            hash,
+            chunk: count(self.chunks.len() - 1),
+            start: count(start),
+            len: count(key.len()),
+            next: self.buckets[bucket],
+        });
+        self.buckets[bucket] = index;
+        if self.keys.len() > self.buckets.len() {
+            self.grow();
+        }
+        true
+    }
+
+    /// Double the buckets and chain every key into its new bucket, from
+    /// its stored hash.
+    fn grow(&mut self) {
+        let mask = self.buckets.len() * 2 - 1;
+        self.buckets.clear();
+        self.buckets.resize(mask + 1, NONE);
+        for (i, key) in self.keys.iter_mut().enumerate() {
+            let bucket = key.hash as usize & mask;
+            key.next = self.buckets[bucket];
+            self.buckets[bucket] = i as u32;
+        }
+    }
+}
+
+/// A seedless 64-bit hash of a memo key: four lanes of xor, multiply and
+/// rotate over the key's words two at a time, folded with the length and
+/// finished with MurmurHash3's 64-bit mix so that the low bits, which
+/// pick a bucket, depend on every word.
+fn memo_hash(key: &[u32]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    // One or two words as one lane input.
+    let word = |w: &[u32]| w.iter().rev().fold(0, |x, &w| x << 32 | u64::from(w));
+    let mut lanes = [1u64, 2, 3, 4];
+    let mut blocks = key.chunks_exact(8);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+            *lane = (*lane ^ word(w)).wrapping_mul(K).rotate_left(31);
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(2)) {
+        *lane = (*lane ^ word(w)).wrapping_mul(K).rotate_left(31);
+    }
+    let mut h = key.len() as u64;
+    for lane in lanes {
+        h = (h ^ lane).wrapping_mul(K).rotate_left(27);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ h >> 33
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::litmus::catalogue;
     use crate::litmus::Instr::*;
@@ -767,6 +917,59 @@ mod tests {
             // Over budget is fine: every node visited so far was checked.
             let _ = search.run();
         }
+    }
+
+    /// The memo set answers every insert as a `HashSet` does, with its
+    /// hash cut to at most three bits so that most keys share a hash and
+    /// only the full comparison tells them apart. Keys are random, or an
+    /// earlier key again, a prefix of one, or an equal-length near-twin
+    /// (one word changed); a few are longer than a chunk.
+    #[test]
+    fn memo_set_agrees_with_a_hash_set() {
+        crate::fuzz::for_each_case("memo_set_agrees_with_a_hash_set", 64, |rng| {
+            let mut set = MemoSet::new();
+            set.hash_mask = (1 << rng.below(4)) - 1;
+            let mut oracle: HashSet<Vec<u32>> = HashSet::new();
+            let mut keys: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..rng.below(600) {
+                let earlier = |rng: &mut crate::fuzz::SplitMix64| {
+                    keys[rng.below(keys.len() as u64) as usize].clone()
+                };
+                let key = match rng.below(5) {
+                    0 if !keys.is_empty() => earlier(rng),
+                    1 if !keys.is_empty() => {
+                        let mut key = earlier(rng);
+                        key.truncate(rng.below(key.len() as u64 + 1) as usize);
+                        key
+                    }
+                    2 if !keys.is_empty() => {
+                        let mut key = earlier(rng);
+                        if let Some(len) = std::num::NonZeroUsize::new(key.len()) {
+                            let i = rng.below(len.get() as u64) as usize;
+                            key[i] ^= 1 << rng.below(32);
+                        }
+                        key
+                    }
+                    _ => {
+                        let len = if rng.chance(2) {
+                            CHUNK / 2 + rng.below(CHUNK as u64) as usize
+                        } else {
+                            rng.below(40) as usize
+                        };
+                        (0..len).map(|_| rng.below(4) as u32).collect()
+                    }
+                };
+                assert_eq!(
+                    set.insert(&key),
+                    oracle.insert(key.clone()),
+                    "insert of a {}-word key into {} keys, hash mask {:#x}",
+                    key.len(),
+                    oracle.len(),
+                    set.hash_mask
+                );
+                keys.push(key);
+            }
+        });
     }
 
     /// Intra-thread dependencies reflect Table I.

@@ -1,6 +1,7 @@
 //! A counting global allocator, shared by the allocation gates
-//! (`crates/soc-sim/tests/alloc.rs` and `crates/runtime/tests/alloc.rs`,
-//! which includes this file with `#[path]`).
+//! (`crates/soc-sim/tests/alloc.rs`, and `crates/runtime/tests/alloc.rs`
+//! and `crates/core/tests/alloc.rs`, which include this file with
+//! `#[path]`).
 //!
 //! The count is a thread-local: tests run on parallel threads, and every
 //! tile program of a `Soc::run` runs as a coroutine on the calling
